@@ -2,21 +2,19 @@
 
 Minimal periods and their unique periodic orbits, renormalization
 checking and towers, backward-limit classification, and the
-nonwandering decomposition, all over exact rationals with certified
-comparisons.
+nonwandering decomposition.  Every scalar is a
+:class:`fractions.Fraction` and every order decision is an exact
+comparison; map files that declare a finite ``precision`` are refused
+when they are loaded (:class:`PrecisionExhausted`).
 """
 
 from .numerics import (
-    CertifiedReal,
     Interval,
-    Order,
     PrecisionExhausted,
     Scalar,
-    cmp_certified,
     interval_contains,
     parse_scalar,
     format_scalar,
-    sqrt_rational,
 )
 from .maps import (
     BranchFn,
@@ -41,7 +39,6 @@ from .interval_dynamics import (
     CoverageResult,
     HittingResult,
     IntervalUnion,
-    covering_check,
     hitting_index,
     image_union,
     interval_orbit,

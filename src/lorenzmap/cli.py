@@ -3,8 +3,10 @@
 Single-map reports are JSON (nested), sweeps are CSV (tabular); every
 scalar is emitted as an exact ``p/q`` string, so identical inputs and
 configuration reproduce reports byte for byte.  Exit codes: 0 success,
-2 invalid map, 3 precision exhausted, 4 cap exceeded; partial reports
-carry a ``status`` field.
+2 invalid map or input, 3 precision exhausted, 4 cap exceeded; partial
+reports carry a ``status`` field.  Every command maps exceptions to exit
+codes through :data:`EXIT_FOR_ERROR`.  ``precision_bits`` is only
+echoed in the configuration: every scalar is exact.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .maps import (
     symmetric_map,
     validate_map,
 )
-from .interval_dynamics import CapExceeded, IntervalUnion, format_union
+from .interval_dynamics import CapExceeded, format_union
 from .periods import (
     BranchBudgetExceeded,
     minimal_period,
     minimal_periodic_orbit,
 )
 from .renorm import Tower, TowerTerminal, Trichotomy, renorm_tower
-from .limits import alpha_classify, omega_decomposition, orbit_unions
+from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
 
 DEFAULTS = {
     "l_max": 64,
@@ -40,6 +42,10 @@ DEFAULTS = {
     "hit_cap": 10_000,
     "precision_bits": 4096,
 }
+
+# below these, the pair search or the tower searches nothing and would
+# still report "prime-up-to-bound"
+MINIMA = {"l_max": 2, "level_cap": 1}
 
 ENV_PREFIX = "LORENZ_"
 
@@ -63,6 +69,27 @@ STATUS_FOR_EXIT = {
     EXIT_PRECISION: "precision-exhausted",
     EXIT_CAP: "cap-exceeded",
 }
+
+# Exceptions that end a command with a status instead of a traceback.
+EXIT_FOR_ERROR = {
+    PrecisionExhausted: EXIT_PRECISION,
+    CapExceeded: EXIT_CAP,
+    BranchBudgetExceeded: EXIT_CAP,
+    ValueError: EXIT_INVALID_MAP,
+    OSError: EXIT_INVALID_MAP,
+}
+HANDLED_ERRORS = tuple(EXIT_FOR_ERROR)
+
+
+def exit_code_for(err: Exception) -> int:
+    return next(code for kind, code in EXIT_FOR_ERROR.items() if isinstance(err, kind))
+
+
+def print_error(err: Exception) -> int:
+    """Print the ``status``/``error`` payload of a handled exception."""
+    code = exit_code_for(err)
+    print(json.dumps({"status": STATUS_FOR_EXIT[code], "error": str(err)}))
+    return code
 
 
 @dataclass(frozen=True)
@@ -89,30 +116,37 @@ def resolve_config(args: argparse.Namespace) -> Config:
         if flag is not None:
             values[key] = flag
             continue
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        values[key] = int(env) if env is not None else default
+        name = ENV_PREFIX + key.upper()
+        env = os.environ.get(name)
+        try:
+            values[key] = int(env) if env is not None else default
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {env!r}") from None
+    for key, least in MINIMA.items():
+        if values[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {values[key]}")
     return Config(**values)
 
 
-def build_map(args: argparse.Namespace, config: Config) -> tuple:
+def build_map(args: argparse.Namespace) -> tuple:
     """Construct the map from flags or a map file; returns (map, echo)."""
     if getattr(args, "map_file", None):
         with open(args.map_file, "r", encoding="utf-8") as handle:
             text = handle.read()
-        m = parse_map_text(text, config.precision_bits)
+        m = parse_map_text(text)
         return m, {"source": args.map_file, **describe_map(m)}
     family = getattr(args, "family", None)
     if family == "symmetric":
         if args.a is None:
             raise ValueError("--family symmetric needs --a")
         a = parse_scalar(args.a)
-        m = symmetric_map(a, config.precision_bits)
+        m = symmetric_map(a)
         return m, {"family": "symmetric", "a": format_scalar(a), **describe_map(m)}
     if family == "beta":
         if args.beta is None or args.alpha is None:
             raise ValueError("--family beta needs --beta and --alpha")
         beta, alpha = parse_scalar(args.beta), parse_scalar(args.alpha)
-        m = beta_transformation(beta, alpha, config.precision_bits)
+        m = beta_transformation(beta, alpha)
         return m, {
             "family": "beta",
             "beta": format_scalar(beta),
@@ -184,65 +218,56 @@ def _omega_dict(omega) -> dict:
     }
 
 
+def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
+    """Add the analysis sections to ``report``; returns the exit code."""
+    validation = validate_map(m)
+    report["validation"] = {
+        "valid": validation.valid,
+        "violations": list(validation.violations),
+    }
+    if not validation.valid:
+        return EXIT_INVALID_MAP
+
+    period = minimal_period(m, config.hit_cap)
+    report["kappa"] = period.kappa
+    report["backward_steps"] = period.m
+    report["backward_chain"] = [format_scalar(x) for x in period.backward_chain]
+
+    orbit = None
+    if period.kappa is not None and period.kappa > 1:
+        orbit = minimal_periodic_orbit(m, period.kappa)
+    report["orbit"] = _orbit_dict(orbit) if orbit is not None else None
+
+    tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
+    if period.kappa == 1:
+        trichotomy = Trichotomy.PRIME
+    elif period.undetermined or not tower.levels:
+        trichotomy = Trichotomy.UNKNOWN
+    elif tower.levels[0].step.periodic:
+        trichotomy = Trichotomy.PERIODIC_MINIMAL_RENORM
+    else:
+        trichotomy = Trichotomy.CANTOR_MINIMAL_RENORM
+    report["trichotomy"] = trichotomy.value
+    report["tower"] = _tower_dict(tower)
+
+    unions = orbit_unions(m, tower)
+    omega = omega_decomposition(m, tower, unions)
+    report["omega"] = _omega_dict(omega)
+    report["attractor"] = format_union(omega.attractor)
+
+    if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
+        return EXIT_CAP
+    return EXIT_OK
+
+
 def analyze_map(m: LorenzMap, echo: dict, config: Config) -> tuple:
     """Full analysis; returns (report, exit_code)."""
     report: dict = {"status": "ok", "map": echo}
-
-    exit_code = EXIT_OK
     try:
-        validation = validate_map(m)
-        report["validation"] = {
-            "valid": validation.valid,
-            "violations": list(validation.violations),
-        }
-        if not validation.valid:
-            report["status"] = STATUS_FOR_EXIT[EXIT_INVALID_MAP]
-            report["config"] = config.echo()
-            return report, EXIT_INVALID_MAP
-
-        period = minimal_period(m, config.hit_cap)
-        report["kappa"] = period.kappa
-        report["backward_steps"] = period.m
-        report["backward_chain"] = [format_scalar(x) for x in period.backward_chain]
-
-        orbit = None
-        if period.kappa is not None and period.kappa > 1:
-            orbit = minimal_periodic_orbit(m, period.kappa)
-        report["orbit"] = _orbit_dict(orbit) if orbit is not None else None
-
-        if period.kappa == 1:
-            trichotomy = Trichotomy.PRIME
-            tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
-        else:
-            tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
-            if period.undetermined:
-                trichotomy = Trichotomy.UNKNOWN
-            elif tower.levels:
-                first = tower.levels[0].step
-                trichotomy = (
-                    Trichotomy.PERIODIC_MINIMAL_RENORM
-                    if first.periodic
-                    else Trichotomy.CANTOR_MINIMAL_RENORM
-                )
-            else:
-                trichotomy = Trichotomy.UNKNOWN
-        report["trichotomy"] = trichotomy.value
-        report["tower"] = _tower_dict(tower)
-
-        unions = orbit_unions(m, tower)
-        omega = omega_decomposition(m, tower, unions)
-        report["omega"] = _omega_dict(omega)
-        report["attractor"] = format_union(omega.attractor)
-
-        if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
-            exit_code = EXIT_CAP
-    except PrecisionExhausted as err:
+        exit_code = _fill_report(report, m, config)
+    except HANDLED_ERRORS as err:
         report["error"] = str(err)
-        exit_code = EXIT_PRECISION
-    except (CapExceeded, BranchBudgetExceeded) as err:
-        report["error"] = str(err)
-        exit_code = EXIT_CAP
-
+        exit_code = exit_code_for(err)
     report["status"] = STATUS_FOR_EXIT[exit_code]
     report["config"] = config.echo()
     return report, exit_code
@@ -265,15 +290,11 @@ def summary_row(report: dict) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     try:
-        m, echo = build_map(args, config)
-    except PrecisionExhausted as err:
-        print(json.dumps({"status": "precision-exhausted", "error": str(err)}))
-        return EXIT_PRECISION
-    except (ValueError, OSError) as err:
-        print(json.dumps({"status": "invalid-map", "error": str(err)}))
-        return EXIT_INVALID_MAP
+        config = resolve_config(args)
+        m, echo = build_map(args)
+    except HANDLED_ERRORS as err:
+        return print_error(err)
     report, code = analyze_map(m, echo, config)
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
@@ -285,25 +306,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     try:
-        m, echo = build_map(args, config)
+        config = resolve_config(args)
+        m, _echo = build_map(args)
         x = parse_scalar(args.x)
-    except PrecisionExhausted as err:
-        print(json.dumps({"status": "precision-exhausted", "error": str(err)}))
-        return EXIT_PRECISION
-    except (ValueError, OSError) as err:
-        print(json.dumps({"status": "invalid-map", "error": str(err)}))
-        return EXIT_INVALID_MAP
-    validation = validate_map(m)
-    if not validation.valid:
-        print(
-            json.dumps(
-                {"status": "invalid-map", "violations": list(validation.violations)}
+        validation = validate_map(m)
+        if not validation.valid:
+            print(
+                json.dumps(
+                    {"status": "invalid-map", "violations": list(validation.violations)}
+                )
             )
-        )
-        return EXIT_INVALID_MAP
-    try:
+            return EXIT_INVALID_MAP
         period = minimal_period(m, config.hit_cap)
         orbit = (
             minimal_periodic_orbit(m, period.kappa)
@@ -313,35 +327,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
         tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
         unions = orbit_unions(m, tower)
         klass = alpha_classify(m, tower, x, unions)
-        if klass.index is not None:
-            outer = (
-                unions[klass.index - 2]
-                if klass.index >= 2
-                else IntervalUnion.from_pairs([(m.a, m.b)])
-            )
-        else:
-            outer = unions[-1] if unions else IntervalUnion.from_pairs([(m.a, m.b)])
+        # a point of class E_i lies outside union i but inside union i - 1
+        outer = outer_union(m, unions, klass.index or len(unions) + 1)
         witness = outer.component_containing(x)
-        result = {
-            "status": "ok",
-            "x": format_scalar(x),
-            "class": klass.label(),
-            "witness_component": [format_scalar(witness.lo), format_scalar(witness.hi)]
-            if witness
-            else None,
-            "config": config.echo(),
-        }
-        print(json.dumps(result))
-        return EXIT_OK
-    except PrecisionExhausted as err:
-        print(json.dumps({"status": "precision-exhausted", "error": str(err)}))
-        return EXIT_PRECISION
-    except (CapExceeded, BranchBudgetExceeded) as err:
-        print(json.dumps({"status": "cap-exceeded", "error": str(err)}))
-        return EXIT_CAP
-    except ValueError as err:
-        print(json.dumps({"status": "invalid-map", "error": str(err)}))
-        return EXIT_INVALID_MAP
+    except HANDLED_ERRORS as err:
+        return print_error(err)
+    result = {
+        "status": "ok",
+        "x": format_scalar(x),
+        "class": klass.label(),
+        "witness_component": [format_scalar(witness.lo), format_scalar(witness.hi)]
+        if witness
+        else None,
+        "config": config.echo(),
+    }
+    print(json.dumps(result))
+    return EXIT_OK
 
 
 def sweep_rows(args: argparse.Namespace, config: Config):
@@ -354,11 +355,11 @@ def sweep_rows(args: argparse.Namespace, config: Config):
     while param <= end:
         try:
             if args.family == "symmetric":
-                m = symmetric_map(param, config.precision_bits)
+                m = symmetric_map(param)
                 echo = {"family": "symmetric", "a": format_scalar(param)}
             elif args.family == "beta":
                 alpha = parse_scalar(args.alpha)
-                m = beta_transformation(param, alpha, config.precision_bits)
+                m = beta_transformation(param, alpha)
                 echo = {
                     "family": "beta",
                     "beta": format_scalar(param),
@@ -366,33 +367,25 @@ def sweep_rows(args: argparse.Namespace, config: Config):
                 }
             else:
                 raise ValueError("sweep supports --family symmetric|beta")
-            report, _code = analyze_map(m, echo, config)
-            row = summary_row(report)
-        except PrecisionExhausted:
+        except HANDLED_ERRORS as err:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row["status"] = STATUS_FOR_EXIT[EXIT_PRECISION]
-        except (CapExceeded, BranchBudgetExceeded):
-            row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row["status"] = STATUS_FOR_EXIT[EXIT_CAP]
-        except ValueError as err:
-            row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row["status"] = STATUS_FOR_EXIT[EXIT_INVALID_MAP]
+            row["status"] = STATUS_FOR_EXIT[exit_code_for(err)]
             row["trichotomy"] = str(err)
+        else:
+            row = summary_row(analyze_map(m, echo, config)[0])
         row["parameter"] = format_scalar(param)
         yield row
         param += step
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    if args.family == "beta" and not args.alpha:
-        print(json.dumps({"status": "invalid-map", "error": "beta sweeps need --alpha"}))
-        return EXIT_INVALID_MAP
     try:
+        config = resolve_config(args)
+        if args.family == "beta" and not args.alpha:
+            raise ValueError("beta sweeps need --alpha")
         rows = list(sweep_rows(args, config))
-    except (ValueError, TypeError) as err:
-        print(json.dumps({"status": "invalid-map", "error": str(err)}))
-        return EXIT_INVALID_MAP
+    except HANDLED_ERRORS as err:
+        return print_error(err)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -416,7 +409,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level-cap", dest="level_cap", type=int, default=None)
     parser.add_argument("--hit-cap", dest="hit_cap", type=int, default=None)
     parser.add_argument(
-        "--precision-bits", dest="precision_bits", type=int, default=None
+        "--precision-bits",
+        dest="precision_bits",
+        type=int,
+        default=None,
+        help="echoed in the report only: every scalar is exact",
     )
 
 

@@ -30,11 +30,6 @@ DEFAULT_HIT_CAP = 10_000
 DEFAULT_COVER_CAP = 1_000
 
 
-def _require_rational_map(m: LorenzMap, what: str) -> None:
-    if not m.is_rational():
-        raise TypeError(f"{what} requires an all-rational map")
-
-
 @dataclass(frozen=True)
 class IntervalUnion:
     """A normalized finite union of closed intervals.
@@ -103,13 +98,10 @@ def closed_image_pairs(m: LorenzMap, lo: Scalar, hi: Scalar) -> list:
     """
     c = m.c
     if lo < c < hi:
-        return [
-            (m.left.value(lo, m.precision_bits), m.b),
-            (m.a, m.right.value(hi, m.precision_bits)),
-        ]
+        return [(m.left.value(lo), m.b), (m.a, m.right.value(hi))]
     if hi <= c:
-        return [(m.left.value(lo, m.precision_bits), m.left.value(hi, m.precision_bits))]
-    return [(m.right.value(lo, m.precision_bits), m.right.value(hi, m.precision_bits))]
+        return [(m.left.value(lo), m.left.value(hi))]
+    return [(m.right.value(lo), m.right.value(hi))]
 
 
 def image_union(m: LorenzMap, union: IntervalUnion) -> IntervalUnion:
@@ -128,7 +120,6 @@ def hitting_index(
     branches recorded along the way; ``f^{n-1}`` is continuous and
     strictly increasing on ``U``, so ``z`` is unique.
     """
-    _require_rational_map(m, "hitting_index")
     lo, hi = U.lo, U.hi
     if not (m.a <= lo < hi <= m.b):
         raise ValueError(f"{U} is not a nonempty open subinterval of the domain")
@@ -143,12 +134,12 @@ def hitting_index(
         else:
             branch = m.right
             branches.append(branch)
-        lo = branch.value(lo, m.precision_bits)
-        hi = branch.value(hi, m.precision_bits)
+        lo = branch.value(lo)
+        hi = branch.value(hi)
         if lo < c < hi:
             z = c
             for branch in reversed(branches):
-                z = branch.solve(z, m.precision_bits)
+                z = branch.solve(z)
                 if z is None:
                     raise AssertionError("pullback of the hit left the branch")
             return HittingResult(n, z)
@@ -163,7 +154,6 @@ def interval_orbit(m: LorenzMap, J: Interval, return_times) -> IntervalUnion:
     and the first ``r`` iterates of ``[c, v]`` (sided images at ``c``);
     the result is forward invariant.
     """
-    _require_rational_map(m, "interval_orbit")
     u, v = J.lo, J.hi
     if not (u < m.c < v):
         raise IntervalDoesNotStraddleC(f"{J} does not straddle c")
@@ -184,21 +174,6 @@ def interval_orbit(m: LorenzMap, J: Interval, return_times) -> IntervalUnion:
             lo, hi = images[0]
             parts.append((lo, hi))
     return IntervalUnion.from_pairs(parts)
-
-
-def covering_check(m: LorenzMap, J: Interval, steps: int) -> bool:
-    """Whether the first ``steps`` iterates of ``J`` tile the whole domain."""
-    _require_rational_map(m, "covering_check")
-    frontier = IntervalUnion.from_pairs([(J.lo, J.hi)])
-    total = frontier
-    if total.equals_interval(m.a, m.b):
-        return True
-    for _ in range(steps):
-        frontier = image_union(m, frontier)
-        total = total.union(frontier)
-        if total.equals_interval(m.a, m.b):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -226,7 +201,6 @@ def leo_evidence(m: LorenzMap, U: Interval, cap: int = DEFAULT_COVER_CAP) -> Cov
     Covering is decided on the closure of the cumulative union (the
     doubled-point convention the covering statements use).
     """
-    _require_rational_map(m, "leo_evidence")
     frontier = IntervalUnion.from_pairs([(U.lo, U.hi)])
     total = frontier
     if total.equals_interval(m.a, m.b):

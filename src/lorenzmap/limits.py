@@ -55,6 +55,17 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     return unions
 
 
+def outer_union(m: LorenzMap, unions: list, i: int) -> IntervalUnion:
+    """The orbit union level ``i`` sits in: that of level ``i - 1``.
+
+    Level 1 sits in the whole domain; ``i = len(unions) + 1`` gives the
+    deepest union, which is the attractor.
+    """
+    if i >= 2:
+        return unions[i - 2]
+    return IntervalUnion.from_pairs([(m.a, m.b)])
+
+
 def alpha_classify(
     m: LorenzMap, tower: Tower, x, unions: Optional[list] = None
 ) -> AlphaClass:
@@ -212,17 +223,10 @@ def omega_decomposition(
             parts.append(OmegaPart(level.index, True, points, True))
         else:
             approx = alpha_limit_approx(m, tower, level.index, approx_depth)
-            outer = (
-                unions[level.index - 2]
-                if level.index >= 2
-                else IntervalUnion.from_pairs([(m.a, m.b)])
-            )
+            outer = outer_union(m, unions, level.index)
             points = tuple(x for x in approx if outer.contains(x))
             parts.append(OmegaPart(level.index, False, points, False))
-    if tower.levels:
-        attractor = unions[-1]
-    else:
-        attractor = IntervalUnion.from_pairs([(m.a, m.b)])
+    attractor = outer_union(m, unions, len(tower.levels) + 1)
     flags = tuple(level.step.periodic for level in tower.levels)
     return OmegaDecomposition(tuple(parts), attractor, flags)
 

@@ -9,22 +9,25 @@ point pair ``c-`` / ``c+`` throughout: an orbit that lands exactly on
 Branches are piecewise affine with every slope > 1, which certifies the
 expanding property (dense preimages of ``c``); maps that fail the slope
 test are rejected by :func:`validate_map` rather than analyzed unsoundly.
+
+Every scalar is an exact :class:`fractions.Fraction` and every order
+decision is a plain comparison.  :func:`parse_map_text` is where
+finite-precision input is refused: a map file with a ``precision`` line
+raises :class:`~lorenzmap.numerics.PrecisionExhausted` once the file has
+parsed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .numerics import (
-    DEFAULT_PRECISION_BITS,
-    CertifiedReal,
     Interval,
-    Order,
+    PrecisionExhausted,
     Scalar,
-    cmp_certified,
     format_scalar,
     parse_scalar,
 )
@@ -111,28 +114,24 @@ class BranchFn:
     def hi(self) -> Scalar:
         return self.breakpoints[-1]
 
-    def piece_index(self, x: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
+    def piece_index(self, x: Scalar) -> int:
         bps = self.breakpoints
-        if cmp_certified(x, bps[0], precision_bits) is Order.LESS:
+        if x < bps[0]:
             raise ValueError(f"{format_scalar(x)} below branch domain")
         for i in range(len(self.slopes)):
-            if cmp_certified(x, bps[i + 1], precision_bits) is not Order.GREATER:
+            if x <= bps[i + 1]:
                 return i
         raise ValueError(f"{format_scalar(x)} above branch domain")
 
-    def value(self, x: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> Scalar:
-        i = self.piece_index(x, precision_bits)
+    def value(self, x: Scalar) -> Scalar:
+        i = self.piece_index(x)
         return self.slopes[i] * x + self.intercepts[i]
 
-    def solve(self, y: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> Optional[Scalar]:
+    def solve(self, y: Scalar) -> Optional[Scalar]:
         """The unique ``x`` in the closed domain with ``value(x) == y``, if any."""
         for i, (s, t) in enumerate(zip(self.slopes, self.intercepts)):
             x = (y - t) / s
-            if (
-                cmp_certified(x, self.breakpoints[i], precision_bits) is not Order.LESS
-                and cmp_certified(x, self.breakpoints[i + 1], precision_bits)
-                is not Order.GREATER
-            ):
+            if self.breakpoints[i] <= x <= self.breakpoints[i + 1]:
                 return x
         return None
 
@@ -159,10 +158,8 @@ class BranchFn:
 class LorenzMap:
     """Two increasing piecewise-affine branches glued at the discontinuity.
 
-    Immutable after construction; all operations are pure.  Exact
-    rational fields drive the full analysis pipeline; certified-real
-    fields are supported for evaluation and validation, with ties raising
-    :class:`~lorenzmap.numerics.PrecisionExhausted`.
+    Immutable after construction; all operations are pure.  Every field
+    is an exact rational.
     """
 
     a: Scalar
@@ -170,20 +167,6 @@ class LorenzMap:
     c: Scalar
     left: BranchFn
     right: BranchFn
-    precision_bits: int = field(default=DEFAULT_PRECISION_BITS, compare=False)
-
-    def cmp(self, x: Scalar, y: Scalar) -> Order:
-        return cmp_certified(x, y, self.precision_bits)
-
-    def side_of(self, x: Scalar) -> Order:
-        """Position of ``x`` relative to the discontinuity."""
-        return self.cmp(x, self.c)
-
-    def is_rational(self) -> bool:
-        scalars = [self.a, self.b, self.c]
-        for br in (self.left, self.right):
-            scalars += list(br.breakpoints) + list(br.slopes) + list(br.intercepts)
-        return all(isinstance(s, Fraction) for s in scalars)
 
     def interior_cuts(self) -> tuple:
         """Breakpoints of the assembled map inside ``(a, b)``, including ``c``."""
@@ -194,12 +177,7 @@ class LorenzMap:
 
     def canonical(self) -> "LorenzMap":
         return LorenzMap(
-            self.a,
-            self.b,
-            self.c,
-            self.left.canonical(),
-            self.right.canonical(),
-            self.precision_bits,
+            self.a, self.b, self.c, self.left.canonical(), self.right.canonical()
         )
 
     def same_map(self, other: "LorenzMap") -> bool:
@@ -234,9 +212,8 @@ def validate_map(m: LorenzMap) -> ValidationReport:
     dense preimages of the discontinuity.
     """
     bad: list[str] = []
-    cmp = m.cmp
 
-    if cmp(m.a, m.c) is not Order.LESS or cmp(m.c, m.b) is not Order.LESS:
+    if not (m.a < m.c < m.b):
         bad.append("domain order violated: need a < c < b")
         return ValidationReport(tuple(bad))
 
@@ -244,21 +221,18 @@ def validate_map(m: LorenzMap) -> ValidationReport:
         ("left", m.left, m.a, m.c),
         ("right", m.right, m.c, m.b),
     ):
-        if cmp(br.lo, lo) is not Order.EQUAL or cmp(br.hi, hi) is not Order.EQUAL:
+        if br.lo != lo or br.hi != hi:
             bad.append(f"{name} branch domain does not tile its side of the domain")
             continue
         bps = br.breakpoints
-        monotone_domain = all(
-            cmp(bps[i], bps[i + 1]) is Order.LESS for i in range(len(bps) - 1)
-        )
+        monotone_domain = all(bps[i] < bps[i + 1] for i in range(len(bps) - 1))
         if not monotone_domain:
             bad.append(f"{name} branch breakpoints are not strictly increasing")
             continue
         for i, s in enumerate(br.slopes):
-            order = cmp(s, ONE)
-            if cmp(s, ZERO) is not Order.GREATER:
+            if s <= ZERO:
                 bad.append(f"{name} branch piece {i} is not strictly increasing")
-            elif order is not Order.GREATER:
+            elif s <= ONE:
                 bad.append(
                     f"expanding violated: {name} branch piece {i} has slope "
                     f"{format_scalar(s)} <= 1"
@@ -267,30 +241,30 @@ def validate_map(m: LorenzMap) -> ValidationReport:
             x = bps[i + 1]
             lhs = br.slopes[i] * x + br.intercepts[i]
             rhs = br.slopes[i + 1] * x + br.intercepts[i + 1]
-            if cmp(lhs, rhs) is not Order.EQUAL:
+            if lhs != rhs:
                 bad.append(f"{name} branch discontinuous at breakpoint {format_scalar(x)}")
 
     if any("domain" in v or "increasing" in v for v in bad):
         return ValidationReport(tuple(bad))
 
-    left_limit = m.left.value(m.c, m.precision_bits)
-    if cmp(left_limit, m.b) is not Order.EQUAL:
+    left_limit = m.left.value(m.c)
+    if left_limit != m.b:
         bad.append(
             f"left limit at c is {format_scalar(left_limit)}, expected b = "
             f"{format_scalar(m.b)}"
         )
-    right_limit = m.right.value(m.c, m.precision_bits)
-    if cmp(right_limit, m.a) is not Order.EQUAL:
+    right_limit = m.right.value(m.c)
+    if right_limit != m.a:
         bad.append(
             f"right limit at c is {format_scalar(right_limit)}, expected a = "
             f"{format_scalar(m.a)}"
         )
 
-    fa = m.left.value(m.a, m.precision_bits)
-    if cmp(fa, m.a) is Order.LESS or cmp(fa, m.b) is Order.GREATER:
+    fa = m.left.value(m.a)
+    if not (m.a <= fa <= m.b):
         bad.append(f"f(a) = {format_scalar(fa)} escapes the domain")
-    fb = m.right.value(m.b, m.precision_bits)
-    if cmp(fb, m.a) is Order.LESS or cmp(fb, m.b) is Order.GREATER:
+    fb = m.right.value(m.b)
+    if not (m.a <= fb <= m.b):
         bad.append(f"f(b) = {format_scalar(fb)} escapes the domain")
 
     return ValidationReport(tuple(bad))
@@ -300,13 +274,12 @@ def evaluate(m: LorenzMap, p) -> Scalar:
     """Sided evaluation: ``f(c-) = b`` and ``f(c+) = a`` exactly."""
     p = as_sided(p)
     x = p.x
-    if m.cmp(x, m.a) is Order.LESS or m.cmp(x, m.b) is Order.GREATER:
+    if not (m.a <= x <= m.b):
         raise ValueError(f"{format_scalar(x)} outside the domain")
-    position = m.side_of(x)
-    if position is Order.LESS:
-        return m.left.value(x, m.precision_bits)
-    if position is Order.GREATER:
-        return m.right.value(x, m.precision_bits)
+    if x < m.c:
+        return m.left.value(x)
+    if x > m.c:
+        return m.right.value(x)
     if p.side is Side.MINUS:
         return m.b
     if p.side is Side.PLUS:
@@ -344,19 +317,18 @@ def inverse_images(m: LorenzMap, y: Scalar) -> list:
     ``y = b`` yields ``c-`` on the left branch and ``y = a`` yields
     ``c+`` on the right branch.
     """
-    if m.cmp(y, m.a) is Order.LESS or m.cmp(y, m.b) is Order.GREATER:
+    if not (m.a <= y <= m.b):
         raise ValueError(f"{format_scalar(y)} outside the domain")
-    bits = m.precision_bits
     results = []
-    x = m.left.solve(y, bits)
+    x = m.left.solve(y)
     if x is not None:
-        if m.cmp(x, m.c) is Order.EQUAL:
+        if x == m.c:
             results.append((SidedPoint(m.c, Side.MINUS), BranchLabel.LEFT))
         else:
             results.append((SidedPoint(x), BranchLabel.LEFT))
-    x = m.right.solve(y, bits)
+    x = m.right.solve(y)
     if x is not None:
-        if m.cmp(x, m.c) is Order.EQUAL:
+        if x == m.c:
             results.append((SidedPoint(m.c, Side.PLUS), BranchLabel.RIGHT))
         else:
             results.append((SidedPoint(x), BranchLabel.RIGHT))
@@ -372,31 +344,26 @@ def _compose_step(m: LorenzMap, pieces: list) -> list:
     take the one-sided limit); interior crossings mean the caller's
     return-time bookkeeping is wrong.
     """
-    cmp = m.cmp
     out = []
     for d0, d1, s, t in pieces:
         y0, y1 = s * d0 + t, s * d1 + t
-        if cmp(y1, m.c) is not Order.GREATER:
+        if y1 <= m.c:
             branch = m.left
-        elif cmp(y0, m.c) is not Order.LESS:
+        elif y0 >= m.c:
             branch = m.right
         else:
             raise IntervalDoesNotStraddleC(
                 "piece image crosses the discontinuity during composition"
             )
-        cuts = [
-            bp
-            for bp in branch.breakpoints[1:-1]
-            if cmp(y0, bp) is Order.LESS and cmp(bp, y1) is Order.LESS
-        ]
+        cuts = [bp for bp in branch.breakpoints[1:-1] if y0 < bp < y1]
         xs = [d0] + [(ycut - t) / s for ycut in cuts] + [d1]
         for x0, x1 in zip(xs, xs[1:]):
             mid_image_lo = s * x0 + t
             idx = None
             for i in range(len(branch.slopes)):
                 if (
-                    cmp(mid_image_lo, branch.breakpoints[i]) is not Order.LESS
-                    and cmp(s * x1 + t, branch.breakpoints[i + 1]) is not Order.GREATER
+                    mid_image_lo >= branch.breakpoints[i]
+                    and s * x1 + t <= branch.breakpoints[i + 1]
                 ):
                     idx = i
                     break
@@ -422,17 +389,12 @@ def compose_branch(m: LorenzMap, lo: Scalar, hi: Scalar, steps: int) -> list:
 
 def first_return_times(m: LorenzMap, u: Scalar, v: Scalar, cap: int = 10_000):
     """First-return times of ``c-`` and ``c+`` to ``[u, v]``."""
-    cmp = m.cmp
-
-    def inside(x) -> bool:
-        return cmp(u, x) is not Order.GREATER and cmp(x, v) is not Order.GREATER
-
     times = []
     for side in (Side.MINUS, Side.PLUS):
         x = m.c
         for n in range(1, cap + 1):
             x = evaluate(m, SidedPoint(x, side))
-            if inside(x):
+            if u <= x <= v:
                 times.append(n)
                 break
         else:
@@ -449,10 +411,9 @@ def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
     defaults to the first-return times of ``c-`` / ``c+`` to ``J``.
     """
     u, v = J.lo, J.hi
-    cmp = m.cmp
-    if cmp(u, m.c) is not Order.LESS or cmp(m.c, v) is not Order.LESS:
+    if not (u < m.c < v):
         raise IntervalDoesNotStraddleC(f"{J} does not straddle c")
-    if cmp(u, m.a) is Order.LESS or cmp(v, m.b) is Order.GREATER:
+    if u < m.a or v > m.b:
         raise ValueError(f"{J} is not inside the domain")
     if return_times is None:
         ell, r = first_return_times(m, u, v)
@@ -470,13 +431,13 @@ def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
     left = conjugate(compose_branch(m, u, m.c, ell))
     right = conjugate(compose_branch(m, m.c, v, r))
     c_new = (m.c - u) / width
-    return LorenzMap(ZERO, ONE, c_new, left, right, m.precision_bits)
+    return LorenzMap(ZERO, ONE, c_new, left, right)
 
 
 # --- map families -----------------------------------------------------------
 
 
-def symmetric_map(a: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> LorenzMap:
+def symmetric_map(a: Scalar) -> LorenzMap:
     """The symmetric piecewise-linear family on ``[0, 1]`` with slope ``a``.
 
     Left branch ``a*x + 1 - a/2`` on ``[0, 1/2)``, right branch
@@ -484,12 +445,10 @@ def symmetric_map(a: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS) -> Lo
     """
     left = BranchFn.affine(ZERO, HALF, a, 1 - a / 2)
     right = BranchFn.affine(HALF, ONE, a, -a / 2)
-    return LorenzMap(ZERO, ONE, HALF, left, right, precision_bits)
+    return LorenzMap(ZERO, ONE, HALF, left, right)
 
 
-def beta_transformation(
-    beta: Scalar, alpha: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> LorenzMap:
+def beta_transformation(beta: Scalar, alpha: Scalar) -> LorenzMap:
     """``x -> beta*x + alpha mod 1`` as a Lorenz map on ``[0, 1]``.
 
     The discontinuity is ``c = (1 - alpha)/beta``; the construction
@@ -497,29 +456,32 @@ def beta_transformation(
     :func:`validate_map` rejects parameter pairs whose branch images
     escape ``[0, 1]``.
     """
-    c = (1 - alpha) / beta
-    if (
-        cmp_certified(c, ZERO, precision_bits) is not Order.GREATER
-        or cmp_certified(c, ONE, precision_bits) is not Order.LESS
-    ):
+    c = (1 - alpha) / beta if beta else ZERO  # beta = 0 has no discontinuity
+    if not (ZERO < c < ONE):
         raise ValueError("beta/alpha give no discontinuity inside (0, 1)")
     left = BranchFn.affine(ZERO, c, beta, alpha)
     right = BranchFn.affine(c, ONE, beta, alpha - 1)
-    return LorenzMap(ZERO, ONE, c, left, right, precision_bits)
+    return LorenzMap(ZERO, ONE, c, left, right)
 
 
 # --- plain-text map descriptions --------------------------------------------
 
 
-def parse_map_text(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> LorenzMap:
+def parse_map_text(text: str) -> LorenzMap:
     """Build a map from a key-value description.
 
     Keys: ``family`` (symmetric | beta | custom); ``a`` for symmetric;
     ``beta``/``alpha`` for beta; for custom: ``domain`` (two endpoints),
     ``c``, and per-branch ``<side>_breakpoints``, ``<side>_slopes``,
-    ``<side>_intercepts`` lists.  Scalars are ``p/q`` or decimal strings;
-    an optional ``precision = N`` marks decimal parameters as certified
-    reals trusted to ``N`` significant digits.
+    ``<side>_intercepts`` lists.  Scalars are ``p/q`` or decimal strings,
+    read as exact rationals; a missing key or a malformed value (``p/0``
+    included) raises :class:`ValueError`.
+
+    A ``precision = N`` line says the values are known only to ``N``
+    significant digits.  No order relation of the analysis can be
+    certified for such a map, so once the file has parsed
+    :class:`~lorenzmap.numerics.PrecisionExhausted` is raised instead of
+    returning it, whatever the family.
     """
     entries: dict[str, str] = {}
     for raw in text.splitlines():
@@ -531,25 +493,25 @@ def parse_map_text(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> L
         key, value = line.split("=", 1)
         entries[key.strip().lower()] = value.strip()
 
-    digits = int(entries["precision"]) if "precision" in entries else None
+    def entry(key: str) -> str:
+        if key not in entries:
+            raise ValueError(f"map file has no {key!r} line")
+        return entries[key]
 
     def scalar(key: str) -> Scalar:
-        raw = entries[key]
-        if digits is not None:
-            return CertifiedReal.from_decimal(raw, digits)
-        return parse_scalar(raw)
+        return parse_scalar(entry(key))
 
     def scalar_list(key: str) -> tuple:
-        return tuple(parse_scalar(tok) for tok in entries[key].replace(",", " ").split())
+        return tuple(parse_scalar(tok) for tok in entry(key).replace(",", " ").split())
 
     family = entries.get("family", "").lower()
     if family == "symmetric":
-        return symmetric_map(scalar("a"), precision_bits)
-    if family == "beta":
-        return beta_transformation(scalar("beta"), scalar("alpha"), precision_bits)
-    if family == "custom":
+        m = symmetric_map(scalar("a"))
+    elif family == "beta":
+        m = beta_transformation(scalar("beta"), scalar("alpha"))
+    elif family == "custom":
         lo, hi = scalar_list("domain")
-        c = parse_scalar(entries["c"])
+        c = scalar("c")
         left = BranchFn(
             scalar_list("left_breakpoints"),
             scalar_list("left_slopes"),
@@ -560,8 +522,16 @@ def parse_map_text(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> L
             scalar_list("right_slopes"),
             scalar_list("right_intercepts"),
         )
-        return LorenzMap(lo, hi, c, left, right, precision_bits)
-    raise ValueError(f"unknown family {family!r}")
+        m = LorenzMap(lo, hi, c, left, right)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    if "precision" in entries:
+        digits = int(entries["precision"])
+        raise PrecisionExhausted(
+            f"map values are known to {digits} significant digits only; "
+            "the analysis needs exact rationals to certify its order relations"
+        )
+    return m
 
 
 def describe_map(m: LorenzMap) -> dict:

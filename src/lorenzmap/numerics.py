@@ -1,266 +1,36 @@
-"""Exact scalars, certified comparisons, and intervals.
+"""Exact scalars and intervals.
 
-Every ordering decision in the analysis pipeline goes through
-:func:`cmp_certified`.  Two scalar kinds are supported:
-
-* exact rationals: stdlib :class:`fractions.Fraction`, always in lowest
-  terms with positive denominator;
-* certified reals: a value known only through arbitrarily refinable
-  enclosures (:class:`CertifiedReal`).  A comparison involving one either
-  separates the enclosures at some working precision, establishes exact
-  equality (degenerate enclosure), or raises :class:`PrecisionExhausted`
-  once the precision cap is hit.  It never guesses.
+Every scalar in the analysis pipeline is a stdlib
+:class:`fractions.Fraction`, always in lowest terms with positive
+denominator, so every ordering decision is an exact comparison with the
+plain operators.  Inputs that are known only to finite precision are
+refused where maps are loaded (:func:`lorenzmap.maps.parse_map_text`)
+by raising :class:`PrecisionExhausted`: no order relation of the
+analysis can be certified for them.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
 
-DEFAULT_PRECISION_BITS = 4096
-
-Enclosure = tuple[Fraction, Fraction]
+Scalar = Fraction
 
 
 class PrecisionExhausted(Exception):
-    """A certified comparison hit the precision cap without separating."""
-
-
-class Order(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-class CertifiedReal:
-    """A real number known through an enclosure-refinement handle.
-
-    ``refiner(bits)`` must return a rational enclosure ``(lo, hi)`` with
-    ``lo <= x <= hi``; asking for more bits may not widen the enclosure.
-    Sources with fixed uncertainty (e.g. a decimal reading with a stated
-    number of significant digits) simply return the same enclosure at
-    every precision, so comparisons inside that radius exhaust.
-
-    Arithmetic builds derived values whose refiners refine the operands
-    and combine enclosures, so expressions stay certified end to end.
-    """
-
-    __slots__ = ("_refiner", "_best", "_best_bits", "description")
-
-    def __init__(self, refiner: Callable[[int], Enclosure], description: str = ""):
-        self._refiner = refiner
-        self._best: Enclosure | None = None
-        self._best_bits = 0
-        self.description = description
-
-    def enclosure(self, bits: int) -> Enclosure:
-        if self._best is not None and bits <= self._best_bits:
-            return self._best
-        lo, hi = self._refiner(bits)
-        if lo > hi:
-            raise ValueError("refiner produced an inverted enclosure")
-        if self._best is not None:
-            # keep the intersection: enclosures for one value must overlap
-            blo, bhi = self._best
-            lo, hi = max(lo, blo), min(hi, bhi)
-            if lo > hi:
-                raise ValueError("refined enclosure disjoint from earlier one")
-        self._best = (lo, hi)
-        self._best_bits = bits
-        return self._best
-
-    def midpoint_radius(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self.enclosure(bits)
-        return (lo + hi) / 2, (hi - lo) / 2
-
-    @classmethod
-    def from_decimal(cls, text: str, significant_digits: int) -> "CertifiedReal":
-        """A decimal reading trusted to ``significant_digits`` digits.
-
-        The enclosure is the fixed half-ulp ball around the stated value;
-        it does not refine.
-        """
-        mid = Fraction(text)
-        radius = Fraction(1, 2) * Fraction(1, 10**significant_digits)
-        ball = (mid - radius, mid + radius)
-        return cls(lambda bits: ball, description=f"{text}~{significant_digits}d")
-
-    @classmethod
-    def exact(cls, value: Fraction) -> "CertifiedReal":
-        v = Fraction(value)
-        return cls(lambda bits: (v, v), description=str(v))
-
-    def __neg__(self) -> "CertifiedReal":
-        def refiner(bits: int) -> Enclosure:
-            lo, hi = self.enclosure(bits)
-            return -hi, -lo
-
-        return CertifiedReal(refiner, f"-({self.description})")
-
-    def _binary(self, other, combine, symbol) -> "CertifiedReal":
-        other_c = _as_certified(other)
-        if other_c is None:
-            return NotImplemented
-
-        def refiner(bits: int) -> Enclosure:
-            return combine(self.enclosure(bits), other_c.enclosure(bits))
-
-        return CertifiedReal(
-            refiner, f"({self.description}){symbol}({other_c.description})"
-        )
-
-    def __add__(self, other):
-        return self._binary(other, lambda x, y: (x[0] + y[0], x[1] + y[1]), "+")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda x, y: (x[0] - y[1], x[1] - y[0]), "-")
-
-    def __rsub__(self, other):
-        neg = -self
-        return neg.__add__(other)
-
-    def __mul__(self, other):
-        def combine(x: Enclosure, y: Enclosure) -> Enclosure:
-            products = [a * b for a in x for b in y]
-            return min(products), max(products)
-
-        return self._binary(other, combine, "*")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other_c = _as_certified(other)
-        if other_c is None:
-            return NotImplemented
-        return self.__mul__(_reciprocal(other_c))
-
-    def __rtruediv__(self, other):
-        rec = _reciprocal(self)
-        return rec.__mul__(other)
-
-    def __repr__(self) -> str:
-        return f"CertifiedReal({self.description!r})"
-
-
-Scalar = Union[Fraction, CertifiedReal]
-
-
-def _as_certified(x) -> CertifiedReal | None:
-    if isinstance(x, CertifiedReal):
-        return x
-    if isinstance(x, (Fraction, int)):
-        return CertifiedReal.exact(Fraction(x))
-    return None
-
-
-def _reciprocal(x: CertifiedReal) -> CertifiedReal:
-    def refiner(bits: int) -> Enclosure:
-        step = 64
-        while True:
-            lo, hi = x.enclosure(min(step, bits))
-            if lo > 0 or hi < 0:
-                return 1 / hi, 1 / lo
-            if lo == hi:  # == 0
-                raise ZeroDivisionError("certified division by exact zero")
-            if step >= bits:
-                raise PrecisionExhausted(
-                    f"cannot separate {x.description} from zero within {bits} bits"
-                )
-            step *= 2
-
-    return CertifiedReal(refiner, f"1/({x.description})")
-
-
-def sqrt_rational(q: Fraction | int) -> CertifiedReal:
-    """Certified square root of a nonnegative rational.
-
-    The enclosure at ``bits`` has width ``1/(den * 2**bits)``, obtained
-    from the integer square root of ``num*den*4**bits``.
-    """
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    num, den = q.numerator, q.denominator
-
-    def refiner(bits: int) -> Enclosure:
-        scale = 1 << bits
-        s = math.isqrt(num * den * scale * scale)
-        lo = Fraction(s, den * scale)
-        hi = Fraction(s if s * s == num * den * scale * scale else s + 1, den * scale)
-        return lo, hi
-
-    return CertifiedReal(refiner, f"sqrt({q})")
-
-
-def cmp_certified(
-    x: Scalar, y: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> Order:
-    """Certified three-way comparison.
-
-    Rational against rational is decided exactly.  If either side is a
-    :class:`CertifiedReal`, both are refined (64 bits doubling up to the
-    cap) until the enclosures separate or both degenerate to equal
-    points; otherwise :class:`PrecisionExhausted` is raised.
-    """
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        if x < y:
-            return Order.LESS
-        if x > y:
-            return Order.GREATER
-        return Order.EQUAL
-    if x is y:
-        return Order.EQUAL
-
-    cx, cy = _as_certified(x), _as_certified(y)
-    if cx is None or cy is None:
-        raise TypeError(f"cannot compare {type(x).__name__} with {type(y).__name__}")
-
-    bits = 64
-    while True:
-        bits = min(bits, precision_bits)
-        xlo, xhi = cx.enclosure(bits)
-        ylo, yhi = cy.enclosure(bits)
-        if xhi < ylo:
-            return Order.LESS
-        if xlo > yhi:
-            return Order.GREATER
-        if xlo == xhi == ylo == yhi:
-            return Order.EQUAL
-        if bits >= precision_bits:
-            raise PrecisionExhausted(
-                f"no certified order between {cx.description} and {cy.description} "
-                f"within {precision_bits} bits"
-            )
-        bits *= 2
-
-
-def scalar_is_rational(x: Scalar) -> bool:
-    return isinstance(x, Fraction)
-
-
-def require_rational(x: Scalar, context: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"{context} requires exact rational scalars, got {x!r}")
+    """An input is known only to finite precision, so no order is certified."""
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or a decimal string into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
-def format_scalar(x: Scalar) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, CertifiedReal):
-        mid, _ = x.midpoint_radius(64)
-        return f"~{float(mid):.12g}"
-    return repr(x)
+def format_scalar(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -271,24 +41,23 @@ class Interval:
     anything narrower is rejected as empty.
     """
 
-    lo: Scalar
-    hi: Scalar
+    lo: Fraction
+    hi: Fraction
     lo_closed: bool = True
     hi_closed: bool = True
 
     def __post_init__(self):
-        order = cmp_certified(self.lo, self.hi)
-        if order is Order.GREATER:
+        if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if order is Order.EQUAL and not (self.lo_closed and self.hi_closed):
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError("degenerate interval must be closed on both ends")
 
     @classmethod
-    def closed(cls, lo: Scalar, hi: Scalar) -> "Interval":
+    def closed(cls, lo: Fraction, hi: Fraction) -> "Interval":
         return cls(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo: Scalar, hi: Scalar) -> "Interval":
+    def open(cls, lo: Fraction, hi: Fraction) -> "Interval":
         return cls(lo, hi, False, False)
 
     def __str__(self) -> str:
@@ -297,18 +66,10 @@ class Interval:
         return f"{left}{format_scalar(self.lo)}, {format_scalar(self.hi)}{right}"
 
 
-def interval_contains(
-    J: Interval, x: Scalar, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> bool:
+def interval_contains(J: Interval, x: Fraction) -> bool:
     """Membership respecting the endpoint flags."""
-    lo_order = cmp_certified(J.lo, x, precision_bits)
-    if lo_order is Order.GREATER:
+    if x < J.lo or (x == J.lo and not J.lo_closed):
         return False
-    if lo_order is Order.EQUAL and not J.lo_closed:
-        return False
-    hi_order = cmp_certified(x, J.hi, precision_bits)
-    if hi_order is Order.GREATER:
-        return False
-    if hi_order is Order.EQUAL and not J.hi_closed:
+    if x > J.hi or (x == J.hi and not J.hi_closed):
         return False
     return True

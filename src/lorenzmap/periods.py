@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Order, Scalar
+from .numerics import Scalar
 from .maps import (
     LorenzMap,
     Side,
@@ -74,8 +74,6 @@ class PeriodicOrbit:
 
 def fixed_points(m: LorenzMap) -> list:
     """All solutions of ``f(x) = x``, found per affine piece."""
-    if not m.is_rational():
-        raise TypeError("periodic-point analysis requires an all-rational map")
     out = []
     for branch, is_left in ((m.left, True), (m.right, False)):
         for lo, hi, s, t in branch.pieces():
@@ -85,7 +83,7 @@ def fixed_points(m: LorenzMap) -> list:
             if not (lo <= x <= hi):
                 continue
             # the discontinuity itself belongs to neither branch
-            if m.cmp(x, m.c) is Order.EQUAL:
+            if x == m.c:
                 continue
             if is_left and not (m.a <= x < m.c):
                 continue
@@ -137,8 +135,6 @@ def _affine_cylinders(m: LorenzMap, depth: int, budget: int):
     cylinder they bound, so the affine data extends continuously to the
     closed cylinder.
     """
-    if not m.is_rational():
-        raise TypeError("cylinder enumeration requires an all-rational map")
     cuts = sorted(m.interior_cuts())
     c = m.c
     counter = [0]

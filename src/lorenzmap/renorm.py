@@ -102,7 +102,7 @@ def _branch_word(m: LorenzMap, values, steps: int, side: Side) -> tuple:
 def _word_value(m: LorenzMap, word, x: Scalar) -> Scalar:
     for label in word:
         branch = m.left if label is BranchLabel.LEFT else m.right
-        x = branch.value(x, m.precision_bits)
+        x = branch.value(x)
     return x
 
 
@@ -110,7 +110,7 @@ def _word_orbit(m: LorenzMap, word, x: Scalar) -> list:
     out = [x]
     for label in word[:-1]:
         branch = m.left if label is BranchLabel.LEFT else m.right
-        out.append(branch.value(out[-1], m.precision_bits))
+        out.append(branch.value(out[-1]))
     return out
 
 
@@ -119,13 +119,13 @@ def _word_domain(m: LorenzMap, word):
     lo, hi = m.a, m.b
     for label in reversed(word):
         branch = m.left if label is BranchLabel.LEFT else m.right
-        range_lo = branch.value(branch.lo, m.precision_bits)
-        range_hi = branch.value(branch.hi, m.precision_bits)
+        range_lo = branch.value(branch.lo)
+        range_hi = branch.value(branch.hi)
         ylo, yhi = max(lo, range_lo), min(hi, range_hi)
         if ylo > yhi:
             raise AssertionError("branch word is not realized by any interval")
-        lo = branch.solve(ylo, m.precision_bits)
-        hi = branch.solve(yhi, m.precision_bits)
+        lo = branch.solve(ylo)
+        hi = branch.solve(yhi)
     return lo, hi
 
 
@@ -280,8 +280,6 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
     """
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
-    if not m.is_rational():
-        raise TypeError("renormalization checking requires an all-rational map")
     minus, plus = critical_orbit_values(m, ell + r)
     reason = _pair_failure(m, ell, r, minus, plus)
     if reason is not None:

@@ -19,7 +19,7 @@ from lorenzmap.maps import (
     symmetric_map,
     validate_map,
 )
-from lorenzmap.interval_dynamics import covering_check, hitting_index, image_union
+from lorenzmap.interval_dynamics import hitting_index, image_union, leo_evidence
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit, periodic_points
 from lorenzmap.renorm import (
     Trichotomy,
@@ -121,9 +121,8 @@ def test_criterion_05_flanking_and_covering(sample_maps):
         left = hitting_index(m, Interval.open(orbit.flank_left, m.c))
         right = hitting_index(m, Interval.open(m.c, orbit.flank_right))
         assert left.n == kappa and right.n == kappa
-        assert covering_check(
-            m, Interval.closed(orbit.flank_left, orbit.flank_right), kappa - 1
-        )
+        flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+        assert leo_evidence(m, flanked, kappa - 1).covered
     print("ACCEPTANCE 5: PASS - window indices equal kappa and kappa-1 steps cover, 50 maps")
 
 

@@ -1,5 +1,9 @@
+import csv
+import io
 import json
 from fractions import Fraction as F
+
+import pytest
 
 from lorenzmap.cli import main
 
@@ -263,3 +267,71 @@ def test_sweep_is_deterministic(capsys):
     code1, out1 = run_cli(capsys, *argv)
     code2, out2 = run_cli(capsys, *argv)
     assert (code1, out1) == (code2, out2)
+
+
+PRECISION_MAP = "family = symmetric\na = 1.4142135624\nprecision = 10\n"
+MISSING_KEY_MAP = "family = custom\ndomain = 0 1\nc = 1/2\nleft_breakpoints = 0 1/2\n"
+CUSTOM_PRECISION_MAP = (
+    "family = custom\ndomain = 0 1\nc = 1/2\n"
+    "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
+    "right_breakpoints = 1/2 1\nright_slopes = 3/2\nright_intercepts = -3/4\n"
+    "precision = 10\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, map_text, env, code, status",
+    [
+        (["classify", "--x", "1/3"], PRECISION_MAP, {}, 3, "precision-exhausted"),
+        (["analyze"], CUSTOM_PRECISION_MAP, {}, 3, "precision-exhausted"),
+        (["analyze"], MISSING_KEY_MAP, {}, 2, "invalid-map"),
+        (["analyze", "--family", "symmetric", "--a", "1/0"], None, {}, 2, "invalid-map"),
+        (["analyze", "--family", "beta", "--beta", "0", "--alpha", "1/10"], None, {}, 2,
+         "invalid-map"),
+        (["analyze", "--family", "symmetric", "--a", "6/5"], None,
+         {"LORENZ_HIT_CAP": "many"}, 2, "invalid-map"),
+        (["sweep", "--family", "symmetric", "--start", "6/5", "--end", "6/5", "--step", "1"],
+         None, {"LORENZ_L_MAX": "1.5"}, 2, "invalid-map"),
+        (["analyze", "--family", "symmetric", "--a", "6/5", "--l-max", "-3"], None, {}, 2,
+         "invalid-map"),
+        (["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4", "--level-cap",
+          "0"], None, {}, 2, "invalid-map"),
+    ],
+    ids=[
+        "classify-precision-map",
+        "custom-precision-map",
+        "missing-key",
+        "zero-denominator",
+        "beta-zero",
+        "env-not-integer",
+        "sweep-env-not-integer",
+        "l-max-below-2",
+        "level-cap-below-1",
+    ],
+)
+def test_input_boundary_exit_codes(
+    capsys, tmp_path, monkeypatch, argv, map_text, env, code, status
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if map_text is not None:
+        path = tmp_path / "input.map"
+        path.write_text(map_text)
+        argv = argv + ["--map-file", str(path)]
+    got, out = run_cli(capsys, *argv)
+    assert got == code
+    payload = json.loads(out)
+    assert payload["status"] == status
+    assert payload["error"]
+
+
+def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--family", "beta", "--alpha", "1/10", "--start", "0",
+        "--end", "11/10", "--step", "11/10",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["parameter"] for row in rows] == ["0/1", "11/10"]
+    assert [row["status"] for row in rows] == ["invalid-map", "ok"]
+

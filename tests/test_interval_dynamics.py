@@ -8,7 +8,6 @@ from lorenzmap.maps import symmetric_map, beta_transformation, iterate
 from lorenzmap.interval_dynamics import (
     CapExceeded,
     IntervalUnion,
-    covering_check,
     hitting_index,
     image_union,
     interval_orbit,
@@ -120,10 +119,10 @@ def test_interval_orbit_forward_invariant():
 
 def test_covering_check_examples():
     m = symmetric_map(F(3, 2))
-    assert covering_check(m, Interval.closed(F(3, 10), F(7, 10)), 1)
-    assert covering_check(m, Interval.closed(F(0), F(1)), 0)
+    assert leo_evidence(m, Interval.closed(F(3, 10), F(7, 10)), 1).covered
+    assert leo_evidence(m, Interval.closed(F(0), F(1)), 0).covered
     m = symmetric_map(F(6, 5))
-    assert not covering_check(m, Interval.closed(F(2, 5), F(3, 5)), 50)
+    assert not leo_evidence(m, Interval.closed(F(2, 5), F(3, 5)), 50).covered
 
 
 def test_leo_evidence_matches_raw_oracle():

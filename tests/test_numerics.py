@@ -3,36 +3,36 @@ from fractions import Fraction as F
 
 import pytest
 
+from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
-    CertifiedReal,
     Interval,
-    Order,
     PrecisionExhausted,
-    cmp_certified,
     format_scalar,
     interval_contains,
     parse_scalar,
-    sqrt_rational,
 )
 
 
 def test_cmp_rational_examples():
-    assert cmp_certified(F(1, 2), F(1, 2)) is Order.EQUAL
-    assert cmp_certified(F(141, 100) ** 2, F(2)) is Order.LESS
+    # every order decision is a plain Fraction comparison, here through
+    # the endpoint checks of interval membership
+    assert interval_contains(Interval.closed(F(1, 2), F(1, 2)), F(1, 2))
+    assert interval_contains(Interval.closed(F(0), F(2)), F(141, 100) ** 2)
     assert F(141, 100) ** 2 == F(19881, 10000)
-    assert cmp_certified(F(142, 100) ** 2, F(2)) is Order.GREATER
+    assert not interval_contains(Interval.closed(F(0), F(2)), F(142, 100) ** 2)
     assert F(142, 100) ** 2 == F(20164, 10000)
 
 
 def test_cmp_agrees_with_cross_multiplication():
     rng = random.Random(0)
+    top = F(1000)  # above every sampled point
     for _ in range(100_000):
         p1, q1 = rng.randint(-999, 999), rng.randint(1, 999)
         p2, q2 = rng.randint(-999, 999), rng.randint(1, 999)
         x, y = F(p1, q1), F(p2, q2)
         sign = p1 * q2 - p2 * q1
-        expect = Order.LESS if sign < 0 else Order.GREATER if sign > 0 else Order.EQUAL
-        assert cmp_certified(x, y) is expect
+        assert interval_contains(Interval.closed(y, top), x) is (sign >= 0)
+        assert interval_contains(Interval(y, top, False, True), x) is (sign > 0)
 
 
 def test_interval_contains_flags():
@@ -49,47 +49,22 @@ def test_interval_validation():
     Interval.closed(F(1, 2), F(1, 2))  # degenerate closed point is fine
 
 
-def test_certified_sqrt_orders():
-    s2 = sqrt_rational(2)
-    assert cmp_certified(s2, F(141, 100)) is Order.GREATER
-    assert cmp_certified(s2, F(142, 100)) is Order.LESS
-    assert cmp_certified(s2, F(1)) is Order.GREATER
-
-
-def test_refinement_monotonicity():
-    # once an order is certified at low precision, refining further never flips it
-    s2 = sqrt_rational(2)
-    first = cmp_certified(s2, F(707, 500), 128)
-    s2.enclosure(2048)
-    assert cmp_certified(s2, F(707, 500), 4096) is first
-
-
-def test_certified_arithmetic_enclosures():
-    s2 = sqrt_rational(2)
-    expr = (s2 + s2) / 2 * s2  # equals 2 exactly, but only as an enclosure
-    lo, hi = expr.enclosure(256)
-    assert lo <= 2 <= hi
-    assert cmp_certified(expr, F(3)) is Order.LESS
-    assert cmp_certified(expr, F(1)) is Order.GREATER
-
-
-def test_equality_of_reals_exhausts_instead_of_guessing():
-    s2 = sqrt_rational(2)
-    with pytest.raises(PrecisionExhausted):
-        cmp_certified(s2 * s2, F(2), 512)
-
-
 def test_fixed_precision_decimal_exhausts_inside_its_radius():
-    d = CertifiedReal.from_decimal("1.4142135624", 10)
-    with pytest.raises(PrecisionExhausted):
-        cmp_certified(d, sqrt_rational(2), 1024)
-    # but separates from anything outside the radius
-    assert cmp_certified(d, F(3, 2)) is Order.LESS
-
-
-def test_identity_comparison_is_equal():
-    d = CertifiedReal.from_decimal("1.07", 3)
-    assert cmp_certified(d, d) is Order.EQUAL
+    # a map file that gives its values to finite precision is refused when
+    # it is loaded, for every family, even where the decimals are exact
+    custom = (
+        "family = custom\ndomain = 0 1\nc = 1/2\n"
+        "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
+        "right_breakpoints = 1/2 1\nright_slopes = 3/2\nright_intercepts = -3/4\n"
+    )
+    for text in (
+        "family = symmetric\na = 1.4142135624\n",
+        "family = beta\nbeta = 1.2\nalpha = 0.1\n",
+        custom,
+    ):
+        parse_map_text(text)  # exact without the precision line
+        with pytest.raises(PrecisionExhausted):
+            parse_map_text(text + "precision = 10\n")
 
 
 def test_parse_and_format():

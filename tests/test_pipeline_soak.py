@@ -69,7 +69,7 @@ def test_pipeline_is_conjugation_equivariant():
     # quantity must be the affine image of the unit-domain one
     from lorenzmap.numerics import Interval
     from lorenzmap.maps import BranchFn, LorenzMap
-    from lorenzmap.interval_dynamics import covering_check, hitting_index
+    from lorenzmap.interval_dynamics import hitting_index, leo_evidence
     from lorenzmap.renorm import renorm_tower as tower_of
 
     a = F(6, 5)
@@ -101,9 +101,8 @@ def test_pipeline_is_conjugation_equivariant():
     assert alpha_classify(m, tower, h(F(1, 4))).label() == "E_1"
     assert alpha_classify(m, tower, h(F(9, 20))).label() == "I"
     assert hitting_index(m, Interval.open(orbit.flank_left, m.c)).n == 2
-    assert covering_check(
-        m, Interval.closed(orbit.flank_left, orbit.flank_right), 1
-    )
+    flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+    assert leo_evidence(m, flanked, 1).covered
 
 
 def test_asymmetric_two_piece_maps():
@@ -111,7 +110,7 @@ def test_asymmetric_two_piece_maps():
     # periods than the symmetric family ever shows
     from lorenzmap.numerics import Interval
     from lorenzmap.maps import BranchFn, LorenzMap, iterate
-    from lorenzmap.interval_dynamics import covering_check, hitting_index
+    from lorenzmap.interval_dynamics import hitting_index, leo_evidence
     from lorenzmap.renorm import minimal_renormalization
 
     cases = [
@@ -129,9 +128,8 @@ def test_asymmetric_two_piece_maps():
         orbit = minimal_periodic_orbit(m, kappa)
         assert hitting_index(m, Interval.open(orbit.flank_left, m.c)).n == kappa
         assert hitting_index(m, Interval.open(m.c, orbit.flank_right)).n == kappa
-        assert covering_check(
-            m, Interval.closed(orbit.flank_left, orbit.flank_right), kappa - 1
-        )
+        flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+        assert leo_evidence(m, flanked, kappa - 1).covered
         result = minimal_renormalization(m, 20, period=period, orbit=orbit)
         if result.found:
             step = result.step

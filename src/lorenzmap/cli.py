@@ -369,8 +369,8 @@ def sweep_rows(args: argparse.Namespace, config: Config):
                 raise ValueError("sweep supports --family symmetric|beta")
         except HANDLED_ERRORS as err:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
+            row["tower_length"] = 0
             row["status"] = STATUS_FOR_EXIT[exit_code_for(err)]
-            row["trichotomy"] = str(err)
         else:
             row = summary_row(analyze_map(m, echo, config)[0])
         row["parameter"] = format_scalar(param)

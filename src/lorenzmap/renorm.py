@@ -15,11 +15,21 @@ orbit flanks the pair of return images of ``c+``/``c-``, giving
 that, by searching pairs in increasing ``ell + r``; the first valid pair
 is coordinatewise minimal.  Consecutive minimal renormalizations of the
 rescaled inner maps form the tower.
+
+Every condition on a pair is an order relation between the points
+``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and ``c``.  So these values are
+ranked once per map, and the pair search runs on the integer ranks.
+The ranking sorts by ``float(x)``: CPython rounds ``Fraction -> float``
+correctly, hence monotonically, so ``float(x) < float(y)`` implies
+``x < y``.  Only values whose floats are equal are compared exactly,
+and equal values share a rank, so the ranks order the values exactly.
+The exact orbits are kept for building the chosen step.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -78,6 +88,41 @@ def critical_orbit_values(m: LorenzMap, length: int):
     minus = orbit_values(m, SidedPoint(m.c, Side.MINUS), length)
     plus = orbit_values(m, SidedPoint(m.c, Side.PLUS), length)
     return minus, plus
+
+
+def _coarse(x: Scalar) -> float:
+    """``float(x)``, with values beyond the float range sent to infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _ranks(values) -> list:
+    """Dense ranks of exact values: ``x < y`` iff ``rank(x) < rank(y)``.
+
+    Each value is keyed by ``(float(x), x)``.  The float is monotone in
+    ``x``, so it orders every pair it separates; the exact value is only
+    compared when the floats tie (equal values, values closer than float
+    resolution, or values that underflow or overflow together).  Equal
+    values share a rank.
+    """
+    keyed = [(_coarse(x), x) for x in values]
+    ranks = [0] * len(values)
+    rank, previous = -1, None
+    for i in sorted(range(len(values)), key=keyed.__getitem__):
+        if keyed[i] != previous:
+            rank += 1
+            previous = keyed[i]
+        ranks[i] = rank
+    return ranks
+
+
+def _ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
+    """``(a, b, c, minus, plus)`` replaced by their joint ranks."""
+    ranks = _ranks([m.a, m.b, m.c, *minus, *plus])
+    split = 3 + len(minus)
+    return ranks[0], ranks[1], ranks[2], ranks[3:split], ranks[split:]
 
 
 def _branch_word(m: LorenzMap, values, steps: int, side: Side) -> tuple:
@@ -237,8 +282,13 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     )
 
 
-def _pair_failure(m: LorenzMap, ell: int, r: int, minus, plus) -> Optional[str]:
+def _pair_failure(a, b, c, ell: int, r: int, minus, plus) -> Optional[str]:
     """First-return renormalization conditions for ``(ell, r)``; None if all hold.
+
+    Only the order of ``a``, ``b``, ``c`` and the critical orbits
+    ``minus[i] = f^i(c-)``, ``plus[i] = f^i(c+)`` enters, so any totally
+    ordered stand-ins give the same answer: the search passes the ranks
+    of ``_ranked_orbits``, whose ties are decided exactly.
 
     Beyond the return images straddling ``c`` on a proper subinterval
     and the return branches mapping back into ``[u, v]``, the two
@@ -249,11 +299,10 @@ def _pair_failure(m: LorenzMap, ell: int, r: int, minus, plus) -> Optional[str]:
     ``c``, so the return branches are continuous.)  Boundary touching is
     allowed; it is the degenerate periodic case.
     """
-    c = m.c
     u, v = plus[r], minus[ell]
     if not (u < c < v):
         return "return images of c+ and c- do not straddle c"
-    if u == m.a and v == m.b:
+    if u == a and v == b:
         return "return interval is the whole domain"
     for i in range(1, ell):
         if not (minus[i] <= u or plus[r + i] >= v):
@@ -281,7 +330,8 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
     minus, plus = critical_orbit_values(m, ell + r)
-    reason = _pair_failure(m, ell, r, minus, plus)
+    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+    reason = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
     if reason is not None:
         return RenormCheck(None, reason)
     return RenormCheck(_build_step(m, ell, r, minus, plus))
@@ -354,10 +404,11 @@ class MinimalRenormResult:
 
 def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     minus, plus = critical_orbit_values(m, 2 * bound)
+    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
     for total in range(4, 2 * bound + 1):
         for ell in range(max(2, total - bound), min(bound, total - 2) + 1):
             r = total - ell
-            if _pair_failure(m, ell, r, minus, plus) is None:
+            if _pair_failure(a, b, c, ell, r, minus_rank, plus_rank) is None:
                 return _build_step(m, ell, r, minus, plus)
     return None
 

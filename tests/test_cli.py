@@ -334,4 +334,14 @@ def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [row["parameter"] for row in rows] == ["0/1", "11/10"]
     assert [row["status"] for row in rows] == ["invalid-map", "ok"]
+    # a row whose map cannot be built has the shape of a row that fails
+    # validation: no kappa, no tower, no trichotomy label
+    assert rows[0] == {
+        "parameter": "0/1",
+        "kappa": "",
+        "tower_length": "0",
+        "periodic_flags": "",
+        "trichotomy": "",
+        "status": "invalid-map",
+    }
 

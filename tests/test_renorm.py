@@ -1,12 +1,16 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzmap.maps import (
     BranchFn,
     LorenzMap,
     beta_transformation,
     iterate,
+    parse_map_text,
     symmetric_map,
     validate_map,
 )
@@ -19,8 +23,15 @@ from lorenzmap.renorm import (
     minimal_renormalization,
     periodic_renorm_check,
     renorm_tower,
+    _build_step,
+    _pair_failure,
+    _ranked_orbits,
+    _ranks,
     _search_pairs,
+    critical_orbit_values,
 )
+
+GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 
 def test_valid_renormalization_basic():
@@ -192,3 +203,138 @@ def test_beta_family_renormalizes_only_periodically(sample_maps):
         tower = renorm_tower(m, bound=16)
         for level in tower.levels:
             assert level.step.periodic
+
+
+# -- ranked pair search -------------------------------------------------------
+
+
+def _exact_search(m, bound):
+    """The pair search walked on the exact orbit values, with no ranking."""
+    minus, plus = critical_orbit_values(m, 2 * bound)
+    for total in range(4, 2 * bound + 1):
+        for ell in range(max(2, total - bound), min(bound, total - 2) + 1):
+            r = total - ell
+            if _pair_failure(m.a, m.b, m.c, ell, r, minus, plus) is None:
+                return _build_step(m, ell, r, minus, plus)
+    return None
+
+
+def _ranking_corpus(sample_maps):
+    """Symmetric, beta and multi-piece maps with the inner maps of their towers."""
+    c, s1, s2 = F(1, 4), F(51, 50), F(11, 10)
+    non_first_return = LorenzMap(
+        F(0),
+        F(1),
+        c,
+        BranchFn.affine(F(0), c, s1, 1 - s1 * c),
+        BranchFn.affine(c, F(1), s2, -s2 * c),
+    )
+    # symmetric slope 11/10 moved to [-3, 5] by x -> 8x - 3
+    shifted = LorenzMap(
+        F(-3),
+        F(5),
+        F(1),
+        BranchFn.affine(F(-3), F(1), F(11, 10), F(5) - F(11, 10)),
+        BranchFn.affine(F(1), F(5), F(11, 10), F(-3) - F(11, 10)),
+    )
+    bases = [
+        symmetric_map(F(11, 10)),
+        symmetric_map(F(107, 100)),
+        symmetric_map(F(3, 2)),
+        beta_transformation(F(6, 5), F(1, 10)),
+        beta_transformation(F(23, 20), F(7, 40)),
+        non_first_return,
+        shifted,
+    ]
+    bases += [
+        parse_map_text(path.read_text())
+        for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
+    ]
+    bases += [m for _family, _p1, _p2, m in sample_maps]
+    maps = []
+    for m in bases:
+        assert validate_map(m).valid
+        maps.append(m)
+        maps += [level.step.inner_map for level in renorm_tower(m, bound=24).levels]
+    return maps
+
+
+def test_ranked_pair_failure_matches_exact_values(sample_maps):
+    maps = _ranking_corpus(sample_maps)
+    multi_piece = [
+        m for m in maps if len(m.left.slopes) > 1 or len(m.right.slopes) > 1
+    ]
+    assert len(multi_piece) >= 4
+    valid = 0
+    for m in maps:
+        minus, plus = critical_orbit_values(m, 48)
+        a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+        for ell in range(2, 25):
+            for r in range(2, 25):
+                exact = _pair_failure(m.a, m.b, m.c, ell, r, minus, plus)
+                ranked = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
+                assert ranked == exact, (m, ell, r)
+                valid += exact is None
+        assert _search_pairs(m, 24) == _exact_search(m, 24)
+    assert valid > 0
+
+
+def test_ranks_of_equal_values_held_as_distinct_objects():
+    x, y = F(1, 3), F(2, 6)
+    assert x is not y
+    assert _ranks([F(1, 2), x, y, F(1, 4)]) == [2, 1, 1, 0]
+
+
+def test_ranks_split_values_closer_than_float_resolution():
+    third = F(1, 3)
+    above = third + F(1, 10**40)
+    below = third - F(1, 10**40)
+    assert float(above) == float(third) == float(below)
+    assert _ranks([above, third, below, third]) == [2, 1, 0, 1]
+
+
+def test_ranks_split_values_that_underflow_to_zero():
+    tiny = [F(2, 10**400), F(1, 10**400), F(0), F(-1, 10**400)]
+    assert {float(x) for x in tiny} == {0.0}
+    assert _ranks(tiny) == [3, 2, 1, 0]
+
+
+def test_ranks_split_values_beyond_the_float_range():
+    huge = [F(10**400 + 1), F(10**400), F(1), F(-(10**400))]
+    assert _ranks(huge) == [3, 2, 1, 0]
+
+
+def test_ranked_orbits_share_ranks_with_a_b_and_c():
+    # slope 2: f(c+) = a is fixed and f(c-) = b is fixed, so the orbits
+    # sit on a, b and c exactly
+    m = symmetric_map(F(2))
+    minus, plus = critical_orbit_values(m, 4)
+    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+    assert a < c < b
+    assert minus_rank[0] == plus_rank[0] == c
+    assert plus_rank[1:] == [a] * 4
+    assert minus_rank[1:] == [b] * 4
+
+
+_near_ties = st.builds(
+    lambda base, exponent, sign: base + sign * F(1, 10**exponent),
+    st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+    st.integers(min_value=15, max_value=400),
+    st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_near_ties, min_size=1, max_size=40))
+def test_ranks_order_exactly_like_sorted(values):
+    # rebuild every value as a new object so that equality, not identity,
+    # is what ties them
+    values = [F(x.numerator, x.denominator) for x in values]
+    ranks = _ranks(values)
+    assert sorted(range(len(values)), key=lambda i: (ranks[i], i)) == sorted(
+        range(len(values)), key=lambda i: (values[i], i)
+    )
+    for x, rx in zip(values, ranks):
+        for y, ry in zip(values, ranks):
+            assert (rx == ry) == (x == y)
+    assert sorted(set(ranks)) == list(range(len(set(values))))

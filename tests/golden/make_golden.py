@@ -47,6 +47,8 @@ CASES = [
                     "--alpha", "7/40"),
     _analyze_family("analyze_beta_11_10_9_20", "--family", "beta", "--beta", "11/10",
                     "--alpha", "9/20"),
+    _analyze_family("analyze_beta_3_2_2_5", "--family", "beta", "--beta", "3/2",
+                    "--alpha", "2/5"),
     _analyze_family("analyze_beta_hit_cap", "--family", "beta", "--beta", "6/5",
                     "--alpha", "1/10", "--hit-cap", "1"),
     _analyze_file("custom15"),

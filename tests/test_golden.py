@@ -6,6 +6,7 @@ it when a change of output is intended.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -31,3 +32,21 @@ def test_golden_output(case, monkeypatch):
         expected = handle.read()
     assert code == case["exit"]
     assert buffer.getvalue() == expected
+
+
+# stdout of ``analyze --family symmetric --a 198/197``: a 7-level tower, far
+# deeper than the corpus, whose inner maps carry coefficients of ~1000 bits
+DEEP_TOWER_SHA256 = "eb389a34d7ee3d82e5ea289e86ec6ff0fe2b440c15fdf1bbd10b7e299a7b6082"
+
+
+def test_deep_tower_report_digest(monkeypatch):
+    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
+        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["analyze", "--family", "symmetric", "--a", "198/197"])
+    out = buffer.getvalue().encode("utf-8")
+    assert code == 0
+    assert len(json.loads(out)["tower"]["levels"]) == 7
+    assert len(out) == 681_368
+    assert hashlib.sha256(out).hexdigest() == DEEP_TOWER_SHA256

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorenzmap import renorm
 from lorenzmap.maps import (
     BranchFn,
+    BranchLabel,
     LorenzMap,
+    Side,
+    SidedPoint,
     beta_transformation,
     iterate,
+    orbit_values,
     parse_map_text,
     symmetric_map,
     validate_map,
@@ -24,6 +29,7 @@ from lorenzmap.renorm import (
     periodic_renorm_check,
     renorm_tower,
     _build_step,
+    _enclose,
     _pair_failure,
     _ranked_orbits,
     _ranks,
@@ -205,21 +211,63 @@ def test_beta_family_renormalizes_only_periodically(sample_maps):
             assert level.step.periodic
 
 
-# -- ranked pair search -------------------------------------------------------
+# -- enclosed pair search -----------------------------------------------------
+
+
+class _ExactOrbit:
+    """A critical orbit iterated on exact values, with its branch word."""
+
+    def __init__(self, m, side, length):
+        self.values = orbit_values(m, SidedPoint(m.c, side), length)
+        self.word = tuple(
+            BranchLabel.LEFT
+            if x < m.c or (x == m.c and side is Side.MINUS)
+            else BranchLabel.RIGHT
+            for x in self.values[:-1]
+        )
+
+    def exact(self, i):
+        return self.values[i]
+
+
+def _exact_orbits(m, length):
+    return _ExactOrbit(m, Side.MINUS, length), _ExactOrbit(m, Side.PLUS, length)
 
 
 def _exact_search(m, bound):
-    """The pair search walked on the exact orbit values, with no ranking."""
-    minus, plus = critical_orbit_values(m, 2 * bound)
+    """The pair search walked on the exact orbit values, with no enclosures."""
+    minus, plus = _exact_orbits(m, 2 * bound)
     for total in range(4, 2 * bound + 1):
         for ell in range(max(2, total - bound), min(bound, total - 2) + 1):
             r = total - ell
-            if _pair_failure(m.a, m.b, m.c, ell, r, minus, plus) is None:
+            if _pair_failure(m.a, m.b, m.c, ell, r, minus.values, plus.values) is None:
                 return _build_step(m, ell, r, minus, plus)
     return None
 
 
-def _ranking_corpus(sample_maps):
+def _dense_ranks(values):
+    distinct = sorted(set(values))
+    return [distinct.index(x) for x in values]
+
+
+def _assert_enclosures_are_exact(m, length):
+    """Enclosures hold the exact iterates, words agree, ranks order exactly."""
+    minus, plus = critical_orbit_values(m, length)
+    exact_minus, exact_plus = _exact_orbits(m, length)
+    for orbit, exact in ((minus, exact_minus), (plus, exact_plus)):
+        assert orbit.word == exact.word
+        assert len(orbit.bounds) == len(exact.values) == length + 1
+        for (lo, hi), x in zip(orbit.bounds, exact.values):
+            assert lo <= x * 2**orbit.precision <= hi
+    ranks = _ranked_orbits(m, minus, plus)
+    expected = _dense_ranks([m.a, m.b, m.c, *exact_minus.values, *exact_plus.values])
+    assert [*ranks[:3], *ranks[3], *ranks[4]] == expected
+    assert [minus.exact(i) for i in range(length + 1)] == exact_minus.values
+    assert [plus.exact(i) for i in range(length + 1)] == exact_plus.values
+
+
+@pytest.fixture(scope="module")
+def ranking_corpus(sample_maps):
     """Symmetric, beta and multi-piece maps with the inner maps of their towers."""
     c, s1, s2 = F(1, 4), F(51, 50), F(11, 10)
     non_first_return = LorenzMap(
@@ -243,6 +291,7 @@ def _ranking_corpus(sample_maps):
         symmetric_map(F(3, 2)),
         beta_transformation(F(6, 5), F(1, 10)),
         beta_transformation(F(23, 20), F(7, 40)),
+        beta_transformation(F(3, 2), F(2, 5)),
         non_first_return,
         shifted,
     ]
@@ -259,19 +308,21 @@ def _ranking_corpus(sample_maps):
     return maps
 
 
-def test_ranked_pair_failure_matches_exact_values(sample_maps):
-    maps = _ranking_corpus(sample_maps)
+def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
     multi_piece = [
-        m for m in maps if len(m.left.slopes) > 1 or len(m.right.slopes) > 1
+        m for m in ranking_corpus if len(m.left.slopes) > 1 or len(m.right.slopes) > 1
     ]
     assert len(multi_piece) >= 4
     valid = 0
-    for m in maps:
+    for m in ranking_corpus:
         minus, plus = critical_orbit_values(m, 48)
+        exact_minus, exact_plus = _exact_orbits(m, 48)
         a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
         for ell in range(2, 25):
             for r in range(2, 25):
-                exact = _pair_failure(m.a, m.b, m.c, ell, r, minus, plus)
+                exact = _pair_failure(
+                    m.a, m.b, m.c, ell, r, exact_minus.values, exact_plus.values
+                )
                 ranked = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
                 assert ranked == exact, (m, ell, r)
                 valid += exact is None
@@ -279,10 +330,97 @@ def test_ranked_pair_failure_matches_exact_values(sample_maps):
     assert valid > 0
 
 
+def test_enclosures_hold_the_exact_orbits(ranking_corpus):
+    assert len(ranking_corpus) >= 119
+    for m in ranking_corpus:
+        _assert_enclosures_are_exact(m, 48)
+
+
+def test_orbit_landing_on_c_is_decided_exactly():
+    # f(0) = alpha = c, so the c+ orbit is c, 0, c, 0, ...: its enclosure
+    # meets c at every even step and the exact value picks the branch
+    m = beta_transformation(F(3, 2), F(2, 5))
+    assert m.c == m.left.value(m.a)
+    minus, plus = critical_orbit_values(m, 8)
+    assert plus.word == (BranchLabel.RIGHT, BranchLabel.LEFT) * 4
+    assert plus.bounds[:8:2] == [_enclose(m.c, plus.precision)] * 4
+    assert [plus.exact(i) for i in range(9)] == [m.c, m.a] * 4 + [m.c]
+    _assert_enclosures_are_exact(m, 48)
+    assert _search_pairs(m, 24) == _exact_search(m, 24)
+
+
+def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
+    lengths = []
+    traced = renorm.critical_orbit_values
+
+    def recording(m, length):
+        lengths.append(length)
+        return traced(m, length)
+
+    monkeypatch.setattr(renorm, "critical_orbit_values", recording)
+    result = periodic_renorm_check(symmetric_map(F(6, 5)))
+    assert result.periodic and lengths == [2]
+    assert result.step.left_word == (BranchLabel.LEFT, BranchLabel.RIGHT)
+
+
+@st.composite
+def _multi_piece_maps(draw):
+    """Valid maps on [0, 1] with one to three affine pieces per branch."""
+    denominators = st.integers(min_value=2, max_value=60)
+
+    def fraction_in_unit(d):
+        return F(draw(st.integers(min_value=1, max_value=d - 1)), d)
+
+    c = fraction_in_unit(draw(denominators))
+
+    def branch(lo, hi, start, room):
+        # pieces of slope 1 + e with sum(e * width) <= room keep the rise <= 1
+        cuts = sorted({lo + (hi - lo) * fraction_in_unit(draw(denominators))
+                       for _ in range(draw(st.integers(min_value=0, max_value=2)))})
+        bps = [lo, *cuts, hi]
+        scale = room / (hi - lo)
+        slopes = [1 + scale * fraction_in_unit(draw(denominators)) for _ in bps[1:]]
+        intercepts, y = [], start
+        for x0, x1, s in zip(bps, bps[1:], slopes):
+            intercepts.append(y - s * x0)
+            y += s * (x1 - x0)
+        return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts)), y
+
+    right, _top = branch(c, F(1), F(0), c)
+    trial, rise_end = branch(F(0), c, F(0), 1 - c)
+    # shift the left branch so that it ends at f(c-) = 1
+    shift = 1 - rise_end
+    left = BranchFn(
+        trial.breakpoints, trial.slopes, tuple(t + shift for t in trial.intercepts)
+    )
+    m = LorenzMap(F(0), F(1), c, left, right)
+    assert validate_map(m).valid, validate_map(m).violations
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multi_piece_maps())
+def test_enclosed_search_matches_exact_on_random_maps(m):
+    _assert_enclosures_are_exact(m, 32)
+    assert _search_pairs(m, 16) == _exact_search(m, 16)
+
+
+def _ranks_at(values, precision):
+    """``_ranks`` of values enclosed at ``precision`` bits, and the indices
+    whose exact values it asked for."""
+    asked = set()
+
+    def exact(i):
+        asked.add(i)
+        return values[i]
+
+    return _ranks([_enclose(x, precision) for x in values], exact), asked
+
+
 def test_ranks_of_equal_values_held_as_distinct_objects():
     x, y = F(1, 3), F(2, 6)
     assert x is not y
-    assert _ranks([F(1, 2), x, y, F(1, 4)]) == [2, 1, 1, 0]
+    assert _ranks_at([F(1, 2), x, y, F(1, 4)], 64) == ([2, 1, 1, 0], {1, 2})
 
 
 def test_ranks_split_values_closer_than_float_resolution():
@@ -290,18 +428,21 @@ def test_ranks_split_values_closer_than_float_resolution():
     above = third + F(1, 10**40)
     below = third - F(1, 10**40)
     assert float(above) == float(third) == float(below)
-    assert _ranks([above, third, below, third]) == [2, 1, 0, 1]
+    values = [above, third, below, third]
+    assert _ranks_at(values, 64) == ([2, 1, 0, 1], {0, 1, 2, 3})
+    # 10**-40 is about 2**-133: at 200 bits only the equal thirds overlap
+    assert _ranks_at(values, 200) == ([2, 1, 0, 1], {1, 3})
 
 
 def test_ranks_split_values_that_underflow_to_zero():
     tiny = [F(2, 10**400), F(1, 10**400), F(0), F(-1, 10**400)]
     assert {float(x) for x in tiny} == {0.0}
-    assert _ranks(tiny) == [3, 2, 1, 0]
+    assert _ranks_at(tiny, 64) == ([3, 2, 1, 0], {0, 1, 2, 3})
 
 
 def test_ranks_split_values_beyond_the_float_range():
-    huge = [F(10**400 + 1), F(10**400), F(1), F(-(10**400))]
-    assert _ranks(huge) == [3, 2, 1, 0]
+    huge = [F(10**400 + 1), F(10**400) + F(1, 10**40), F(10**400), F(1), F(-(10**400))]
+    assert _ranks_at(huge, 64) == ([4, 3, 2, 1, 0], {1, 2})
 
 
 def test_ranked_orbits_share_ranks_with_a_b_and_c():
@@ -325,12 +466,12 @@ _near_ties = st.builds(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_near_ties, min_size=1, max_size=40))
-def test_ranks_order_exactly_like_sorted(values):
+@given(st.lists(_near_ties, min_size=1, max_size=40), st.integers(0, 160))
+def test_ranks_order_exactly_like_sorted(values, precision):
     # rebuild every value as a new object so that equality, not identity,
     # is what ties them
     values = [F(x.numerator, x.denominator) for x in values]
-    ranks = _ranks(values)
+    ranks, _asked = _ranks_at(values, precision)
     assert sorted(range(len(values)), key=lambda i: (ranks[i], i)) == sorted(
         range(len(values)), key=lambda i: (values[i], i)
     )

@@ -33,7 +33,7 @@ from .periods import (
     minimal_period,
     minimal_periodic_orbit,
 )
-from .renorm import Tower, TowerTerminal, Trichotomy, renorm_tower
+from .renorm import Tower, TowerTerminal, decide_trichotomy, renorm_tower
 from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
 
 DEFAULTS = {
@@ -239,15 +239,9 @@ def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
     report["orbit"] = _orbit_dict(orbit) if orbit is not None else None
 
     tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
-    if period.kappa == 1:
-        trichotomy = Trichotomy.PRIME
-    elif period.undetermined or not tower.levels:
-        trichotomy = Trichotomy.UNKNOWN
-    elif tower.levels[0].step.periodic:
-        trichotomy = Trichotomy.PERIODIC_MINIMAL_RENORM
-    else:
-        trichotomy = Trichotomy.CANTOR_MINIMAL_RENORM
-    report["trichotomy"] = trichotomy.value
+    # the tower's first level is the map's minimal renormalization
+    minimal = tower.levels[0].step if tower.levels else None
+    report["trichotomy"] = decide_trichotomy(period, minimal).value
     report["tower"] = _tower_dict(tower)
 
     unions = orbit_unions(m, tower)

@@ -130,10 +130,9 @@ def hitting_index(
     for n in range(1, cap + 1):
         if hi <= c:
             branch = m.left
-            branches.append(branch)
         else:
             branch = m.right
-            branches.append(branch)
+        branches.append(branch)
         lo = branch.value(lo)
         hi = branch.value(hi)
         if lo < c < hi:

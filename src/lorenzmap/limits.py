@@ -279,10 +279,7 @@ def preimage_open_intervals(m: LorenzMap, lo: Scalar, hi: Scalar, depth: int) ->
     for _ in range(depth):
         pulled = []
         for plo, phi in current:
-            for branch, blo, bhi in (
-                (m.left, m.a, m.c),
-                (m.right, m.c, m.b),
-            ):
+            for branch in (m.left, m.right):
                 for d0, d1, s, t in branch.pieces():
                     xlo = max(d0, (plo - t) / s)
                     xhi = min(d1, (phi - t) / s)

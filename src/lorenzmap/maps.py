@@ -10,6 +10,13 @@ Branches are piecewise affine with every slope > 1, which certifies the
 expanding property (dense preimages of ``c``); maps that fail the slope
 test are rejected by :func:`validate_map` rather than analyzed unsoundly.
 
+Iterates on an interval are composed in one place:
+:func:`affine_pieces` gives the affine pieces of ``f^n`` on ``[lo, hi]``
+with their branch words.  The rescaled first-return map
+(:func:`rescale_to_unit`), the periodic points of
+:mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
+:mod:`~lorenzmap.renorm` are all read off these pieces.
+
 Every scalar is an exact :class:`fractions.Fraction` and every order
 decision is a plain comparison.  :func:`parse_map_text` is where
 finite-precision input is refused: a map file with a ``precision`` line
@@ -19,6 +26,7 @@ parsed.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +40,8 @@ from .numerics import (
     parse_scalar,
 )
 
+DEFAULT_BRANCH_BUDGET = 200_000
+
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -43,6 +53,10 @@ class SideRequired(Exception):
 
 class IntervalDoesNotStraddleC(Exception):
     """The interval must contain the discontinuity in its interior."""
+
+
+class BranchBudgetExceeded(Exception):
+    """Cylinder enumeration exceeded its configured budget."""
 
 
 class Side(enum.Enum):
@@ -335,55 +349,51 @@ def inverse_images(m: LorenzMap, y: Scalar) -> list:
     return results
 
 
-def _compose_step(m: LorenzMap, pieces: list) -> list:
-    """One application of the map to a list of affine pieces.
+def affine_pieces(
+    m: LorenzMap,
+    lo: Scalar,
+    hi: Scalar,
+    steps: int,
+    budget: int = DEFAULT_BRANCH_BUDGET,
+) -> list:
+    """The affine pieces of ``f^steps`` on ``[lo, hi]``, ascending.
 
-    Each piece is ``(d0, d1, s, t)``: the composed map so far is
-    ``x -> s*x + t`` on ``[d0, d1]``.  The image of every piece must
-    avoid the discontinuity in its interior (endpoints may touch it and
-    take the one-sided limit); interior crossings mean the caller's
-    return-time bookkeeping is wrong.
+    Each piece is ``(x0, x1, s, t, word)``: ``f^steps(x) = s*x + t`` on
+    ``[x0, x1]``, and ``word[k]`` is the :class:`BranchLabel` that step
+    ``k`` applies there.  A piece is cut where an earlier image reaches an
+    internal breakpoint or ``c``.  An endpoint whose image is ``c`` takes
+    the one-sided limit of the piece it bounds, so the affine form holds
+    on the closed piece.  The map must be valid.  More than ``budget``
+    pieces over all steps, the start interval included, raise
+    :class:`BranchBudgetExceeded`.
     """
-    out = []
-    for d0, d1, s, t in pieces:
-        y0, y1 = s * d0 + t, s * d1 + t
-        if y1 <= m.c:
-            branch = m.left
-        elif y0 >= m.c:
-            branch = m.right
-        else:
-            raise IntervalDoesNotStraddleC(
-                "piece image crosses the discontinuity during composition"
-            )
-        cuts = [bp for bp in branch.breakpoints[1:-1] if y0 < bp < y1]
-        xs = [d0] + [(ycut - t) / s for ycut in cuts] + [d1]
-        for x0, x1 in zip(xs, xs[1:]):
-            mid_image_lo = s * x0 + t
-            idx = None
-            for i in range(len(branch.slopes)):
-                if (
-                    mid_image_lo >= branch.breakpoints[i]
-                    and s * x1 + t <= branch.breakpoints[i + 1]
-                ):
-                    idx = i
-                    break
-            if idx is None:
-                raise ValueError("piece image escaped the branch domain")
-            bs, bt = branch.slopes[idx], branch.intercepts[idx]
-            out.append((x0, x1, bs * s, bs * t + bt))
-    return out
-
-
-def compose_branch(m: LorenzMap, lo: Scalar, hi: Scalar, steps: int) -> list:
-    """Piecewise-affine form of ``f^steps`` on ``[lo, hi]``.
-
-    The interval must stay on one side of the discontinuity at every
-    intermediate step (one-sided limits at touching endpoints), which is
-    exactly the continuity condition a renormalization branch satisfies.
-    """
-    pieces = [(lo, hi, ONE, ZERO)]
+    cuts = m.interior_cuts()
+    # map piece k runs from cuts[k - 1] to cuts[k] (from a, to b at the ends)
+    forms = [
+        (label, s, t)
+        for label, branch in ((BranchLabel.LEFT, m.left), (BranchLabel.RIGHT, m.right))
+        for s, t in zip(branch.slopes, branch.intercepts)
+    ]
+    pieces = [(lo, hi, ONE, ZERO, ())]
+    count = 1
     for _ in range(steps):
-        pieces = _compose_step(m, pieces)
+        out = []
+        for x0, x1, s, t, word in pieces:
+            y0, y1 = s * x0 + t, s * x1 + t
+            # cuts[first:last] lie strictly inside (y0, y1); a one-point
+            # image takes the lower piece, so c itself goes left
+            last = bisect.bisect_left(cuts, y1)
+            first = min(bisect.bisect_right(cuts, y0), last)
+            xs = [x0] + [(y - t) / s for y in cuts[first:last]] + [x1]
+            count += len(xs) - 1
+            if count > budget:
+                raise BranchBudgetExceeded(
+                    f"more than {budget} cylinder pieces at depth {steps}"
+                )
+            for k in range(len(xs) - 1):
+                label, bs, bt = forms[first + k]
+                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt, word + (label,)))
+        pieces = out
     return pieces
 
 
@@ -408,7 +418,9 @@ def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
 
     Slopes are preserved by the conjugation, so each rescaled piece slope
     is the product of the composed piece slopes.  ``return_times``
-    defaults to the first-return times of ``c-`` / ``c+`` to ``J``.
+    defaults to the first-return times of ``c-`` / ``c+`` to ``J``; an
+    image of ``[u, c]`` or ``[c, v]`` that crosses ``c`` before its return
+    time raises :class:`IntervalDoesNotStraddleC`.
     """
     u, v = J.lo, J.hi
     if not (u < m.c < v):
@@ -428,10 +440,15 @@ def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
         intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
         return BranchFn(tuple(bps), slopes, intercepts).canonical()
 
-    left = conjugate(compose_branch(m, u, m.c, ell))
-    right = conjugate(compose_branch(m, m.c, v, r))
+    left = affine_pieces(m, u, m.c, ell)
+    right = affine_pieces(m, m.c, v, r)
+    # one branch word per side, or some image crossed c before returning
+    if len({p[4] for p in left}) > 1 or len({p[4] for p in right}) > 1:
+        raise IntervalDoesNotStraddleC(
+            "piece image crosses the discontinuity during composition"
+        )
     c_new = (m.c - u) / width
-    return LorenzMap(ZERO, ONE, c_new, left, right)
+    return LorenzMap(ZERO, ONE, c_new, conjugate(left), conjugate(right))
 
 
 # --- map families -----------------------------------------------------------

@@ -4,30 +4,32 @@ For an expanding Lorenz map without fixed point the least period over
 all periodic points is ``m + 2``, where ``m`` counts backward steps of
 the discontinuity through its unique preimages until the chain enters
 the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
-unique; it is found by decomposing the kappa-th iterate into its affine monotone
-pieces (cylinders cut at preimages of ``c``) and solving the per-piece
-fixed-point equation exactly.
+unique.  It is found from the affine pieces of the kappa-th iterate on
+``[a, b]`` (:func:`~lorenzmap.maps.affine_pieces`, the one composition
+primitive: cylinders cut at preimages of ``c`` and of internal
+breakpoints) by solving ``s·x + t = x`` on each piece exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .numerics import Scalar
 from .maps import (
+    DEFAULT_BRANCH_BUDGET,
+    BranchBudgetExceeded,  # raised by periodic_points, so public here too
     LorenzMap,
     Side,
     SidedPoint,
     SideRequired,
+    affine_pieces,
     evaluate,
     inverse_images,
     iterate,
 )
 
 DEFAULT_BACKWARD_CAP = 10_000
-DEFAULT_BRANCH_BUDGET = 200_000
 
 
 class AmbiguousPreimage(Exception):
@@ -36,10 +38,6 @@ class AmbiguousPreimage(Exception):
 
 class UniquenessViolated(Exception):
     """More than one minimal-period orbit was found (broken input or bug)."""
-
-
-class BranchBudgetExceeded(Exception):
-    """Cylinder enumeration exceeded its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -127,47 +125,6 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     return MinimalPeriodResult(None, None, tuple(chain))
 
 
-def _affine_cylinders(m: LorenzMap, depth: int, budget: int):
-    """Yield ``(lo, hi, slope, intercept)`` with ``f^depth`` affine on ``[lo, hi]``.
-
-    Cylinders are cut at preimages of the discontinuity and of internal
-    piece breakpoints; endpoint values follow the one-sided limits of the
-    cylinder they bound, so the affine data extends continuously to the
-    closed cylinder.
-    """
-    cuts = sorted(m.interior_cuts())
-    c = m.c
-    counter = [0]
-
-    def pieces_for(y0: Scalar, y1: Scalar):
-        branch = m.left if y1 <= c else m.right
-        if y0 < c < y1:
-            raise AssertionError("cylinder image straddles the discontinuity")
-        for i in range(len(branch.slopes)):
-            if branch.breakpoints[i] <= y0 and y1 <= branch.breakpoints[i + 1]:
-                return branch.slopes[i], branch.intercepts[i]
-        raise AssertionError("cylinder image escaped the branch pieces")
-
-    def rec(lo, hi, s, t, d):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BranchBudgetExceeded(
-                f"more than {budget} cylinder pieces at depth {depth}"
-            )
-        if d == depth:
-            yield (lo, hi, s, t)
-            return
-        y0, y1 = s * lo + t, s * hi + t
-        inner = [x for x in cuts if y0 < x < y1]
-        xs = [lo] + [(x - t) / s for x in inner] + [hi]
-        ys = [y0] + inner + [y1]
-        for k in range(len(xs) - 1):
-            bs, bt = pieces_for(ys[k], ys[k + 1])
-            yield from rec(xs[k], xs[k + 1], bs * s, bs * t + bt, d + 1)
-
-    yield from rec(m.a, m.b, Fraction(1), Fraction(0), 0)
-
-
 def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -207,7 +164,7 @@ def periodic_points(
     if n < 1:
         raise ValueError("period must be >= 1")
     found: dict = {}
-    for lo, hi, s, t in _affine_cylinders(m, n, budget):
+    for lo, hi, s, t, _word in affine_pieces(m, m.a, m.b, n, budget):
         if s == 1:
             continue
         x = t / (1 - s)

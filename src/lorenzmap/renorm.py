@@ -45,6 +45,7 @@ from .maps import (
     LorenzMap,
     Side,
     SidedPoint,
+    affine_pieces,
     orbit_values,
     rescale_to_unit,
 )
@@ -238,21 +239,6 @@ def _ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
     return ranks[0], ranks[1], ranks[2], ranks[3:split], ranks[split:]
 
 
-def _word_value(m: LorenzMap, word, x: Scalar) -> Scalar:
-    for label in word:
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        x = branch.value(x)
-    return x
-
-
-def _word_orbit(m: LorenzMap, word, x: Scalar) -> list:
-    out = [x]
-    for label in word[:-1]:
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        out.append(branch.value(out[-1]))
-    return out
-
-
 def _word_domain(m: LorenzMap, word):
     """Maximal closed interval on which the branch word can be followed."""
     lo, hi = m.a, m.b
@@ -268,89 +254,19 @@ def _word_domain(m: LorenzMap, word):
     return lo, hi
 
 
-def _piece_indices(m: LorenzMap, word, x: Scalar, upper_bias: bool) -> list:
-    """Piece index used at every step of the word evaluation of ``x``.
+def _fixed_point(m: LorenzMap, steps: int, lo: Scalar, hi: Scalar) -> Scalar:
+    """The fixed point of ``f^steps`` in a bracket inside its word's domain.
 
-    ``upper_bias`` resolves points sitting exactly on an internal
-    breakpoint toward the piece above (used for the lower end of a
-    bracket) or below (upper end), so equal index lists certify that the
-    whole bracket shares one affine composition.
+    There ``f^steps`` follows one branch word, so it is continuous and
+    increasing with slope > 1; ``f^steps - id`` crosses zero at most once,
+    and the solution of ``s·x + t = x`` on the piece that contains it is
+    exact.
     """
-    indices = []
-    for label in word:
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        bps = branch.breakpoints
-        idx = None
-        for i in range(len(branch.slopes)):
-            if upper_bias:
-                if bps[i] <= x and (x < bps[i + 1] or i == len(branch.slopes) - 1):
-                    idx = i
-                    break
-            else:
-                if (bps[i] < x or i == 0) and x <= bps[i + 1]:
-                    idx = i
-                    break
-        if idx is None:
-            raise AssertionError("point escaped the branch domain during word walk")
-        indices.append(idx)
-        x = branch.slopes[idx] * x + branch.intercepts[idx]
-    return indices
-
-
-def _fixed_point_along_word(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> Scalar:
-    """The unique fixed point of the word composition inside ``[lo, hi]``.
-
-    The composition ``F`` is increasing with slope > 1 on the bracket, so
-    ``F - id`` is strictly increasing and crosses zero at most once; the
-    bracket must satisfy ``F(lo) <= lo`` and ``F(hi) >= hi``.  The
-    affine piece containing the crossing is pinned by splitting the
-    bracket at pullbacks of internal breakpoints (exact arithmetic all
-    the way), then solved in closed form.
-    """
-    if _word_value(m, word, lo) > lo:
-        raise AssertionError("no repelling fixed point below the return window")
-    if _word_value(m, word, hi) < hi:
-        raise AssertionError("no repelling fixed point above the return window")
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise AssertionError("fixed-point bracketing failed to terminate")
-        idx_lo = _piece_indices(m, word, lo, upper_bias=True)
-        idx_hi = _piece_indices(m, word, hi, upper_bias=False)
-        split_at = next(
-            (k for k in range(len(word)) if idx_lo[k] != idx_hi[k]), None
-        )
-        if split_at is None:
-            s, t = Fraction(1), Fraction(0)
-            x = lo
-            for label, i in zip(word, idx_lo):
-                branch = m.left if label is BranchLabel.LEFT else m.right
-                bs, bt = branch.slopes[i], branch.intercepts[i]
-                s, t = bs * s, bs * t + bt
-            if s == 1:
-                raise AssertionError("word composition is not expanding")
-            x = t / (1 - s)
-            if not (lo <= x <= hi):
-                raise AssertionError("affine fixed point escaped its bracket")
+    for x0, x1, s, t, _word in affine_pieces(m, lo, hi, steps):
+        x = t / (1 - s)
+        if x0 <= x <= x1:
             return x
-        # both ends follow the same pieces before the split step, so the
-        # partial composition is affine there; pull the breakpoint back
-        s, t = Fraction(1), Fraction(0)
-        for label, i in zip(word[:split_at], idx_lo[:split_at]):
-            branch = m.left if label is BranchLabel.LEFT else m.right
-            s, t = branch.slopes[i] * s, branch.slopes[i] * t + branch.intercepts[i]
-        branch = (
-            m.left if word[split_at] is BranchLabel.LEFT else m.right
-        )
-        y_split = branch.breakpoints[idx_lo[split_at] + 1]
-        x_split = (y_split - t) / s
-        if not (lo < x_split < hi):
-            raise AssertionError("breakpoint pullback left the bracket")
-        if _word_value(m, word, x_split) >= x_split:
-            hi = x_split
-        else:
-            lo = x_split
+    raise AssertionError("no repelling fixed point in the return branch's bracket")
 
 
 def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
@@ -358,13 +274,13 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     left_word, right_word = minus.word[:ell], plus.word[:r]
 
     dom_lo, dom_hi = _word_domain(m, left_word)
-    e_minus = _fixed_point_along_word(m, left_word, dom_lo, min(dom_hi, u))
+    e_minus = _fixed_point(m, ell, dom_lo, min(dom_hi, u))
     dom_lo, dom_hi = _word_domain(m, right_word)
-    e_plus = _fixed_point_along_word(m, right_word, max(dom_lo, v), dom_hi)
+    e_plus = _fixed_point(m, r, max(dom_lo, v), dom_hi)
 
     if not (e_minus <= u and v <= e_plus):
         raise AssertionError("repelling fixed points do not bound the interval")
-    orbit_of_e_minus = _word_orbit(m, left_word, e_minus)
+    orbit_of_e_minus = orbit_values(m, e_minus, ell - 1)
     for value in orbit_of_e_minus:
         if u < value < v:
             raise AssertionError("repelling orbit enters the return window")
@@ -631,25 +547,34 @@ class Trichotomy(enum.Enum):
     UNKNOWN = "prime-up-to-bound"
 
 
+def decide_trichotomy(
+    period: MinimalPeriodResult, step: Optional[RenormStep]
+) -> Trichotomy:
+    """The trichotomy from the minimal period and the minimal renormalization.
+
+    Fixed-point maps are prime outright.  A found minimal
+    renormalization is classified by its periodicity flag (periodic:
+    the set is the minimal orbit; otherwise it is a Cantor set).  The
+    pair search runs exhaustively in increasing ``ell + r``, so a step
+    it finds is the minimal one even when the period is undetermined.
+    With nothing found the honest answer is "prime up to the search
+    bound": primality has no finite certificate.
+    """
+    if period.kappa == 1:
+        return Trichotomy.PRIME
+    if step is None:
+        return Trichotomy.UNKNOWN
+    if step.periodic:
+        return Trichotomy.PERIODIC_MINIMAL_RENORM
+    return Trichotomy.CANTOR_MINIMAL_RENORM
+
+
 def classify_trichotomy(
     m: LorenzMap,
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
     orbit: Optional[PeriodicOrbit] = None,
 ) -> tuple:
-    """Structure of the minimal completely invariant set.
-
-    Fixed-point maps are prime outright.  A found minimal
-    renormalization is classified by its periodicity flag (periodic:
-    the set is the minimal orbit; otherwise it is a Cantor set).  With
-    nothing found the honest answer is "prime up to the search bound":
-    primality has no finite certificate.
-    """
+    """Structure of the minimal completely invariant set (see :func:`decide_trichotomy`)."""
     result = minimal_renormalization(m, bound, period, orbit)
-    if result.certainly_prime:
-        return Trichotomy.PRIME, result
-    if result.found:
-        if result.step.periodic:
-            return Trichotomy.PERIODIC_MINIMAL_RENORM, result
-        return Trichotomy.CANTOR_MINIMAL_RENORM, result
-    return Trichotomy.UNKNOWN, result
+    return decide_trichotomy(result.period, result.step), result

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's branch/piece
 machinery: maps are evaluated from explicit affine formulas, periodic
-points are found by composing itinerary words, and interval images are
-iterated endpoint by endpoint.  Expected values frozen in the tests
-were computed with these.
+points are found by composing words over the affine pieces, and
+interval images are iterated endpoint by endpoint.  Expected values
+frozen in the tests were computed with these.  ``multi_piece_maps``
+draws random valid maps for ``hypothesis`` properties.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
+
+from lorenzmap.maps import BranchFn, LorenzMap, validate_map
 
 # params = (c, slope_left, intercept_left, slope_right, intercept_right) on [0, 1]
 
@@ -46,37 +50,62 @@ def raw_orbit(params, x, n, side=None):
     return values
 
 
-def word_periodic_points(params, n):
-    """All fixed points of the n-th iterate, via itinerary-word solves.
+def two_piece_table(params):
+    """Two-branch ``params`` as a piece table ``(c, pieces)`` on [0, 1].
 
-    Returns {point: least_period}.  Orbits passing exactly through the
-    discontinuity are not representable by a two-letter word and are
-    not reported; callers assert none occur in their samples.
+    Each piece is ``(lo, hi, s, t)``: the formula ``x -> s*x + t`` on the
+    closed interval ``[lo, hi]`` with ``c`` left out.
     """
     c, sL, tL, sR, tR = params
+    return c, [(F(0), c, sL, tL), (c, F(1), sR, tR)]
+
+
+def map_piece_table(m):
+    """A map's pieces read off its breakpoint, slope and intercept fields."""
+    pieces = []
+    for branch in (m.left, m.right):
+        bps = branch.breakpoints
+        pieces += zip(bps, bps[1:], branch.slopes, branch.intercepts)
+    return m.c, pieces
+
+
+def table_eval(table, x):
+    c, pieces = table
+    for lo, hi, s, t in pieces:
+        if lo <= x <= hi and x != c:
+            return s * x + t
+    raise ValueError("point outside the pieces or at the discontinuity")
+
+
+def word_periodic_points(table, n):
+    """All fixed points of the n-th iterate, via words over the pieces.
+
+    Every word of ``n`` pieces is composed from the explicit formulas and
+    its fixed point kept when the orbit really visits those pieces.
+    Returns {point: least_period}.  Orbits passing exactly through the
+    discontinuity are not representable by such a word and are not
+    reported; callers assert none occur in their samples.
+    """
+    c, pieces = table
     out = {}
-    for word in itertools.product("LR", repeat=n):
+    for word in itertools.product(pieces, repeat=n):
         s, t = F(1), F(0)
-        for w in word:
-            bs, bt = (sL, tL) if w == "L" else (sR, tR)
+        for _, _, bs, bt in word:
             s, t = bs * s, bs * t + bt
         if s == 1:
             continue
         x0 = t / (1 - s)
         x, ok = x0, True
-        for w in word:
-            if w == "L" and not F(0) <= x < c:
+        for lo, hi, bs, bt in word:
+            if not (lo <= x <= hi and x != c):
                 ok = False
                 break
-            if w == "R" and not c < x <= F(1):
-                ok = False
-                break
-            x = raw_eval(params, x)
+            x = bs * x + bt
         if not ok or x != x0 or x0 in out:
             continue
-        y, least = raw_eval(params, x0), 1
+        y, least = table_eval(table, x0), 1
         while y != x0:
-            y = raw_eval(params, y)
+            y = table_eval(table, y)
             least += 1
         out[x0] = least
     return out
@@ -120,6 +149,41 @@ def raw_cover_steps(params, lo, hi, cap):
         if total == [(F(0), F(1))]:
             return n
     return None
+
+
+@st.composite
+def multi_piece_maps(draw):
+    """Valid maps on [0, 1] with one to three affine pieces per branch."""
+    denominators = st.integers(min_value=2, max_value=60)
+
+    def fraction_in_unit(d):
+        return F(draw(st.integers(min_value=1, max_value=d - 1)), d)
+
+    c = fraction_in_unit(draw(denominators))
+
+    def branch(lo, hi, start, room):
+        # pieces of slope 1 + e with sum(e * width) <= room keep the rise <= 1
+        cuts = sorted({lo + (hi - lo) * fraction_in_unit(draw(denominators))
+                       for _ in range(draw(st.integers(min_value=0, max_value=2)))})
+        bps = [lo, *cuts, hi]
+        scale = room / (hi - lo)
+        slopes = [1 + scale * fraction_in_unit(draw(denominators)) for _ in bps[1:]]
+        intercepts, y = [], start
+        for x0, x1, s in zip(bps, bps[1:], slopes):
+            intercepts.append(y - s * x0)
+            y += s * (x1 - x0)
+        return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts)), y
+
+    right, _top = branch(c, F(1), F(0), c)
+    trial, rise_end = branch(F(0), c, F(0), 1 - c)
+    # shift the left branch so that it ends at f(c-) = 1
+    shift = 1 - rise_end
+    left = BranchFn(
+        trial.breakpoints, trial.slopes, tuple(t + shift for t in trial.intercepts)
+    )
+    m = LorenzMap(F(0), F(1), c, left, right)
+    assert validate_map(m).valid, validate_map(m).violations
+    return m
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,8 @@ CASES = [
                     "--alpha", "2/5"),
     _analyze_family("analyze_beta_hit_cap", "--family", "beta", "--beta", "6/5",
                     "--alpha", "1/10", "--hit-cap", "1"),
+    _analyze_family("analyze_beta_23_20_7_40_hit_cap", "--family", "beta", "--beta",
+                    "23/20", "--alpha", "7/40", "--hit-cap", "1"),
     _analyze_file("custom15"),
     _analyze_file("custom16"),
     _analyze_file("custom19"),

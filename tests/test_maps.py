@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzmap.numerics import Interval, PrecisionExhausted
 from lorenzmap.maps import (
@@ -12,6 +14,7 @@ from lorenzmap.maps import (
     SidedPoint,
     SideRequired,
     IntervalDoesNotStraddleC,
+    affine_pieces,
     beta_transformation,
     evaluate,
     inverse_images,
@@ -22,7 +25,7 @@ from lorenzmap.maps import (
     validate_map,
 )
 
-from conftest import raw_eval, sym_params
+from conftest import multi_piece_maps, raw_eval, sym_params
 
 
 def test_validate_symmetric():
@@ -149,6 +152,12 @@ def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
     with pytest.raises(IntervalDoesNotStraddleC):
         rescale_to_unit(m, Interval.closed(F(0), F(2, 5)))
+    # [2/5, 3/5] returns after (2, 2) steps; with longer return times an
+    # image of a branch crosses c before the last step
+    m = symmetric_map(F(6, 5))
+    for return_times in ((3, 3), (2, 3), (4, 4)):
+        with pytest.raises(IntervalDoesNotStraddleC):
+            rescale_to_unit(m, Interval.closed(F(2, 5), F(3, 5)), return_times)
 
 
 def test_multi_piece_rescale_splits_and_matches_pointwise():
@@ -176,6 +185,39 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
         side = Side.MINUS if x < m.c else Side.PLUS
         expect = (iterate(m, SidedPoint(x, side), 2).x - u) / width
         assert evaluate(inner, t) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps(), st.integers(0, 5), st.data())
+def test_affine_pieces_tile_and_agree_with_iterate(m, steps, data):
+    # ends are random points or cuts of the map, whose images sit on c
+    # or on an internal breakpoint
+    ends = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=1000),
+        st.sampled_from((m.a, m.b) + m.interior_cuts()),
+    )
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    if lo == hi:
+        lo, hi = m.a, m.b
+    pieces = affine_pieces(m, lo, hi, steps)
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    assert all(x0 < x1 for x0, x1, *_ in pieces)
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+    inside = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+        lambda w: 0 < w < 1
+    )
+    for x0, x1, s, t, word in pieces:
+        x = x0 + (x1 - x0) * data.draw(inside)
+        # images of interior points never land on c before the last step
+        orbit = [iterate(m, x, k).x for k in range(steps + 1)]
+        assert s * x + t == orbit[-1]
+        assert word == tuple(
+            BranchLabel.LEFT if y < m.c else BranchLabel.RIGHT for y in orbit[:-1]
+        )
+        # f^steps is increasing on the piece, so every image of an end that
+        # sits on c is approached from inside the piece: c+ at x0, c- at x1
+        assert s * x0 + t == iterate(m, SidedPoint(x0, Side.PLUS), steps).x
+        assert s * x1 + t == iterate(m, SidedPoint(x1, Side.MINUS), steps).x
 
 
 def test_rescale_level_two_in_base_coordinates():

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from lorenzmap.maps import Side, SidedPoint, beta_transformation, iterate, symmetric_map
+from lorenzmap.maps import (
+    Side,
+    SidedPoint,
+    beta_transformation,
+    iterate,
+    parse_map_text,
+    symmetric_map,
+)
 from lorenzmap.periods import (
     BranchBudgetExceeded,
     fixed_points,
@@ -12,7 +20,15 @@ from lorenzmap.periods import (
     periodic_points,
 )
 
-from conftest import beta_params, sym_params, word_periodic_points
+from conftest import (
+    beta_params,
+    map_piece_table,
+    sym_params,
+    two_piece_table,
+    word_periodic_points,
+)
+
+GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 
 def test_fixed_points_examples():
@@ -109,10 +125,21 @@ def test_periodic_points_against_word_oracle():
     ]
     for _name, params, m in cases:
         for n in range(1, 7):
-            expect = word_periodic_points(params, n)
+            expect = word_periodic_points(two_piece_table(params), n)
             got = periodic_points(m, n)
             assert all(p.side is None for p, _ in got)
             assert {p.x: least for p, least in got} == expect
+
+
+@pytest.mark.parametrize("stem", ["custom15", "custom16", "custom19", "custom27",
+                                  "custom29", "custom33"])
+def test_multi_piece_periodic_points_against_word_oracle(stem):
+    m = parse_map_text((GOLDEN_MAPS / f"{stem}.map").read_text(encoding="utf-8"))
+    table = map_piece_table(m)
+    for n in range(1, 6):
+        got = periodic_points(m, n)
+        assert all(p.side is None for p, _ in got)
+        assert {p.x: least for p, least in got} == word_periodic_points(table, n)
 
 
 def test_periodic_points_budget():

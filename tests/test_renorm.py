@@ -37,6 +37,8 @@ from lorenzmap.renorm import (
     critical_orbit_values,
 )
 
+from conftest import multi_piece_maps
+
 GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 
@@ -363,43 +365,8 @@ def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
     assert result.step.left_word == (BranchLabel.LEFT, BranchLabel.RIGHT)
 
 
-@st.composite
-def _multi_piece_maps(draw):
-    """Valid maps on [0, 1] with one to three affine pieces per branch."""
-    denominators = st.integers(min_value=2, max_value=60)
-
-    def fraction_in_unit(d):
-        return F(draw(st.integers(min_value=1, max_value=d - 1)), d)
-
-    c = fraction_in_unit(draw(denominators))
-
-    def branch(lo, hi, start, room):
-        # pieces of slope 1 + e with sum(e * width) <= room keep the rise <= 1
-        cuts = sorted({lo + (hi - lo) * fraction_in_unit(draw(denominators))
-                       for _ in range(draw(st.integers(min_value=0, max_value=2)))})
-        bps = [lo, *cuts, hi]
-        scale = room / (hi - lo)
-        slopes = [1 + scale * fraction_in_unit(draw(denominators)) for _ in bps[1:]]
-        intercepts, y = [], start
-        for x0, x1, s in zip(bps, bps[1:], slopes):
-            intercepts.append(y - s * x0)
-            y += s * (x1 - x0)
-        return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts)), y
-
-    right, _top = branch(c, F(1), F(0), c)
-    trial, rise_end = branch(F(0), c, F(0), 1 - c)
-    # shift the left branch so that it ends at f(c-) = 1
-    shift = 1 - rise_end
-    left = BranchFn(
-        trial.breakpoints, trial.slopes, tuple(t + shift for t in trial.intercepts)
-    )
-    m = LorenzMap(F(0), F(1), c, left, right)
-    assert validate_map(m).valid, validate_map(m).violations
-    return m
-
-
 @settings(max_examples=60, deadline=None)
-@given(_multi_piece_maps())
+@given(multi_piece_maps())
 def test_enclosed_search_matches_exact_on_random_maps(m):
     _assert_enclosures_are_exact(m, 32)
     assert _search_pairs(m, 16) == _exact_search(m, 16)

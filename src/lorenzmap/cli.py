@@ -247,7 +247,7 @@ def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
     unions = orbit_unions(m, tower)
     omega = omega_decomposition(m, tower, unions)
     report["omega"] = _omega_dict(omega)
-    report["attractor"] = format_union(omega.attractor)
+    report["attractor"] = report["omega"]["attractor"]
 
     if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
         return EXIT_CAP
@@ -446,6 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # deep towers carry integers of more than the default 4,300 digits,
+    # and every scalar is printed exactly (the limit exists from 3.11 on)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

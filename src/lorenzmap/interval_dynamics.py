@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numerics import Interval, Scalar, format_scalar
-from .maps import LorenzMap, IntervalDoesNotStraddleC
-
-
-class CapExceeded(Exception):
-    """An iteration guard was hit before the sought event occurred."""
+from .maps import (
+    CapExceeded,  # raised by hitting_index, so public here too
+    IntervalDoesNotStraddleC,
+    LorenzMap,
+)
 
 
 DEFAULT_HIT_CAP = 10_000

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .numerics import Interval, Scalar
-from .maps import LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
+from .maps import CapExceeded, LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
 from .interval_dynamics import IntervalUnion, interval_orbit
 from .renorm import Tower
 
@@ -102,7 +102,7 @@ def _forward_orbit_closure(m: LorenzMap, x: Scalar, cap: int = 100_000) -> list:
         y = evaluate(m, SidedPoint(y))
         steps += 1
         if steps > cap:
-            raise ValueError(f"{x} did not return to itself within {cap} steps")
+            raise CapExceeded(f"{x} did not return to itself within {cap} steps")
     return sorted(orbit)
 
 

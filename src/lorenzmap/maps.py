@@ -59,6 +59,10 @@ class BranchBudgetExceeded(Exception):
     """Cylinder enumeration exceeded its configured budget."""
 
 
+class CapExceeded(Exception):
+    """An iteration guard was hit before the sought event occurred."""
+
+
 class Side(enum.Enum):
     MINUS = "-"
     PLUS = "+"
@@ -408,7 +412,9 @@ def first_return_times(m: LorenzMap, u: Scalar, v: Scalar, cap: int = 10_000):
                 times.append(n)
                 break
         else:
-            raise ValueError(f"no return of c{side.value} to [u, v] within {cap} steps")
+            raise CapExceeded(
+                f"no return of c{side.value} to [u, v] within {cap} steps"
+            )
     ell, r = times
     return ell, r
 

@@ -13,8 +13,15 @@ The minimal renormalization is found by a fast path (the minimal-period
 orbit flanks the pair of return images of ``c+``/``c-``, giving
 ``ell = r = kappa``) or, failing
 that, by searching pairs in increasing ``ell + r``; the first valid pair
-is coordinatewise minimal.  Consecutive minimal renormalizations of the
-rescaled inner maps form the tower.
+is coordinatewise minimal.  The search rules only on pairs of record
+times: a first return keeps every earlier iterate of ``c±`` off
+``(u, v)``, so ``r`` must be a time at which the ``c+`` orbit comes at
+least as close to ``c`` from the left as at every earlier time, and
+``ell`` the same for the ``c-`` orbit from the right
+(:func:`_record_times`).  Every valid pair is such a pair, so the walk
+finds the same first pair, and finding none still proves "prime up to
+bound".  Consecutive minimal renormalizations of the rescaled inner maps
+form the tower.
 
 Every condition on a pair is an order relation between the points
 ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and ``c``.  So these values are
@@ -410,14 +417,50 @@ class MinimalRenormResult:
         return self.step is not None
 
 
+def _record_times(c, minus, plus, bound: int) -> tuple:
+    """Candidate return times ``(L, R)`` in ``[2, bound]``, ascending.
+
+    ``L`` holds the weak right-record times of ``c-``: the ``ell`` with
+    ``minus[ell] > c`` and ``minus[ell] <= minus[i]`` for every earlier
+    ``minus[i] > c``, ``1 <= i < ell``.  ``R`` holds the weak left-record
+    times of ``c+``: the ``r`` with ``plus[r] < c`` and ``plus[r] >=``
+    every earlier ``plus[j] < c``.
+
+    Every pair that passes :func:`_pair_failure` lies in ``L × R``.  Take
+    the right-window test at step ``j < r``.  If the earlier windows
+    avoided ``(u, v)``, which contains ``c``, then ``f^j`` is continuous
+    and increasing on ``(c, v]``, so the window image
+    ``(plus[j], minus[ell+j]]`` is ordered.  If ``plus[j] < c < v``, the
+    test then needs ``minus[ell+j] <= u``, hence ``plus[j] <= u =
+    plus[r]``.  The left window, ``[plus[r+i], minus[i])``, gives the
+    mirror statement ``minus[i] >= v = minus[ell]`` for every
+    ``minus[i] > c``.  So walking only ``L × R`` finds the same first
+    pair, and a walk that finds none still proves "prime up to bound".
+    """
+    left, right = [], []
+    low, high = math.inf, -math.inf  # min of minus above c, max of plus below c
+    for i in range(1, bound + 1):
+        if minus[i] > c:
+            if i >= 2 and minus[i] <= low:
+                left.append(i)
+            low = min(low, minus[i])
+        if plus[i] < c:
+            if i >= 2 and plus[i] >= high:
+                right.append(i)
+            high = max(high, plus[i])
+    return left, right
+
+
 def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     minus, plus = critical_orbit_values(m, 2 * bound)
     a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
-    for total in range(4, 2 * bound + 1):
-        for ell in range(max(2, total - bound), min(bound, total - 2) + 1):
-            r = total - ell
-            if _pair_failure(a, b, c, ell, r, minus_rank, plus_rank) is None:
-                return _build_step(m, ell, r, minus, plus)
+    left, right = _record_times(c, minus_rank, plus_rank, bound)
+    # increasing ell + r, ties by ell: the order of the full walk
+    for ell, r in sorted(
+        ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
+    ):
+        if _pair_failure(a, b, c, ell, r, minus_rank, plus_rank) is None:
+            return _build_step(m, ell, r, minus, plus)
     return None
 
 
@@ -432,7 +475,10 @@ def minimal_renormalization(
     When the periodic fast path succeeds its step is minimal outright.
     Otherwise pairs are searched in increasing ``ell + r`` (ties by
     ``ell``); the minimal renormalization is dominated coordinatewise by
-    every other one, so the first valid pair found this way is it.
+    every other one, so the first valid pair found this way is it.  Only
+    pairs of critical-orbit record times are ruled on: every valid pair
+    is one (see :func:`_record_times`), so skipping the others changes
+    neither the pair found nor the "prime up to bound" answer.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:

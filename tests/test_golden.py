@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,28 @@ def test_deep_tower_report_digest(monkeypatch):
     assert len(json.loads(out)["tower"]["levels"]) == 7
     assert len(out) == 681_368
     assert hashlib.sha256(out).hexdigest() == DEEP_TOWER_SHA256
+
+
+# stdout of ``analyze --family symmetric --a 501/500`` (8 levels, 3,122,204
+# bytes): its largest integers have about 1,400 digits
+DIGIT_LIMIT_SHA256 = "43a91ca91902cf959481ddd13183c185393e8de81fed8407b2287cadfae66926"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11"
+)
+def test_report_is_exact_past_the_int_digit_limit(monkeypatch):
+    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
+        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(["analyze", "--family", "symmetric", "--a", "501/500"])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    out = buffer.getvalue().encode("utf-8")
+    assert code == 0
+    assert len(out) == 3_122_204
+    assert hashlib.sha256(out).hexdigest() == DIGIT_LIMIT_SHA256

@@ -3,8 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import lorenzmap
+from lorenzmap import cli, maps
+from lorenzmap.limits import _forward_orbit_closure
 from lorenzmap.numerics import Interval
-from lorenzmap.maps import symmetric_map, beta_transformation, iterate
+from lorenzmap.maps import (
+    beta_transformation,
+    first_return_times,
+    iterate,
+    symmetric_map,
+)
 from lorenzmap.interval_dynamics import (
     CapExceeded,
     IntervalUnion,
@@ -52,6 +60,19 @@ def test_hitting_index_cap():
     with pytest.raises(CapExceeded):
         # window inside the trapped region never reaches c in 3 steps
         hitting_index(m, Interval.open(F(1, 100), F(2, 100)), cap=3)
+
+
+def test_internal_iteration_caps_raise_cap_exceeded():
+    # one class, importable from maps, interval_dynamics and the package
+    assert CapExceeded is maps.CapExceeded is lorenzmap.CapExceeded
+    assert cli.exit_code_for(CapExceeded("cap")) == cli.EXIT_CAP
+    m = symmetric_map(F(6, 5))
+    # c- goes to b = 1 and then to 3/5: outside [9/20, 11/20] for 2 steps
+    with pytest.raises(CapExceeded):
+        first_return_times(m, F(9, 20), F(11, 20), cap=2)
+    # 0 -> 2/5 -> 22/25 -> ...: denominators 5^n, so 0 never comes back
+    with pytest.raises(CapExceeded):
+        _forward_orbit_closure(m, F(0), cap=5)
 
 
 def test_hitting_index_decrements_under_image():

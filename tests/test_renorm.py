@@ -33,6 +33,7 @@ from lorenzmap.renorm import (
     _pair_failure,
     _ranked_orbits,
     _ranks,
+    _record_times,
     _search_pairs,
     critical_orbit_values,
 )
@@ -370,6 +371,59 @@ def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
 def test_enclosed_search_matches_exact_on_random_maps(m):
     _assert_enclosures_are_exact(m, 32)
     assert _search_pairs(m, 16) == _exact_search(m, 16)
+
+
+def _straight_record_times(c, minus, plus, bound):
+    """``_record_times`` read off its definition, one time at a time."""
+    left = [
+        ell
+        for ell in range(2, bound + 1)
+        if minus[ell] > c
+        and all(minus[ell] <= minus[i] for i in range(1, ell) if minus[i] > c)
+    ]
+    right = [
+        r
+        for r in range(2, bound + 1)
+        if plus[r] < c and all(plus[r] >= plus[j] for j in range(1, r) if plus[j] < c)
+    ]
+    return left, right
+
+
+def test_record_times_keep_ties_and_skip_c():
+    # c = 0; minus[1] is below the later minus[2], plus[4] = minus[4] = c
+    minus, plus = [0, 2, 3, 2, 0, 1], [0, -2, -3, -1, 0, -1]
+    assert _record_times(0, minus, plus, 5) == ([3, 5], [3, 5])
+    assert _straight_record_times(0, minus, plus, 5) == ([3, 5], [3, 5])
+
+
+def _assert_valid_pairs_are_record_times(m, bound):
+    """Every pair up to ``bound`` that passes the straddle and window tests
+    of ``_pair_failure`` is in L × R; returns the number of valid pairs."""
+    minus, plus = critical_orbit_values(m, 2 * bound)
+    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+    left, right = _record_times(c, minus_rank, plus_rank, bound)
+    assert (left, right) == _straight_record_times(c, minus_rank, plus_rank, bound)
+    valid = 0
+    for ell in range(2, bound + 1):
+        for r in range(2, bound + 1):
+            reason = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
+            # only the two containment tests ("f^ell/f^r does not map ...")
+            # come after the window tests
+            if reason is None or reason.startswith("f^"):
+                assert ell in left and r in right, (m, ell, r, reason)
+                valid += reason is None
+    return valid
+
+
+def test_valid_pairs_are_record_times(ranking_corpus):
+    valid = [_assert_valid_pairs_are_record_times(m, 24) for m in ranking_corpus]
+    assert sum(valid) >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps())
+def test_valid_pairs_are_record_times_on_random_maps(m):
+    _assert_valid_pairs_are_record_times(m, 24)
 
 
 def _ranks_at(values, precision):

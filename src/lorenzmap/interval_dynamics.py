@@ -15,7 +15,9 @@ periodic points tiling the whole domain.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .numerics import Interval, Scalar, format_scalar
@@ -28,6 +30,8 @@ from .maps import (
 
 DEFAULT_HIT_CAP = 10_000
 DEFAULT_COVER_CAP = 1_000
+
+_lower_end = attrgetter("lo")
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,14 @@ class IntervalUnion:
         return [(comp.lo, comp.hi) for comp in self.components]
 
     def contains(self, x: Scalar) -> bool:
-        return any(comp.lo <= x <= comp.hi for comp in self.components)
+        return self.component_containing(x) is not None
 
     def component_containing(self, x: Scalar) -> Optional[Interval]:
-        for comp in self.components:
-            if comp.lo <= x <= comp.hi:
-                return comp
+        # the components are sorted and disjoint: only the last one that
+        # starts at or below x can hold it
+        i = bisect.bisect_right(self.components, x, key=_lower_end) - 1
+        if i >= 0 and x <= self.components[i].hi:
+            return self.components[i]
         return None
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":

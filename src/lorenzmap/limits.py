@@ -8,6 +8,12 @@ orbit unions ``orb([a_i, b_i])`` it belongs to.  The nonwandering set
 splits into per-level pieces (a periodic orbit or a Cantor set,
 matching the level's periodicity flag) plus the attractor, the orbit
 union of the deepest interval.
+
+Every endpoint of a level's orbit union is a base critical-orbit value
+``f^k(c±)``, so the unions of a whole tower are sorted and merged on
+the integer ranks of one ordered critical orbit
+(:mod:`lorenzmap.orbits`), and only the endpoints that survive the
+merge are taken as exact values.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from typing import Optional
 
 from .numerics import Interval, Scalar
 from .maps import CapExceeded, LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
-from .interval_dynamics import IntervalUnion, interval_orbit
+from .interval_dynamics import IntervalUnion
+from .orbits import critical_orbit_values, ranked_orbits
 from .renorm import Tower
 
 DEFAULT_APPROX_DEPTH = 4
@@ -43,13 +50,52 @@ class AlphaClass:
 
 
 def orbit_unions(m: LorenzMap, tower: Tower) -> list:
-    """Orbit unions of the tower intervals in base coordinates, level 1 up."""
+    """Orbit unions of the tower intervals in base coordinates, level 1 up.
+
+    Level ``i`` with return times ``(RL, RR)`` has ``a_i = plus[RR]`` and
+    ``b_i = minus[RL]``, where ``minus[k] = f^k(c-)`` and
+    ``plus[k] = f^k(c+)`` are the base critical orbits.  So the iterates
+    of ``[a_i, c]`` and ``[c, b_i]`` that
+    :func:`~lorenzmap.interval_dynamics.interval_orbit` unites are
+    ``[plus[RR + j], minus[j]]`` for ``j < RL`` and
+    ``[plus[j], minus[RL + j]]`` for ``j < RR``.  One critical orbit of
+    length ``max(RL + RR)``, ranked once, serves every level: the
+    intervals are sorted and merged on the integer ranks, and exact
+    values are taken only for the endpoints of the merged components.
+    """
+    if not tower.levels:
+        return []
+    length = max(level.return_left + level.return_right for level in tower.levels)
+    minus, plus = critical_orbit_values(m, length)
+    _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     unions = []
     for level in tower.levels:
-        lo, hi = level.interval
+        ell, r = level.return_left, level.return_right
+        if level.interval != (plus.exact(r), minus.exact(ell)):
+            raise AssertionError("level interval is not (f^RR(c+), f^RL(c-))")
+        # (plus index, minus index) of the iterates of [a_i, c], then [c, b_i]
+        windows = [(r + j, j) for j in range(ell)] + [(j, ell + j) for j in range(r)]
+        # the iterates whose images are taken, as in interval_orbit
+        for p, q in windows[: ell - 1] + windows[ell : ell + r - 1]:
+            if plus_rank[p] < c < minus_rank[q]:
+                raise ValueError(
+                    "interval image crossed the discontinuity: return times "
+                    "do not match the first-return structure"
+                )
+        ranked = sorted((plus_rank[p], minus_rank[q], p, q) for p, q in windows)
+        merged: list[list] = []
+        for lo, hi, p, q in ranked:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1][1], merged[-1][3] = hi, q
+            else:
+                merged.append([lo, hi, p, q])
         unions.append(
-            interval_orbit(
-                m, Interval.closed(lo, hi), (level.return_left, level.return_right)
+            IntervalUnion(
+                tuple(
+                    Interval.closed(plus.exact(p), minus.exact(q))
+                    for _lo, _hi, p, q in merged
+                )
             )
         )
     return unions
@@ -176,9 +222,11 @@ def membership_E(
     for step in range(cap + 1):
         if gap_lo < y < gap_hi:
             return MembershipResult(Membership.OUT, step)
-        if y in seen:
-            return MembershipResult(Membership.IN, step)
+        # one hash per point: the set grows unless y was seen before
+        size = len(seen)
         seen.add(y)
+        if len(seen) == size:
+            return MembershipResult(Membership.IN, step)
         y = evaluate(m, SidedPoint(y))
     return MembershipResult(Membership.UNDETERMINED)
 

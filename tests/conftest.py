@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's branch/piece
 machinery: maps are evaluated from explicit affine formulas, periodic
 points are found by composing words over the affine pieces, and
 interval images are iterated endpoint by endpoint.  Expected values
-frozen in the tests were computed with these.  ``multi_piece_maps``
-draws random valid maps for ``hypothesis`` properties.
+frozen in the tests were computed with these.  ``piece_map`` builds
+random valid maps, and ``multi_piece_maps`` draws them for
+``hypothesis`` properties.
 """
 
 from __future__ import annotations
@@ -151,31 +152,44 @@ def raw_cover_steps(params, lo, hi, cap):
     return None
 
 
-@st.composite
-def multi_piece_maps(draw):
-    """Valid maps on [0, 1] with one to three affine pieces per branch."""
-    denominators = st.integers(min_value=2, max_value=60)
+def piece_map(integer, near_unit=False):
+    """A valid map on [0, 1] with one to three affine pieces per branch.
+
+    ``integer(lo, hi)`` draws an integer in ``[lo, hi]``; it is a
+    ``hypothesis`` draw in :func:`multi_piece_maps` or ``rng.randint``
+    for a seeded sample.  With ``near_unit`` the discontinuity lies in
+    ``[9/20, 11/20]`` and each branch rises at most ``1/10`` more than
+    its width, so the slopes are near 1, ``f(a)`` and ``f(b)`` land near
+    ``c``, and about a third of the maps renormalize; the plain draws
+    almost never do.
+    """
 
     def fraction_in_unit(d):
-        return F(draw(st.integers(min_value=1, max_value=d - 1)), d)
+        return F(integer(1, d - 1), d)
 
-    c = fraction_in_unit(draw(denominators))
+    def denominator():
+        return integer(2, 60)
+
+    c = fraction_in_unit(denominator())
+    if near_unit:
+        c = F(9, 20) + c / 10
 
     def branch(lo, hi, start, room):
         # pieces of slope 1 + e with sum(e * width) <= room keep the rise <= 1
-        cuts = sorted({lo + (hi - lo) * fraction_in_unit(draw(denominators))
-                       for _ in range(draw(st.integers(min_value=0, max_value=2)))})
+        cuts = sorted({lo + (hi - lo) * fraction_in_unit(denominator())
+                       for _ in range(integer(0, 2))})
         bps = [lo, *cuts, hi]
         scale = room / (hi - lo)
-        slopes = [1 + scale * fraction_in_unit(draw(denominators)) for _ in bps[1:]]
+        slopes = [1 + scale * fraction_in_unit(denominator()) for _ in bps[1:]]
         intercepts, y = [], start
         for x0, x1, s in zip(bps, bps[1:], slopes):
             intercepts.append(y - s * x0)
             y += s * (x1 - x0)
         return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts)), y
 
-    right, _top = branch(c, F(1), F(0), c)
-    trial, rise_end = branch(F(0), c, F(0), 1 - c)
+    right_room, left_room = (F(1, 10), F(1, 10)) if near_unit else (c, 1 - c)
+    right, _top = branch(c, F(1), F(0), right_room)
+    trial, rise_end = branch(F(0), c, F(0), left_room)
     # shift the left branch so that it ends at f(c-) = 1
     shift = 1 - rise_end
     left = BranchFn(
@@ -184,6 +198,12 @@ def multi_piece_maps(draw):
     m = LorenzMap(F(0), F(1), c, left, right)
     assert validate_map(m).valid, validate_map(m).violations
     return m
+
+
+@st.composite
+def multi_piece_maps(draw, near_unit=False):
+    """``hypothesis`` strategy of :func:`piece_map` draws."""
+    return piece_map(lambda lo, hi: draw(st.integers(lo, hi)), near_unit)
 
 
 @pytest.fixture(scope="session")

@@ -76,3 +76,21 @@ def test_report_is_exact_past_the_int_digit_limit(monkeypatch):
     assert code == 0
     assert len(out) == 3_122_204
     assert hashlib.sha256(out).hexdigest() == DIGIT_LIMIT_SHA256
+
+
+# stdout of ``analyze --family symmetric --a 1001/1000``: a 9-level tower,
+# the deepest rung that runs in about a second
+DEEPER_TOWER_SHA256 = "6e1ccaed23c1504e71ce231770ac9c99a4eaca2d5a755fc83021134f4aafe754"
+
+
+def test_deeper_tower_report_digest(monkeypatch):
+    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
+        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["analyze", "--family", "symmetric", "--a", "1001/1000"])
+    out = buffer.getvalue().encode("utf-8")
+    assert code == 0
+    assert len(json.loads(out)["tower"]["levels"]) == 9
+    assert len(out) == 13_739_285
+    assert hashlib.sha256(out).hexdigest() == DEEPER_TOWER_SHA256

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorenzmap
 from lorenzmap import cli, maps
@@ -23,6 +25,31 @@ from lorenzmap.interval_dynamics import (
 )
 
 from conftest import raw_cover_steps, sym_params
+
+
+# values on a coarse grid, so that drawn pairs often touch or share ends
+_grid = st.integers(0, 12).map(lambda n: F(n, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_grid, _grid), max_size=8), st.lists(_grid, max_size=8))
+def test_union_lookup_matches_linear_scan(pairs, probes):
+    union = IntervalUnion.from_pairs([(min(p), max(p)) for p in pairs])
+    ends = [x for comp in union.components for x in (comp.lo, comp.hi)]
+    for x in probes + ends + [F(-1), F(5)]:
+        scan = next((comp for comp in union.components if comp.lo <= x <= comp.hi), None)
+        assert union.component_containing(x) is scan
+        assert union.contains(x) is (scan is not None)
+
+
+def test_union_lookup_at_merged_touching_ends():
+    union = IntervalUnion.from_pairs([(F(0), F(1)), (F(1), F(2)), (F(3), F(3))])
+    assert union.pairs() == [(F(0), F(2)), (F(3), F(3))]
+    for x, held in ((F(0), 0), (F(1), 0), (F(2), 0), (F(5, 2), None), (F(3), 1)):
+        expected = None if held is None else union.components[held]
+        assert union.component_containing(x) is expected
+        assert union.contains(x) is (held is not None)
+    assert not IntervalUnion.from_pairs([]).contains(F(0))
 
 
 def test_interval_union_normalization():

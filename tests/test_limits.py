@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from lorenzmap.maps import (
     SidedPoint,
     Side,
+    beta_transformation,
     evaluate,
+    parse_map_text,
     symmetric_map,
 )
-from lorenzmap.interval_dynamics import image_union
+from lorenzmap.interval_dynamics import image_union, interval_orbit
+from lorenzmap.numerics import Interval
 from lorenzmap.renorm import (
     RenormStep,
     Tower,
@@ -29,6 +34,10 @@ from lorenzmap.limits import (
     orbit_unions,
     preimage_open_intervals,
 )
+
+from conftest import multi_piece_maps
+
+GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 ATTRACTOR_6_5 = [(F(0), F(3, 25)), (F(2, 5), F(3, 5)), (F(22, 25), F(1))]
 # the attractor of the slope-11/10 map: eight return intervals, merged once at c
@@ -64,6 +73,40 @@ def test_alpha_classify_prime_map_is_all_full():
     for _ in range(10):
         x = F(rng.randint(0, 10**6), 10**6)
         assert alpha_classify(m, tower, x).kind is AlphaKind.FULL_INTERVAL
+
+
+def _assert_unions_match_interval_orbit(m, tower):
+    """The ranked unions equal ``interval_orbit``'s, component for component."""
+    unions = orbit_unions(m, tower)
+    assert len(unions) == len(tower.levels)
+    for level, union in zip(tower.levels, unions):
+        times = (level.return_left, level.return_right)
+        reference = interval_orbit(m, Interval.closed(*level.interval), times)
+        assert union.components == reference.components, (m, level.index)
+    return len(unions)
+
+
+def test_orbit_unions_match_interval_orbit(sample_maps):
+    maps = [
+        symmetric_map(F(6, 5)),
+        symmetric_map(F(198, 197)),
+        beta_transformation(F(23, 20), F(7, 40)),
+    ]
+    maps += [parse_map_text(p.read_text()) for p in sorted(GOLDEN_MAPS.glob("custom*.map"))]
+    maps += [m for _family, _p1, _p2, m in sample_maps]
+    levels = sum(_assert_unions_match_interval_orbit(m, renorm_tower(m)) for m in maps)
+    assert levels >= 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps(near_unit=True))
+def test_orbit_unions_match_interval_orbit_on_random_maps(m):
+    _assert_unions_match_interval_orbit(m, renorm_tower(m, level_cap=4, bound=24))
+
+
+def test_orbit_unions_of_a_prime_map_are_empty():
+    m = symmetric_map(F(3, 2))
+    assert orbit_unions(m, renorm_tower(m)) == []
 
 
 def test_alpha_classify_partitions_by_orbit_unions():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -29,16 +30,14 @@ from lorenzmap.renorm import (
     periodic_renorm_check,
     renorm_tower,
     _build_step,
-    _enclose,
     _pair_failure,
-    _ranked_orbits,
-    _ranks,
     _record_times,
     _search_pairs,
     critical_orbit_values,
 )
+from lorenzmap.orbits import enclose, rank_values, ranked_orbits
 
-from conftest import multi_piece_maps
+from conftest import multi_piece_maps, piece_map
 
 GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
@@ -262,7 +261,7 @@ def _assert_enclosures_are_exact(m, length):
         assert len(orbit.bounds) == len(exact.values) == length + 1
         for (lo, hi), x in zip(orbit.bounds, exact.values):
             assert lo <= x * 2**orbit.precision <= hi
-    ranks = _ranked_orbits(m, minus, plus)
+    ranks = ranked_orbits(m, minus, plus)
     expected = _dense_ranks([m.a, m.b, m.c, *exact_minus.values, *exact_plus.values])
     assert [*ranks[:3], *ranks[3], *ranks[4]] == expected
     assert [minus.exact(i) for i in range(length + 1)] == exact_minus.values
@@ -320,7 +319,7 @@ def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
     for m in ranking_corpus:
         minus, plus = critical_orbit_values(m, 48)
         exact_minus, exact_plus = _exact_orbits(m, 48)
-        a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+        a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
         for ell in range(2, 25):
             for r in range(2, 25):
                 exact = _pair_failure(
@@ -346,7 +345,7 @@ def test_orbit_landing_on_c_is_decided_exactly():
     assert m.c == m.left.value(m.a)
     minus, plus = critical_orbit_values(m, 8)
     assert plus.word == (BranchLabel.RIGHT, BranchLabel.LEFT) * 4
-    assert plus.bounds[:8:2] == [_enclose(m.c, plus.precision)] * 4
+    assert plus.bounds[:8:2] == [enclose(m.c, plus.precision)] * 4
     assert [plus.exact(i) for i in range(9)] == [m.c, m.a] * 4 + [m.c]
     _assert_enclosures_are_exact(m, 48)
     assert _search_pairs(m, 24) == _exact_search(m, 24)
@@ -366,8 +365,17 @@ def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
     assert result.step.left_word == (BranchLabel.LEFT, BranchLabel.RIGHT)
 
 
+def test_near_unit_draws_often_renormalize():
+    # plain draws almost never have a tower level (1 of these 60 with the
+    # same seed), so the random-map oracles also draw near-unit slopes
+    rng = random.Random(1)
+    maps = [piece_map(rng.randint, near_unit=True) for _ in range(60)]
+    with_level = sum(bool(renorm_tower(m, level_cap=1, bound=24).levels) for m in maps)
+    assert with_level == 17
+
+
 @settings(max_examples=60, deadline=None)
-@given(multi_piece_maps())
+@given(st.one_of(multi_piece_maps(), multi_piece_maps(near_unit=True)))
 def test_enclosed_search_matches_exact_on_random_maps(m):
     _assert_enclosures_are_exact(m, 32)
     assert _search_pairs(m, 16) == _exact_search(m, 16)
@@ -400,7 +408,7 @@ def _assert_valid_pairs_are_record_times(m, bound):
     """Every pair up to ``bound`` that passes the straddle and window tests
     of ``_pair_failure`` is in L × R; returns the number of valid pairs."""
     minus, plus = critical_orbit_values(m, 2 * bound)
-    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     assert (left, right) == _straight_record_times(c, minus_rank, plus_rank, bound)
     valid = 0
@@ -427,7 +435,7 @@ def test_valid_pairs_are_record_times_on_random_maps(m):
 
 
 def _ranks_at(values, precision):
-    """``_ranks`` of values enclosed at ``precision`` bits, and the indices
+    """``rank_values`` of values enclosed at ``precision`` bits, and the indices
     whose exact values it asked for."""
     asked = set()
 
@@ -435,7 +443,7 @@ def _ranks_at(values, precision):
         asked.add(i)
         return values[i]
 
-    return _ranks([_enclose(x, precision) for x in values], exact), asked
+    return rank_values([enclose(x, precision) for x in values], exact), asked
 
 
 def test_ranks_of_equal_values_held_as_distinct_objects():
@@ -471,7 +479,7 @@ def test_ranked_orbits_share_ranks_with_a_b_and_c():
     # sit on a, b and c exactly
     m = symmetric_map(F(2))
     minus, plus = critical_orbit_values(m, 4)
-    a, b, c, minus_rank, plus_rank = _ranked_orbits(m, minus, plus)
+    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     assert a < c < b
     assert minus_rank[0] == plus_rank[0] == c
     assert plus_rank[1:] == [a] * 4

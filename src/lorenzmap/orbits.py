@@ -80,10 +80,11 @@ class CriticalOrbit:
     ):
         self.precision = precision
         self._exact = [m.c]
-        self._steps = []  # the branch function of each step, for exact
+        self._functions = {BranchLabel.LEFT: m.left, BranchLabel.RIGHT: m.right}
+        self.word = word = []  # a tuple once the orbit is built; exact reads it
         c_lo, c_hi = enclose(m.c, precision)
         lo, hi = c_lo, c_hi
-        bounds, word = [], []
+        bounds = []
         for i in range(length):
             if hi < c_hi:
                 left = True
@@ -96,15 +97,14 @@ class CriticalOrbit:
             label = BranchLabel.LEFT if left else BranchLabel.RIGHT
             bounds.append((lo, hi))
             word.append(label)
-            self._steps.append(m.left if left else m.right)
             lo, hi = branches[label].image(lo, hi)
         bounds.append((lo, hi))
         self.bounds, self.word = bounds, tuple(word)
 
     def exact(self, i: int) -> Scalar:
-        known, steps = self._exact, self._steps
+        known, word, functions = self._exact, self.word, self._functions
         while len(known) <= i:
-            known.append(steps[len(known) - 1].value(known[-1]))
+            known.append(functions[word[len(known) - 1]].value(known[-1]))
         return known[i]
 
 

@@ -107,7 +107,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the result")
-    parser.add_argument("--slopes", nargs="+", default=list(SLOPES))
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
         "git_rev": git(checkout, "rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
         "repeats": args.repeats,
-        "cases": {slope: measure(checkout, slope, args.repeats) for slope in args.slopes},
+        "cases": {slope: measure(checkout, slope, args.repeats) for slope in SLOPES},
     }
     path = args.out / f"BENCH_deep_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

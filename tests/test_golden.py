@@ -40,17 +40,21 @@ def test_golden_output(case, monkeypatch):
 DEEP_TOWER_SHA256 = "eb389a34d7ee3d82e5ea289e86ec6ff0fe2b440c15fdf1bbd10b7e299a7b6082"
 
 
-def test_deep_tower_report_digest(monkeypatch):
+def _assert_symmetric_report(monkeypatch, slope, levels, size, sha256):
     for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
         monkeypatch.delenv(f"LORENZ_{key}", raising=False)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(["analyze", "--family", "symmetric", "--a", "198/197"])
+        code = main(["analyze", "--family", "symmetric", "--a", slope])
     out = buffer.getvalue().encode("utf-8")
     assert code == 0
-    assert len(json.loads(out)["tower"]["levels"]) == 7
-    assert len(out) == 681_368
-    assert hashlib.sha256(out).hexdigest() == DEEP_TOWER_SHA256
+    assert len(json.loads(out)["tower"]["levels"]) == levels
+    assert len(out) == size
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
+def test_deep_tower_report_digest(monkeypatch):
+    _assert_symmetric_report(monkeypatch, "198/197", 7, 681_368, DEEP_TOWER_SHA256)
 
 
 # stdout of ``analyze --family symmetric --a 501/500`` (8 levels, 3,122,204
@@ -84,13 +88,6 @@ DEEPER_TOWER_SHA256 = "6e1ccaed23c1504e71ce231770ac9c99a4eaca2d5a755fc83021134f4
 
 
 def test_deeper_tower_report_digest(monkeypatch):
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(["analyze", "--family", "symmetric", "--a", "1001/1000"])
-    out = buffer.getvalue().encode("utf-8")
-    assert code == 0
-    assert len(json.loads(out)["tower"]["levels"]) == 9
-    assert len(out) == 13_739_285
-    assert hashlib.sha256(out).hexdigest() == DEEPER_TOWER_SHA256
+    _assert_symmetric_report(
+        monkeypatch, "1001/1000", 9, 13_739_285, DEEPER_TOWER_SHA256
+    )

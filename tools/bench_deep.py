@@ -1,9 +1,9 @@
 """Time ``analyze`` on the deep end of the symmetric ladder.
 
 Runs ``analyze --family symmetric --a A`` for ``A`` in 501/500,
-1001/1000 and 2001/2000 (8, 9 and 10 tower levels), each repeat in a
-fresh Python process that imports ``lorenzmap`` from the ``src/`` of a
-checkout.  The child times ``cli.main`` with stdout captured in memory,
+1001/1000 and 2001/2000 (8, 9 and 10 tower levels) ``REPEATS`` times,
+each repeat in a fresh Python process that imports ``lorenzmap`` from
+the ``src/`` of a checkout.  The child times ``cli.main`` with stdout captured in memory,
 so interpreter start-up and pipe writes are not counted.  The result
 goes to ``BENCH_deep_<label>.json``: the Python version, the git
 revision of the checkout, and per slope the exit code, the report bytes
@@ -11,7 +11,7 @@ and sha256, every repeat's seconds, their min and median, and the
 largest peak RSS of the child processes.
 
     python tools/bench_deep.py --label change
-    python tools/bench_deep.py --label parent --checkout ../parent --repeats 3
+    python tools/bench_deep.py --label parent --checkout ../parent
 
 Run one benchmark at a time on an otherwise idle machine; 2001/2000
 writes a 60 MB report and takes seconds per repeat.
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SLOPES = ("501/500", "1001/1000", "2001/2000")
+REPEATS = 3
 
 CHILD = r"""
 import contextlib, hashlib, io, json, resource, sys, time
@@ -79,9 +80,9 @@ def run_once(checkout: Path, argv: list) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(checkout: Path, slope: str, repeats: int) -> dict:
+def measure(checkout: Path, slope: str) -> dict:
     argv = ["analyze", "--family", "symmetric", "--a", slope]
-    runs = [run_once(checkout, argv) for _ in range(repeats)]
+    runs = [run_once(checkout, argv) for _ in range(REPEATS)]
     first = runs[0]
     for run in runs[1:]:
         if (run["exit"], run["sha256"]) != (first["exit"], first["sha256"]):
@@ -105,11 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--checkout", type=Path, default=ROOT, help="repository whose src/ is timed"
     )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory of the result")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     checkout = args.checkout.resolve()
     status = git(checkout, "status", "--porcelain", "--", "src")
     result = {
@@ -118,10 +115,10 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "git_rev": git(checkout, "rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
-        "repeats": args.repeats,
-        "cases": {slope: measure(checkout, slope, args.repeats) for slope in SLOPES},
+        "repeats": REPEATS,
+        "cases": {slope: measure(checkout, slope) for slope in SLOPES},
     }
-    path = args.out / f"BENCH_deep_{args.label}.json"
+    path = ROOT / f"BENCH_deep_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for slope, case in result["cases"].items():
         print(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -411,7 +412,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged, and it names no command function:
+    :func:`main` looks the ``cmd_*`` function up when it is called.
+    """
     parser = argparse.ArgumentParser(
         prog="lorenzmap",
         description="Exact analysis of expanding Lorenz maps: minimal period, "
@@ -423,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flags(p_analyze)
     _add_config_flags(p_analyze)
     p_analyze.add_argument("--format", choices=["json", "csv"], default="json")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_classify = sub.add_parser("classify", help="backward-limit class of a point")
     _add_map_flags(p_classify)
     _add_config_flags(p_classify)
     p_classify.add_argument("--x", required=True, help="point to classify, p/q")
     p_classify.add_argument("--format", choices=["json"], default="json")
-    p_classify.set_defaults(func=cmd_classify)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep (CSV)")
     p_sweep.add_argument("--family", choices=["symmetric", "beta"], required=True)
@@ -440,18 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", required=True)
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     # deep towers carry integers of more than the default 4,300 digits,
-    # and every scalar is printed exactly (the limit exists from 3.11 on)
-    if hasattr(sys, "set_int_max_str_digits"):
+    # and every scalar is printed exactly (the limit exists from 3.11 on);
+    # the caller's limit is restored on the way out
+    limit = None
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
+        return command[args.command](args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

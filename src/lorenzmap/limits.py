@@ -26,7 +26,7 @@ from typing import Optional
 from .numerics import Interval, Scalar
 from .maps import CapExceeded, LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
 from .interval_dynamics import IntervalUnion
-from .orbits import critical_orbit_values, ranked_orbits
+from .orbits import CriticalOrbitPair
 from .renorm import Tower
 
 DEFAULT_APPROX_DEPTH = 4
@@ -62,12 +62,19 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     length ``max(RL + RR)``, ranked once, serves every level: the
     intervals are sorted and merged on the integer ranks, and exact
     values are taken only for the endpoints of the merged components.
+    The orbit is the tower's shared pair (``tower.critical``), grown to
+    that length, so the orbit the tower's first level was searched on is
+    not iterated again; a tower without it (or of another map) gets a
+    new pair.
     """
     if not tower.levels:
         return []
     length = max(level.return_left + level.return_right for level in tower.levels)
-    minus, plus = critical_orbit_values(m, length)
-    _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    critical = tower.critical
+    if critical is None or critical.m != m:
+        critical = CriticalOrbitPair(m)
+    _a, _b, c, minus_rank, plus_rank = critical.ranks(length)
+    minus, plus = critical.minus, critical.plus
     unions = []
     for level in tower.levels:
         ell, r = level.return_left, level.return_right

@@ -4,13 +4,16 @@ Every order question the analysis asks about a renormalization, from
 the pair search to the orbit unions of the tower levels, is an order
 relation between the points ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and
 ``c``.  So these values are ranked once per map, and the callers decide
-on the integer ranks.
+on the integer ranks.  One :class:`CriticalOrbitPair` per map serves the
+periodic fast path, the pair search and the orbit unions: it grows the
+orbits to the longest prefix asked for so far, so no caller iterates
+them again.
 
 The critical orbits are iterated as dyadic enclosures: integers
 ``lo <= f^i(c±)·2^P <= hi``, at a precision ``P`` fixed by the map and
-the orbit length.  Each branch is increasing and continuous, so
-evaluating it at ``lo`` rounded down and at ``hi`` rounded up encloses
-the next iterate.  Disjoint enclosures order their values outright.
+the longest orbit length it has to serve (its horizon).  Each branch is
+increasing and continuous, so evaluating it at ``lo`` rounded down and
+at ``hi`` rounded up encloses the next iterate.  Disjoint enclosures order their values outright.
 Exact ``Fraction`` iterates are computed only on demand: where an
 enclosure meets ``c`` (the branch is then decided exactly), where
 enclosures overlap while the values are ranked, and where a caller asks
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Optional
 
 from .numerics import Scalar
 from .maps import BranchLabel, LorenzMap, Side
@@ -64,68 +68,126 @@ class _ScaledBranch:
 
 
 class CriticalOrbit:
-    """``f^i(c±)`` for ``i = 0..length``: enclosures, and exact values on demand.
+    """``f^i(c±)`` for ``i = 0..len(bounds) - 1``: enclosures, and exact values on demand.
 
     ``bounds[i]`` is an integer pair ``(lo, hi)`` with
     ``lo <= f^i(c±)·2^P <= hi`` and ``word[i]`` is the branch that step
     ``i`` applies.  An orbit landing on ``c`` continues as the one-sided
     limit it is carried with, so its branch at ``c`` is the left one for
-    ``c-`` and the right one for ``c+``.  :meth:`exact` computes the exact
-    iterates up to the one asked for, once, each with the branch of its
-    step (at ``c`` that gives ``f(c-) = b`` and ``f(c+) = a``).
+    ``c-`` and the right one for ``c+``.  :meth:`extend` iterates further
+    at the same precision, up to the ``horizon`` that precision was chosen
+    for.  :meth:`exact` computes the exact iterates up to the one asked
+    for, once, each with the branch of its step (at ``c`` that gives
+    ``f(c-) = b`` and ``f(c+) = a``).
     """
 
     def __init__(
-        self, m: LorenzMap, side: Side, length: int, precision: int, branches: dict
+        self, m: LorenzMap, side: Side, precision: int, horizon: int, branches: dict
     ):
-        self.precision = precision
+        self.precision, self.horizon = precision, horizon
+        self._c, self._side, self._branches = m.c, side, branches
+        self._c_bounds = enclose(m.c, precision)
         self._exact = [m.c]
         self._functions = {BranchLabel.LEFT: m.left, BranchLabel.RIGHT: m.right}
-        self.word = word = []  # a tuple once the orbit is built; exact reads it
-        c_lo, c_hi = enclose(m.c, precision)
-        lo, hi = c_lo, c_hi
-        bounds = []
-        for i in range(length):
+        self._word: list = []
+        self.bounds = [self._c_bounds]
+
+    @property
+    def word(self) -> tuple:
+        return tuple(self._word)
+
+    def extend(self, length: int) -> None:
+        """Iterate until ``f^length(c±)`` is enclosed."""
+        if length > self.horizon:
+            raise AssertionError("past the precision horizon: build a new orbit")
+        bounds, word, c = self.bounds, self._word, self._c
+        c_lo, c_hi = self._c_bounds
+        lo, hi = bounds[-1]
+        for i in range(len(word), length):
             if hi < c_hi:
                 left = True
             elif lo > c_lo:
                 left = False
             else:  # the enclosure meets c: decide on the exact value
                 x = self.exact(i)
-                lo, hi = enclose(x, precision)
-                left = x < m.c or (x == m.c and side is Side.MINUS)
+                lo, hi = bounds[i] = enclose(x, self.precision)
+                left = x < c or (x == c and self._side is Side.MINUS)
             label = BranchLabel.LEFT if left else BranchLabel.RIGHT
-            bounds.append((lo, hi))
             word.append(label)
-            lo, hi = branches[label].image(lo, hi)
-        bounds.append((lo, hi))
-        self.bounds, self.word = bounds, tuple(word)
+            lo, hi = self._branches[label].image(lo, hi)
+            bounds.append((lo, hi))
 
     def exact(self, i: int) -> Scalar:
-        known, word, functions = self._exact, self.word, self._functions
+        known, word, functions = self._exact, self._word, self._functions
         while len(known) <= i:
             known.append(functions[word[len(known) - 1]].value(known[-1]))
         return known[i]
 
 
-def critical_orbit_values(m: LorenzMap, length: int):
+def critical_orbit_values(
+    m: LorenzMap, length: int, horizon: int = 0, grow: Optional[tuple] = None
+):
     """The orbits of ``c-`` and ``c+`` for ``i = 0..length``, as ``CriticalOrbit``.
 
-    The precision gives every step room for the largest slope: a step
-    multiplies an enclosure's width by at most that slope and adds under
-    two units of rounding, so after ``length`` steps the width is still
-    below about ``2·length·2^-64`` in the map's own coordinates.
+    The precision covers ``H = max(length, horizon)`` steps: a step
+    multiplies an enclosure's width by at most the largest slope and adds
+    under two units of rounding, so after ``H`` steps the width is still
+    below about ``2·H·2^-64`` in the map's own coordinates.  ``grow``, a
+    pair this function returned before, is extended to ``length`` steps
+    in place instead of building a new one.
     """
-    steepest = max(m.left.slopes + m.right.slopes)
-    precision = _GUARD_BITS + length * (math.ceil(steepest) - 1).bit_length()
-    branches = {
-        BranchLabel.LEFT: _ScaledBranch(m.left, precision),
-        BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
-    }
-    return tuple(
-        CriticalOrbit(m, side, length, precision, branches)
-        for side in (Side.MINUS, Side.PLUS)
-    )
+    if grow is None:
+        horizon = max(length, horizon)
+        steepest = max(m.left.slopes + m.right.slopes)
+        precision = _GUARD_BITS + horizon * (math.ceil(steepest) - 1).bit_length()
+        branches = {
+            BranchLabel.LEFT: _ScaledBranch(m.left, precision),
+            BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
+        }
+        grow = tuple(
+            CriticalOrbit(m, side, precision, horizon, branches)
+            for side in (Side.MINUS, Side.PLUS)
+        )
+    for orbit in grow:
+        orbit.extend(length)
+    return grow
+
+
+class CriticalOrbitPair:
+    """The critical orbits of one map, shared by its callers and grown on demand.
+
+    :meth:`ranks` iterates ``minus`` and ``plus`` to the length asked for.
+    Within the precision horizon of the pair held, the orbits are
+    extended; a request past it builds a new pair at the precision for
+    ``max(length, horizon)`` steps, so the enclosures are never stretched
+    beyond the length their precision covers.  The joint ranks of
+    :func:`ranked_orbits` are computed once per length; ranks of a
+    longer orbit order the shorter prefix just as exactly.
+    """
+
+    def __init__(self, m: LorenzMap):
+        self.m = m
+        self.minus = self.plus = None
+        self._ranks = None
+
+    def grow(self, length: int, horizon: int = 0) -> tuple:
+        """``(minus, plus)``, iterated at least ``length`` steps."""
+        if self.minus is None or length > self.minus.horizon:
+            pair = critical_orbit_values(self.m, length, horizon)
+        elif length >= len(self.minus.bounds):
+            pair = critical_orbit_values(self.m, length, grow=(self.minus, self.plus))
+        else:
+            return self.minus, self.plus
+        self.minus, self.plus = pair
+        self._ranks = None
+        return pair
+
+    def ranks(self, length: int, horizon: int = 0) -> tuple:
+        """:func:`ranked_orbits` of the orbits grown to at least ``length`` steps."""
+        minus, plus = self.grow(length, horizon)
+        if self._ranks is None:
+            self._ranks = ranked_orbits(self.m, minus, plus)
+        return self._ranks
 
 
 def rank_values(bounds, exact) -> list:

@@ -7,7 +7,8 @@ the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
 unique.  It is found from the affine pieces of the kappa-th iterate on
 ``[a, b]`` (:func:`~lorenzmap.maps.affine_pieces`, the one composition
 primitive: cylinders cut at preimages of ``c`` and of internal
-breakpoints) by solving ``s·x + t = x`` on each piece exactly.
+breakpoints) by solving ``s·x + t = x`` on each piece exactly, and
+each solution's orbit is iterated once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .maps import (
     affine_pieces,
     evaluate,
     inverse_images,
-    iterate,
+    orbit_values,
 )
 
 DEFAULT_BACKWARD_CAP = 10_000
@@ -129,37 +130,16 @@ def _divisors(n: int) -> list:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _normalize_candidate(m: LorenzMap, x: Scalar, lo, hi, n: int) -> Optional[SidedPoint]:
-    """Turn a per-cylinder affine solution into a verified periodic point.
-
-    Interior solutions are plain points.  A solution sitting on a
-    cylinder endpoint whose orbit hits ``c`` exactly is the one-sided
-    point that endpoint stands for (``+`` at a left endpoint, ``-`` at
-    a right endpoint).
-    """
-    try:
-        if iterate(m, SidedPoint(x), n).x == x:
-            return SidedPoint(x)
-        return None
-    except SideRequired:
-        pass
-    side = Side.PLUS if x == lo else Side.MINUS if x == hi else None
-    if side is None:
-        raise AssertionError("interior cylinder point hit the discontinuity")
-    p = SidedPoint(x, side)
-    if iterate(m, p, n).x == x:
-        return p
-    return None
-
-
-def periodic_points(
-    m: LorenzMap, n: int, budget: int = DEFAULT_BRANCH_BUDGET
-) -> list:
-    """All fixed points of ``f^n`` with their least periods, ascending.
+def _periodic_orbits(m: LorenzMap, n: int, budget: int) -> list:
+    """``(p, least period, [p.x, ..., f^n(p)])`` per fixed point of ``f^n``, ascending.
 
     Each affine cylinder of ``f^n`` carries at most one solution because
-    every slope exceeds 1.  Orbits through exact hits of ``c`` appear as
-    one-sided points.
+    every slope exceeds 1.  Interior solutions are plain points.  A
+    solution sitting on a cylinder endpoint whose orbit hits ``c``
+    exactly is the one-sided point that endpoint stands for (``+`` at a
+    left endpoint, ``-`` at a right endpoint).  Each point's orbit is
+    iterated once; the fixed-point check and the least period (the least
+    ``d | n`` with ``f^d(p) = p``) are read off it.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
@@ -170,15 +150,31 @@ def periodic_points(
         x = t / (1 - s)
         if not (lo <= x <= hi):
             continue
-        p = _normalize_candidate(m, x, lo, hi, n)
-        if p is None:
+        p = SidedPoint(x)
+        try:
+            values = orbit_values(m, p, n)
+        except SideRequired:
+            if x not in (lo, hi):
+                raise AssertionError(
+                    "interior cylinder point hit the discontinuity"
+                ) from None
+            p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
+            values = orbit_values(m, p, n)
+        if values[n] != x or (x, p.side) in found:
             continue
-        key = (p.x, p.side)
-        if key in found:
-            continue
-        least = next(d for d in _divisors(n) if iterate(m, p, d).x == p.x)
-        found[key] = (p, least)
+        least = next(d for d in _divisors(n) if values[d] == x)
+        found[(x, p.side)] = (p, least, values)
     return sorted(found.values(), key=lambda item: item[0].x)
+
+
+def periodic_points(
+    m: LorenzMap, n: int, budget: int = DEFAULT_BRANCH_BUDGET
+) -> list:
+    """All fixed points of ``f^n`` with their least periods, ascending.
+
+    Orbits through exact hits of ``c`` appear as one-sided points.
+    """
+    return [(p, least) for p, least, _values in _periodic_orbits(m, n, budget)]
 
 
 def minimal_periodic_orbit(
@@ -187,21 +183,17 @@ def minimal_periodic_orbit(
     """The unique orbit of least period ``kappa`` (1 < kappa < ∞)."""
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
-    candidates = periodic_points(m, kappa, budget)
-    if any(least < kappa for _, least in candidates):
+    candidates = _periodic_orbits(m, kappa, budget)
+    if any(least < kappa for _, least, _values in candidates):
         raise ValueError(
             "points of period below kappa exist; kappa is not the minimal period"
         )
     orbits = []
     seen = set()
-    for p, _ in candidates:
+    for p, _, values in candidates:
         if (p.x, p.side) in seen:
             continue
-        orbit = [p]
-        q = p
-        for _ in range(kappa - 1):
-            q = SidedPoint(evaluate(m, q), q.side)
-            orbit.append(q)
+        orbit = [SidedPoint(x, p.side) for x in values[:kappa]]
         for q in orbit:
             seen.add((q.x, q.side))
         orbits.append(sorted(orbit, key=lambda sp: sp.x))

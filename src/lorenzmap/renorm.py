@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -46,7 +46,7 @@ from .maps import (
     orbit_values,
     rescale_to_unit,
 )
-from .orbits import critical_orbit_values, ranked_orbits
+from .orbits import CriticalOrbitPair, critical_orbit_values, ranked_orbits
 from .periods import (
     MinimalPeriodResult,
     PeriodicOrbit,
@@ -205,6 +205,7 @@ def periodic_renorm_check(
     m: LorenzMap,
     period: Optional[MinimalPeriodResult] = None,
     orbit: Optional[PeriodicOrbit] = None,
+    critical: Optional[CriticalOrbitPair] = None,
 ) -> PeriodicRenormResult:
     """Fast periodicity test: does the minimal orbit flank the return images?
 
@@ -212,20 +213,23 @@ def periodic_renorm_check(
     periodic exactly when the return images of ``c+``/``c-`` lie inside the closed
     interval between the orbit points flanking ``c``; boundary touching
     counts (the degenerate case still yields a valid first-return map).
+    The critical orbits are grown to ``kappa`` steps in ``critical``, the
+    map's shared pair, when one is given.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa is None or period.kappa <= 1:
         raise ValueError("the fast path needs a finite minimal period > 1")
     kappa = period.kappa
     orbit = orbit if orbit is not None else minimal_periodic_orbit(m, kappa)
-    minus, plus = critical_orbit_values(m, kappa)
+    critical = critical if critical is not None else CriticalOrbitPair(m)
+    minus, plus = critical.grow(kappa)
     u, v = plus.exact(kappa), minus.exact(kappa)
     witness = ((u, v), (orbit.flank_left, orbit.flank_right))
     if not (orbit.flank_left <= u and v <= orbit.flank_right):
         return PeriodicRenormResult(False, None, witness)
     if not (u < m.c < v):
         raise AssertionError("flanked return images do not straddle c")
-    left_word, right_word = minus.word, plus.word
+    left_word, right_word = minus.word[:kappa], plus.word[:kappa]
     inner = rescale_to_unit(m, Interval.closed(u, v), (kappa, kappa))
     step = RenormStep(
         kappa,
@@ -292,16 +296,31 @@ def _record_times(c, minus, plus, bound: int) -> tuple:
     return left, right
 
 
-def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
-    minus, plus = critical_orbit_values(m, 2 * bound)
-    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+def _search_pairs(
+    m: LorenzMap, bound: int, critical: Optional[CriticalOrbitPair] = None
+) -> Optional[RenormStep]:
+    """The first valid pair of record times in ``[2, bound]``, or None.
+
+    The record times need the first ``bound`` steps of the critical
+    orbits, and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the
+    orbits in ``critical`` (the map's shared pair, or a new one) are grown
+    to ``bound`` steps and then only to ``max(L) + max(R)``, at a
+    precision chosen for ``2·bound`` steps so that growing never rebuilds
+    them.
+    """
+    critical = critical if critical is not None else CriticalOrbitPair(m)
+    horizon = 2 * bound
+    _a, _b, c, minus_rank, plus_rank = critical.ranks(bound, horizon)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
+    if not (left and right):
+        return None
+    a, b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1], horizon)
     # increasing ell + r, ties by ell: the order of the full walk
     for ell, r in sorted(
         ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
     ):
         if _pair_failure(a, b, c, ell, r, minus_rank, plus_rank) is None:
-            return _build_step(m, ell, r, minus, plus)
+            return _build_step(m, ell, r, critical.minus, critical.plus)
     return None
 
 
@@ -310,6 +329,7 @@ def minimal_renormalization(
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
     orbit: Optional[PeriodicOrbit] = None,
+    critical: Optional[CriticalOrbitPair] = None,
 ) -> MinimalRenormResult:
     """The coordinatewise-minimal renormalization, or bounded prime evidence.
 
@@ -319,18 +339,20 @@ def minimal_renormalization(
     every other one, so the first valid pair found this way is it.  Only
     pairs of critical-orbit record times are ruled on: every valid pair
     is one (see :func:`_record_times`), so skipping the others changes
-    neither the pair found nor the "prime up to bound" answer.
+    neither the pair found nor the "prime up to bound" answer.  Both
+    paths read the critical orbits of one pair, ``critical`` when given.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
         return MinimalRenormResult(None, None, True, False, period, None)
+    critical = critical if critical is not None else CriticalOrbitPair(m)
     if period.kappa is not None:
         if orbit is None:
             orbit = minimal_periodic_orbit(m, period.kappa)
-        fast = periodic_renorm_check(m, period, orbit)
+        fast = periodic_renorm_check(m, period, orbit, critical)
         if fast.periodic:
             return MinimalRenormResult(fast.step, None, False, True, period, orbit)
-    step = _search_pairs(m, bound)
+    step = _search_pairs(m, bound, critical)
     if step is not None:
         return MinimalRenormResult(step, None, False, False, period, orbit)
     return MinimalRenormResult(None, bound, False, False, period, orbit)
@@ -363,10 +385,20 @@ class TowerLevel:
 
 @dataclass(frozen=True)
 class Tower:
+    """The levels, why the tower ended, and the base map's critical orbits.
+
+    ``critical`` is the base map's shared :class:`CriticalOrbitPair`, as
+    grown while the first level was searched; the orbit unions grow it
+    further instead of iterating the critical orbits again.
+    """
+
     levels: tuple
     terminal: TowerTerminal
     bound: int
     level_cap: int
+    critical: Optional[CriticalOrbitPair] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -390,16 +422,18 @@ def renorm_tower(
     g = m
     scale, shift = Fraction(1), Fraction(0)
     cost_left, cost_right = 1, 1
+    critical = base = CriticalOrbitPair(m)
     for index in range(1, level_cap + 1):
-        result = minimal_renormalization(g, bound, period, orbit)
-        period = orbit = None  # precomputed data applies to the base map only
+        result = minimal_renormalization(g, bound, period, orbit, critical)
+        # precomputed data applies to the base map only
+        period = orbit = critical = None
         if not result.found:
             terminal = (
                 TowerTerminal.PERIOD_CAP_REACHED
                 if result.period.undetermined
                 else TowerTerminal.PRIME_UP_TO_BOUND
             )
-            return Tower(tuple(levels), terminal, bound, level_cap)
+            return Tower(tuple(levels), terminal, bound, level_cap, base)
         step = result.step
         return_left = sum(
             cost_left if lab is BranchLabel.LEFT else cost_right
@@ -424,7 +458,9 @@ def renorm_tower(
         scale = scale * (step.v - step.u)
         cost_left, cost_right = return_left, return_right
         g = step.inner_map
-    return Tower(tuple(levels), TowerTerminal.LEVEL_CAP_REACHED, bound, level_cap)
+    return Tower(
+        tuple(levels), TowerTerminal.LEVEL_CAP_REACHED, bound, level_cap, base
+    )
 
 
 class Trichotomy(enum.Enum):

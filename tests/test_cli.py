@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from lorenzmap.cli import main
+from lorenzmap import cli
+from lorenzmap.cli import build_parser, main
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
 
@@ -345,3 +347,62 @@ def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
         "status": "invalid-map",
     }
 
+
+
+def _clear_config_env(monkeypatch):
+    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
+        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    _clear_config_env(monkeypatch)
+    assert build_parser() is build_parser()
+    map_flags = ["analyze", "--family", "symmetric", "--a", "3/2"]
+    code, out = run_cli(capsys, *map_flags, "--l-max", "8")
+    assert code == 0 and json.loads(out)["config"]["l_max"] == 8
+    code, out = run_cli(capsys, *map_flags)
+    assert code == 0 and json.loads(out)["config"]["l_max"] == 64
+    code, out = run_cli(capsys, *map_flags, "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == ",".join(cli.SWEEP_COLUMNS)
+    code, out = run_cli(capsys, *map_flags)
+    assert code == 0 and json.loads(out)["tower"]["bound"] == 64
+
+
+def test_command_is_looked_up_when_main_runs(capsys, monkeypatch):
+    # wrappers installed on cli.cmd_* after the parser was first built are
+    # the ones dispatched
+    run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
+    seen = []
+
+    def replacement(args):
+        seen.append((args.command, args.a))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_analyze", replacement)
+    code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
+    assert (code, out, seen) == (7, "", [("analyze", "6/5")])
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "symmetric", "--a", "6/5"],
+        ["analyze", "--family", "symmetric"],  # exit 2 inside the command
+        ["analyze", "--no-such-flag"],  # argparse exits
+    ],
+)
+def test_main_restores_the_int_digit_limit(capsys, argv):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,6 +16,7 @@ from lorenzmap.maps import (
 )
 from lorenzmap.interval_dynamics import image_union, interval_orbit
 from lorenzmap.numerics import Interval
+from lorenzmap.orbits import CriticalOrbitPair
 from lorenzmap.renorm import (
     RenormStep,
     Tower,
@@ -102,6 +104,22 @@ def test_orbit_unions_match_interval_orbit(sample_maps):
 @given(multi_piece_maps(near_unit=True))
 def test_orbit_unions_match_interval_orbit_on_random_maps(m):
     _assert_unions_match_interval_orbit(m, renorm_tower(m, level_cap=4, bound=24))
+
+
+def test_orbit_unions_grow_the_towers_critical_orbits():
+    m = symmetric_map(F(11, 10))
+    tower = renorm_tower(m)
+    # the fast path grew the base pair to kappa = 2 steps; the two levels'
+    # unions need RL + RR = 4 + 4 steps, past that pair's horizon
+    assert [(lv.return_left, lv.return_right) for lv in tower.levels] == [(2, 2), (4, 4)]
+    assert len(tower.critical.minus.bounds) == 3
+    unions = orbit_unions(m, tower)
+    assert len(tower.critical.minus.bounds) == 9
+    minus = tower.critical.minus
+    assert orbit_unions(m, tower) == unions and tower.critical.minus is minus
+    # a tower without its pair, or holding another map's, gets a new pair
+    for critical in (None, CriticalOrbitPair(symmetric_map(F(6, 5)))):
+        assert orbit_unions(m, dataclasses.replace(tower, critical=critical)) == unions
 
 
 def test_orbit_unions_of_a_prime_map_are_empty():

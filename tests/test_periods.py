@@ -3,17 +3,23 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
 
 from lorenzmap.maps import (
     Side,
     SidedPoint,
+    SideRequired,
+    affine_pieces,
     beta_transformation,
+    evaluate,
     iterate,
     parse_map_text,
     symmetric_map,
 )
 from lorenzmap.periods import (
     BranchBudgetExceeded,
+    PeriodicOrbit,
+    UniquenessViolated,
     fixed_points,
     minimal_period,
     minimal_periodic_orbit,
@@ -23,6 +29,7 @@ from lorenzmap.periods import (
 from conftest import (
     beta_params,
     map_piece_table,
+    multi_piece_maps,
     sym_params,
     two_piece_table,
     word_periodic_points,
@@ -150,3 +157,83 @@ def test_periodic_points_budget():
 def test_minimal_orbit_rejects_wrong_period():
     with pytest.raises(ValueError):
         minimal_periodic_orbit(symmetric_map(F(3, 2)), 4)  # least period 2 exists
+
+
+def _straight_minimal_orbit(m, kappa):
+    """``minimal_periodic_orbit`` step by step, or the exception type it raises.
+
+    Every affine solution of ``f^kappa`` is checked with ``iterate``, its
+    least period is the least divisor ``d`` with ``iterate(m, p, d)`` back
+    at ``p``, and its orbit is walked with ``evaluate``.
+    """
+    found = {}
+    for lo, hi, s, t, _word in affine_pieces(m, m.a, m.b, kappa):
+        if s == 1 or not lo <= (x := t / (1 - s)) <= hi:
+            continue
+        p = SidedPoint(x)
+        try:
+            iterate(m, p, kappa)
+        except SideRequired:
+            assert x in (lo, hi)
+            p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
+        if iterate(m, p, kappa).x != x:
+            continue
+        divisors = [d for d in range(1, kappa + 1) if kappa % d == 0]
+        least = next(d for d in divisors if iterate(m, p, d).x == x)
+        found.setdefault((p.x, p.side), (p, least))
+    if any(least < kappa for _p, least in found.values()):
+        return ValueError
+    orbits = set()
+    for p, _least in found.values():
+        orbit = [p]
+        while len(orbit) < kappa:
+            orbit.append(SidedPoint(evaluate(m, orbit[-1]), p.side))
+        orbits.add(tuple(sorted(orbit, key=lambda q: q.x)))
+    if len(orbits) != 1:
+        return UniquenessViolated
+    (points,) = orbits
+    left = [q.x < m.c or (q.x == m.c and q.side is Side.MINUS) for q in points]
+    if all(left) or not any(left):
+        return UniquenessViolated
+    itinerary = "".join("L" if is_left else "R" for is_left in left)
+    flank_left = max(q.x for q, is_left in zip(points, left) if is_left)
+    flank_right = min(q.x for q, is_left in zip(points, left) if not is_left)
+    return PeriodicOrbit(points, kappa, itinerary, flank_left, flank_right)
+
+
+def _assert_minimal_orbit_is_straight(m, kappa):
+    expected = _straight_minimal_orbit(m, kappa)
+    if isinstance(expected, PeriodicOrbit):
+        assert minimal_periodic_orbit(m, kappa) == expected
+    else:
+        with pytest.raises(expected):
+            minimal_periodic_orbit(m, kappa)
+    return expected
+
+
+def test_minimal_orbit_matches_straight_reference(sample_maps):
+    maps = [m for _family, _p1, _p2, m in sample_maps]
+    maps += [
+        parse_map_text(path.read_text(encoding="utf-8"))
+        for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
+    ]
+    maps.append(beta_transformation(F(6, 5), F(19, 55)))  # 2-orbit through c-
+    orbits, other_periods = [], []
+    for m in maps:
+        kappa = minimal_period(m).kappa
+        assert kappa is not None and kappa > 1
+        orbits.append(_assert_minimal_orbit_is_straight(m, kappa))
+        if kappa <= 5:  # another period must give the same orbit or error
+            for n in (kappa + 1, 2 * kappa):
+                other_periods.append(_assert_minimal_orbit_is_straight(m, n))
+    assert all(isinstance(o, PeriodicOrbit) for o in orbits)
+    assert any(p.side is not None for o in orbits for p in o.points)
+    assert {ValueError, UniquenessViolated} <= set(other_periods)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_piece_maps(near_unit=True))
+def test_minimal_orbit_matches_straight_reference_on_random_maps(m):
+    kappa = minimal_period(m, 200).kappa
+    assume(kappa is not None and 1 < kappa <= 40)
+    _assert_minimal_orbit_is_straight(m, kappa)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzmap import renorm
+from lorenzmap import orbits
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -35,7 +35,8 @@ from lorenzmap.renorm import (
     _search_pairs,
     critical_orbit_values,
 )
-from lorenzmap.orbits import enclose, rank_values, ranked_orbits
+from lorenzmap.cli import main
+from lorenzmap.orbits import CriticalOrbitPair, enclose, rank_values, ranked_orbits
 
 from conftest import multi_piece_maps, piece_map
 
@@ -353,16 +354,104 @@ def test_orbit_landing_on_c_is_decided_exactly():
 
 def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
     lengths = []
-    traced = renorm.critical_orbit_values
+    traced = orbits.critical_orbit_values
 
-    def recording(m, length):
+    def recording(m, length, *args, **kwargs):
         lengths.append(length)
-        return traced(m, length)
+        return traced(m, length, *args, **kwargs)
 
-    monkeypatch.setattr(renorm, "critical_orbit_values", recording)
+    # the map's shared critical-orbit pair builds and grows its orbits here
+    monkeypatch.setattr(orbits, "critical_orbit_values", recording)
     result = periodic_renorm_check(symmetric_map(F(6, 5)))
     assert result.periodic and lengths == [2]
     assert result.step.left_word == (BranchLabel.LEFT, BranchLabel.RIGHT)
+
+
+def _base_orbit_builds(monkeypatch, capsys, base, argv):
+    """Precision horizons of the critical-orbit pairs that one ``analyze``
+    builds for its base map, in build order (growing a pair builds none)."""
+    built = []
+    original = orbits.critical_orbit_values
+
+    def recording(m, length, horizon=None, grow=None):
+        pair = original(m, length, horizon, grow)
+        if grow is None and m == base:
+            built.append(pair[0].horizon)
+        return pair
+
+    monkeypatch.setattr(orbits, "critical_orbit_values", recording)
+    assert main(argv) in (0, 4)
+    capsys.readouterr()
+    return built
+
+
+@pytest.mark.parametrize(
+    "base, flags, horizons",
+    [
+        # fast path at kappa = 2, then the unions of 7 levels: 2·2^7 steps
+        (symmetric_map(F(198, 197)), ["--family", "symmetric", "--a", "198/197"], [2, 256]),
+        # fast path fails, the search runs on a pair with horizon 2·bound
+        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [2, 128]),
+        # minimal period capped: the search finds level 1, and the unions
+        # grow the same pair instead of building another
+        (
+            beta_transformation(F(23, 20), F(7, 40)),
+            ["--family", "beta", "--beta", "23/20", "--alpha", "7/40", "--hit-cap", "1"],
+            [128],
+        ),
+    ],
+)
+def test_analyze_builds_base_orbits_once_per_horizon(
+    monkeypatch, capsys, base, flags, horizons
+):
+    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
+        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+    assert _base_orbit_builds(monkeypatch, capsys, base, ["analyze", *flags]) == horizons
+
+
+def test_grown_orbit_equals_one_built_at_its_length(ranking_corpus):
+    for m in ranking_corpus[:40]:
+        minus, plus = critical_orbit_values(m, 5, 30)
+        for length in (5, 17, 30):
+            critical_orbit_values(m, length, grow=(minus, plus))
+            fresh = critical_orbit_values(m, length, 30)
+            for grown, built in zip((minus, plus), fresh):
+                assert grown.precision == built.precision
+                assert grown.bounds == built.bounds and grown.word == built.word
+        with pytest.raises(AssertionError):
+            minus.extend(31)
+
+
+def test_pair_rebuilds_past_its_precision_horizon():
+    critical = CriticalOrbitPair(symmetric_map(F(11, 10)))
+    minus, _plus = critical.grow(4, 10)
+    assert (minus.horizon, len(minus.bounds)) == (10, 5)
+    assert critical.grow(10)[0] is minus and len(minus.bounds) == 11
+    assert critical.grow(3)[0] is minus and len(minus.bounds) == 11
+    wider, _plus = critical.grow(12)
+    assert wider is not minus and wider.horizon == 12
+    assert wider.precision > minus.precision and len(wider.bounds) == 13
+
+
+def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):
+    past_bound = found_past_bound = 0
+    for m in ranking_corpus:
+        for bound in (3, 6, 12, 24):
+            critical = CriticalOrbitPair(m)
+            step = _search_pairs(m, bound, critical)
+            assert step == _exact_search(m, bound)
+            *_abc, c, minus_rank, plus_rank = ranked_orbits(
+                m, *critical_orbit_values(m, bound)
+            )
+            left, right = _record_times(c, minus_rank, plus_rank, bound)
+            need = left[-1] + right[-1] if left and right else 0
+            assert len(critical.minus.bounds) == max(bound, need) + 1
+            assert critical.minus.horizon == 2 * bound
+            if need > bound:
+                past_bound += 1
+                found_past_bound += step is not None and step.ell + step.r > bound
+    # 378 and 55 on this corpus
+    assert past_bound >= 300 and found_past_bound >= 40
 
 
 def test_near_unit_draws_often_renormalize():

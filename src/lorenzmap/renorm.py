@@ -214,7 +214,9 @@ def periodic_renorm_check(
     interval between the orbit points flanking ``c``; boundary touching
     counts (the degenerate case still yields a valid first-return map).
     The critical orbits are grown to ``kappa`` steps in ``critical``, the
-    map's shared pair, when one is given.
+    map's shared pair, when one is given, at a precision for ``2·kappa``
+    steps: a level with return times ``(kappa, kappa)`` has an orbit
+    union that reads that many.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa is None or period.kappa <= 1:
@@ -222,7 +224,7 @@ def periodic_renorm_check(
     kappa = period.kappa
     orbit = orbit if orbit is not None else minimal_periodic_orbit(m, kappa)
     critical = critical if critical is not None else CriticalOrbitPair(m)
-    minus, plus = critical.grow(kappa)
+    minus, plus = critical.grow(kappa, 2 * kappa)
     u, v = plus.exact(kappa), minus.exact(kappa)
     witness = ((u, v), (orbit.flank_left, orbit.flank_right))
     if not (orbit.flank_left <= u and v <= orbit.flank_right):

@@ -109,12 +109,12 @@ def test_orbit_unions_match_interval_orbit_on_random_maps(m):
 def test_orbit_unions_grow_the_towers_critical_orbits():
     m = symmetric_map(F(11, 10))
     tower = renorm_tower(m)
-    # the fast path grew the base pair to kappa = 2 steps; the two levels'
-    # unions need RL + RR = 4 + 4 steps, past that pair's horizon
+    # the fast path grew the base pair to kappa = 2 steps, at a precision
+    # for 4; the two levels' unions need RL + RR = 4 + 4 steps, past it
     assert [(lv.return_left, lv.return_right) for lv in tower.levels] == [(2, 2), (4, 4)]
-    assert len(tower.critical.minus.bounds) == 3
+    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (3, 4)
     unions = orbit_unions(m, tower)
-    assert len(tower.critical.minus.bounds) == 9
+    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (9, 8)
     minus = tower.critical.minus
     assert orbit_unions(m, tower) == unions and tower.critical.minus is minus
     # a tower without its pair, or holding another map's, gets a new pair

@@ -388,10 +388,13 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
 @pytest.mark.parametrize(
     "base, flags, horizons",
     [
-        # fast path at kappa = 2, then the unions of 7 levels: 2·2^7 steps
-        (symmetric_map(F(198, 197)), ["--family", "symmetric", "--a", "198/197"], [2, 256]),
+        # the fast path at kappa = 2 builds for the unions of its level,
+        # which grow the same pair to 2·kappa steps
+        (symmetric_map(F(6, 5)), ["--family", "symmetric", "--a", "6/5"], [4]),
+        # the unions of 7 levels read 2·2^7 steps, past that horizon
+        (symmetric_map(F(198, 197)), ["--family", "symmetric", "--a", "198/197"], [4, 256]),
         # fast path fails, the search runs on a pair with horizon 2·bound
-        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [2, 128]),
+        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [4, 128]),
         # minimal period capped: the search finds level 1, and the unions
         # grow the same pair instead of building another
         (

@@ -13,11 +13,11 @@ The critical orbits are iterated as dyadic enclosures: integers
 ``lo <= f^i(c±)·2^P <= hi``, at a precision ``P`` fixed by the map and
 the longest orbit length it has to serve (its horizon).  Each branch is
 increasing and continuous, so evaluating it at ``lo`` rounded down and
-at ``hi`` rounded up encloses the next iterate.  Disjoint enclosures order their values outright.
-Exact ``Fraction`` iterates are computed only on demand: where an
-enclosure meets ``c`` (the branch is then decided exactly), where
-enclosures overlap while the values are ranked, and where a caller asks
-for a value.  So every decision is still exact.
+at ``hi`` rounded up encloses the next iterate.  Disjoint enclosures
+order their values outright.  Exact ``Fraction`` iterates are computed
+only on demand: where an enclosure meets ``c`` (the branch is then
+decided exactly), where enclosures overlap while the values are ranked,
+and where a caller asks for a value.  So every decision is still exact.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class _ScaledBranch:
 
 
 class CriticalOrbit:
-    """``f^i(c±)`` for ``i = 0..len(bounds) - 1``: enclosures, and exact values on demand.
+    """``f^i(c±)`` for ``i < len(bounds)``: enclosures, and exact values on demand.
 
     ``bounds[i]`` is an integer pair ``(lo, hi)`` with
     ``lo <= f^i(c±)·2^P <= hi`` and ``word[i]`` is the branch that step
@@ -100,7 +100,7 @@ class CriticalOrbit:
         """Iterate until ``f^length(c±)`` is enclosed."""
         if length > self.horizon:
             raise AssertionError("past the precision horizon: build a new orbit")
-        bounds, word, c = self.bounds, self._word, self._c
+        bounds, word, branches, c = self.bounds, self._word, self._branches, self._c
         c_lo, c_hi = self._c_bounds
         lo, hi = bounds[-1]
         for i in range(len(word), length):
@@ -114,7 +114,7 @@ class CriticalOrbit:
                 left = x < c or (x == c and self._side is Side.MINUS)
             label = BranchLabel.LEFT if left else BranchLabel.RIGHT
             word.append(label)
-            lo, hi = self._branches[label].image(lo, hi)
+            lo, hi = branches[label].image(lo, hi)
             bounds.append((lo, hi))
 
     def exact(self, i: int) -> Scalar:
@@ -156,7 +156,7 @@ def critical_orbit_values(
 class CriticalOrbitPair:
     """The critical orbits of one map, shared by its callers and grown on demand.
 
-    :meth:`ranks` iterates ``minus`` and ``plus`` to the length asked for.
+    :meth:`grow` iterates ``minus`` and ``plus`` to the length asked for.
     Within the precision horizon of the pair held, the orbits are
     extended; a request past it builds a new pair at the precision for
     ``max(length, horizon)`` steps, so the enclosures are never stretched

@@ -111,7 +111,8 @@ def test_orbit_unions_grow_the_towers_critical_orbits():
     tower = renorm_tower(m)
     # the fast path grew the base pair to kappa = 2 steps, at a precision
     # for 4; the two levels' unions need RL + RR = 4 + 4 steps, past it
-    assert [(lv.return_left, lv.return_right) for lv in tower.levels] == [(2, 2), (4, 4)]
+    returns = [(level.return_left, level.return_right) for level in tower.levels]
+    assert returns == [(2, 2), (4, 4)]
     assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (3, 4)
     unions = orbit_unions(m, tower)
     assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (9, 8)

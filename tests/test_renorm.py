@@ -392,14 +392,19 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
         # which grow the same pair to 2·kappa steps
         (symmetric_map(F(6, 5)), ["--family", "symmetric", "--a", "6/5"], [4]),
         # the unions of 7 levels read 2·2^7 steps, past that horizon
-        (symmetric_map(F(198, 197)), ["--family", "symmetric", "--a", "198/197"], [4, 256]),
+        (
+            symmetric_map(F(198, 197)),
+            ["--family", "symmetric", "--a", "198/197"],
+            [4, 256],
+        ),
         # fast path fails, the search runs on a pair with horizon 2·bound
         (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [4, 128]),
         # minimal period capped: the search finds level 1, and the unions
         # grow the same pair instead of building another
         (
             beta_transformation(F(23, 20), F(7, 40)),
-            ["--family", "beta", "--beta", "23/20", "--alpha", "7/40", "--hit-cap", "1"],
+            ["--family", "beta", "--beta", "23/20", "--alpha", "7/40"]
+            + ["--hit-cap", "1"],
             [128],
         ),
     ],
@@ -409,7 +414,8 @@ def test_analyze_builds_base_orbits_once_per_horizon(
 ):
     for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
         monkeypatch.delenv(f"LORENZ_{key}", raising=False)
-    assert _base_orbit_builds(monkeypatch, capsys, base, ["analyze", *flags]) == horizons
+    built = _base_orbit_builds(monkeypatch, capsys, base, ["analyze", *flags])
+    assert built == horizons
 
 
 def test_grown_orbit_equals_one_built_at_its_length(ranking_corpus):

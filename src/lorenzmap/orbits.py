@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional
 
 from .numerics import Scalar
 from .maps import BranchLabel, LorenzMap, Side
@@ -124,45 +123,42 @@ class CriticalOrbit:
         return known[i]
 
 
-def critical_orbit_values(
-    m: LorenzMap, length: int, horizon: int = 0, grow: Optional[tuple] = None
-):
+def critical_orbit_values(m: LorenzMap, length: int, horizon: int = 0):
     """The orbits of ``c-`` and ``c+`` for ``i = 0..length``, as ``CriticalOrbit``.
 
     The precision covers ``H = max(length, horizon)`` steps: a step
     multiplies an enclosure's width by at most the largest slope and adds
     under two units of rounding, so after ``H`` steps the width is still
-    below about ``2·H·2^-64`` in the map's own coordinates.  ``grow``, a
-    pair this function returned before, is extended to ``length`` steps
-    in place instead of building a new one.
+    below about ``2·H·2^-64`` in the map's own coordinates.
     """
-    if grow is None:
-        horizon = max(length, horizon)
-        steepest = max(m.left.slopes + m.right.slopes)
-        precision = _GUARD_BITS + horizon * (math.ceil(steepest) - 1).bit_length()
-        branches = {
-            BranchLabel.LEFT: _ScaledBranch(m.left, precision),
-            BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
-        }
-        grow = tuple(
-            CriticalOrbit(m, side, precision, horizon, branches)
-            for side in (Side.MINUS, Side.PLUS)
-        )
-    for orbit in grow:
+    horizon = max(length, horizon)
+    steepest = max(m.left.slopes + m.right.slopes)
+    precision = _GUARD_BITS + horizon * (math.ceil(steepest) - 1).bit_length()
+    branches = {
+        BranchLabel.LEFT: _ScaledBranch(m.left, precision),
+        BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
+    }
+    pair = tuple(
+        CriticalOrbit(m, side, precision, horizon, branches)
+        for side in (Side.MINUS, Side.PLUS)
+    )
+    for orbit in pair:
         orbit.extend(length)
-    return grow
+    return pair
 
 
 class CriticalOrbitPair:
     """The critical orbits of one map, shared by its callers and grown on demand.
 
     :meth:`grow` iterates ``minus`` and ``plus`` to the length asked for.
-    Within the precision horizon of the pair held, the orbits are
-    extended; a request past it builds a new pair at the precision for
-    ``max(length, horizon)`` steps, so the enclosures are never stretched
-    beyond the length their precision covers.  The joint ranks of
-    :func:`ranked_orbits` are computed once per length; ranks of a
-    longer orbit order the shorter prefix just as exactly.
+    While ``max(length, horizon)`` stays within the precision horizon of
+    the pair held, the orbits are extended in place; past it a new pair
+    is built at the precision for ``max(length, horizon)`` steps, so the
+    enclosures are never stretched beyond the length their precision
+    covers, and a caller that names its horizon up front is served by
+    one build.  The joint ranks of :func:`ranked_orbits` are computed
+    once per length; ranks of a longer orbit order the shorter prefix
+    just as exactly.
     """
 
     def __init__(self, m: LorenzMap):
@@ -172,15 +168,15 @@ class CriticalOrbitPair:
 
     def grow(self, length: int, horizon: int = 0) -> tuple:
         """``(minus, plus)``, iterated at least ``length`` steps."""
-        if self.minus is None or length > self.minus.horizon:
-            pair = critical_orbit_values(self.m, length, horizon)
+        if self.minus is None or max(length, horizon) > self.minus.horizon:
+            self.minus, self.plus = critical_orbit_values(self.m, length, horizon)
         elif length >= len(self.minus.bounds):
-            pair = critical_orbit_values(self.m, length, grow=(self.minus, self.plus))
+            self.minus.extend(length)
+            self.plus.extend(length)
         else:
             return self.minus, self.plus
-        self.minus, self.plus = pair
         self._ranks = None
-        return pair
+        return self.minus, self.plus
 
     def ranks(self, length: int, horizon: int = 0) -> tuple:
         """:func:`ranked_orbits` of the orbits grown to at least ``length`` steps."""

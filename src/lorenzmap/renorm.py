@@ -307,8 +307,8 @@ def _search_pairs(
     orbits, and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the
     orbits in ``critical`` (the map's shared pair, or a new one) are grown
     to ``bound`` steps and then only to ``max(L) + max(R)``, at a
-    precision chosen for ``2·bound`` steps so that growing never rebuilds
-    them.
+    precision for at least ``2·bound`` steps: a pair held at a lower one
+    is rebuilt once, on the first growth, and never again in the search.
     """
     critical = critical if critical is not None else CriticalOrbitPair(m)
     horizon = 2 * bound

@@ -373,9 +373,9 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
     built = []
     original = orbits.critical_orbit_values
 
-    def recording(m, length, horizon=None, grow=None):
-        pair = original(m, length, horizon, grow)
-        if grow is None and m == base:
+    def recording(m, length, horizon=0):
+        pair = original(m, length, horizon)
+        if m == base:
             built.append(pair[0].horizon)
         return pair
 
@@ -420,9 +420,10 @@ def test_analyze_builds_base_orbits_once_per_horizon(
 
 def test_grown_orbit_equals_one_built_at_its_length(ranking_corpus):
     for m in ranking_corpus[:40]:
-        minus, plus = critical_orbit_values(m, 5, 30)
+        critical = CriticalOrbitPair(m)
+        minus, plus = critical.grow(5, 30)
         for length in (5, 17, 30):
-            critical_orbit_values(m, length, grow=(minus, plus))
+            assert critical.grow(length) == (minus, plus)
             fresh = critical_orbit_values(m, length, 30)
             for grown, built in zip((minus, plus), fresh):
                 assert grown.precision == built.precision
@@ -440,6 +441,26 @@ def test_pair_rebuilds_past_its_precision_horizon():
     wider, _plus = critical.grow(12)
     assert wider is not minus and wider.horizon == 12
     assert wider.precision > minus.precision and len(wider.bounds) == 13
+    # a horizon past the one held rebuilds even when the length fits
+    widest, _plus = critical.grow(5, 16)
+    assert widest is not wider and widest.horizon == 16
+    assert len(widest.bounds) == 6 and critical.grow(16)[0] is widest
+
+
+def test_search_rebuilds_a_lower_precision_pair_once(monkeypatch):
+    m = symmetric_map(F(11, 10))
+    critical = CriticalOrbitPair(m)
+    critical.grow(2, 10)
+    built = []
+    original = orbits.critical_orbit_values
+
+    def recording(m, length, horizon=0):
+        built.append((length, horizon))
+        return original(m, length, horizon)
+
+    monkeypatch.setattr(orbits, "critical_orbit_values", recording)
+    assert _search_pairs(m, 8, critical) == _exact_search(m, 8)
+    assert built == [(8, 16)] and critical.minus.horizon == 16
 
 
 def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):

@@ -9,10 +9,8 @@ when they are loaded (:class:`PrecisionExhausted`).
 """
 
 from .numerics import (
-    Interval,
     PrecisionExhausted,
     Scalar,
-    interval_contains,
     parse_scalar,
     format_scalar,
 )

@@ -331,7 +331,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "status": "ok",
         "x": format_scalar(x),
         "class": klass.label(),
-        "witness_component": [format_scalar(witness.lo), format_scalar(witness.hi)]
+        "witness_component": [format_scalar(end) for end in witness]
         if witness
         else None,
         "config": config.echo(),
@@ -351,23 +351,15 @@ def sweep_rows(args: argparse.Namespace, config: Config):
         try:
             if args.family == "symmetric":
                 m = symmetric_map(param)
-                echo = {"family": "symmetric", "a": format_scalar(param)}
-            elif args.family == "beta":
-                alpha = parse_scalar(args.alpha)
-                m = beta_transformation(param, alpha)
-                echo = {
-                    "family": "beta",
-                    "beta": format_scalar(param),
-                    "alpha": format_scalar(alpha),
-                }
-            else:
-                raise ValueError("sweep supports --family symmetric|beta")
+            else:  # the parser allows only symmetric and beta
+                m = beta_transformation(param, parse_scalar(args.alpha))
         except HANDLED_ERRORS as err:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row["tower_length"] = 0
             row["status"] = STATUS_FOR_EXIT[exit_code_for(err)]
         else:
-            row = summary_row(analyze_map(m, echo, config)[0])
+            # the row's parameter is set below, so the report needs no map echo
+            row = summary_row(analyze_map(m, {}, config)[0])
         row["parameter"] = format_scalar(param)
         yield row
         param += step

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Optional
 
-from .numerics import Interval, Scalar, format_scalar
+from .numerics import Scalar, format_interval, format_scalar
 from .maps import (
     CapExceeded,  # raised by hitting_index, so public here too
     IntervalDoesNotStraddleC,
@@ -31,15 +31,15 @@ from .maps import (
 DEFAULT_HIT_CAP = 10_000
 DEFAULT_COVER_CAP = 1_000
 
-_lower_end = attrgetter("lo")
+_lower_end = itemgetter(0)
 
 
 @dataclass(frozen=True)
 class IntervalUnion:
     """A normalized finite union of closed intervals.
 
-    Components are sorted, pairwise disjoint, and maximal: touching
-    closed components are merged.
+    ``components`` holds ``(lo, hi)`` pairs, sorted, pairwise disjoint,
+    and maximal: touching closed components are merged.
     """
 
     components: tuple
@@ -49,43 +49,46 @@ class IntervalUnion:
         pairs = sorted((lo, hi) for lo, hi in pairs)
         merged: list[list] = []
         for lo, hi in pairs:
+            if lo > hi:
+                raise ValueError(f"empty interval: lo={lo} > hi={hi}")
             if merged and lo <= merged[-1][1]:
                 if hi > merged[-1][1]:
                     merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        return cls(tuple(Interval.closed(lo, hi) for lo, hi in merged))
+        return cls(tuple((lo, hi) for lo, hi in merged))
 
     def pairs(self) -> list:
-        return [(comp.lo, comp.hi) for comp in self.components]
+        return list(self.components)
 
     def contains(self, x: Scalar) -> bool:
         return self.component_containing(x) is not None
 
-    def component_containing(self, x: Scalar) -> Optional[Interval]:
+    def component_containing(self, x: Scalar) -> Optional[tuple]:
         # the components are sorted and disjoint: only the last one that
         # starts at or below x can hold it
         i = bisect.bisect_right(self.components, x, key=_lower_end) - 1
-        if i >= 0 and x <= self.components[i].hi:
+        if i >= 0 and x <= self.components[i][1]:
             return self.components[i]
         return None
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_pairs(self.pairs() + other.pairs())
+        return IntervalUnion.from_pairs(self.components + other.components)
 
     def covers(self, other: "IntervalUnion") -> bool:
         return all(
-            any(c.lo <= lo and hi <= c.hi for c in self.components)
-            for lo, hi in other.pairs()
+            any(c_lo <= lo and hi <= c_hi for c_lo, c_hi in self.components)
+            for lo, hi in other.components
         )
 
     def equals_interval(self, lo: Scalar, hi: Scalar) -> bool:
-        return len(self.components) == 1 and (
-            self.components[0].lo == lo and self.components[0].hi == hi
-        )
+        return self.components == ((lo, hi),)
 
     def __str__(self) -> str:
-        return " U ".join(str(comp) for comp in self.components) or "(empty)"
+        return (
+            " U ".join(format_interval(lo, hi) for lo, hi in self.components)
+            or "(empty)"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,23 +115,29 @@ def closed_image_pairs(m: LorenzMap, lo: Scalar, hi: Scalar) -> list:
 
 def image_union(m: LorenzMap, union: IntervalUnion) -> IntervalUnion:
     out = []
-    for lo, hi in union.pairs():
+    for lo, hi in union.components:
         out.extend(closed_image_pairs(m, lo, hi))
     return IntervalUnion.from_pairs(out)
 
 
+def _format_open(U: tuple) -> str:
+    return f"({format_scalar(U[0])}, {format_scalar(U[1])})"
+
+
 def hitting_index(
-    m: LorenzMap, U: Interval, cap: int = DEFAULT_HIT_CAP
+    m: LorenzMap, U: tuple, cap: int = DEFAULT_HIT_CAP
 ) -> HittingResult:
-    """Smallest ``n`` with ``c`` in ``f^n(U)`` for a nonempty open ``U``.
+    """Smallest ``n`` with ``c`` in ``f^n(U)`` for the open ``U = (lo, hi)``.
 
     The point ``z`` is recovered by pulling ``c`` back through the
     branches recorded along the way; ``f^{n-1}`` is continuous and
     strictly increasing on ``U``, so ``z`` is unique.
     """
-    lo, hi = U.lo, U.hi
+    lo, hi = U
     if not (m.a <= lo < hi <= m.b):
-        raise ValueError(f"{U} is not a nonempty open subinterval of the domain")
+        raise ValueError(
+            f"{_format_open(U)} is not a nonempty open subinterval of the domain"
+        )
     c = m.c
     if lo < c < hi:
         return HittingResult(0, c)
@@ -148,10 +157,10 @@ def hitting_index(
                 if z is None:
                     raise AssertionError("pullback of the hit left the branch")
             return HittingResult(n, z)
-    raise CapExceeded(f"no hit of c within {cap} iterates of {U}")
+    raise CapExceeded(f"no hit of c within {cap} iterates of {_format_open(U)}")
 
 
-def interval_orbit(m: LorenzMap, J: Interval, return_times) -> IntervalUnion:
+def interval_orbit(m: LorenzMap, J: tuple, return_times) -> IntervalUnion:
     """The forward orbit of ``J = [u, v]`` as a finite closed union.
 
     With ``(ell, r)`` the return times of the renormalization on ``J``,
@@ -159,9 +168,9 @@ def interval_orbit(m: LorenzMap, J: Interval, return_times) -> IntervalUnion:
     and the first ``r`` iterates of ``[c, v]`` (sided images at ``c``);
     the result is forward invariant.
     """
-    u, v = J.lo, J.hi
+    u, v = J
     if not (u < m.c < v):
-        raise IntervalDoesNotStraddleC(f"{J} does not straddle c")
+        raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
     ell, r = return_times
     if ell < 1 or r < 1:
         raise ValueError("return times must be positive")
@@ -200,13 +209,13 @@ class CoverageResult:
         return f"NotCoveredWithin({self.cap})"
 
 
-def leo_evidence(m: LorenzMap, U: Interval, cap: int = DEFAULT_COVER_CAP) -> CoverageResult:
-    """Least ``n <= cap`` with the first ``n`` iterates of ``U`` covering.
+def leo_evidence(m: LorenzMap, U: tuple, cap: int = DEFAULT_COVER_CAP) -> CoverageResult:
+    """Least ``n <= cap`` with the first ``n`` iterates of ``U = (lo, hi)`` covering.
 
     Covering is decided on the closure of the cumulative union (the
     doubled-point convention the covering statements use).
     """
-    frontier = IntervalUnion.from_pairs([(U.lo, U.hi)])
+    frontier = IntervalUnion.from_pairs([U])
     total = frontier
     if total.equals_interval(m.a, m.b):
         return CoverageResult(True, 0, cap)
@@ -219,4 +228,4 @@ def leo_evidence(m: LorenzMap, U: Interval, cap: int = DEFAULT_COVER_CAP) -> Cov
 
 
 def format_union(union: IntervalUnion) -> list:
-    return [[format_scalar(c.lo), format_scalar(c.hi)] for c in union.components]
+    return [[format_scalar(lo), format_scalar(hi)] for lo, hi in union.components]

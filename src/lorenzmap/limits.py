@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Interval, Scalar
+from .numerics import Scalar
 from .maps import CapExceeded, LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
 from .interval_dynamics import IntervalUnion
 from .orbits import CriticalOrbitPair
@@ -97,14 +97,14 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
                     merged[-1][1], merged[-1][3] = hi, q
             else:
                 merged.append([lo, hi, p, q])
-        unions.append(
-            IntervalUnion(
-                tuple(
-                    Interval.closed(plus.exact(p), minus.exact(q))
-                    for _lo, _hi, p, q in merged
+        components = []
+        for lo, hi, p, q in merged:
+            if lo > hi:
+                raise ValueError(
+                    f"empty interval: lo={plus.exact(p)} > hi={minus.exact(q)}"
                 )
-            )
-        )
+            components.append((plus.exact(p), minus.exact(q)))
+        unions.append(IntervalUnion(tuple(components)))
     return unions
 
 

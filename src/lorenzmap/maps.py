@@ -33,9 +33,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .numerics import (
-    Interval,
     PrecisionExhausted,
     Scalar,
+    format_interval,
     format_scalar,
     parse_scalar,
 )
@@ -419,7 +419,7 @@ def first_return_times(m: LorenzMap, u: Scalar, v: Scalar, cap: int = 10_000):
     return ell, r
 
 
-def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
+def rescale_to_unit(m: LorenzMap, J: tuple, return_times=None) -> LorenzMap:
     """First-return map on ``J = [u, v]``, affinely conjugated onto ``[0, 1]``.
 
     Slopes are preserved by the conjugation, so each rescaled piece slope
@@ -428,11 +428,11 @@ def rescale_to_unit(m: LorenzMap, J: Interval, return_times=None) -> LorenzMap:
     image of ``[u, c]`` or ``[c, v]`` that crosses ``c`` before its return
     time raises :class:`IntervalDoesNotStraddleC`.
     """
-    u, v = J.lo, J.hi
+    u, v = J
     if not (u < m.c < v):
-        raise IntervalDoesNotStraddleC(f"{J} does not straddle c")
+        raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
     if u < m.a or v > m.b:
-        raise ValueError(f"{J} is not inside the domain")
+        raise ValueError(f"{format_interval(u, v)} is not inside the domain")
     if return_times is None:
         ell, r = first_return_times(m, u, v)
     else:

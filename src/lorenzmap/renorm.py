@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Interval, Scalar
+from .numerics import Scalar
 from .maps import (
     BranchLabel,
     LorenzMap,
@@ -72,9 +72,6 @@ class RenormStep:
     inner_map: LorenzMap
     left_word: tuple  # branch applied at each of the ell left return steps
     right_word: tuple
-
-    def interval(self) -> Interval:
-        return Interval.closed(self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
         if u < value < v:
             raise AssertionError("repelling orbit enters the return window")
     periodic = e_plus in orbit_of_e_minus
-    inner = rescale_to_unit(m, Interval.closed(u, v), (ell, r))
+    inner = rescale_to_unit(m, (u, v), (ell, r))
     return RenormStep(
         ell, r, u, v, e_minus, e_plus, periodic, inner, left_word, right_word
     )
@@ -198,7 +195,6 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
 class PeriodicRenormResult:
     periodic: bool
     step: Optional[RenormStep]
-    included: Optional[tuple] = None  # ((u, v), (flank_left, flank_right))
 
 
 def periodic_renorm_check(
@@ -226,13 +222,12 @@ def periodic_renorm_check(
     critical = critical if critical is not None else CriticalOrbitPair(m)
     minus, plus = critical.grow(kappa, 2 * kappa)
     u, v = plus.exact(kappa), minus.exact(kappa)
-    witness = ((u, v), (orbit.flank_left, orbit.flank_right))
     if not (orbit.flank_left <= u and v <= orbit.flank_right):
-        return PeriodicRenormResult(False, None, witness)
+        return PeriodicRenormResult(False, None)
     if not (u < m.c < v):
         raise AssertionError("flanked return images do not straddle c")
     left_word, right_word = minus.word[:kappa], plus.word[:kappa]
-    inner = rescale_to_unit(m, Interval.closed(u, v), (kappa, kappa))
+    inner = rescale_to_unit(m, (u, v), (kappa, kappa))
     step = RenormStep(
         kappa,
         kappa,
@@ -245,7 +240,7 @@ def periodic_renorm_check(
         left_word,
         right_word,
     )
-    return PeriodicRenormResult(True, step, witness)
+    return PeriodicRenormResult(True, step)
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,17 @@ CASES = [
      ["classify", "--map-file", (MAPS / "custom16.map").as_posix(), "--x", "2/7"]),
     ("classify_outside_domain",
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "3/2"]),
+    ("classify_invalid_slope",
+     ["classify", "--map-file", (MAPS / "invalid_slope.map").as_posix(), "--x", "1/2"]),
     ("sweep_symmetric",
      ["sweep", "--family", "symmetric", "--start", "105/100", "--end", "199/100",
       "--step", "4/100"]),
     ("sweep_beta_invalid_rows",
      ["sweep", "--family", "beta", "--alpha", "3/4", "--start", "11/10", "--end",
       "17/10", "--step", "1/10"]),
+    ("sweep_beta_json",
+     ["sweep", "--family", "beta", "--alpha", "3/4", "--start", "11/10", "--end",
+      "13/10", "--step", "1/10", "--format", "json"]),
 ]
 
 

@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction as F
 
-from lorenzmap.numerics import Interval
 from lorenzmap.maps import (
     SidedPoint,
     beta_transformation,
@@ -118,10 +117,10 @@ def test_criterion_05_flanking_and_covering(sample_maps):
         kappa = minimal_period(m).kappa
         orbit = minimal_periodic_orbit(m, kappa)
         assert all(p.side is None for p in orbit.points)
-        left = hitting_index(m, Interval.open(orbit.flank_left, m.c))
-        right = hitting_index(m, Interval.open(m.c, orbit.flank_right))
+        left = hitting_index(m, (orbit.flank_left, m.c))
+        right = hitting_index(m, (m.c, orbit.flank_right))
         assert left.n == kappa and right.n == kappa
-        flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+        flanked = (orbit.flank_left, orbit.flank_right)
         assert leo_evidence(m, flanked, kappa - 1).covered
     print("ACCEPTANCE 5: PASS - window indices equal kappa and kappa-1 steps cover, 50 maps")
 

@@ -204,6 +204,32 @@ def test_cap_exceeded_exit_code(capsys):
     assert report["kappa"] is None
 
 
+def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
+    # an exception past the tower keeps the sections already filled in
+    def exhausted(*_args, **_kwargs):
+        raise cli.CapExceeded("omega cap reached")
+
+    monkeypatch.setattr(cli, "omega_decomposition", exhausted)
+    code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
+    assert code == 4
+    report = json.loads(out)
+    assert report["status"] == "cap-exceeded"
+    assert report["error"] == "omega cap reached"
+    assert list(report) == [
+        "status",
+        "map",
+        "validation",
+        "kappa",
+        "backward_steps",
+        "backward_chain",
+        "orbit",
+        "trichotomy",
+        "tower",
+        "error",
+        "config",
+    ]
+
+
 def test_env_overrides_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("LORENZ_L_MAX", "8")
     code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "3/2")
@@ -298,6 +324,7 @@ CUSTOM_PRECISION_MAP = (
          "invalid-map"),
         (["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4", "--level-cap",
           "0"], None, {}, 2, "invalid-map"),
+        (["analyze", "--family", "beta", "--beta", "6/5"], None, {}, 2, "invalid-map"),
     ],
     ids=[
         "classify-precision-map",
@@ -309,6 +336,7 @@ CUSTOM_PRECISION_MAP = (
         "sweep-env-not-integer",
         "l-max-below-2",
         "level-cap-below-1",
+        "beta-without-alpha",
     ],
 )
 def test_input_boundary_exit_codes(

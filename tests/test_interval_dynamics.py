@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import lorenzmap
 from lorenzmap import cli, maps
 from lorenzmap.limits import _forward_orbit_closure
-from lorenzmap.numerics import Interval
 from lorenzmap.maps import (
     beta_transformation,
     first_return_times,
@@ -35,9 +34,9 @@ _grid = st.integers(0, 12).map(lambda n: F(n, 3))
 @given(st.lists(st.tuples(_grid, _grid), max_size=8), st.lists(_grid, max_size=8))
 def test_union_lookup_matches_linear_scan(pairs, probes):
     union = IntervalUnion.from_pairs([(min(p), max(p)) for p in pairs])
-    ends = [x for comp in union.components for x in (comp.lo, comp.hi)]
+    ends = [x for comp in union.components for x in comp]
     for x in probes + ends + [F(-1), F(5)]:
-        scan = next((comp for comp in union.components if comp.lo <= x <= comp.hi), None)
+        scan = next((comp for comp in union.components if comp[0] <= x <= comp[1]), None)
         assert union.component_containing(x) is scan
         assert union.contains(x) is (scan is not None)
 
@@ -57,12 +56,12 @@ def test_interval_union_normalization():
     assert u.pairs() == [(F(0), F(3, 4)), (F(9, 10), F(1))]
     assert u.contains(F(1, 2))
     assert not u.contains(F(4, 5))
-    assert u.component_containing(F(19, 20)).lo == F(9, 10)
+    assert u.component_containing(F(19, 20)) == (F(9, 10), F(1))
 
 
 def test_hitting_index_flanked_window():
     m = symmetric_map(F(3, 2))
-    res = hitting_index(m, Interval.open(F(3, 10), F(1, 2)))
+    res = hitting_index(m, (F(3, 10), F(1, 2)))
     assert res.n == 2
     assert res.z == F(7, 18)
     assert iterate(m, res.z, res.n).x == m.c
@@ -70,13 +69,13 @@ def test_hitting_index_flanked_window():
 
 def test_hitting_index_zero_when_straddling():
     m = symmetric_map(F(6, 5))
-    res = hitting_index(m, Interval.open(F(2, 5), F(3, 5)))
+    res = hitting_index(m, (F(2, 5), F(3, 5)))
     assert res.n == 0 and res.z == m.c
 
 
 def test_hitting_index_deeper_window():
     m = symmetric_map(F(3, 2))
-    res = hitting_index(m, Interval.open(F(2, 5), F(9, 20)))
+    res = hitting_index(m, (F(2, 5), F(9, 20)))
     assert res.n == 4
     assert iterate(m, res.z, 4).x == m.c
     assert F(2, 5) < res.z < F(9, 20)
@@ -86,7 +85,7 @@ def test_hitting_index_cap():
     m = symmetric_map(F(6, 5))
     with pytest.raises(CapExceeded):
         # window inside the trapped region never reaches c in 3 steps
-        hitting_index(m, Interval.open(F(1, 100), F(2, 100)), cap=3)
+        hitting_index(m, (F(1, 100), F(2, 100)), cap=3)
 
 
 def test_internal_iteration_caps_raise_cap_exceeded():
@@ -111,13 +110,13 @@ def test_hitting_index_decrements_under_image():
         hi = lo + F(rng.randint(1, 50), 10**4)
         if hi > 1:
             continue
-        U = Interval.open(lo, hi)
+        U = (lo, hi)
         n = hitting_index(m, U).n
         if n == 0:
             continue
         # one branch image (U avoids c because n >= 1)
         branch = m.left if hi <= m.c else m.right
-        V = Interval.open(branch.value(lo), branch.value(hi))
+        V = (branch.value(lo), branch.value(hi))
         assert hitting_index(m, V).n == n - 1
         checked += 1
 
@@ -132,23 +131,23 @@ def test_hitting_index_monotone_in_inclusion():
         hi2 = hi - F(rng.randint(1, 10), 10**4)
         if not lo2 < hi2:
             continue
-        big = hitting_index(m, Interval.open(lo, hi)).n
-        small = hitting_index(m, Interval.open(lo2, hi2)).n
+        big = hitting_index(m, (lo, hi)).n
+        small = hitting_index(m, (lo2, hi2)).n
         assert small >= big
 
 
 def test_interval_orbit_examples():
     m = symmetric_map(F(6, 5))
-    orbit = interval_orbit(m, Interval.closed(F(2, 5), F(3, 5)), (2, 2))
+    orbit = interval_orbit(m, (F(2, 5), F(3, 5)), (2, 2))
     assert orbit.pairs() == [
         (F(0), F(3, 25)),
         (F(2, 5), F(3, 5)),
         (F(22, 25), F(1)),
     ]
-    whole = interval_orbit(m, Interval.closed(F(0), F(1)), (1, 1))
+    whole = interval_orbit(m, (F(0), F(1)), (1, 1))
     assert whole.pairs() == [(F(0), F(1))]
     m = symmetric_map(F(11, 10))
-    orbit = interval_orbit(m, Interval.closed(F(9, 20), F(11, 20)), (2, 2))
+    orbit = interval_orbit(m, (F(9, 20), F(11, 20)), (2, 2))
     assert orbit.pairs() == [
         (F(0), F(11, 200)),
         (F(9, 20), F(11, 20)),
@@ -161,32 +160,32 @@ def test_interval_orbit_forward_invariant():
         m = symmetric_map(a)
         u = F(1) - a / 2
         v = a / 2
-        orbit = interval_orbit(m, Interval.closed(u, v), times)
+        orbit = interval_orbit(m, (u, v), times)
         assert orbit.covers(image_union(m, orbit))
 
 
 def test_covering_check_examples():
     m = symmetric_map(F(3, 2))
-    assert leo_evidence(m, Interval.closed(F(3, 10), F(7, 10)), 1).covered
-    assert leo_evidence(m, Interval.closed(F(0), F(1)), 0).covered
+    assert leo_evidence(m, (F(3, 10), F(7, 10)), 1).covered
+    assert leo_evidence(m, (F(0), F(1)), 0).covered
     m = symmetric_map(F(6, 5))
-    assert not leo_evidence(m, Interval.closed(F(2, 5), F(3, 5)), 50).covered
+    assert not leo_evidence(m, (F(2, 5), F(3, 5)), 50).covered
 
 
 def test_leo_evidence_matches_raw_oracle():
     m = symmetric_map(F(3, 2))
-    res = leo_evidence(m, Interval.open(F(2, 5), F(9, 20)), cap=100)
+    res = leo_evidence(m, (F(2, 5), F(9, 20)), cap=100)
     assert res.covered and res.steps <= 16
     assert res.steps == raw_cover_steps(sym_params(F(3, 2)), F(2, 5), F(9, 20), 100)
 
 
 def test_leo_evidence_trapped_window():
     m = symmetric_map(F(6, 5))
-    res = leo_evidence(m, Interval.open(F(9, 20), F(11, 20)), cap=100)
+    res = leo_evidence(m, (F(9, 20), F(11, 20)), cap=100)
     assert not res.covered and res.steps is None and res.cap == 100
 
 
 def test_leo_evidence_whole_domain():
     m = beta_transformation(F(6, 5), F(1, 10))
-    res = leo_evidence(m, Interval.closed(F(0), F(1)), cap=10)
+    res = leo_evidence(m, (F(0), F(1)), cap=10)
     assert res.covered and res.steps == 0

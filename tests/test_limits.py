@@ -15,7 +15,6 @@ from lorenzmap.maps import (
     symmetric_map,
 )
 from lorenzmap.interval_dynamics import image_union, interval_orbit
-from lorenzmap.numerics import Interval
 from lorenzmap.orbits import CriticalOrbitPair
 from lorenzmap.renorm import (
     RenormStep,
@@ -83,7 +82,7 @@ def _assert_unions_match_interval_orbit(m, tower):
     assert len(unions) == len(tower.levels)
     for level, union in zip(tower.levels, unions):
         times = (level.return_left, level.return_right)
-        reference = interval_orbit(m, Interval.closed(*level.interval), times)
+        reference = interval_orbit(m, level.interval, times)
         assert union.components == reference.components, (m, level.index)
     return len(unions)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzmap.numerics import Interval, PrecisionExhausted
+from lorenzmap.numerics import PrecisionExhausted
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -137,27 +137,27 @@ def test_sided_orbit_consistency():
 
 def test_rescale_first_return_to_unit():
     m = symmetric_map(F(6, 5))
-    inner = rescale_to_unit(m, Interval.closed(F(2, 5), F(3, 5)), (2, 2))
+    inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), (2, 2))
     assert inner.same_map(symmetric_map(F(36, 25)))
     # return times are recovered when omitted
-    assert rescale_to_unit(m, Interval.closed(F(2, 5), F(3, 5))).same_map(inner)
+    assert rescale_to_unit(m, (F(2, 5), F(3, 5))).same_map(inner)
 
 
 def test_rescale_whole_domain_is_identity_copy():
     m = symmetric_map(F(3, 2))
-    assert rescale_to_unit(m, Interval.closed(F(0), F(1))).same_map(m)
+    assert rescale_to_unit(m, (F(0), F(1))).same_map(m)
 
 
 def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
     with pytest.raises(IntervalDoesNotStraddleC):
-        rescale_to_unit(m, Interval.closed(F(0), F(2, 5)))
+        rescale_to_unit(m, (F(0), F(2, 5)))
     # [2/5, 3/5] returns after (2, 2) steps; with longer return times an
     # image of a branch crosses c before the last step
     m = symmetric_map(F(6, 5))
     for return_times in ((3, 3), (2, 3), (4, 4)):
         with pytest.raises(IntervalDoesNotStraddleC):
-            rescale_to_unit(m, Interval.closed(F(2, 5), F(3, 5)), return_times)
+            rescale_to_unit(m, (F(2, 5), F(3, 5)), return_times)
 
 
 def test_multi_piece_rescale_splits_and_matches_pointwise():
@@ -172,7 +172,7 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
     u, v = F(81, 200), F(11, 20)  # f^2(c+), f^2(c-)
     assert iterate(m, SidedPoint(m.c, Side.PLUS), 2).x == u
     assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == v
-    inner = rescale_to_unit(m, Interval.closed(u, v), (2, 2))
+    inner = rescale_to_unit(m, (u, v), (2, 2))
     assert validate_map(inner).valid
     assert inner.right.slopes == (F(121, 100), F(33, 25))
     rng = random.Random(4)
@@ -225,7 +225,7 @@ def test_rescale_level_two_in_base_coordinates():
     # base coordinates with total return times (4, 4), rescales directly to
     # the symmetric map of slope (11/10)^4
     m = symmetric_map(F(11, 10))
-    J = Interval.closed(F(979, 2000), F(1021, 2000))
+    J = (F(979, 2000), F(1021, 2000))
     inner = rescale_to_unit(m, J, (4, 4))
     assert inner.same_map(symmetric_map(F(11, 10) ** 4))
     assert rescale_to_unit(m, J).same_map(inner)  # auto-detected return times

@@ -3,23 +3,27 @@ from fractions import Fraction as F
 
 import pytest
 
+from lorenzmap.interval_dynamics import IntervalUnion
 from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
-    Interval,
     PrecisionExhausted,
+    format_interval,
     format_scalar,
-    interval_contains,
     parse_scalar,
 )
 
 
+def _closed(lo, hi) -> IntervalUnion:
+    return IntervalUnion.from_pairs([(lo, hi)])
+
+
 def test_cmp_rational_examples():
     # every order decision is a plain Fraction comparison, here through
-    # the endpoint checks of interval membership
-    assert interval_contains(Interval.closed(F(1, 2), F(1, 2)), F(1, 2))
-    assert interval_contains(Interval.closed(F(0), F(2)), F(141, 100) ** 2)
+    # the endpoint checks of closed-interval membership
+    assert _closed(F(1, 2), F(1, 2)).contains(F(1, 2))
+    assert _closed(F(0), F(2)).contains(F(141, 100) ** 2)
     assert F(141, 100) ** 2 == F(19881, 10000)
-    assert not interval_contains(Interval.closed(F(0), F(2)), F(142, 100) ** 2)
+    assert not _closed(F(0), F(2)).contains(F(142, 100) ** 2)
     assert F(142, 100) ** 2 == F(20164, 10000)
 
 
@@ -31,22 +35,18 @@ def test_cmp_agrees_with_cross_multiplication():
         p2, q2 = rng.randint(-999, 999), rng.randint(1, 999)
         x, y = F(p1, q1), F(p2, q2)
         sign = p1 * q2 - p2 * q1
-        assert interval_contains(Interval.closed(y, top), x) is (sign >= 0)
-        assert interval_contains(Interval(y, top, False, True), x) is (sign > 0)
-
-
-def test_interval_contains_flags():
-    assert interval_contains(Interval.closed(F(0), F(1)), F(0))
-    assert not interval_contains(Interval.open(F(2, 5), F(3, 5)), F(2, 5))
-    assert interval_contains(Interval.closed(F(1, 4), F(3, 4)), F(3, 10))
+        assert _closed(y, top).contains(x) is (sign >= 0)
+        assert (y < x) is (sign > 0)
 
 
 def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval.closed(F(1), F(0))
-    with pytest.raises(ValueError):
-        Interval.open(F(1, 2), F(1, 2))
-    Interval.closed(F(1, 2), F(1, 2))  # degenerate closed point is fine
+    with pytest.raises(ValueError, match="empty interval: lo=1 > hi=0"):
+        IntervalUnion.from_pairs([(F(1), F(0))])
+    # a reversed pair is refused even where a wider pair would cover it
+    with pytest.raises(ValueError, match="empty interval"):
+        IntervalUnion.from_pairs([(F(0), F(2)), (F(1), F(1, 2))])
+    # a degenerate closed point is fine
+    assert IntervalUnion.from_pairs([(F(1, 2), F(1, 2))]).pairs() == [(F(1, 2), F(1, 2))]
 
 
 def test_fixed_precision_decimal_exhausts_inside_its_radius():
@@ -72,3 +72,7 @@ def test_parse_and_format():
     assert parse_scalar("1.07") == F(107, 100)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
+    assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"
+    assert str(_closed(F(0), F(2, 5)).union(_closed(F(3, 5), F(1)))) == (
+        "[0/1, 2/5] U [3/5, 1/1]"
+    )

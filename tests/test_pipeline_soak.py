@@ -67,7 +67,6 @@ def test_full_pipeline_invariants(sample_maps):
 def test_pipeline_is_conjugation_equivariant():
     # the slope-6/5 map carried onto [2, 7] by x -> 2 + 5x: every computed
     # quantity must be the affine image of the unit-domain one
-    from lorenzmap.numerics import Interval
     from lorenzmap.maps import BranchFn, LorenzMap
     from lorenzmap.interval_dynamics import hitting_index, leo_evidence
     from lorenzmap.renorm import renorm_tower as tower_of
@@ -100,15 +99,14 @@ def test_pipeline_is_conjugation_equivariant():
     ]
     assert alpha_classify(m, tower, h(F(1, 4))).label() == "E_1"
     assert alpha_classify(m, tower, h(F(9, 20))).label() == "I"
-    assert hitting_index(m, Interval.open(orbit.flank_left, m.c)).n == 2
-    flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+    assert hitting_index(m, (orbit.flank_left, m.c)).n == 2
+    flanked = (orbit.flank_left, orbit.flank_right)
     assert leo_evidence(m, flanked, 1).covered
 
 
 def test_asymmetric_two_piece_maps():
     # asymmetric slopes and off-center discontinuities, with larger minimal
     # periods than the symmetric family ever shows
-    from lorenzmap.numerics import Interval
     from lorenzmap.maps import BranchFn, LorenzMap, iterate
     from lorenzmap.interval_dynamics import hitting_index, leo_evidence
     from lorenzmap.renorm import minimal_renormalization
@@ -126,9 +124,9 @@ def test_asymmetric_two_piece_maps():
         period = minimal_period(m)
         assert period.kappa == kappa
         orbit = minimal_periodic_orbit(m, kappa)
-        assert hitting_index(m, Interval.open(orbit.flank_left, m.c)).n == kappa
-        assert hitting_index(m, Interval.open(m.c, orbit.flank_right)).n == kappa
-        flanked = Interval.closed(orbit.flank_left, orbit.flank_right)
+        assert hitting_index(m, (orbit.flank_left, m.c)).n == kappa
+        assert hitting_index(m, (m.c, orbit.flank_right)).n == kappa
+        flanked = (orbit.flank_left, orbit.flank_right)
         assert leo_evidence(m, flanked, kappa - 1).covered
         result = minimal_renormalization(m, 20, period=period, orbit=orbit)
         if result.found:

@@ -64,7 +64,6 @@ from .renorm import (
     classify_trichotomy,
     is_valid_renormalization,
     minimal_renormalization,
-    periodic_renorm_check,
     renorm_tower,
 )
 from .limits import (

@@ -17,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .numerics import PrecisionExhausted, format_scalar, parse_scalar
 from .maps import (
@@ -30,17 +30,25 @@ from .maps import (
 )
 from .interval_dynamics import CapExceeded, format_union
 from .periods import (
+    DEFAULT_BACKWARD_CAP,
     BranchBudgetExceeded,
     minimal_period,
     minimal_periodic_orbit,
 )
-from .renorm import Tower, TowerTerminal, decide_trichotomy, renorm_tower
+from .renorm import (
+    DEFAULT_LEVEL_CAP,
+    DEFAULT_PAIR_BOUND,
+    Tower,
+    TowerTerminal,
+    decide_trichotomy,
+    renorm_tower,
+)
 from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
 
 DEFAULTS = {
-    "l_max": 64,
-    "level_cap": 16,
-    "hit_cap": 10_000,
+    "l_max": DEFAULT_PAIR_BOUND,
+    "level_cap": DEFAULT_LEVEL_CAP,
+    "hit_cap": DEFAULT_BACKWARD_CAP,
     "precision_bits": 4096,
 }
 
@@ -101,12 +109,7 @@ class Config:
     precision_bits: int
 
     def echo(self) -> dict:
-        return {
-            "l_max": self.l_max,
-            "level_cap": self.level_cap,
-            "hit_cap": self.hit_cap,
-            "precision_bits": self.precision_bits,
-        }
+        return asdict(self)
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
@@ -239,7 +242,7 @@ def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
         orbit = minimal_periodic_orbit(m, period.kappa)
     report["orbit"] = _orbit_dict(orbit) if orbit is not None else None
 
-    tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
+    tower = renorm_tower(m, config.level_cap, config.l_max, period)
     # the tower's first level is the map's minimal renormalization
     minimal = tower.levels[0].step if tower.levels else None
     report["trichotomy"] = decide_trichotomy(period, minimal).value
@@ -314,12 +317,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             )
             return EXIT_INVALID_MAP
         period = minimal_period(m, config.hit_cap)
-        orbit = (
-            minimal_periodic_orbit(m, period.kappa)
-            if period.kappa is not None and period.kappa > 1
-            else None
-        )
-        tower = renorm_tower(m, config.level_cap, config.l_max, period, orbit)
+        tower = renorm_tower(m, config.level_cap, config.l_max, period)
         unions = orbit_unions(m, tower)
         klass = alpha_classify(m, tower, x, unions)
         # a point of class E_i lies outside union i but inside union i - 1
@@ -394,7 +392,13 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l-max", dest="l_max", type=int, default=None)
     parser.add_argument("--level-cap", dest="level_cap", type=int, default=None)
-    parser.add_argument("--hit-cap", dest="hit_cap", type=int, default=None)
+    parser.add_argument(
+        "--hit-cap",
+        dest="hit_cap",
+        type=int,
+        default=None,
+        help="backward steps of c that the base map's minimal period may take",
+    )
     parser.add_argument(
         "--precision-bits",
         dest="precision_bits",

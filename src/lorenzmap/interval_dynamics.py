@@ -131,7 +131,10 @@ def hitting_index(
 
     The point ``z`` is recovered by pulling ``c`` back through the
     branches recorded along the way; ``f^{n-1}`` is continuous and
-    strictly increasing on ``U``, so ``z`` is unique.
+    strictly increasing on ``U``, so ``z`` is unique.  It checks the
+    paper's statement on the minimal periodic orbit: the windows
+    between ``c`` and the orbit points flanking it have hitting index
+    ``kappa`` (acceptance criterion 5).
     """
     lo, hi = U
     if not (m.a <= lo < hi <= m.b):
@@ -213,7 +216,10 @@ def leo_evidence(m: LorenzMap, U: tuple, cap: int = DEFAULT_COVER_CAP) -> Covera
     """Least ``n <= cap`` with the first ``n`` iterates of ``U = (lo, hi)`` covering.
 
     Covering is decided on the closure of the cumulative union (the
-    doubled-point convention the covering statements use).
+    doubled-point convention the covering statements use).  It checks
+    the paper's statement that the first ``kappa - 1`` images of the
+    window between the flanking points of the minimal orbit cover the
+    whole interval (acceptance criterion 5).
     """
     frontier = IntervalUnion.from_pairs([U])
     total = frontier

@@ -326,8 +326,9 @@ def preimage_open_intervals(m: LorenzMap, lo: Scalar, hi: Scalar, depth: int) ->
     """Open intervals mapping into ``(lo, hi)`` within ``depth`` pullbacks.
 
     Level ``0`` is the interval itself; each pullback inverts both
-    branches piecewise.  Used for finite complement checks: repelling-set
-    points never meet these intervals.
+    branches piecewise.  It checks the paper's complement identity: the
+    preimages of the gap ``(u, v)`` of a renormalization avoid its
+    repelling set ``E_1`` (acceptance criterion 11).
     """
     current = [(lo, hi)]
     out = [(lo, hi)]

@@ -5,7 +5,7 @@ the pair search to the orbit unions of the tower levels, is an order
 relation between the points ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and
 ``c``.  So these values are ranked once per map, and the callers decide
 on the integer ranks.  One :class:`CriticalOrbitPair` per map serves the
-periodic fast path, the pair search and the orbit unions: it grows the
+``(kappa, kappa)`` rule, the pair search and the orbit unions: it grows the
 orbits to the longest prefix asked for so far, so no caller iterates
 them again.
 

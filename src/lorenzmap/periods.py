@@ -8,7 +8,7 @@ unique.  It is found from the affine pieces of the kappa-th iterate on
 ``[a, b]`` (:func:`~lorenzmap.maps.affine_pieces`, the one composition
 primitive: cylinders cut at preimages of ``c`` and of internal
 breakpoints) by solving ``s·x + t = x`` on each piece exactly, and
-each solution's orbit is iterated once.
+each orbit is iterated once.
 """
 
 from __future__ import annotations
@@ -139,16 +139,22 @@ def _periodic_orbits(m: LorenzMap, n: int, budget: int) -> list:
     exactly is the one-sided point that endpoint stands for (``+`` at a
     left endpoint, ``-`` at a right endpoint).  Each point's orbit is
     iterated once; the fixed-point check and the least period (the least
-    ``d | n`` with ``f^d(p) = p``) are read off it.
+    ``d | n`` with ``f^d(p) = p``) are read off it.  A candidate on an
+    orbit already iterated that misses ``c`` reads both off that orbit.
     """
     if n < 1:
         raise ValueError("period must be >= 1")
     found: dict = {}
+    walked: dict = {}  # x -> (k, values, least) with values[k] = x
     for lo, hi, s, t, _word in affine_pieces(m, m.a, m.b, n, budget):
         if s == 1:
             continue
         x = t / (1 - s)
         if not (lo <= x <= hi):
+            continue
+        if x in walked:
+            k, values, least = walked[x]
+            found[(x, None)] = (SidedPoint(x), least, values[k:n] + values[: k + 1])
             continue
         p = SidedPoint(x)
         try:
@@ -164,6 +170,8 @@ def _periodic_orbits(m: LorenzMap, n: int, budget: int) -> list:
             continue
         least = next(d for d in _divisors(n) if values[d] == x)
         found[(x, p.side)] = (p, least, values)
+        if p.side is None:
+            walked.update((y, (k, values, least)) for k, y in enumerate(values[:n]))
     return sorted(found.values(), key=lambda item: item[0].x)
 
 

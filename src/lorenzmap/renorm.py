@@ -9,11 +9,10 @@ repelling set whose gap around ``c`` is bounded by two periodic points
 exactly; the renormalization is periodic when ``e-`` and ``e+`` lie on
 one orbit.
 
-The minimal renormalization is found by a fast path (the minimal-period
-orbit flanks the pair of return images of ``c+``/``c-``, giving
-``ell = r = kappa``) or, failing
-that, by searching pairs in increasing ``ell + r``; the first valid pair
-is coordinatewise minimal.  The search rules only on pairs of record
+The minimal renormalization is ``(kappa, kappa)``, with ``kappa`` the
+minimal period, when that pair is valid; otherwise it is the first valid
+pair found by searching in increasing ``ell + r``.  Either way it is
+coordinatewise minimal.  The search rules only on pairs of record
 times: a first return keeps every earlier iterate of ``c±`` off
 ``(u, v)``, so ``r`` must be a time at which the ``c+`` orbit comes at
 least as close to ``c`` from the left as at every earlier time, and
@@ -47,12 +46,7 @@ from .maps import (
     rescale_to_unit,
 )
 from .orbits import CriticalOrbitPair, critical_orbit_values, ranked_orbits
-from .periods import (
-    MinimalPeriodResult,
-    PeriodicOrbit,
-    minimal_period,
-    minimal_periodic_orbit,
-)
+from .periods import MinimalPeriodResult, minimal_period
 
 DEFAULT_PAIR_BOUND = 64
 DEFAULT_LEVEL_CAP = 16
@@ -192,67 +186,14 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
 
 
 @dataclass(frozen=True)
-class PeriodicRenormResult:
-    periodic: bool
-    step: Optional[RenormStep]
-
-
-def periodic_renorm_check(
-    m: LorenzMap,
-    period: Optional[MinimalPeriodResult] = None,
-    orbit: Optional[PeriodicOrbit] = None,
-    critical: Optional[CriticalOrbitPair] = None,
-) -> PeriodicRenormResult:
-    """Fast periodicity test: does the minimal orbit flank the return images?
-
-    With ``kappa`` the minimal period, the minimal renormalization is
-    periodic exactly when the return images of ``c+``/``c-`` lie inside the closed
-    interval between the orbit points flanking ``c``; boundary touching
-    counts (the degenerate case still yields a valid first-return map).
-    The critical orbits are grown to ``kappa`` steps in ``critical``, the
-    map's shared pair, when one is given, at a precision for ``2·kappa``
-    steps: a level with return times ``(kappa, kappa)`` has an orbit
-    union that reads that many.
-    """
-    period = period if period is not None else minimal_period(m)
-    if period.kappa is None or period.kappa <= 1:
-        raise ValueError("the fast path needs a finite minimal period > 1")
-    kappa = period.kappa
-    orbit = orbit if orbit is not None else minimal_periodic_orbit(m, kappa)
-    critical = critical if critical is not None else CriticalOrbitPair(m)
-    minus, plus = critical.grow(kappa, 2 * kappa)
-    u, v = plus.exact(kappa), minus.exact(kappa)
-    if not (orbit.flank_left <= u and v <= orbit.flank_right):
-        return PeriodicRenormResult(False, None)
-    if not (u < m.c < v):
-        raise AssertionError("flanked return images do not straddle c")
-    left_word, right_word = minus.word[:kappa], plus.word[:kappa]
-    inner = rescale_to_unit(m, (u, v), (kappa, kappa))
-    step = RenormStep(
-        kappa,
-        kappa,
-        u,
-        v,
-        orbit.flank_left,
-        orbit.flank_right,
-        True,
-        inner,
-        left_word,
-        right_word,
-    )
-    return PeriodicRenormResult(True, step)
-
-
-@dataclass(frozen=True)
 class MinimalRenormResult:
     """Outcome of the minimal-renormalization decision for one map."""
 
     step: Optional[RenormStep]
     prime_bound: Optional[int]  # searched exhaustively up to this pair bound
     certainly_prime: bool  # fixed-point maps are prime outright
-    fast_path: bool
+    fast_path: bool  # found by the (kappa, kappa) rule, before any search
     period: MinimalPeriodResult
-    orbit: Optional[PeriodicOrbit]
 
     @property
     def found(self) -> bool:
@@ -325,34 +266,36 @@ def minimal_renormalization(
     m: LorenzMap,
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
-    orbit: Optional[PeriodicOrbit] = None,
     critical: Optional[CriticalOrbitPair] = None,
 ) -> MinimalRenormResult:
     """The coordinatewise-minimal renormalization, or bounded prime evidence.
 
-    When the periodic fast path succeeds its step is minimal outright.
-    Otherwise pairs are searched in increasing ``ell + r`` (ties by
-    ``ell``); the minimal renormalization is dominated coordinatewise by
-    every other one, so the first valid pair found this way is it.  Only
+    With a finite minimal period ``kappa > 1``, ``(kappa, kappa)`` is ruled
+    on first, whatever the bound: ``e-`` is fixed by ``f^ell``, so its
+    least period divides ``ell`` and is at least ``kappa``, and the same
+    holds for ``e+`` and ``r``; a valid ``(kappa, kappa)`` is minimal
+    outright.  Otherwise pairs are searched in increasing ``ell + r``
+    (ties by ``ell``), and the first valid pair is the minimal one.  Only
     pairs of critical-orbit record times are ruled on: every valid pair
     is one (see :func:`_record_times`), so skipping the others changes
     neither the pair found nor the "prime up to bound" answer.  Both
-    paths read the critical orbits of one pair, ``critical`` when given.
+    rulings read the ranks of one pair of critical orbits, ``critical``
+    when given, grown to ``2·kappa`` steps for the first one.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
-        return MinimalRenormResult(None, None, True, False, period, None)
+        return MinimalRenormResult(None, None, True, False, period)
     critical = critical if critical is not None else CriticalOrbitPair(m)
-    if period.kappa is not None:
-        if orbit is None:
-            orbit = minimal_periodic_orbit(m, period.kappa)
-        fast = periodic_renorm_check(m, period, orbit, critical)
-        if fast.periodic:
-            return MinimalRenormResult(fast.step, None, False, True, period, orbit)
+    kappa = period.kappa
+    if kappa is not None:
+        a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa, 2 * kappa)
+        if _pair_failure(a, b, c, kappa, kappa, minus_rank, plus_rank) is None:
+            step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
+            return MinimalRenormResult(step, None, False, True, period)
     step = _search_pairs(m, bound, critical)
     if step is not None:
-        return MinimalRenormResult(step, None, False, False, period, orbit)
-    return MinimalRenormResult(None, bound, False, False, period, orbit)
+        return MinimalRenormResult(step, None, False, False, period)
+    return MinimalRenormResult(None, bound, False, False, period)
 
 
 class TowerTerminal(enum.Enum):
@@ -406,7 +349,6 @@ def renorm_tower(
     level_cap: int = DEFAULT_LEVEL_CAP,
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
-    orbit: Optional[PeriodicOrbit] = None,
 ) -> Tower:
     """Consecutive minimal renormalizations of the rescaled inner maps.
 
@@ -421,9 +363,9 @@ def renorm_tower(
     cost_left, cost_right = 1, 1
     critical = base = CriticalOrbitPair(m)
     for index in range(1, level_cap + 1):
-        result = minimal_renormalization(g, bound, period, orbit, critical)
+        result = minimal_renormalization(g, bound, period, critical)
         # precomputed data applies to the base map only
-        period = orbit = critical = None
+        period = critical = None
         if not result.found:
             terminal = (
                 TowerTerminal.PERIOD_CAP_REACHED
@@ -493,8 +435,7 @@ def classify_trichotomy(
     m: LorenzMap,
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
-    orbit: Optional[PeriodicOrbit] = None,
 ) -> tuple:
     """Structure of the minimal completely invariant set (see :func:`decide_trichotomy`)."""
-    result = minimal_renormalization(m, bound, period, orbit)
+    result = minimal_renormalization(m, bound, period)
     return decide_trichotomy(result.period, result.step), result

@@ -200,6 +200,21 @@ def piece_map(integer, near_unit=False):
     return m
 
 
+# A near-unit draw of minimal period 662.  The cylinders of f^662 number
+# more than the default branch budget, so its minimal periodic orbit cannot
+# be enumerated; its tower and classification need no periodic orbit.
+LONG_ORBIT_MAP_TEXT = """family = custom
+domain = 0 1
+c = 103/228
+left_breakpoints = 0 103/228
+left_slopes = 517/515
+left_intercepts = 623/1140
+right_breakpoints = 103/228 1
+right_slopes = 627/625
+right_intercepts = -1133/2500
+"""
+
+
 @st.composite
 def multi_piece_maps(draw, near_unit=False):
     """``hypothesis`` strategy of :func:`piece_map` draws."""

@@ -24,7 +24,6 @@ from lorenzmap.renorm import (
     Trichotomy,
     classify_trichotomy,
     minimal_renormalization,
-    periodic_renorm_check,
     renorm_tower,
 )
 from lorenzmap.limits import (
@@ -45,8 +44,8 @@ def full_analysis(m):
         if period.kappa is not None and period.kappa > 1
         else None
     )
-    trichotomy, _ = classify_trichotomy(m, period=period, orbit=orbit)
-    tower = renorm_tower(m, period=period, orbit=orbit)
+    trichotomy, _ = classify_trichotomy(m, period=period)
+    tower = renorm_tower(m, period=period)
     omega = omega_decomposition(m, tower)
     return period, orbit, trichotomy, tower, omega
 
@@ -83,10 +82,9 @@ def test_criterion_03_periodic_threshold():
     below = symmetric_map(F(141, 100))
     trichotomy, result = classify_trichotomy(below)
     assert trichotomy is Trichotomy.PERIODIC_MINIMAL_RENORM
-    assert result.step.periodic
+    assert result.fast_path and result.step.periodic
 
     above = symmetric_map(F(142, 100))
-    assert not periodic_renorm_check(above).periodic
     result = minimal_renormalization(above, 64)
     assert not result.found and result.prime_bound == 64
     print("ACCEPTANCE 3: PASS - a=141/100 periodic, a=142/100 prime up to 64")

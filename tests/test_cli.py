@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import sys
@@ -8,6 +9,9 @@ import pytest
 
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
+from lorenzmap.periods import minimal_periodic_orbit
+
+from conftest import LONG_ORBIT_MAP_TEXT
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
 
@@ -202,6 +206,28 @@ def test_cap_exceeded_exit_code(capsys):
     report = json.loads(out)
     assert report["status"] == "cap-exceeded"
     assert report["kappa"] is None
+
+
+def test_long_minimal_orbit_classifies_but_cannot_be_reported(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "long_orbit.map"
+    path.write_text(LONG_ORBIT_MAP_TEXT)
+    # neither the tower nor the classification enumerates the period-662 orbit
+    code, out = run_cli(capsys, "classify", "--map-file", str(path), "--x", "1/4")
+    assert code == 0
+    assert json.loads(out)["class"] == "I"
+    # the analyze report prints that orbit, whose cylinders pass the branch
+    # budget; a smaller budget ends the same way as the default (about a
+    # minute) in a fraction of a second
+    small_budget = functools.partial(minimal_periodic_orbit, budget=2_000)
+    monkeypatch.setattr(cli, "minimal_periodic_orbit", small_budget)
+    code, out = run_cli(capsys, "analyze", "--map-file", str(path))
+    assert code == 4
+    report = json.loads(out)
+    assert (report["status"], report["kappa"]) == ("cap-exceeded", 662)
+    assert "cylinder pieces" in report["error"]
+    assert "orbit" not in report and "tower" not in report
 
 
 def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from lorenzmap.maps import (
     SidedPoint,
@@ -36,7 +36,7 @@ from lorenzmap.limits import (
     preimage_open_intervals,
 )
 
-from conftest import multi_piece_maps
+from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps
 
 GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
@@ -101,6 +101,7 @@ def test_orbit_unions_match_interval_orbit(sample_maps):
 
 @settings(max_examples=60, deadline=None)
 @given(multi_piece_maps(near_unit=True))
+@example(parse_map_text(LONG_ORBIT_MAP_TEXT))
 def test_orbit_unions_match_interval_orbit_on_random_maps(m):
     _assert_unions_match_interval_orbit(m, renorm_tower(m, level_cap=4, bound=24))
 
@@ -108,11 +109,11 @@ def test_orbit_unions_match_interval_orbit_on_random_maps(m):
 def test_orbit_unions_grow_the_towers_critical_orbits():
     m = symmetric_map(F(11, 10))
     tower = renorm_tower(m)
-    # the fast path grew the base pair to kappa = 2 steps, at a precision
-    # for 4; the two levels' unions need RL + RR = 4 + 4 steps, past it
+    # the (kappa, kappa) rule grew the base pair to 2·kappa = 4 steps, at a
+    # precision for 4; the two levels' unions need RL + RR = 4 + 4, past it
     returns = [(level.return_left, level.return_right) for level in tower.levels]
     assert returns == [(2, 2), (4, 4)]
-    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (3, 4)
+    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (5, 4)
     unions = orbit_unions(m, tower)
     assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (9, 8)
     minus = tower.critical.minus

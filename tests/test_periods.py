@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 
+from lorenzmap import periods
 from lorenzmap.maps import (
     Side,
     SidedPoint,
@@ -80,6 +81,23 @@ def test_minimal_orbit_symmetric_closed_form():
     assert orbit.values() == (F(3, 10), F(7, 10))
     orbit = minimal_periodic_orbit(symmetric_map(F(6, 5)), 2)
     assert orbit.values() == (F(3, 11), F(8, 11))
+
+
+def test_minimal_orbit_walks_each_orbit_once(monkeypatch):
+    walks = []
+    original = periods.orbit_values
+
+    def recording(m, p, length):
+        walks.append(p)
+        return original(m, p, length)
+
+    monkeypatch.setattr(periods, "orbit_values", recording)
+    # two candidates, 3/11 and 8/11, on one orbit
+    orbit = minimal_periodic_orbit(symmetric_map(F(6, 5)), 2)
+    assert orbit.values() == (F(3, 11), F(8, 11)) and len(walks) == 1
+    walks.clear()
+    orbit = minimal_periodic_orbit(beta_transformation(F(6, 5), F(1, 10)), 5)
+    assert len(orbit.points) == 5 and len(walks) == 1
 
 
 def test_minimal_orbit_beta_five_cycle():

@@ -32,7 +32,7 @@ def test_full_pipeline_invariants(sample_maps):
         assert len(orbit.points) == period.kappa
         assert orbit.flank_left < m.c < orbit.flank_right
 
-        tower = renorm_tower(m, bound=16, period=period, orbit=orbit)
+        tower = renorm_tower(m, bound=16, period=period)
         unions = orbit_unions(m, tower)
 
         # nested orbit unions, each forward invariant
@@ -83,7 +83,7 @@ def test_pipeline_is_conjugation_equivariant():
     orbit = minimal_periodic_orbit(m, 2)
     assert orbit.values() == (h(F(3, 11)), h(F(8, 11)))
 
-    tower = tower_of(m, period=period, orbit=orbit)
+    tower = tower_of(m, period=period)
     assert len(tower) == 1
     assert tower.levels[0].interval == (h(F(2, 5)), h(F(3, 5)))
     # rescaling lands on the same unit-domain inner map as the original
@@ -128,7 +128,7 @@ def test_asymmetric_two_piece_maps():
         assert hitting_index(m, (m.c, orbit.flank_right)).n == kappa
         flanked = (orbit.flank_left, orbit.flank_right)
         assert leo_evidence(m, flanked, kappa - 1).covered
-        result = minimal_renormalization(m, 20, period=period, orbit=orbit)
+        result = minimal_renormalization(m, 20, period=period)
         if result.found:
             step = result.step
             assert step.periodic  # piecewise-linear maps renormalize periodically

@@ -20,14 +20,17 @@ from lorenzmap.maps import (
     symmetric_map,
     validate_map,
 )
-from lorenzmap.periods import minimal_period, minimal_periodic_orbit
+from lorenzmap.periods import (
+    BranchBudgetExceeded,
+    minimal_period,
+    minimal_periodic_orbit,
+)
 from lorenzmap.renorm import (
     TowerTerminal,
     Trichotomy,
     classify_trichotomy,
     is_valid_renormalization,
     minimal_renormalization,
-    periodic_renorm_check,
     renorm_tower,
     _build_step,
     _pair_failure,
@@ -38,7 +41,7 @@ from lorenzmap.renorm import (
 from lorenzmap.cli import main
 from lorenzmap.orbits import CriticalOrbitPair, enclose, rank_values, ranked_orbits
 
-from conftest import multi_piece_maps, piece_map
+from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps, piece_map
 
 GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
@@ -75,17 +78,16 @@ def test_rejects_pair_that_is_not_first_return():
 
 
 def test_periodic_renorm_check_examples():
-    assert periodic_renorm_check(symmetric_map(F(6, 5))).periodic
-    assert not periodic_renorm_check(symmetric_map(F(3, 2))).periodic
-    assert periodic_renorm_check(symmetric_map(F(141, 100))).periodic
-    assert not periodic_renorm_check(symmetric_map(F(142, 100))).periodic
+    assert _assert_kappa_rule_matches_flanks(symmetric_map(F(6, 5)))
+    assert not _assert_kappa_rule_matches_flanks(symmetric_map(F(3, 2)))
+    assert _assert_kappa_rule_matches_flanks(symmetric_map(F(141, 100)))
+    assert not _assert_kappa_rule_matches_flanks(symmetric_map(F(142, 100)))
 
 
 def test_periodic_threshold_is_exact():
     # the flanking inclusion for the symmetric family reduces to 2 - a^2 >= 0
     for a in (F(1414, 1000), F(1415, 1000), F(14142, 10000), F(14143, 10000)):
-        res = periodic_renorm_check(symmetric_map(a))
-        assert res.periodic is (a * a <= 2)
+        assert _assert_kappa_rule_matches_flanks(symmetric_map(a)) is (a * a <= 2)
 
 
 def test_minimal_renormalization_fast_path():
@@ -116,7 +118,9 @@ def test_fixed_point_maps_are_certainly_prime():
 def test_fast_path_agrees_with_exhaustive_search():
     for a in (F(6, 5), F(11, 10), F(141, 100)):
         m = symmetric_map(a)
-        fast = periodic_renorm_check(m).step
+        fast = minimal_renormalization(m)
+        assert fast.fast_path
+        fast = fast.step
         searched = _search_pairs(m, 16)
         assert (searched.ell, searched.r) == (fast.ell, fast.r)
         assert (searched.u, searched.v) == (fast.u, fast.v)
@@ -192,7 +196,7 @@ def test_roundtrip_exactness_on_found_steps(sample_maps):
     for _family, _p1, _p2, m in sample_maps:
         per = minimal_period(m)
         orbit = minimal_periodic_orbit(m, per.kappa)
-        res = minimal_renormalization(m, 16, period=per, orbit=orbit)
+        res = minimal_renormalization(m, 16, period=per)
         if not res.found:
             continue
         step = res.step
@@ -339,6 +343,65 @@ def test_enclosures_hold_the_exact_orbits(ranking_corpus):
         _assert_enclosures_are_exact(m, 48)
 
 
+def _assert_kappa_rule_matches_flanks(m):
+    """The paper's periodicity criterion, as an oracle for the ``(kappa, kappa)`` rule.
+
+    The minimal orbit's points flanking ``c`` enclose the return images
+    ``f^kappa(c+)`` and ``f^kappa(c-)`` exactly when the minimal
+    renormalization is ``(kappa, kappa)`` found by the rule; its ``e-``
+    and ``e+`` are then those flanks, on one orbit.  Returns whether the
+    flanks enclose, or None when the map has no orbit to compare with.
+    """
+    res = minimal_renormalization(m)
+    kappa = res.period.kappa
+    if kappa is None or kappa == 1:
+        assert not res.fast_path
+        return None
+    try:
+        orbit = minimal_periodic_orbit(m, kappa, budget=5_000)
+    except BranchBudgetExceeded:
+        return None
+    u = iterate(m, SidedPoint(m.c, Side.PLUS), kappa).x
+    v = iterate(m, SidedPoint(m.c, Side.MINUS), kappa).x
+    flanked = orbit.flank_left <= u and v <= orbit.flank_right
+    assert res.fast_path is flanked
+    if flanked:
+        step = res.step
+        assert (step.ell, step.r, step.u, step.v) == (kappa, kappa, u, v)
+        assert (step.e_minus, step.e_plus) == (orbit.flank_left, orbit.flank_right)
+        assert step.periodic
+    return flanked
+
+
+def test_kappa_rule_matches_the_flank_criterion(ranking_corpus):
+    # the corpus holds sample_maps and the golden custom*.map maps
+    outcomes = [_assert_kappa_rule_matches_flanks(m) for m in ranking_corpus]
+    # 55 and 64 on this corpus
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps(near_unit=True))
+def test_kappa_rule_matches_the_flank_criterion_on_random_maps(m):
+    _assert_kappa_rule_matches_flanks(m)
+
+
+def test_kappa_rule_ignores_the_pair_bound():
+    # (5, 5) lies past bound 2, and the rule still finds it
+    m = beta_transformation(F(11, 10), F(3, 20))
+    res = minimal_renormalization(m, bound=2)
+    assert res.fast_path and (res.step.ell, res.step.r) == (5, 5)
+    assert res.step.periodic and _search_pairs(m, 2) is None
+
+
+def test_tower_needs_no_periodic_orbit():
+    # minimal period 662, whose orbit's cylinders pass the branch budget
+    m = parse_map_text(LONG_ORBIT_MAP_TEXT)
+    tower = renorm_tower(m, level_cap=4, bound=24)
+    assert tower.terminal is TowerTerminal.PRIME_UP_TO_BOUND and not tower.levels
+    assert minimal_period(m).kappa == 662
+
+
 def test_orbit_landing_on_c_is_decided_exactly():
     # f(0) = alpha = c, so the c+ orbit is c, 0, c, 0, ...: its enclosure
     # meets c at every even step and the exact value picks the branch
@@ -360,10 +423,11 @@ def test_periodic_fast_path_iterates_kappa_steps(monkeypatch):
         lengths.append(length)
         return traced(m, length, *args, **kwargs)
 
-    # the map's shared critical-orbit pair builds and grows its orbits here
+    # the map's shared critical-orbit pair builds and grows its orbits here;
+    # the (kappa, kappa) rule reads 2·kappa steps and finds the level
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
-    result = periodic_renorm_check(symmetric_map(F(6, 5)))
-    assert result.periodic and lengths == [2]
+    result = minimal_renormalization(symmetric_map(F(6, 5)))
+    assert result.fast_path and result.step.periodic and lengths == [4]
     assert result.step.left_word == (BranchLabel.LEFT, BranchLabel.RIGHT)
 
 

@@ -59,6 +59,8 @@ CASES = [
     _analyze_file("custom27"),
     _analyze_file("custom29"),
     _analyze_file("custom33"),
+    _analyze_file("custom_cantor"),
+    _analyze_file("custom_periodic_cantor"),
     _analyze_file("invalid_slope"),
     ("classify_symmetric_6_5_quarter",
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4"]),
@@ -70,6 +72,11 @@ CASES = [
      ["classify", "--family", "symmetric", "--a", "3/2", "--x", "1/3"]),
     ("classify_custom16",
      ["classify", "--map-file", (MAPS / "custom16.map").as_posix(), "--x", "2/7"]),
+    ("classify_custom_cantor",
+     ["classify", "--map-file", (MAPS / "custom_cantor.map").as_posix(), "--x", "1/4"]),
+    ("classify_custom_periodic_cantor",
+     ["classify", "--map-file", (MAPS / "custom_periodic_cantor.map").as_posix(),
+      "--x", "1/2"]),
     ("classify_outside_domain",
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "3/2"]),
     ("classify_invalid_slope",

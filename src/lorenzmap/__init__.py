@@ -15,6 +15,7 @@ from .numerics import (
     format_scalar,
 )
 from .maps import (
+    BranchBudgetExceeded,
     BranchFn,
     BranchLabel,
     IntervalDoesNotStraddleC,
@@ -44,14 +45,12 @@ from .interval_dynamics import (
 )
 from .periods import (
     AmbiguousPreimage,
-    BranchBudgetExceeded,
     MinimalPeriodResult,
     PeriodicOrbit,
     UniquenessViolated,
     fixed_points,
     minimal_period,
     minimal_periodic_orbit,
-    periodic_points,
 )
 from .renorm import (
     MinimalRenormResult,

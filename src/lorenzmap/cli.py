@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 from .numerics import PrecisionExhausted, format_scalar, parse_scalar
 from .maps import (
+    BranchBudgetExceeded,
     LorenzMap,
     beta_transformation,
     describe_map,
@@ -29,12 +30,7 @@ from .maps import (
     validate_map,
 )
 from .interval_dynamics import CapExceeded, format_union
-from .periods import (
-    DEFAULT_BACKWARD_CAP,
-    BranchBudgetExceeded,
-    minimal_period,
-    minimal_periodic_orbit,
-)
+from .periods import DEFAULT_BACKWARD_CAP, minimal_period, minimal_periodic_orbit
 from .renorm import (
     DEFAULT_LEVEL_CAP,
     DEFAULT_PAIR_BOUND,

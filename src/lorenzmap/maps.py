@@ -13,7 +13,7 @@ test are rejected by :func:`validate_map` rather than analyzed unsoundly.
 Iterates on an interval are composed in one place:
 :func:`affine_pieces` gives the affine pieces of ``f^n`` on ``[lo, hi]``
 with their branch words.  The rescaled first-return map
-(:func:`rescale_to_unit`), the periodic points of
+(:func:`rescale_to_unit`), the minimal periodic orbit of
 :mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
 :mod:`~lorenzmap.renorm` are all read off these pieces.
 
@@ -380,7 +380,7 @@ def affine_pieces(
     ]
     pieces = [(lo, hi, ONE, ZERO, ())]
     count = 1
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         out = []
         for x0, x1, s, t, word in pieces:
             y0, y1 = s * x0 + t, s * x1 + t
@@ -392,7 +392,7 @@ def affine_pieces(
             count += len(xs) - 1
             if count > budget:
                 raise BranchBudgetExceeded(
-                    f"more than {budget} cylinder pieces at depth {steps}"
+                    f"more than {budget} cylinder pieces at depth {step}"
                 )
             for k in range(len(xs) - 1):
                 label, bs, bt = forms[first + k]
@@ -401,30 +401,12 @@ def affine_pieces(
     return pieces
 
 
-def first_return_times(m: LorenzMap, u: Scalar, v: Scalar, cap: int = 10_000):
-    """First-return times of ``c-`` and ``c+`` to ``[u, v]``."""
-    times = []
-    for side in (Side.MINUS, Side.PLUS):
-        x = m.c
-        for n in range(1, cap + 1):
-            x = evaluate(m, SidedPoint(x, side))
-            if u <= x <= v:
-                times.append(n)
-                break
-        else:
-            raise CapExceeded(
-                f"no return of c{side.value} to [u, v] within {cap} steps"
-            )
-    ell, r = times
-    return ell, r
+def rescale_to_unit(m: LorenzMap, J: tuple, return_times: tuple) -> LorenzMap:
+    """Return map on ``J = [u, v]``, affinely conjugated onto ``[0, 1]``.
 
-
-def rescale_to_unit(m: LorenzMap, J: tuple, return_times=None) -> LorenzMap:
-    """First-return map on ``J = [u, v]``, affinely conjugated onto ``[0, 1]``.
-
-    Slopes are preserved by the conjugation, so each rescaled piece slope
-    is the product of the composed piece slopes.  ``return_times``
-    defaults to the first-return times of ``c-`` / ``c+`` to ``J``; an
+    ``return_times = (ell, r)`` gives the steps of the left and right
+    return branches.  Slopes are preserved by the conjugation, so each
+    rescaled piece slope is the product of the composed piece slopes.  An
     image of ``[u, c]`` or ``[c, v]`` that crosses ``c`` before its return
     time raises :class:`IntervalDoesNotStraddleC`.
     """
@@ -433,10 +415,7 @@ def rescale_to_unit(m: LorenzMap, J: tuple, return_times=None) -> LorenzMap:
         raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
     if u < m.a or v > m.b:
         raise ValueError(f"{format_interval(u, v)} is not inside the domain")
-    if return_times is None:
-        ell, r = first_return_times(m, u, v)
-    else:
-        ell, r = return_times
+    ell, r = return_times
 
     width = v - u
 

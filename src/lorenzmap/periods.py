@@ -4,11 +4,12 @@ For an expanding Lorenz map without fixed point the least period over
 all periodic points is ``m + 2``, where ``m`` counts backward steps of
 the discontinuity through its unique preimages until the chain enters
 the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
-unique.  It is found from the affine pieces of the kappa-th iterate on
-``[a, b]`` (:func:`~lorenzmap.maps.affine_pieces`, the one composition
-primitive: cylinders cut at preimages of ``c`` and of internal
-breakpoints) by solving ``s·x + t = x`` on each piece exactly, and
-each orbit is iterated once.
+unique.  Its largest point left of ``c`` follows the branch word of
+``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), so it
+is found by solving ``f^kappa(x) = x`` exactly on that one word's
+domain, read off the pieces of :func:`~lorenzmap.maps.affine_pieces`,
+and its orbit is iterated once.  The same solve gives the repelling
+fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Optional
 
 from .numerics import Scalar
 from .maps import (
-    DEFAULT_BRANCH_BUDGET,
-    BranchBudgetExceeded,  # raised by periodic_points, so public here too
+    BranchLabel,
     LorenzMap,
     Side,
     SidedPoint,
@@ -29,6 +29,7 @@ from .maps import (
     inverse_images,
     orbit_values,
 )
+from .orbits import critical_orbit_values
 
 DEFAULT_BACKWARD_CAP = 10_000
 
@@ -38,7 +39,7 @@ class AmbiguousPreimage(Exception):
 
 
 class UniquenessViolated(Exception):
-    """More than one minimal-period orbit was found (broken input or bug)."""
+    """The minimal-period orbit has the wrong size or misses one side of ``c``."""
 
 
 @dataclass(frozen=True)
@@ -126,90 +127,76 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     return MinimalPeriodResult(None, None, tuple(chain))
 
 
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _word_domain(m: LorenzMap, word):
+    """Maximal closed interval on which the branch word can be followed."""
+    lo, hi = m.a, m.b
+    for label in reversed(word):
+        branch = m.left if label is BranchLabel.LEFT else m.right
+        range_lo = branch.value(branch.lo)
+        range_hi = branch.value(branch.hi)
+        ylo, yhi = max(lo, range_lo), min(hi, range_hi)
+        if ylo > yhi:
+            raise AssertionError("branch word is not realized by any interval")
+        lo = branch.solve(ylo)
+        hi = branch.solve(yhi)
+    return lo, hi
 
 
-def _periodic_orbits(m: LorenzMap, n: int, budget: int) -> list:
-    """``(p, least period, [p.x, ..., f^n(p)])`` per fixed point of ``f^n``, ascending.
+def _fixed_point(m: LorenzMap, steps: int, lo: Scalar, hi: Scalar) -> Scalar:
+    """The fixed point of ``f^steps`` in a bracket inside its word's domain.
 
-    Each affine cylinder of ``f^n`` carries at most one solution because
-    every slope exceeds 1.  Interior solutions are plain points.  A
-    solution sitting on a cylinder endpoint whose orbit hits ``c``
-    exactly is the one-sided point that endpoint stands for (``+`` at a
-    left endpoint, ``-`` at a right endpoint).  Each point's orbit is
-    iterated once; the fixed-point check and the least period (the least
-    ``d | n`` with ``f^d(p) = p``) are read off it.  A candidate on an
-    orbit already iterated that misses ``c`` reads both off that orbit.
+    There ``f^steps`` follows one branch word, so it is continuous and
+    increasing with slope > 1; ``f^steps - id`` crosses zero at most once,
+    and the solution of ``s·x + t = x`` on the piece that contains it is
+    exact.
     """
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    found: dict = {}
-    walked: dict = {}  # x -> (k, values, least) with values[k] = x
-    for lo, hi, s, t, _word in affine_pieces(m, m.a, m.b, n, budget):
-        if s == 1:
-            continue
+    for x0, x1, s, t, _word in affine_pieces(m, lo, hi, steps):
         x = t / (1 - s)
-        if not (lo <= x <= hi):
-            continue
-        if x in walked:
-            k, values, least = walked[x]
-            found[(x, None)] = (SidedPoint(x), least, values[k:n] + values[: k + 1])
-            continue
-        p = SidedPoint(x)
-        try:
-            values = orbit_values(m, p, n)
-        except SideRequired:
-            if x not in (lo, hi):
-                raise AssertionError(
-                    "interior cylinder point hit the discontinuity"
-                ) from None
-            p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
-            values = orbit_values(m, p, n)
-        if values[n] != x or (x, p.side) in found:
-            continue
-        least = next(d for d in _divisors(n) if values[d] == x)
-        found[(x, p.side)] = (p, least, values)
-        if p.side is None:
-            walked.update((y, (k, values, least)) for k, y in enumerate(values[:n]))
-    return sorted(found.values(), key=lambda item: item[0].x)
+        if x0 <= x <= x1:
+            return x
+    raise AssertionError("no repelling fixed point in the return branch's bracket")
 
 
-def periodic_points(
-    m: LorenzMap, n: int, budget: int = DEFAULT_BRANCH_BUDGET
-) -> list:
-    """All fixed points of ``f^n`` with their least periods, ascending.
+def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
+    """The unique orbit of least period ``kappa`` (1 < kappa < ∞).
 
-    Orbits through exact hits of ``c`` appear as one-sided points.
+    Let ``p`` be the orbit's largest point left of ``c`` (at ``c`` itself
+    when the orbit holds ``c-``).  If some ``y`` in ``(p, c)`` had
+    ``f^i(y) = c`` for an ``i < kappa``, take the first such ``i``:
+    ``f^i`` is continuous and increasing on ``[p, y]``, and
+    ``f^i(p) < f^i(y) = c`` is an orbit point left of ``c``, so
+    ``f^i(p) <= p``.  Then ``f^i([p, y]) ⊇ [p, y]`` holds a fixed point
+    of ``f^i``, a periodic point of period at most ``i < kappa``, which
+    contradicts the minimal period.  So ``(p, c)`` meets no preimage of
+    ``c`` for ``kappa`` steps, and ``p`` follows the branch word of
+    ``c-``.  On that word's domain ``f^kappa - id`` is increasing, so
+    ``p`` is its only zero there, and one exact solve finds it.
+
+    A solution at a domain end whose orbit meets ``c`` is the one-sided
+    point that end stands for: ``+`` at the left end, ``-`` at the right
+    end.  ``kappa`` must be the minimal period; any other value raises
+    :class:`ValueError`.
     """
-    return [(p, least) for p, least, _values in _periodic_orbits(m, n, budget)]
-
-
-def minimal_periodic_orbit(
-    m: LorenzMap, kappa: int, budget: int = DEFAULT_BRANCH_BUDGET
-) -> PeriodicOrbit:
-    """The unique orbit of least period ``kappa`` (1 < kappa < ∞)."""
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
-    candidates = _periodic_orbits(m, kappa, budget)
-    if any(least < kappa for _, least, _values in candidates):
-        raise ValueError(
-            "points of period below kappa exist; kappa is not the minimal period"
-        )
-    orbits = []
-    seen = set()
-    for p, _, values in candidates:
-        if (p.x, p.side) in seen:
-            continue
-        orbit = [SidedPoint(x, p.side) for x in values[:kappa]]
-        for q in orbit:
-            seen.add((q.x, q.side))
-        orbits.append(sorted(orbit, key=lambda sp: sp.x))
-    if len(orbits) != 1:
-        raise UniquenessViolated(
-            f"expected one orbit of period {kappa}, found {len(orbits)}"
-        )
-    points = tuple(orbits[0])
+    if minimal_period(m, kappa - 2).kappa != kappa:
+        raise ValueError("kappa is not the minimal period")
+    minus, _plus = critical_orbit_values(m, kappa)
+    lo, hi = _word_domain(m, minus.word[:kappa])
+    x = _fixed_point(m, kappa, lo, hi)
+    p = SidedPoint(x)
+    try:
+        values = orbit_values(m, p, kappa)
+    except SideRequired:
+        if x not in (lo, hi):
+            raise AssertionError(
+                "interior word-domain point hit the discontinuity"
+            ) from None
+        p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
+        values = orbit_values(m, p, kappa)
+    if values[kappa] != x:
+        raise AssertionError("the word-domain solution is not fixed by f^kappa")
+    points = tuple(SidedPoint(y, p.side) for y in sorted(set(values[:kappa])))
     if len(points) != kappa:
         raise UniquenessViolated("orbit size does not match the period")
 

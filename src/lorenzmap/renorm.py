@@ -41,12 +41,11 @@ from .numerics import Scalar
 from .maps import (
     BranchLabel,
     LorenzMap,
-    affine_pieces,
     orbit_values,
     rescale_to_unit,
 )
 from .orbits import CriticalOrbitPair, critical_orbit_values, ranked_orbits
-from .periods import MinimalPeriodResult, minimal_period
+from .periods import MinimalPeriodResult, _fixed_point, _word_domain, minimal_period
 
 DEFAULT_PAIR_BOUND = 64
 DEFAULT_LEVEL_CAP = 16
@@ -76,36 +75,6 @@ class RenormCheck:
     @property
     def valid(self) -> bool:
         return self.step is not None
-
-
-def _word_domain(m: LorenzMap, word):
-    """Maximal closed interval on which the branch word can be followed."""
-    lo, hi = m.a, m.b
-    for label in reversed(word):
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        range_lo = branch.value(branch.lo)
-        range_hi = branch.value(branch.hi)
-        ylo, yhi = max(lo, range_lo), min(hi, range_hi)
-        if ylo > yhi:
-            raise AssertionError("branch word is not realized by any interval")
-        lo = branch.solve(ylo)
-        hi = branch.solve(yhi)
-    return lo, hi
-
-
-def _fixed_point(m: LorenzMap, steps: int, lo: Scalar, hi: Scalar) -> Scalar:
-    """The fixed point of ``f^steps`` in a bracket inside its word's domain.
-
-    There ``f^steps`` follows one branch word, so it is continuous and
-    increasing with slope > 1; ``f^steps - id`` crosses zero at most once,
-    and the solution of ``s·x + t = x`` on the piece that contains it is
-    exact.
-    """
-    for x0, x1, s, t, _word in affine_pieces(m, lo, hi, steps):
-        x = t / (1 - s)
-        if x0 <= x <= x1:
-            return x
-    raise AssertionError("no repelling fixed point in the return branch's bracket")
 
 
 def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:

@@ -201,8 +201,8 @@ def piece_map(integer, near_unit=False):
 
 
 # A near-unit draw of minimal period 662.  The cylinders of f^662 number
-# more than the default branch budget, so its minimal periodic orbit cannot
-# be enumerated; its tower and classification need no periodic orbit.
+# more than the default branch budget of maps.affine_pieces, so its minimal
+# periodic orbit is found only from the one branch word of c-.
 LONG_ORBIT_MAP_TEXT = """family = custom
 domain = 0 1
 c = 103/228

@@ -19,7 +19,7 @@ from lorenzmap.maps import (
     validate_map,
 )
 from lorenzmap.interval_dynamics import hitting_index, image_union, leo_evidence
-from lorenzmap.periods import minimal_period, minimal_periodic_orbit, periodic_points
+from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
     Trichotomy,
     classify_trichotomy,
@@ -32,6 +32,8 @@ from lorenzmap.limits import (
     omega_decomposition,
     preimage_open_intervals,
 )
+
+from conftest import map_piece_table, word_periodic_points
 
 BAND_SAMPLES = (F(3, 2), F(6, 5), F(11, 10), F(107, 100))
 
@@ -93,20 +95,17 @@ def test_criterion_03_periodic_threshold():
 def test_criterion_04_oracle_equivalence(sample_maps):
     for _family, _p1, _p2, m in sample_maps:
         kappa = minimal_period(m).kappa
-        for n in range(1, kappa + 1):
-            points = periodic_points(m, n)
-            assert all(least >= kappa for _, least in points)
-            if n < kappa:
-                assert points == []
-        points = periodic_points(m, kappa)
+        table = map_piece_table(m)
+        for n in range(1, kappa):
+            assert word_periodic_points(table, n) == {}
+        points = word_periodic_points(table, kappa)
         assert len(points) == kappa
-        assert all(least == kappa for _, least in points)
-        values = {p.x for p, _ in points}
-        one_orbit, seen = points[0][0], set()
+        assert set(points.values()) == {kappa}
+        one_orbit, seen = SidedPoint(min(points)), set()
         for _ in range(kappa):
             seen.add(one_orbit.x)
             one_orbit = SidedPoint(evaluate(m, one_orbit), one_orbit.side)
-        assert seen == values
+        assert seen == set(points)
     print("ACCEPTANCE 4: PASS - no period below kappa, exactly one kappa-orbit, 50 maps")
 
 

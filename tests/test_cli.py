@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import sys
@@ -9,7 +8,8 @@ import pytest
 
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
-from lorenzmap.periods import minimal_periodic_orbit
+from lorenzmap.maps import SidedPoint, iterate, parse_map_text
+from lorenzmap.numerics import parse_scalar
 
 from conftest import LONG_ORBIT_MAP_TEXT
 
@@ -208,26 +208,22 @@ def test_cap_exceeded_exit_code(capsys):
     assert report["kappa"] is None
 
 
-def test_long_minimal_orbit_classifies_but_cannot_be_reported(
-    capsys, tmp_path, monkeypatch
-):
+def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
     path = tmp_path / "long_orbit.map"
     path.write_text(LONG_ORBIT_MAP_TEXT)
-    # neither the tower nor the classification enumerates the period-662 orbit
     code, out = run_cli(capsys, "classify", "--map-file", str(path), "--x", "1/4")
     assert code == 0
     assert json.loads(out)["class"] == "I"
-    # the analyze report prints that orbit, whose cylinders pass the branch
-    # budget; a smaller budget ends the same way as the default (about a
-    # minute) in a fraction of a second
-    small_budget = functools.partial(minimal_periodic_orbit, budget=2_000)
-    monkeypatch.setattr(cli, "minimal_periodic_orbit", small_budget)
+    # the report's period-662 orbit comes from one solve on the word of c-
     code, out = run_cli(capsys, "analyze", "--map-file", str(path))
-    assert code == 4
+    assert code == 0
     report = json.loads(out)
-    assert (report["status"], report["kappa"]) == ("cap-exceeded", 662)
-    assert "cylinder pieces" in report["error"]
-    assert "orbit" not in report and "tower" not in report
+    assert (report["status"], report["kappa"]) == ("ok", 662)
+    orbit = report["orbit"]
+    assert orbit["period"] == 662 and len(orbit["points"]) == 662
+    m = parse_map_text(LONG_ORBIT_MAP_TEXT)
+    flank_left = parse_scalar(orbit["flank_left"])
+    assert iterate(m, flank_left, 662) == SidedPoint(flank_left)
 
 
 def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
@@ -351,6 +347,7 @@ CUSTOM_PRECISION_MAP = (
         (["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4", "--level-cap",
           "0"], None, {}, 2, "invalid-map"),
         (["analyze", "--family", "beta", "--beta", "6/5"], None, {}, 2, "invalid-map"),
+        (["analyze"], None, {}, 2, "invalid-map"),
     ],
     ids=[
         "classify-precision-map",
@@ -363,6 +360,7 @@ CUSTOM_PRECISION_MAP = (
         "l-max-below-2",
         "level-cap-below-1",
         "beta-without-alpha",
+        "no-map",
     ],
 )
 def test_input_boundary_exit_codes(

@@ -10,7 +10,6 @@ from lorenzmap import cli, maps
 from lorenzmap.limits import _forward_orbit_closure
 from lorenzmap.maps import (
     beta_transformation,
-    first_return_times,
     iterate,
     symmetric_map,
 )
@@ -93,9 +92,6 @@ def test_internal_iteration_caps_raise_cap_exceeded():
     assert CapExceeded is maps.CapExceeded is lorenzmap.CapExceeded
     assert cli.exit_code_for(CapExceeded("cap")) == cli.EXIT_CAP
     m = symmetric_map(F(6, 5))
-    # c- goes to b = 1 and then to 3/5: outside [9/20, 11/20] for 2 steps
-    with pytest.raises(CapExceeded):
-        first_return_times(m, F(9, 20), F(11, 20), cap=2)
     # 0 -> 2/5 -> 22/25 -> ...: denominators 5^n, so 0 never comes back
     with pytest.raises(CapExceeded):
         _forward_orbit_closure(m, F(0), cap=5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lorenzmap.numerics import PrecisionExhausted
 from lorenzmap.maps import (
+    BranchBudgetExceeded,
     BranchFn,
     BranchLabel,
     LorenzMap,
@@ -139,19 +140,18 @@ def test_rescale_first_return_to_unit():
     m = symmetric_map(F(6, 5))
     inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), (2, 2))
     assert inner.same_map(symmetric_map(F(36, 25)))
-    # return times are recovered when omitted
-    assert rescale_to_unit(m, (F(2, 5), F(3, 5))).same_map(inner)
 
 
 def test_rescale_whole_domain_is_identity_copy():
     m = symmetric_map(F(3, 2))
-    assert rescale_to_unit(m, (F(0), F(1))).same_map(m)
+    # every point of [0, 1] is back in [0, 1] after one step
+    assert rescale_to_unit(m, (F(0), F(1)), (1, 1)).same_map(m)
 
 
 def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
     with pytest.raises(IntervalDoesNotStraddleC):
-        rescale_to_unit(m, (F(0), F(2, 5)))
+        rescale_to_unit(m, (F(0), F(2, 5)), (1, 1))
     # [2/5, 3/5] returns after (2, 2) steps; with longer return times an
     # image of a branch crosses c before the last step
     m = symmetric_map(F(6, 5))
@@ -220,6 +220,13 @@ def test_affine_pieces_tile_and_agree_with_iterate(m, steps, data):
         assert s * x1 + t == iterate(m, SidedPoint(x1, Side.MINUS), steps).x
 
 
+def test_affine_pieces_budget_names_the_depth_it_was_passed_at():
+    # 1 + 2 + 4 + 8 + 16 pieces up to depth 4, then 30 more at depth 5
+    message = "more than 50 cylinder pieces at depth 5$"
+    with pytest.raises(BranchBudgetExceeded, match=message):
+        affine_pieces(symmetric_map(F(19, 10)), F(0), F(1), 10, budget=50)
+
+
 def test_rescale_level_two_in_base_coordinates():
     # the twice-renormalized interval of the slope-11/10 map, taken in the
     # base coordinates with total return times (4, 4), rescales directly to
@@ -228,7 +235,6 @@ def test_rescale_level_two_in_base_coordinates():
     J = (F(979, 2000), F(1021, 2000))
     inner = rescale_to_unit(m, J, (4, 4))
     assert inner.same_map(symmetric_map(F(11, 10) ** 4))
-    assert rescale_to_unit(m, J).same_map(inner)  # auto-detected return times
 
 
 def test_eval_matches_raw_formula():

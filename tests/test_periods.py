@@ -18,13 +18,11 @@ from lorenzmap.maps import (
     symmetric_map,
 )
 from lorenzmap.periods import (
-    BranchBudgetExceeded,
     PeriodicOrbit,
     UniquenessViolated,
     fixed_points,
     minimal_period,
     minimal_periodic_orbit,
-    periodic_points,
 )
 
 from conftest import (
@@ -128,48 +126,63 @@ def test_minimal_orbit_through_discontinuity():
     assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == m.c
 
 
+def _assert_minimal_orbit_matches_word_oracle(m, table):
+    """The oracle lists no point of period below kappa, and the minimal
+    orbit holds exactly its points of least period kappa."""
+    kappa = minimal_period(m).kappa
+    for n in range(1, kappa):
+        assert word_periodic_points(table, n) == {}
+    orbit = minimal_periodic_orbit(m, kappa)
+    assert all(p.side is None for p in orbit.points)
+    expect = word_periodic_points(table, kappa)
+    assert orbit.values() == tuple(sorted(x for x, n in expect.items() if n == kappa))
+    return orbit
+
+
 def test_periodic_points_examples():
-    m = symmetric_map(F(3, 2))
-    assert [(p.x, least) for p, least in periodic_points(m, 2)] == [
-        (F(3, 10), 2),
-        (F(7, 10), 2),
-    ]
-    assert periodic_points(m, 1) == []
-    m = symmetric_map(F(6, 5))
-    for n in range(1, 5):
-        leasts = {least for _, least in periodic_points(m, n)}
-        assert leasts <= {2, 4}
-        assert all(least >= 2 for least in leasts)
+    orbit = _assert_minimal_orbit_matches_word_oracle(
+        symmetric_map(F(3, 2)), two_piece_table(sym_params(F(3, 2)))
+    )
+    assert orbit.values() == (F(3, 10), F(7, 10))
+    orbit = _assert_minimal_orbit_matches_word_oracle(
+        symmetric_map(F(6, 5)), two_piece_table(sym_params(F(6, 5)))
+    )
+    assert orbit.values() == (F(3, 11), F(8, 11))
 
 
 def test_periodic_points_against_word_oracle():
     cases = [
-        ("symmetric", sym_params(F(8, 5)), symmetric_map(F(8, 5))),
-        ("beta", beta_params(F(6, 5), F(1, 10)), beta_transformation(F(6, 5), F(1, 10))),
-        ("beta", beta_params(F(3, 2), F(1, 5)), beta_transformation(F(3, 2), F(1, 5))),
+        (sym_params(F(8, 5)), symmetric_map(F(8, 5))),
+        (beta_params(F(6, 5), F(1, 10)), beta_transformation(F(6, 5), F(1, 10))),
+        (beta_params(F(3, 2), F(1, 5)), beta_transformation(F(3, 2), F(1, 5))),
     ]
-    for _name, params, m in cases:
-        for n in range(1, 7):
-            expect = word_periodic_points(two_piece_table(params), n)
-            got = periodic_points(m, n)
-            assert all(p.side is None for p, _ in got)
-            assert {p.x: least for p, least in got} == expect
+    for params, m in cases:
+        _assert_minimal_orbit_matches_word_oracle(m, two_piece_table(params))
+
+
+def _merge_collinear(table):
+    """The piece table with adjacent pieces of one affine formula merged.
+
+    custom33 cuts each branch of a beta map into three collinear pieces;
+    merged, the oracle composes 2^7 words for its period 7, not 6^7.
+    """
+    c, pieces = table
+    merged = [pieces[0]]
+    for lo, hi, s, t in pieces[1:]:
+        last_lo, last_hi, last_s, last_t = merged[-1]
+        if (s, t) == (last_s, last_t) and lo == last_hi != c:
+            merged[-1] = (last_lo, hi, s, t)
+        else:
+            merged.append((lo, hi, s, t))
+    return c, merged
 
 
 @pytest.mark.parametrize("stem", ["custom15", "custom16", "custom19", "custom27",
                                   "custom29", "custom33"])
 def test_multi_piece_periodic_points_against_word_oracle(stem):
     m = parse_map_text((GOLDEN_MAPS / f"{stem}.map").read_text(encoding="utf-8"))
-    table = map_piece_table(m)
-    for n in range(1, 6):
-        got = periodic_points(m, n)
-        assert all(p.side is None for p, _ in got)
-        assert {p.x: least for p, least in got} == word_periodic_points(table, n)
-
-
-def test_periodic_points_budget():
-    with pytest.raises(BranchBudgetExceeded):
-        periodic_points(symmetric_map(F(19, 10)), 10, budget=50)
+    table = _merge_collinear(map_piece_table(m))
+    _assert_minimal_orbit_matches_word_oracle(m, table)
 
 
 def test_minimal_orbit_rejects_wrong_period():
@@ -236,17 +249,17 @@ def test_minimal_orbit_matches_straight_reference(sample_maps):
         for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
     ]
     maps.append(beta_transformation(F(6, 5), F(19, 55)))  # 2-orbit through c-
-    orbits, other_periods = [], []
+    orbits = []
     for m in maps:
         kappa = minimal_period(m).kappa
         assert kappa is not None and kappa > 1
         orbits.append(_assert_minimal_orbit_is_straight(m, kappa))
-        if kappa <= 5:  # another period must give the same orbit or error
+        if kappa <= 5:  # any other period is refused
             for n in (kappa + 1, 2 * kappa):
-                other_periods.append(_assert_minimal_orbit_is_straight(m, n))
+                with pytest.raises(ValueError):
+                    minimal_periodic_orbit(m, n)
     assert all(isinstance(o, PeriodicOrbit) for o in orbits)
     assert any(p.side is not None for o in orbits for p in o.points)
-    assert {ValueError, UniquenessViolated} <= set(other_periods)
 
 
 @settings(max_examples=40, deadline=None)

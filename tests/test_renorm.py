@@ -20,11 +20,7 @@ from lorenzmap.maps import (
     symmetric_map,
     validate_map,
 )
-from lorenzmap.periods import (
-    BranchBudgetExceeded,
-    minimal_period,
-    minimal_periodic_orbit,
-)
+from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
     TowerTerminal,
     Trichotomy,
@@ -357,10 +353,7 @@ def _assert_kappa_rule_matches_flanks(m):
     if kappa is None or kappa == 1:
         assert not res.fast_path
         return None
-    try:
-        orbit = minimal_periodic_orbit(m, kappa, budget=5_000)
-    except BranchBudgetExceeded:
-        return None
+    orbit = minimal_periodic_orbit(m, kappa)
     u = iterate(m, SidedPoint(m.c, Side.PLUS), kappa).x
     v = iterate(m, SidedPoint(m.c, Side.MINUS), kappa).x
     flanked = orbit.flank_left <= u and v <= orbit.flank_right
@@ -395,7 +388,7 @@ def test_kappa_rule_ignores_the_pair_bound():
 
 
 def test_tower_needs_no_periodic_orbit():
-    # minimal period 662, whose orbit's cylinders pass the branch budget
+    # minimal period 662: the tower is decided on the critical-orbit ranks
     m = parse_map_text(LONG_ORBIT_MAP_TEXT)
     tower = renorm_tower(m, level_cap=4, bound=24)
     assert tower.terminal is TowerTerminal.PRIME_UP_TO_BOUND and not tower.levels

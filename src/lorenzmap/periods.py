@@ -62,7 +62,7 @@ class MinimalPeriodResult:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    points: tuple  # SidedPoints sorted by value; side set only at c
+    points: tuple  # SidedPoints sorted by value; sided when the orbit meets c
     period: int
     itinerary: str  # letter k is L iff the k-th sorted point is left of c
     flank_left: Scalar  # largest orbit value left of c
@@ -154,7 +154,7 @@ def _fixed_point(m: LorenzMap, steps: int, lo: Scalar, hi: Scalar) -> Scalar:
         x = t / (1 - s)
         if x0 <= x <= x1:
             return x
-    raise AssertionError("no repelling fixed point in the return branch's bracket")
+    raise AssertionError("no repelling fixed point in the word-domain bracket")
 
 
 def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
@@ -167,10 +167,11 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     ``f^i(p) < f^i(y) = c`` is an orbit point left of ``c``, so
     ``f^i(p) <= p``.  Then ``f^i([p, y]) ⊇ [p, y]`` holds a fixed point
     of ``f^i``, a periodic point of period at most ``i < kappa``, which
-    contradicts the minimal period.  So ``(p, c)`` meets no preimage of
-    ``c`` for ``kappa`` steps, and ``p`` follows the branch word of
-    ``c-``.  On that word's domain ``f^kappa - id`` is increasing, so
-    ``p`` is its only zero there, and one exact solve finds it.
+    contradicts the minimal period.  So no point of ``(p, c)`` reaches
+    ``c`` in fewer than ``kappa`` steps, and ``p`` follows the branch word
+    of ``c-`` for ``kappa`` steps.  On that word's domain
+    ``f^kappa - id`` is increasing, so ``p`` is its only zero there, and
+    one exact solve finds it.
 
     A solution at a domain end whose orbit meets ``c`` is the one-sided
     point that end stands for: ``+`` at the left end, ``-`` at the right

@@ -160,34 +160,20 @@ def test_periodic_points_against_word_oracle():
         _assert_minimal_orbit_matches_word_oracle(m, two_piece_table(params))
 
 
-def _merge_collinear(table):
-    """The piece table with adjacent pieces of one affine formula merged.
-
-    custom33 cuts each branch of a beta map into three collinear pieces;
-    merged, the oracle composes 2^7 words for its period 7, not 6^7.
-    """
-    c, pieces = table
-    merged = [pieces[0]]
-    for lo, hi, s, t in pieces[1:]:
-        last_lo, last_hi, last_s, last_t = merged[-1]
-        if (s, t) == (last_s, last_t) and lo == last_hi != c:
-            merged[-1] = (last_lo, hi, s, t)
-        else:
-            merged.append((lo, hi, s, t))
-    return c, merged
-
-
 @pytest.mark.parametrize("stem", ["custom15", "custom16", "custom19", "custom27",
                                   "custom29", "custom33"])
 def test_multi_piece_periodic_points_against_word_oracle(stem):
     m = parse_map_text((GOLDEN_MAPS / f"{stem}.map").read_text(encoding="utf-8"))
-    table = _merge_collinear(map_piece_table(m))
-    _assert_minimal_orbit_matches_word_oracle(m, table)
+    # custom33 cuts each branch of a beta map into three collinear pieces;
+    # merged, the oracle composes 2^7 words for its period 7, not 6^7
+    _assert_minimal_orbit_matches_word_oracle(m, map_piece_table(m.canonical()))
 
 
 def test_minimal_orbit_rejects_wrong_period():
     with pytest.raises(ValueError):
         minimal_periodic_orbit(symmetric_map(F(3, 2)), 4)  # least period 2 exists
+    with pytest.raises(ValueError):
+        minimal_periodic_orbit(symmetric_map(F(2)), 1)  # fixed points: no orbit
 
 
 def _straight_minimal_orbit(m, kappa):
@@ -249,6 +235,7 @@ def test_minimal_orbit_matches_straight_reference(sample_maps):
         for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
     ]
     maps.append(beta_transformation(F(6, 5), F(19, 55)))  # 2-orbit through c-
+    maps.append(beta_transformation(F(6, 5), F(5, 11)))  # its mirror, through c+
     orbits = []
     for m in maps:
         kappa = minimal_period(m).kappa
@@ -259,7 +246,7 @@ def test_minimal_orbit_matches_straight_reference(sample_maps):
                 with pytest.raises(ValueError):
                     minimal_periodic_orbit(m, n)
     assert all(isinstance(o, PeriodicOrbit) for o in orbits)
-    assert any(p.side is not None for o in orbits for p in o.points)
+    assert {p.side for o in orbits for p in o.points} == {None, Side.MINUS, Side.PLUS}
 
 
 @settings(max_examples=40, deadline=None)

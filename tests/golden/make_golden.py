@@ -41,6 +41,7 @@ CASES = [
     _analyze_family("analyze_symmetric_41_40", "--family", "symmetric", "--a", "41/40"),
     _analyze_family("analyze_symmetric_3_2_csv", "--family", "symmetric", "--a", "3/2",
                     "--format", "csv"),
+    _analyze_family("analyze_symmetric_2", "--family", "symmetric", "--a", "2"),
     _analyze_family("analyze_beta_6_5_1_10", "--family", "beta", "--beta", "6/5",
                     "--alpha", "1/10"),
     _analyze_family("analyze_beta_23_20_7_40", "--family", "beta", "--beta", "23/20",
@@ -70,6 +71,8 @@ CASES = [
      ["classify", "--family", "symmetric", "--a", "21/20", "--x", "1/3"]),
     ("classify_symmetric_3_2",
      ["classify", "--family", "symmetric", "--a", "3/2", "--x", "1/3"]),
+    ("classify_symmetric_2",
+     ["classify", "--family", "symmetric", "--a", "2", "--x", "1/3"]),
     ("classify_custom16",
      ["classify", "--map-file", (MAPS / "custom16.map").as_posix(), "--x", "2/7"]),
     ("classify_custom_cantor",

@@ -15,7 +15,6 @@ from .numerics import (
     format_scalar,
 )
 from .maps import (
-    BranchBudgetExceeded,
     BranchFn,
     BranchLabel,
     IntervalDoesNotStraddleC,

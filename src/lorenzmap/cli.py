@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 
 from .numerics import PrecisionExhausted, format_scalar, parse_scalar
 from .maps import (
-    BranchBudgetExceeded,
     LorenzMap,
     beta_transformation,
     describe_map,
@@ -79,7 +78,6 @@ STATUS_FOR_EXIT = {
 EXIT_FOR_ERROR = {
     PrecisionExhausted: EXIT_PRECISION,
     CapExceeded: EXIT_CAP,
-    BranchBudgetExceeded: EXIT_CAP,
     ValueError: EXIT_INVALID_MAP,
     OSError: EXIT_INVALID_MAP,
 }
@@ -88,13 +86,6 @@ HANDLED_ERRORS = tuple(EXIT_FOR_ERROR)
 
 def exit_code_for(err: Exception) -> int:
     return next(code for kind, code in EXIT_FOR_ERROR.items() if isinstance(err, kind))
-
-
-def print_error(err: Exception) -> int:
-    """Print the ``status``/``error`` payload of a handled exception."""
-    code = exit_code_for(err)
-    print(json.dumps({"status": STATUS_FOR_EXIT[code], "error": str(err)}))
-    return code
 
 
 @dataclass(frozen=True)
@@ -284,11 +275,8 @@ def summary_row(report: dict) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        config = resolve_config(args)
-        m, echo = build_map(args)
-    except HANDLED_ERRORS as err:
-        return print_error(err)
+    config = resolve_config(args)
+    m, echo = build_map(args)
     report, code = analyze_map(m, echo, config)
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
@@ -300,34 +288,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        config = resolve_config(args)
-        m, _echo = build_map(args)
-        x = parse_scalar(args.x)
-        validation = validate_map(m)
-        if not validation.valid:
-            print(
-                json.dumps(
-                    {"status": "invalid-map", "violations": list(validation.violations)}
-                )
+    config = resolve_config(args)
+    m, _echo = build_map(args)
+    x = parse_scalar(args.x)
+    validation = validate_map(m)
+    if not validation.valid:
+        print(
+            json.dumps(
+                {"status": "invalid-map", "violations": list(validation.violations)}
             )
-            return EXIT_INVALID_MAP
-        period = minimal_period(m, config.hit_cap)
-        tower = renorm_tower(m, config.level_cap, config.l_max, period)
-        unions = orbit_unions(m, tower)
-        klass = alpha_classify(m, tower, x, unions)
-        # a point of class E_i lies outside union i but inside union i - 1
-        outer = outer_union(m, unions, klass.index or len(unions) + 1)
-        witness = outer.component_containing(x)
-    except HANDLED_ERRORS as err:
-        return print_error(err)
+        )
+        return EXIT_INVALID_MAP
+    period = minimal_period(m, config.hit_cap)
+    tower = renorm_tower(m, config.level_cap, config.l_max, period)
+    unions = orbit_unions(m, tower)
+    klass = alpha_classify(m, tower, x, unions)
+    # class E_i: first union missed is i, so x lies in union i - 1 (the
+    # domain for i = 1); class I: x lies in the deepest union; so x is
+    # always inside the outer union and a witness component exists
+    outer = outer_union(m, unions, klass.index or len(unions) + 1)
+    witness = outer.component_containing(x)
     result = {
         "status": "ok",
         "x": format_scalar(x),
         "class": klass.label(),
-        "witness_component": [format_scalar(end) for end in witness]
-        if witness
-        else None,
+        "witness_component": [format_scalar(end) for end in witness],
         "config": config.echo(),
     }
     print(json.dumps(result))
@@ -360,13 +345,10 @@ def sweep_rows(args: argparse.Namespace, config: Config):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        config = resolve_config(args)
-        if args.family == "beta" and not args.alpha:
-            raise ValueError("beta sweeps need --alpha")
-        rows = list(sweep_rows(args, config))
-    except HANDLED_ERRORS as err:
-        return print_error(err)
+    config = resolve_config(args)
+    if args.family == "beta" and not args.alpha:
+        raise ValueError("beta sweeps need --alpha")
+    rows = list(sweep_rows(args, config))
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -453,6 +435,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
         return command[args.command](args)
+    except HANDLED_ERRORS as err:
+        code = exit_code_for(err)
+        print(json.dumps({"status": STATUS_FOR_EXIT[code], "error": str(err)}))
+        return code
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

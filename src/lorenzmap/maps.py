@@ -10,12 +10,13 @@ Branches are piecewise affine with every slope > 1, which certifies the
 expanding property (dense preimages of ``c``); maps that fail the slope
 test are rejected by :func:`validate_map` rather than analyzed unsoundly.
 
-Iterates on an interval are composed in one place:
-:func:`affine_pieces` gives the affine pieces of ``f^n`` on ``[lo, hi]``
-with their branch words.  The rescaled first-return map
-(:func:`rescale_to_unit`), the minimal periodic orbit of
-:mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
-:mod:`~lorenzmap.renorm` are all read off these pieces.
+Iterates on an interval are composed in one place, along one branch
+word: :func:`word_pieces` gives the affine pieces of ``f^n`` on the
+points of ``[lo, hi]`` that follow an ``n``-letter word.  The rescaled
+first-return map (:func:`rescale_to_unit`), the minimal periodic orbit
+of :mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
+:mod:`~lorenzmap.renorm` are all read off these pieces, each along the
+word of ``c-`` or ``c+``.
 
 Every scalar is an exact :class:`fractions.Fraction` and every order
 decision is a plain comparison.  :func:`parse_map_text` is where
@@ -40,8 +41,6 @@ from .numerics import (
     parse_scalar,
 )
 
-DEFAULT_BRANCH_BUDGET = 200_000
-
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -53,10 +52,6 @@ class SideRequired(Exception):
 
 class IntervalDoesNotStraddleC(Exception):
     """The interval must contain the discontinuity in its interior."""
-
-
-class BranchBudgetExceeded(Exception):
-    """Cylinder enumeration exceeded its configured budget."""
 
 
 class CapExceeded(Exception):
@@ -185,13 +180,6 @@ class LorenzMap:
     c: Scalar
     left: BranchFn
     right: BranchFn
-
-    def interior_cuts(self) -> tuple:
-        """Breakpoints of the assembled map inside ``(a, b)``, including ``c``."""
-        cuts = list(self.left.breakpoints[1:-1]) + [self.c] + list(
-            self.right.breakpoints[1:-1]
-        )
-        return tuple(cuts)
 
     def canonical(self) -> "LorenzMap":
         return LorenzMap(
@@ -353,87 +341,86 @@ def inverse_images(m: LorenzMap, y: Scalar) -> list:
     return results
 
 
-def affine_pieces(
-    m: LorenzMap,
-    lo: Scalar,
-    hi: Scalar,
-    steps: int,
-    budget: int = DEFAULT_BRANCH_BUDGET,
-) -> list:
-    """The affine pieces of ``f^steps`` on ``[lo, hi]``, ascending.
+def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
+    """Pieces of ``f^len(word)`` on the points of ``[lo, hi]`` that follow ``word``.
 
-    Each piece is ``(x0, x1, s, t, word)``: ``f^steps(x) = s*x + t`` on
-    ``[x0, x1]``, and ``word[k]`` is the :class:`BranchLabel` that step
-    ``k`` applies there.  A piece is cut where an earlier image reaches an
-    internal breakpoint or ``c``.  An endpoint whose image is ``c`` takes
-    the one-sided limit of the piece it bounds, so the affine form holds
-    on the closed piece.  The map must be valid.  More than ``budget``
-    pieces over all steps, the start interval included, raise
-    :class:`BranchBudgetExceeded`.
+    A point follows ``word`` when its ``k``-th image lies in the closed
+    domain of branch ``word[k]`` for every ``k``: ``[a, c]`` for
+    :attr:`BranchLabel.LEFT`, read with ``c-``, and ``[c, b]`` for
+    :attr:`BranchLabel.RIGHT`, read with ``c+``.  Each piece is
+    ``(x0, x1, s, t)`` with ``f^len(word)(x) = s*x + t`` on ``[x0, x1]``;
+    the pieces are ascending and tile those points, and an unrealized
+    word gives ``[]``.  A word followed by a single point only counts as
+    unrealized, so every piece has ``x0 < x1``.  Needs ``lo < hi`` and a
+    valid map.
+
+    The points that follow a word form one closed interval: each step
+    keeps the part of an interval whose image lies in one branch domain,
+    and that branch is increasing.  So the image at every step is one
+    interval, and it crosses at most ``k - 1`` internal breakpoints of a
+    branch with ``k`` pieces; those are the only cuts.  Every slope is
+    > 1, so no image of a non-degenerate piece is a single point, and
+    ``f^n`` has at most ``1 + n·(k - 1)`` pieces, with ``k`` the larger
+    piece count of the two branches.
     """
-    cuts = m.interior_cuts()
-    # map piece k runs from cuts[k - 1] to cuts[k] (from a, to b at the ends)
-    forms = [
-        (label, s, t)
-        for label, branch in ((BranchLabel.LEFT, m.left), (BranchLabel.RIGHT, m.right))
-        for s, t in zip(branch.slopes, branch.intercepts)
-    ]
-    pieces = [(lo, hi, ONE, ZERO, ())]
-    count = 1
-    for step in range(1, steps + 1):
+    pieces = [(lo, hi, ONE, ZERO)]
+    for label in word:
+        branch = m.left if label is BranchLabel.LEFT else m.right
+        bps, slopes, intercepts = branch.breakpoints, branch.slopes, branch.intercepts
         out = []
-        for x0, x1, s, t, word in pieces:
+        for x0, x1, s, t in pieces:
             y0, y1 = s * x0 + t, s * x1 + t
-            # cuts[first:last] lie strictly inside (y0, y1); a one-point
-            # image takes the lower piece, so c itself goes left
-            last = bisect.bisect_left(cuts, y1)
-            first = min(bisect.bisect_right(cuts, y0), last)
-            xs = [x0] + [(y - t) / s for y in cuts[first:last]] + [x1]
-            count += len(xs) - 1
-            if count > budget:
-                raise BranchBudgetExceeded(
-                    f"more than {budget} cylinder pieces at depth {step}"
-                )
+            if y0 < bps[0]:
+                y0, x0 = bps[0], (bps[0] - t) / s
+            if y1 > bps[-1]:
+                y1, x1 = bps[-1], (bps[-1] - t) / s
+            if y0 >= y1:
+                continue
+            # bps[first:last] lie strictly inside (y0, y1); y0 is on piece first - 1
+            first, last = bisect.bisect_right(bps, y0), bisect.bisect_left(bps, y1)
+            xs = [x0] + [(y - t) / s for y in bps[first:last]] + [x1]
             for k in range(len(xs) - 1):
-                label, bs, bt = forms[first + k]
-                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt, word + (label,)))
+                bs, bt = slopes[first - 1 + k], intercepts[first - 1 + k]
+                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt))
         pieces = out
     return pieces
 
 
-def rescale_to_unit(m: LorenzMap, J: tuple, return_times: tuple) -> LorenzMap:
+def rescale_to_unit(m: LorenzMap, J: tuple, words: tuple) -> LorenzMap:
     """Return map on ``J = [u, v]``, affinely conjugated onto ``[0, 1]``.
 
-    ``return_times = (ell, r)`` gives the steps of the left and right
-    return branches.  Slopes are preserved by the conjugation, so each
-    rescaled piece slope is the product of the composed piece slopes.  An
-    image of ``[u, c]`` or ``[c, v]`` that crosses ``c`` before its return
-    time raises :class:`IntervalDoesNotStraddleC`.
+    ``words = (left_word, right_word)`` are the branch words of the left
+    and right return branches, of lengths ``(ell, r)``.  Slopes are
+    preserved by the conjugation, so each rescaled piece slope is the
+    product of the composed piece slopes.  A side whose points do not all
+    follow its word (some image of ``[u, c]`` or ``[c, v]`` crosses ``c``
+    before its return time, or the word is not that side's) raises
+    :class:`IntervalDoesNotStraddleC`.
     """
     u, v = J
     if not (u < m.c < v):
         raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
     if u < m.a or v > m.b:
         raise ValueError(f"{format_interval(u, v)} is not inside the domain")
-    ell, r = return_times
+    left_word, right_word = words
 
     width = v - u
 
-    def conjugate(pieces):
-        bps = [(p[0] - u) / width for p in pieces] + [(pieces[-1][1] - u) / width]
+    def compose(word, lo, hi):
+        pieces = word_pieces(m, word, lo, hi)
+        if not pieces or pieces[0][0] != lo or pieces[-1][1] != hi:
+            raise IntervalDoesNotStraddleC(
+                f"{format_interval(lo, hi)} does not follow its return word"
+            )
+        bps = [(p[0] - u) / width for p in pieces] + [(hi - u) / width]
         slopes = tuple(p[2] for p in pieces)
         intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
         return BranchFn(tuple(bps), slopes, intercepts).canonical()
 
-    left = affine_pieces(m, u, m.c, ell)
-    right = affine_pieces(m, m.c, v, r)
-    # one branch word per side, or some image crossed c before returning
-    if len({p[4] for p in left}) > 1 or len({p[4] for p in right}) > 1:
-        raise IntervalDoesNotStraddleC(
-            "piece image crosses the discontinuity during composition"
-        )
+    left = compose(left_word, u, m.c)
+    right = compose(right_word, m.c, v)
     c_new = (m.c - u) / width
-    return LorenzMap(ZERO, ONE, c_new, conjugate(left), conjugate(right))
+    return LorenzMap(ZERO, ONE, c_new, left, right)
 
 
 # --- map families -----------------------------------------------------------

@@ -6,10 +6,10 @@ the discontinuity through its unique preimages until the chain enters
 the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
 unique.  Its largest point left of ``c`` follows the branch word of
 ``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), so it
-is found by solving ``f^kappa(x) = x`` exactly on that one word's
-domain, read off the pieces of :func:`~lorenzmap.maps.affine_pieces`,
-and its orbit is iterated once.  The same solve gives the repelling
-fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
+is found by solving ``f^kappa(x) = x`` exactly on the pieces of
+:func:`~lorenzmap.maps.word_pieces` along that one word, and its orbit
+is iterated once.  The same solve, on the words of the return branches,
+gives the repelling fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ from typing import Optional
 
 from .numerics import Scalar
 from .maps import (
-    BranchLabel,
     LorenzMap,
     Side,
     SidedPoint,
     SideRequired,
-    affine_pieces,
     evaluate,
     inverse_images,
     orbit_values,
+    word_pieces,
 )
 from .orbits import critical_orbit_values
 
@@ -127,32 +126,17 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     return MinimalPeriodResult(None, None, tuple(chain))
 
 
-def _word_domain(m: LorenzMap, word):
-    """Maximal closed interval on which the branch word can be followed."""
-    lo, hi = m.a, m.b
-    for label in reversed(word):
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        range_lo = branch.value(branch.lo)
-        range_hi = branch.value(branch.hi)
-        ylo, yhi = max(lo, range_lo), min(hi, range_hi)
-        if ylo > yhi:
-            raise AssertionError("branch word is not realized by any interval")
-        lo = branch.solve(ylo)
-        hi = branch.solve(yhi)
-    return lo, hi
+def _fixed_point(pieces: list, lo: Scalar, hi: Scalar) -> Scalar:
+    """The fixed point in ``[lo, hi]`` of a composition given by its pieces.
 
-
-def _fixed_point(m: LorenzMap, steps: int, lo: Scalar, hi: Scalar) -> Scalar:
-    """The fixed point of ``f^steps`` in a bracket inside its word's domain.
-
-    There ``f^steps`` follows one branch word, so it is continuous and
-    increasing with slope > 1; ``f^steps - id`` crosses zero at most once,
-    and the solution of ``s·x + t = x`` on the piece that contains it is
-    exact.
+    The pieces follow one branch word, so the composition is continuous
+    and increasing with slope > 1; minus the identity it crosses zero at
+    most once, and the solution of ``s·x + t = x`` on the piece that
+    contains it is exact.
     """
-    for x0, x1, s, t, _word in affine_pieces(m, lo, hi, steps):
+    for x0, x1, s, t in pieces:
         x = t / (1 - s)
-        if x0 <= x <= x1:
+        if max(x0, lo) <= x <= min(x1, hi):
             return x
     raise AssertionError("no repelling fixed point in the word-domain bracket")
 
@@ -183,8 +167,9 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     if minimal_period(m, kappa - 2).kappa != kappa:
         raise ValueError("kappa is not the minimal period")
     minus, _plus = critical_orbit_values(m, kappa)
-    lo, hi = _word_domain(m, minus.word[:kappa])
-    x = _fixed_point(m, kappa, lo, hi)
+    pieces = word_pieces(m, minus.word[:kappa], m.a, m.c)
+    lo, hi = pieces[0][0], pieces[-1][1]
+    x = _fixed_point(pieces, lo, hi)
     p = SidedPoint(x)
     try:
         values = orbit_values(m, p, kappa)

@@ -43,9 +43,10 @@ from .maps import (
     LorenzMap,
     orbit_values,
     rescale_to_unit,
+    word_pieces,
 )
 from .orbits import CriticalOrbitPair, critical_orbit_values, ranked_orbits
-from .periods import MinimalPeriodResult, _fixed_point, _word_domain, minimal_period
+from .periods import MinimalPeriodResult, _fixed_point, minimal_period
 
 DEFAULT_PAIR_BOUND = 64
 DEFAULT_LEVEL_CAP = 16
@@ -81,10 +82,8 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     u, v = plus.exact(r), minus.exact(ell)
     left_word, right_word = minus.word[:ell], plus.word[:r]
 
-    dom_lo, dom_hi = _word_domain(m, left_word)
-    e_minus = _fixed_point(m, ell, dom_lo, min(dom_hi, u))
-    dom_lo, dom_hi = _word_domain(m, right_word)
-    e_plus = _fixed_point(m, r, max(dom_lo, v), dom_hi)
+    e_minus = _fixed_point(word_pieces(m, left_word, m.a, m.c), m.a, u)
+    e_plus = _fixed_point(word_pieces(m, right_word, m.c, m.b), v, m.b)
 
     if not (e_minus <= u and v <= e_plus):
         raise AssertionError("repelling fixed points do not bound the interval")
@@ -93,7 +92,7 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
         if u < value < v:
             raise AssertionError("repelling orbit enters the return window")
     periodic = e_plus in orbit_of_e_minus
-    inner = rescale_to_unit(m, (u, v), (ell, r))
+    inner = rescale_to_unit(m, (u, v), (left_word, right_word))
     return RenormStep(
         ell, r, u, v, e_minus, e_plus, periodic, inner, left_word, right_word
     )

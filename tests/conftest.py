@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's branch/piece
 machinery: maps are evaluated from explicit affine formulas, periodic
-points are found by composing words over the affine pieces, and
-interval images are iterated endpoint by endpoint.  Expected values
+points are found by composing words over the affine pieces, interval
+images are iterated endpoint by endpoint, and ``cylinder_pieces``
+enumerates every cylinder of ``f^n`` on an interval.  Expected values
 frozen in the tests were computed with these.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties.
@@ -11,13 +12,14 @@ random valid maps, and ``multi_piece_maps`` draws them for
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import strategies as st
 
-from lorenzmap.maps import BranchFn, LorenzMap, validate_map
+from lorenzmap.maps import BranchFn, BranchLabel, LorenzMap, validate_map
 
 # params = (c, slope_left, intercept_left, slope_right, intercept_right) on [0, 1]
 
@@ -112,6 +114,45 @@ def word_periodic_points(table, n):
     return out
 
 
+def interior_cuts(m):
+    """Breakpoints of the assembled map inside ``(a, b)``, including ``c``."""
+    return m.left.breakpoints[1:-1] + (m.c,) + m.right.breakpoints[1:-1]
+
+
+def cylinder_pieces(m, lo, hi, steps):
+    """The affine pieces of ``f^steps`` on ``[lo, hi]``, ascending.
+
+    Each piece is ``(x0, x1, s, t, word)``: ``f^steps(x) = s*x + t`` on
+    ``[x0, x1]``, and ``word[k]`` is the :class:`BranchLabel` that step
+    ``k`` applies there.  A piece is cut where an earlier image reaches an
+    internal breakpoint or ``c``.  An endpoint whose image is ``c`` takes
+    the one-sided limit of the piece it bounds, so the affine form holds
+    on the closed piece.  The map must be valid.
+    """
+    cuts = interior_cuts(m)
+    # map piece k runs from cuts[k - 1] to cuts[k] (from a, to b at the ends)
+    forms = [
+        (label, s, t)
+        for label, branch in ((BranchLabel.LEFT, m.left), (BranchLabel.RIGHT, m.right))
+        for s, t in zip(branch.slopes, branch.intercepts)
+    ]
+    pieces = [(lo, hi, F(1), F(0), ())]
+    for _step in range(1, steps + 1):
+        out = []
+        for x0, x1, s, t, word in pieces:
+            y0, y1 = s * x0 + t, s * x1 + t
+            # cuts[first:last] lie strictly inside (y0, y1); a one-point
+            # image takes the lower piece, so c itself goes left
+            last = bisect.bisect_left(cuts, y1)
+            first = min(bisect.bisect_right(cuts, y0), last)
+            xs = [x0] + [(y - t) / s for y in cuts[first:last]] + [x1]
+            for k in range(len(xs) - 1):
+                label, bs, bt = forms[first + k]
+                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt, word + (label,)))
+        pieces = out
+    return pieces
+
+
 def raw_closed_image(params, lo, hi):
     """Doubled-point image of a closed interval, split at c."""
     c = params[0]
@@ -201,8 +242,8 @@ def piece_map(integer, near_unit=False):
 
 
 # A near-unit draw of minimal period 662.  The cylinders of f^662 number
-# more than the default branch budget of maps.affine_pieces, so its minimal
-# periodic orbit is found only from the one branch word of c-.
+# more than 200,000; its minimal periodic orbit is solved along the one
+# branch word of c- instead.
 LONG_ORBIT_MAP_TEXT = """family = custom
 domain = 0 1
 c = 103/228

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from lorenzmap.numerics import PrecisionExhausted
 from lorenzmap.maps import (
-    BranchBudgetExceeded,
     BranchFn,
     BranchLabel,
     LorenzMap,
@@ -15,7 +15,6 @@ from lorenzmap.maps import (
     SidedPoint,
     SideRequired,
     IntervalDoesNotStraddleC,
-    affine_pieces,
     beta_transformation,
     evaluate,
     inverse_images,
@@ -24,9 +23,11 @@ from lorenzmap.maps import (
     rescale_to_unit,
     symmetric_map,
     validate_map,
+    word_pieces,
 )
+from lorenzmap.orbits import critical_orbit_values
 
-from conftest import multi_piece_maps, raw_eval, sym_params
+from conftest import cylinder_pieces, interior_cuts, multi_piece_maps, raw_eval, sym_params
 
 
 def test_validate_symmetric():
@@ -136,28 +137,39 @@ def test_sided_orbit_consistency():
         assert iterate(m, p, j + k) == iterate(m, iterate(m, p, j), k)
 
 
+def return_words(m, ell, r):
+    """The branch words of ``c-`` for ``ell`` steps and of ``c+`` for ``r``."""
+    minus, plus = critical_orbit_values(m, max(ell, r))
+    return minus.word[:ell], plus.word[:r]
+
+
 def test_rescale_first_return_to_unit():
     m = symmetric_map(F(6, 5))
-    inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), (2, 2))
+    inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), return_words(m, 2, 2))
     assert inner.same_map(symmetric_map(F(36, 25)))
 
 
 def test_rescale_whole_domain_is_identity_copy():
     m = symmetric_map(F(3, 2))
     # every point of [0, 1] is back in [0, 1] after one step
-    assert rescale_to_unit(m, (F(0), F(1)), (1, 1)).same_map(m)
+    assert rescale_to_unit(m, (F(0), F(1)), return_words(m, 1, 1)).same_map(m)
 
 
 def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
     with pytest.raises(IntervalDoesNotStraddleC):
-        rescale_to_unit(m, (F(0), F(2, 5)), (1, 1))
-    # [2/5, 3/5] returns after (2, 2) steps; with longer return times an
-    # image of a branch crosses c before the last step
+        rescale_to_unit(m, (F(0), F(2, 5)), return_words(m, 1, 1))
+    # [2/5, 3/5] returns after (2, 2) steps; along the longer words of c-
+    # and c+ an image of a branch crosses c before the last step
     m = symmetric_map(F(6, 5))
-    for return_times in ((3, 3), (2, 3), (4, 4)):
+    J = (F(2, 5), F(3, 5))
+    for ell, r in ((3, 3), (2, 3), (4, 4)):
         with pytest.raises(IntervalDoesNotStraddleC):
-            rescale_to_unit(m, (F(2, 5), F(3, 5)), return_times)
+            rescale_to_unit(m, J, return_words(m, ell, r))
+    # the right lengths with the words swapped: [u, c] cannot start right
+    left_word, right_word = return_words(m, 2, 2)
+    with pytest.raises(IntervalDoesNotStraddleC):
+        rescale_to_unit(m, J, (right_word, left_word))
 
 
 def test_multi_piece_rescale_splits_and_matches_pointwise():
@@ -172,7 +184,7 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
     u, v = F(81, 200), F(11, 20)  # f^2(c+), f^2(c-)
     assert iterate(m, SidedPoint(m.c, Side.PLUS), 2).x == u
     assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == v
-    inner = rescale_to_unit(m, (u, v), (2, 2))
+    inner = rescale_to_unit(m, (u, v), return_words(m, 2, 2))
     assert validate_map(inner).valid
     assert inner.right.slopes == (F(121, 100), F(33, 25))
     rng = random.Random(4)
@@ -189,42 +201,48 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
 
 @settings(max_examples=60, deadline=None)
 @given(multi_piece_maps(), st.integers(0, 5), st.data())
-def test_affine_pieces_tile_and_agree_with_iterate(m, steps, data):
+def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
     # ends are random points or cuts of the map, whose images sit on c
     # or on an internal breakpoint
     ends = st.one_of(
         st.fractions(min_value=0, max_value=1, max_denominator=1000),
-        st.sampled_from((m.a, m.b) + m.interior_cuts()),
+        st.sampled_from((m.a, m.b) + interior_cuts(m)),
     )
     lo, hi = sorted((data.draw(ends), data.draw(ends)))
     if lo == hi:
         lo, hi = m.a, m.b
-    pieces = affine_pieces(m, lo, hi, steps)
-    assert pieces[0][0] == lo and pieces[-1][1] == hi
-    assert all(x0 < x1 for x0, x1, *_ in pieces)
-    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+    cylinders = cylinder_pieces(m, lo, hi, steps)
+    realized = {word for *_piece, word in cylinders}
+    most = 1 + steps * (max(len(m.left.slopes), len(m.right.slopes)) - 1)
     inside = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
         lambda w: 0 < w < 1
     )
-    for x0, x1, s, t, word in pieces:
-        x = x0 + (x1 - x0) * data.draw(inside)
-        # images of interior points never land on c before the last step
-        orbit = [iterate(m, x, k).x for k in range(steps + 1)]
-        assert s * x + t == orbit[-1]
-        assert word == tuple(
-            BranchLabel.LEFT if y < m.c else BranchLabel.RIGHT for y in orbit[:-1]
-        )
-        # f^steps is increasing on the piece, so every image of an end that
-        # sits on c is approached from inside the piece: c+ at x0, c- at x1
-        assert s * x0 + t == iterate(m, SidedPoint(x0, Side.PLUS), steps).x
-        assert s * x1 + t == iterate(m, SidedPoint(x1, Side.MINUS), steps).x
-
-
-def test_affine_pieces_budget_names_the_depth_it_was_passed_at():
-    # 1 + 2 + 4 + 8 + 16 pieces up to depth 4, then 30 more at depth 5
-    message = "more than 50 cylinder pieces at depth 5$"
-    with pytest.raises(BranchBudgetExceeded, match=message):
-        affine_pieces(symmetric_map(F(19, 10)), F(0), F(1), 10, budget=50)
+    tiles = []
+    for word in itertools.product(BranchLabel, repeat=steps):
+        pieces = word_pieces(m, word, lo, hi)
+        if word not in realized:
+            assert pieces == []
+            continue
+        assert pieces == [piece[:4] for piece in cylinders if piece[4] == word]
+        assert len(pieces) <= most
+        tiles += pieces
+        for x0, x1, s, t in pieces:
+            x = x0 + (x1 - x0) * data.draw(inside)
+            # images of interior points never land on c before the last step
+            orbit = [iterate(m, x, k).x for k in range(steps + 1)]
+            assert s * x + t == orbit[-1]
+            assert word == tuple(
+                BranchLabel.LEFT if y < m.c else BranchLabel.RIGHT for y in orbit[:-1]
+            )
+            # f^steps is increasing on the piece, so every image of an end
+            # that sits on c is approached from inside: c+ at x0, c- at x1
+            assert s * x0 + t == iterate(m, SidedPoint(x0, Side.PLUS), steps).x
+            assert s * x1 + t == iterate(m, SidedPoint(x1, Side.MINUS), steps).x
+    # the words' pieces tile [lo, hi]
+    tiles.sort()
+    assert tiles[0][0] == lo and tiles[-1][1] == hi
+    assert all(x0 < x1 for x0, x1, *_ in tiles)
+    assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
 
 
 def test_rescale_level_two_in_base_coordinates():
@@ -233,7 +251,7 @@ def test_rescale_level_two_in_base_coordinates():
     # the symmetric map of slope (11/10)^4
     m = symmetric_map(F(11, 10))
     J = (F(979, 2000), F(1021, 2000))
-    inner = rescale_to_unit(m, J, (4, 4))
+    inner = rescale_to_unit(m, J, return_words(m, 4, 4))
     assert inner.same_map(symmetric_map(F(11, 10) ** 4))
 
 

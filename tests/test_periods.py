@@ -10,7 +10,6 @@ from lorenzmap.maps import (
     Side,
     SidedPoint,
     SideRequired,
-    affine_pieces,
     beta_transformation,
     evaluate,
     iterate,
@@ -27,6 +26,7 @@ from lorenzmap.periods import (
 
 from conftest import (
     beta_params,
+    cylinder_pieces,
     map_piece_table,
     multi_piece_maps,
     sym_params,
@@ -184,7 +184,7 @@ def _straight_minimal_orbit(m, kappa):
     at ``p``, and its orbit is walked with ``evaluate``.
     """
     found = {}
-    for lo, hi, s, t, _word in affine_pieces(m, m.a, m.b, kappa):
+    for lo, hi, s, t, _word in cylinder_pieces(m, m.a, m.b, kappa):
         if s == 1 or not lo <= (x := t / (1 - s)) <= hi:
             continue
         p = SidedPoint(x)

@@ -4,8 +4,9 @@ Single-map reports are JSON (nested), sweeps are CSV (tabular); every
 scalar is emitted as an exact ``p/q`` string, so identical inputs and
 configuration reproduce reports byte for byte.  Exit codes: 0 success,
 2 invalid map or input, 3 precision exhausted, 4 cap exceeded; partial
-reports carry a ``status`` field.  Every command maps exceptions to exit
-codes through :data:`EXIT_FOR_ERROR`.  ``precision_bits`` is only
+reports carry a ``status`` field.  :func:`main` maps the exceptions of
+every command to exit codes through :data:`EXIT_FOR_ERROR`, in one
+place.  ``precision_bits`` is only
 echoed in the configuration: every scalar is exact.
 """
 

@@ -210,8 +210,14 @@ def _omega_dict(omega) -> dict:
     }
 
 
-def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
-    """Add the analysis sections to ``report``; returns the exit code."""
+def _fill_report(report: dict, m: LorenzMap, config: Config, full: bool) -> int:
+    """Add the analysis sections to ``report``; returns the exit code.
+
+    The summary stages (validation, minimal period, tower, trichotomy)
+    decide every column of a CSV row.  Only a ``full`` report runs the
+    report stages: the minimal orbit, the orbit unions and the
+    ω-decomposition.
+    """
     validation = validate_map(m)
     report["validation"] = {
         "valid": validation.valid,
@@ -224,11 +230,7 @@ def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
     report["kappa"] = period.kappa
     report["backward_steps"] = period.m
     report["backward_chain"] = [format_scalar(x) for x in period.backward_chain]
-
-    orbit = None
-    if period.kappa is not None and period.kappa > 1:
-        orbit = minimal_periodic_orbit(m, period.kappa)
-    report["orbit"] = _orbit_dict(orbit) if orbit is not None else None
+    report["orbit"] = None  # keeps its slot in the key order; filled below
 
     tower = renorm_tower(m, config.level_cap, config.l_max, period)
     # the tower's first level is the map's minimal renormalization
@@ -236,21 +238,25 @@ def _fill_report(report: dict, m: LorenzMap, config: Config) -> int:
     report["trichotomy"] = decide_trichotomy(period, minimal).value
     report["tower"] = _tower_dict(tower)
 
-    unions = orbit_unions(m, tower)
-    omega = omega_decomposition(m, tower, unions)
-    report["omega"] = _omega_dict(omega)
-    report["attractor"] = report["omega"]["attractor"]
+    if full:
+        if period.kappa is not None and period.kappa > 1:
+            orbit = minimal_periodic_orbit(m, period.kappa, tower.critical)
+            report["orbit"] = _orbit_dict(orbit)
+        unions = orbit_unions(m, tower)
+        omega = omega_decomposition(m, tower, unions)
+        report["omega"] = _omega_dict(omega)
+        report["attractor"] = report["omega"]["attractor"]
 
     if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
         return EXIT_CAP
     return EXIT_OK
 
 
-def analyze_map(m: LorenzMap, echo: dict, config: Config) -> tuple:
-    """Full analysis; returns (report, exit_code)."""
+def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
+    """The report, or only its summary stages; returns (report, exit_code)."""
     report: dict = {"status": "ok", "map": echo}
     try:
-        exit_code = _fill_report(report, m, config)
+        exit_code = _fill_report(report, m, config, full)
     except HANDLED_ERRORS as err:
         report["error"] = str(err)
         exit_code = exit_code_for(err)
@@ -278,7 +284,7 @@ def summary_row(report: dict) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     m, echo = build_map(args)
-    report, code = analyze_map(m, echo, config)
+    report, code = analyze_map(m, echo, config, full=args.format != "csv")
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -339,7 +345,7 @@ def sweep_rows(args: argparse.Namespace, config: Config):
             row["status"] = STATUS_FOR_EXIT[exit_code_for(err)]
         else:
             # the row's parameter is set below, so the report needs no map echo
-            row = summary_row(analyze_map(m, {}, config)[0])
+            row = summary_row(analyze_map(m, {}, config, full=False)[0])
         row["parameter"] = format_scalar(param)
         yield row
         param += step

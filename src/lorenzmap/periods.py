@@ -28,7 +28,7 @@ from .maps import (
     orbit_values,
     word_pieces,
 )
-from .orbits import critical_orbit_values
+from .orbits import CriticalOrbitPair
 
 DEFAULT_BACKWARD_CAP = 10_000
 
@@ -141,7 +141,9 @@ def _fixed_point(pieces: list, lo: Scalar, hi: Scalar) -> Scalar:
     raise AssertionError("no repelling fixed point in the word-domain bracket")
 
 
-def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
+def minimal_periodic_orbit(
+    m: LorenzMap, kappa: int, critical: Optional[CriticalOrbitPair] = None
+) -> PeriodicOrbit:
     """The unique orbit of least period ``kappa`` (1 < kappa < ∞).
 
     Let ``p`` be the orbit's largest point left of ``c`` (at ``c`` itself
@@ -160,13 +162,16 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     A solution at a domain end whose orbit meets ``c`` is the one-sided
     point that end stands for: ``+`` at the left end, ``-`` at the right
     end.  ``kappa`` must be the minimal period; any other value raises
-    :class:`ValueError`.
+    :class:`ValueError`.  The word of ``c-`` is read off ``critical``
+    (the map's shared pair, such as a tower's, grown to ``kappa`` steps
+    if shorter) or off a new pair.
     """
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
     if minimal_period(m, kappa - 2).kappa != kappa:
         raise ValueError("kappa is not the minimal period")
-    minus, _plus = critical_orbit_values(m, kappa)
+    critical = critical if critical is not None else CriticalOrbitPair(m)
+    minus, _plus = critical.grow(kappa)
     pieces = word_pieces(m, minus.word[:kappa], m.a, m.c)
     lo, hi = pieces[0][0], pieces[-1][1]
     x = _fixed_point(pieces, lo, hi)

@@ -1,17 +1,25 @@
 import csv
 import io
 import json
+import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
-from lorenzmap.maps import SidedPoint, iterate, parse_map_text
+from lorenzmap.maps import (
+    SidedPoint,
+    beta_transformation,
+    iterate,
+    parse_map_text,
+    symmetric_map,
+)
 from lorenzmap.numerics import parse_scalar
 
-from conftest import LONG_ORBIT_MAP_TEXT
+from conftest import LONG_ORBIT_MAP_TEXT, piece_map
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
 
@@ -250,6 +258,70 @@ def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
         "error",
         "config",
     ]
+
+
+def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
+    sweep = ["sweep", "--family", "symmetric", "--start", "11/10", "--end", "2",
+             "--step", "1/10"]
+    analyze = ["analyze", "--family", "symmetric", "--a", "6/5"]
+    before = [run_cli(capsys, *sweep), run_cli(capsys, *analyze, "--format", "csv")]
+
+    def exhausted(*_args, **_kwargs):
+        raise cli.CapExceeded("report stage reached")
+
+    for stage in ("minimal_periodic_orbit", "orbit_unions", "omega_decomposition"):
+        monkeypatch.setattr(cli, stage, exhausted)
+    after = [run_cli(capsys, *sweep), run_cli(capsys, *analyze, "--format", "csv")]
+    assert after == before
+    assert [code for code, _out in after] == [0, 0]
+    assert len(after[0][1].splitlines()) == 11
+    # the JSON report still runs them, and keeps what the summary stages filled in
+    code, out = run_cli(capsys, *analyze)
+    report = json.loads(out)
+    assert (code, report["status"], report["error"]) == (
+        4, "cap-exceeded", "report stage reached"
+    )
+    assert report["orbit"] is None and len(report["tower"]["levels"]) == 1
+    assert "omega" not in report
+
+
+def test_summary_stages_give_the_rows_of_full_reports():
+    # symmetric and beta grids (invalid, fixed-point and capped maps among
+    # them) and seeded piece maps, half of them near-unit, under the
+    # default configuration and a tight one
+    rng = random.Random(13)
+    maps = [symmetric_map(F(100 + k, 100)) for k in range(0, 101, 4)]
+    maps += [
+        beta_transformation(F(beta, 20), F(alpha, 40))
+        for beta in range(21, 40, 3)
+        for alpha in (1, 5, 9, 15)
+    ]
+    maps += [piece_map(rng.randint, near_unit=i % 2 == 1) for i in range(100)]
+    default = cli.Config(**cli.DEFAULTS)
+    configs = [default, replace(default, l_max=8, level_cap=2, hit_cap=1)]
+    statuses = set()
+    for m in maps:
+        for config in configs:
+            summary, code = cli.analyze_map(m, {}, config, full=False)
+            report, full_code = cli.analyze_map(m, {}, config)
+            assert (cli.summary_row(summary), code) == (
+                cli.summary_row(report), full_code
+            )
+            # the summary is the full report without the report stages' keys,
+            # in the same order
+            for key in ("omega", "attractor"):
+                report.pop(key, None)
+            if "orbit" in report:
+                report["orbit"] = None
+            assert list(summary.items()) == list(report.items())
+            statuses.add((summary["status"], summary.get("trichotomy")))
+    assert {
+        ("invalid-map", None),
+        ("ok", "prime"),
+        ("ok", "prime-up-to-bound"),
+        ("ok", "periodic-minimal-renorm"),
+        ("cap-exceeded", "prime-up-to-bound"),
+    } <= statuses
 
 
 def test_env_overrides_and_flag_precedence(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 
-from lorenzmap import periods
+from lorenzmap import orbits, periods
 from lorenzmap.maps import (
     Side,
     SidedPoint,
@@ -23,6 +23,8 @@ from lorenzmap.periods import (
     minimal_period,
     minimal_periodic_orbit,
 )
+from lorenzmap.orbits import CriticalOrbitPair
+from lorenzmap.renorm import renorm_tower
 
 from conftest import (
     beta_params,
@@ -247,6 +249,33 @@ def test_minimal_orbit_matches_straight_reference(sample_maps):
                     minimal_periodic_orbit(m, n)
     assert all(isinstance(o, PeriodicOrbit) for o in orbits)
     assert {p.side for o in orbits for p in o.points} == {None, Side.MINUS, Side.PLUS}
+
+
+def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
+    built = []
+    original = orbits.critical_orbit_values
+
+    def recording(m, length, horizon=0):
+        built.append(length)
+        return original(m, length, horizon)
+
+    monkeypatch.setattr(orbits, "critical_orbit_values", recording)
+    for _family, _p1, _p2, m in sample_maps:
+        kappa = minimal_period(m).kappa
+        alone = minimal_periodic_orbit(m, kappa)
+        # the (kappa, kappa) rule grew the tower's pair to 2·kappa steps
+        critical = renorm_tower(m, level_cap=1, bound=4).critical
+        held = critical.minus
+        built.clear()
+        assert minimal_periodic_orbit(m, kappa, critical) == alone
+        assert critical.minus is held and built == []
+        # a shorter pair is grown to kappa steps in place
+        short = CriticalOrbitPair(m)
+        held, _plus = short.grow(1, kappa)
+        built.clear()
+        assert minimal_periodic_orbit(m, kappa, short) == alone
+        assert short.minus is held and len(held.bounds) == kappa + 1
+        assert built == []
 
 
 @settings(max_examples=40, deadline=None)

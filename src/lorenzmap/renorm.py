@@ -267,6 +267,7 @@ def minimal_renormalization(
 
 
 class TowerTerminal(enum.Enum):
+    PRIME = "prime"
     PRIME_UP_TO_BOUND = "prime-up-to-bound"
     PERIOD_CAP_REACHED = "period-cap-reached"
     LEVEL_CAP_REACHED = "level-cap-reached"
@@ -321,9 +322,10 @@ def renorm_tower(
     """Consecutive minimal renormalizations of the rescaled inner maps.
 
     Level intervals are strictly nested around ``c`` in the base map's
-    coordinates.  The tower ends when the current inner map shows no
-    renormalization up to the pair bound (prime up to bound), when its
-    minimal period is undetermined at the cap, or at the level cap.
+    coordinates.  The tower ends when the current inner map has a fixed
+    point (prime), shows no renormalization up to the pair bound (prime
+    up to bound), when its minimal period is undetermined at the cap, or
+    at the level cap.
     """
     levels = []
     g = m
@@ -335,11 +337,12 @@ def renorm_tower(
         # precomputed data applies to the base map only
         period = critical = None
         if not result.found:
-            terminal = (
-                TowerTerminal.PERIOD_CAP_REACHED
-                if result.period.undetermined
-                else TowerTerminal.PRIME_UP_TO_BOUND
-            )
+            if result.certainly_prime:
+                terminal = TowerTerminal.PRIME
+            elif result.period.undetermined:
+                terminal = TowerTerminal.PERIOD_CAP_REACHED
+            else:
+                terminal = TowerTerminal.PRIME_UP_TO_BOUND
             return Tower(tuple(levels), terminal, bound, level_cap, base)
         step = result.step
         return_left = sum(

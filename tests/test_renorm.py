@@ -182,6 +182,12 @@ def test_tower_period_cap_terminal():
     assert len(tower) == 0
 
 
+def test_tower_of_a_fixed_point_map_ends_prime():
+    # nothing is searched, so the tower does not claim the pair bound
+    tower = renorm_tower(symmetric_map(F(2)))
+    assert tower.terminal is TowerTerminal.PRIME and len(tower) == 0
+
+
 def test_tower_level_cap_terminal():
     tower = renorm_tower(symmetric_map(F(107, 100)), level_cap=2)
     assert tower.terminal is TowerTerminal.LEVEL_CAP_REACHED

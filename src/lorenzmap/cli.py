@@ -261,7 +261,8 @@ def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> 
         report["error"] = str(err)
         exit_code = exit_code_for(err)
     report["status"] = STATUS_FOR_EXIT[exit_code]
-    report["config"] = config.echo()
+    if full:
+        report["config"] = config.echo()
     return report, exit_code
 
 

@@ -386,39 +386,39 @@ def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
     return pieces
 
 
-def rescale_to_unit(m: LorenzMap, J: tuple, words: tuple) -> LorenzMap:
+def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
     """Return map on ``J = [u, v]``, affinely conjugated onto ``[0, 1]``.
 
-    ``words = (left_word, right_word)`` are the branch words of the left
-    and right return branches, of lengths ``(ell, r)``.  Slopes are
-    preserved by the conjugation, so each rescaled piece slope is the
-    product of the composed piece slopes.  A side whose points do not all
-    follow its word (some image of ``[u, c]`` or ``[c, v]`` crosses ``c``
-    before its return time, or the word is not that side's) raises
-    :class:`IntervalDoesNotStraddleC`.
+    ``pieces = (left_pieces, right_pieces)`` are the :func:`word_pieces`
+    of the return words, of lengths ``(ell, r)``, on ``[a, c]`` and
+    ``[c, b]``, clipped here at ``u`` and ``v``.  Slopes are preserved by
+    the conjugation, so each rescaled piece slope is the product of the
+    composed piece slopes.  Pieces that do not cover ``[u, c]`` or
+    ``[c, v]`` (an image of it crosses ``c`` before its return time, or
+    the word is not that side's) raise :class:`IntervalDoesNotStraddleC`.
     """
     u, v = J
     if not (u < m.c < v):
         raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
     if u < m.a or v > m.b:
         raise ValueError(f"{format_interval(u, v)} is not inside the domain")
-    left_word, right_word = words
+    left_pieces, right_pieces = pieces
 
     width = v - u
 
-    def compose(word, lo, hi):
-        pieces = word_pieces(m, word, lo, hi)
-        if not pieces or pieces[0][0] != lo or pieces[-1][1] != hi:
+    def compose(pieces, lo, hi):
+        if not pieces or pieces[0][0] > lo or pieces[-1][1] < hi:
             raise IntervalDoesNotStraddleC(
                 f"{format_interval(lo, hi)} does not follow its return word"
             )
-        bps = [(p[0] - u) / width for p in pieces] + [(hi - u) / width]
+        pieces = [p for p in pieces if p[1] > lo and p[0] < hi]
+        bps = [(max(p[0], lo) - u) / width for p in pieces] + [(hi - u) / width]
         slopes = tuple(p[2] for p in pieces)
         intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
         return BranchFn(tuple(bps), slopes, intercepts).canonical()
 
-    left = compose(left_word, u, m.c)
-    right = compose(right_word, m.c, v)
+    left = compose(left_pieces, u, m.c)
+    right = compose(right_pieces, m.c, v)
     c_new = (m.c - u) / width
     return LorenzMap(ZERO, ONE, c_new, left, right)
 

@@ -11,7 +11,7 @@ them again.
 
 The critical orbits are iterated as dyadic enclosures: integers
 ``lo <= f^i(c±)·2^P <= hi``, at a precision ``P`` fixed by the map and
-the longest orbit length it has to serve (its horizon).  Each branch is
+twice the length the orbits are built for (their horizon).  Each branch is
 increasing and continuous, so evaluating it at ``lo`` rounded down and
 at ``hi`` rounded up encloses the next iterate.  Disjoint enclosures
 order their values outright.  Exact ``Fraction`` iterates are computed
@@ -123,15 +123,15 @@ class CriticalOrbit:
         return known[i]
 
 
-def critical_orbit_values(m: LorenzMap, length: int, horizon: int = 0):
+def critical_orbit_values(m: LorenzMap, length: int):
     """The orbits of ``c-`` and ``c+`` for ``i = 0..length``, as ``CriticalOrbit``.
 
-    The precision covers ``H = max(length, horizon)`` steps: a step
-    multiplies an enclosure's width by at most the largest slope and adds
-    under two units of rounding, so after ``H`` steps the width is still
-    below about ``2·H·2^-64`` in the map's own coordinates.
+    The precision covers ``H = 2·length`` steps: a step multiplies an
+    enclosure's width by at most the largest slope and adds under two
+    units of rounding, so after ``H`` steps the width is still below
+    about ``2·H·2^-64`` in the map's own coordinates.
     """
-    horizon = max(length, horizon)
+    horizon = 2 * length
     steepest = max(m.left.slopes + m.right.slopes)
     precision = _GUARD_BITS + horizon * (math.ceil(steepest) - 1).bit_length()
     branches = {
@@ -150,15 +150,14 @@ def critical_orbit_values(m: LorenzMap, length: int, horizon: int = 0):
 class CriticalOrbitPair:
     """The critical orbits of one map, shared by its callers and grown on demand.
 
-    :meth:`grow` iterates ``minus`` and ``plus`` to the length asked for.
-    While ``max(length, horizon)`` stays within the precision horizon of
-    the pair held, the orbits are extended in place; past it a new pair
-    is built at the precision for ``max(length, horizon)`` steps, so the
-    enclosures are never stretched beyond the length their precision
-    covers, and a caller that names its horizon up front is served by
-    one build.  The joint ranks of :func:`ranked_orbits` are computed
-    once per length; ranks of a longer orbit order the shorter prefix
-    just as exactly.
+    :meth:`grow` iterates ``minus`` and ``plus`` to the length asked for:
+    in place within the horizon of the pair held, and past it by building
+    a new pair for that length, whose horizon is twice it.  So no
+    enclosure is carried past the length its precision covers, a request
+    for ``n`` steps and then for at most ``2·n`` builds once, and a pair
+    grown one step at a time is rebuilt ``O(log n)`` times.  The joint
+    ranks of :func:`ranked_orbits` are computed once per length; ranks of
+    a longer orbit order the shorter prefix just as exactly.
     """
 
     def __init__(self, m: LorenzMap):
@@ -166,10 +165,10 @@ class CriticalOrbitPair:
         self.minus = self.plus = None
         self._ranks = None
 
-    def grow(self, length: int, horizon: int = 0) -> tuple:
+    def grow(self, length: int) -> tuple:
         """``(minus, plus)``, iterated at least ``length`` steps."""
-        if self.minus is None or max(length, horizon) > self.minus.horizon:
-            self.minus, self.plus = critical_orbit_values(self.m, length, horizon)
+        if self.minus is None or length > self.minus.horizon:
+            self.minus, self.plus = critical_orbit_values(self.m, length)
         elif length >= len(self.minus.bounds):
             self.minus.extend(length)
             self.plus.extend(length)
@@ -178,9 +177,9 @@ class CriticalOrbitPair:
         self._ranks = None
         return self.minus, self.plus
 
-    def ranks(self, length: int, horizon: int = 0) -> tuple:
+    def ranks(self, length: int) -> tuple:
         """:func:`ranked_orbits` of the orbits grown to at least ``length`` steps."""
-        minus, plus = self.grow(length, horizon)
+        minus, plus = self.grow(length)
         if self._ranks is None:
             self._ranks = ranked_orbits(self.m, minus, plus)
         return self._ranks

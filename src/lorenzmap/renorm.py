@@ -82,8 +82,10 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     u, v = plus.exact(r), minus.exact(ell)
     left_word, right_word = minus.word[:ell], plus.word[:r]
 
-    e_minus = _fixed_point(word_pieces(m, left_word, m.a, m.c), m.a, u)
-    e_plus = _fixed_point(word_pieces(m, right_word, m.c, m.b), v, m.b)
+    left_pieces = word_pieces(m, left_word, m.a, m.c)
+    right_pieces = word_pieces(m, right_word, m.c, m.b)
+    e_minus = _fixed_point(left_pieces, m.a, u)
+    e_plus = _fixed_point(right_pieces, v, m.b)
 
     if not (e_minus <= u and v <= e_plus):
         raise AssertionError("repelling fixed points do not bound the interval")
@@ -92,7 +94,7 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
         if u < value < v:
             raise AssertionError("repelling orbit enters the return window")
     periodic = e_plus in orbit_of_e_minus
-    inner = rescale_to_unit(m, (u, v), (left_word, right_word))
+    inner = rescale_to_unit(m, (u, v), (left_pieces, right_pieces))
     return RenormStep(
         ell, r, u, v, e_minus, e_plus, periodic, inner, left_word, right_word
     )
@@ -210,17 +212,14 @@ def _search_pairs(
     The record times need the first ``bound`` steps of the critical
     orbits, and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the
     orbits in ``critical`` (the map's shared pair, or a new one) are grown
-    to ``bound`` steps and then only to ``max(L) + max(R)``, at a
-    precision for at least ``2·bound`` steps: a pair held at a lower one
-    is rebuilt once, on the first growth, and never again in the search.
+    to ``bound`` steps and then only to ``max(L) + max(R)``.
     """
     critical = critical if critical is not None else CriticalOrbitPair(m)
-    horizon = 2 * bound
-    _a, _b, c, minus_rank, plus_rank = critical.ranks(bound, horizon)
+    _a, _b, c, minus_rank, plus_rank = critical.ranks(bound)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     if not (left and right):
         return None
-    a, b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1], horizon)
+    a, b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
     # increasing ell + r, ties by ell: the order of the full walk
     for ell, r in sorted(
         ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
@@ -256,7 +255,7 @@ def minimal_renormalization(
     critical = critical if critical is not None else CriticalOrbitPair(m)
     kappa = period.kappa
     if kappa is not None:
-        a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa, 2 * kappa)
+        a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
         if _pair_failure(a, b, c, kappa, kappa, minus_rank, plus_rank) is None:
             step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
             return MinimalRenormResult(step, None, False, True, period)

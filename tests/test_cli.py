@@ -307,8 +307,10 @@ def test_summary_stages_give_the_rows_of_full_reports():
             assert (cli.summary_row(summary), code) == (
                 cli.summary_row(report), full_code
             )
-            # the summary is the full report without the report stages' keys,
-            # in the same order
+            # the summary is the full report without the report stages' keys
+            # and the config echo, in the same order
+            assert "config" not in summary
+            del report["config"]
             for key in ("omega", "attractor"):
                 report.pop(key, None)
             if "orbit" in report:

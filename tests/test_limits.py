@@ -109,14 +109,15 @@ def test_orbit_unions_match_interval_orbit_on_random_maps(m):
 def test_orbit_unions_grow_the_towers_critical_orbits():
     m = symmetric_map(F(11, 10))
     tower = renorm_tower(m)
-    # the (kappa, kappa) rule grew the base pair to 2·kappa = 4 steps, at a
-    # precision for 4; the two levels' unions need RL + RR = 4 + 4, past it
+    # the (kappa, kappa) rule built the base pair for 2·kappa = 4 steps, at a
+    # precision for 8; the two levels' unions need RL + RR = 4 + 4 and grow
+    # it in place
     returns = [(level.return_left, level.return_right) for level in tower.levels]
     assert returns == [(2, 2), (4, 4)]
-    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (5, 4)
-    unions = orbit_unions(m, tower)
-    assert (len(tower.critical.minus.bounds), tower.critical.minus.horizon) == (9, 8)
     minus = tower.critical.minus
+    assert (len(minus.bounds), minus.horizon) == (5, 8)
+    unions = orbit_unions(m, tower)
+    assert tower.critical.minus is minus and len(minus.bounds) == 9
     assert orbit_unions(m, tower) == unions and tower.critical.minus is minus
     # a tower without its pair, or holding another map's, gets a new pair
     for critical in (None, CriticalOrbitPair(symmetric_map(F(6, 5)))):
@@ -288,6 +289,35 @@ def test_depth_report_cantor_and_mixed_tags():
         StructureKind.ISOLATED_OVER_CANTOR,
     ]
     assert tags[1].depth is None and tags[2].depth is None
+
+
+@pytest.mark.parametrize(
+    "name, sizes, kinds",
+    [
+        ("custom_cantor.map", [15], [(StructureKind.CANTOR, None)]),
+        (
+            "custom_periodic_cantor.map",
+            [2, 32],
+            [(StructureKind.COUNTABLE, 1), (StructureKind.CANTOR, None)],
+        ),
+    ],
+)
+def test_real_cantor_levels_agree_across_omega_alpha_and_membership(
+    name, sizes, kinds
+):
+    # the two golden maps with a non-periodic level, on the default tower:
+    # every point of a level's ω part is a certified member of that level's
+    # repelling set and has that level's α-class
+    m = parse_map_text((GOLDEN_MAPS / name).read_text())
+    tower = renorm_tower(m)
+    unions = orbit_unions(m, tower)
+    omega = omega_decomposition(m, tower, unions)
+    assert [len(part.points) for part in omega.parts] == sizes
+    for part in omega.parts:
+        for x in part.points:
+            assert membership_E(m, tower, part.level, x).status is Membership.IN
+            assert alpha_classify(m, tower, x, unions).label() == f"E_{part.level}"
+    assert [(tag.kind, tag.depth) for tag in depth_report(tower)] == kinds
 
 
 def test_omega_cantor_part_reports_approximation():

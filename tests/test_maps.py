@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from lorenzmap.maps import (
     word_pieces,
 )
 from lorenzmap.orbits import critical_orbit_values
+from lorenzmap.renorm import renorm_tower
 
 from conftest import cylinder_pieces, interior_cuts, multi_piece_maps, raw_eval, sym_params
 
@@ -137,39 +139,43 @@ def test_sided_orbit_consistency():
         assert iterate(m, p, j + k) == iterate(m, iterate(m, p, j), k)
 
 
-def return_words(m, ell, r):
-    """The branch words of ``c-`` for ``ell`` steps and of ``c+`` for ``r``."""
+def return_pieces(m, ell, r):
+    """The pieces of the words of ``c-`` for ``ell`` steps on ``[a, c]`` and
+    of ``c+`` for ``r`` steps on ``[c, b]``."""
     minus, plus = critical_orbit_values(m, max(ell, r))
-    return minus.word[:ell], plus.word[:r]
+    return (
+        word_pieces(m, minus.word[:ell], m.a, m.c),
+        word_pieces(m, plus.word[:r], m.c, m.b),
+    )
 
 
 def test_rescale_first_return_to_unit():
     m = symmetric_map(F(6, 5))
-    inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), return_words(m, 2, 2))
+    inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), return_pieces(m, 2, 2))
     assert inner.same_map(symmetric_map(F(36, 25)))
 
 
 def test_rescale_whole_domain_is_identity_copy():
     m = symmetric_map(F(3, 2))
     # every point of [0, 1] is back in [0, 1] after one step
-    assert rescale_to_unit(m, (F(0), F(1)), return_words(m, 1, 1)).same_map(m)
+    assert rescale_to_unit(m, (F(0), F(1)), return_pieces(m, 1, 1)).same_map(m)
 
 
 def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
     with pytest.raises(IntervalDoesNotStraddleC):
-        rescale_to_unit(m, (F(0), F(2, 5)), return_words(m, 1, 1))
+        rescale_to_unit(m, (F(0), F(2, 5)), return_pieces(m, 1, 1))
     # [2/5, 3/5] returns after (2, 2) steps; along the longer words of c-
     # and c+ an image of a branch crosses c before the last step
     m = symmetric_map(F(6, 5))
     J = (F(2, 5), F(3, 5))
     for ell, r in ((3, 3), (2, 3), (4, 4)):
         with pytest.raises(IntervalDoesNotStraddleC):
-            rescale_to_unit(m, J, return_words(m, ell, r))
-    # the right lengths with the words swapped: [u, c] cannot start right
-    left_word, right_word = return_words(m, 2, 2)
+            rescale_to_unit(m, J, return_pieces(m, ell, r))
+    # the right lengths with the sides swapped: [u, c] cannot start right
+    left_pieces, right_pieces = return_pieces(m, 2, 2)
     with pytest.raises(IntervalDoesNotStraddleC):
-        rescale_to_unit(m, J, (right_word, left_word))
+        rescale_to_unit(m, J, (right_pieces, left_pieces))
 
 
 def test_multi_piece_rescale_splits_and_matches_pointwise():
@@ -184,7 +190,7 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
     u, v = F(81, 200), F(11, 20)  # f^2(c+), f^2(c-)
     assert iterate(m, SidedPoint(m.c, Side.PLUS), 2).x == u
     assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == v
-    inner = rescale_to_unit(m, (u, v), return_words(m, 2, 2))
+    inner = rescale_to_unit(m, (u, v), return_pieces(m, 2, 2))
     assert validate_map(inner).valid
     assert inner.right.slopes == (F(121, 100), F(33, 25))
     rng = random.Random(4)
@@ -245,13 +251,35 @@ def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
     assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
 
 
+def test_rescale_clips_pieces_that_reach_past_the_interval():
+    # a level's return words composed on [a, c] and [c, b] can have pieces
+    # wholly outside [u, v]; clipped, they give the map that the pieces
+    # composed on [u, c] and [c, v] give
+    dropped = 0
+    for path in sorted((Path(__file__).parent / "golden" / "maps").glob("custom*.map")):
+        m = parse_map_text(path.read_text())
+        for level in renorm_tower(m, level_cap=1).levels:
+            step = level.step
+            own = (
+                word_pieces(m, step.left_word, step.u, m.c),
+                word_pieces(m, step.right_word, m.c, step.v),
+            )
+            assert rescale_to_unit(m, (step.u, step.v), own) == step.inner_map
+            whole = (
+                word_pieces(m, step.left_word, m.a, m.c),
+                word_pieces(m, step.right_word, m.c, m.b),
+            )
+            dropped += sum(len(w) - len(o) for w, o in zip(whole, own))
+    assert dropped >= 10
+
+
 def test_rescale_level_two_in_base_coordinates():
     # the twice-renormalized interval of the slope-11/10 map, taken in the
     # base coordinates with total return times (4, 4), rescales directly to
     # the symmetric map of slope (11/10)^4
     m = symmetric_map(F(11, 10))
     J = (F(979, 2000), F(1021, 2000))
-    inner = rescale_to_unit(m, J, return_words(m, 4, 4))
+    inner = rescale_to_unit(m, J, return_pieces(m, 4, 4))
     assert inner.same_map(symmetric_map(F(11, 10) ** 4))
 
 

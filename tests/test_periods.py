@@ -255,9 +255,9 @@ def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
     built = []
     original = orbits.critical_orbit_values
 
-    def recording(m, length, horizon=0):
+    def recording(m, length):
         built.append(length)
-        return original(m, length, horizon)
+        return original(m, length)
 
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
     for _family, _p1, _p2, m in sample_maps:
@@ -271,7 +271,7 @@ def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
         assert critical.minus is held and built == []
         # a shorter pair is grown to kappa steps in place
         short = CriticalOrbitPair(m)
-        held, _plus = short.grow(1, kappa)
+        held, _plus = short.grow((kappa + 1) // 2)
         built.clear()
         assert minimal_periodic_orbit(m, kappa, short) == alone
         assert short.minus is held and len(held.bounds) == kappa + 1

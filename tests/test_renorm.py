@@ -436,8 +436,8 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
     built = []
     original = orbits.critical_orbit_values
 
-    def recording(m, length, horizon=0):
-        pair = original(m, length, horizon)
+    def recording(m, length):
+        pair = original(m, length)
         if m == base:
             built.append(pair[0].horizon)
         return pair
@@ -451,17 +451,17 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
 @pytest.mark.parametrize(
     "base, flags, horizons",
     [
-        # the fast path at kappa = 2 builds for the unions of its level,
-        # which grow the same pair to 2·kappa steps
-        (symmetric_map(F(6, 5)), ["--family", "symmetric", "--a", "6/5"], [4]),
+        # the fast path at kappa = 2 builds for 2·kappa steps, at a precision
+        # for twice that; the unions of its level grow the same pair
+        (symmetric_map(F(6, 5)), ["--family", "symmetric", "--a", "6/5"], [8]),
         # the unions of 7 levels read 2·2^7 steps, past that horizon
         (
             symmetric_map(F(198, 197)),
             ["--family", "symmetric", "--a", "198/197"],
-            [4, 256],
+            [8, 512],
         ),
-        # fast path fails, the search runs on a pair with horizon 2·bound
-        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [4, 128]),
+        # fast path fails, the search asks for bound steps: horizon 2·bound
+        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [8, 128]),
         # minimal period capped: the search finds level 1, and the unions
         # grow the same pair instead of building another
         (
@@ -484,46 +484,59 @@ def test_analyze_builds_base_orbits_once_per_horizon(
 def test_grown_orbit_equals_one_built_at_its_length(ranking_corpus):
     for m in ranking_corpus[:40]:
         critical = CriticalOrbitPair(m)
-        minus, plus = critical.grow(5, 30)
-        for length in (5, 17, 30):
+        minus, plus = critical.grow(15)
+        assert minus.horizon == 30
+        for length in (15, 17, 30):
             assert critical.grow(length) == (minus, plus)
-            fresh = critical_orbit_values(m, length, 30)
+            fresh = critical_orbit_values(m, length)
             for grown, built in zip((minus, plus), fresh):
-                assert grown.precision == built.precision
-                assert grown.bounds == built.bounds and grown.word == built.word
+                # the same words, and enclosures of the same exact values
+                assert grown.word == built.word
+                for orbit in (grown, built):
+                    scale = 2**orbit.precision
+                    for i, (lo, hi) in enumerate(orbit.bounds):
+                        assert lo <= orbit.exact(i) * scale <= hi
+                if length == 15:
+                    assert grown.precision == built.precision
+                    assert grown.bounds == built.bounds
         with pytest.raises(AssertionError):
             minus.extend(31)
 
 
 def test_pair_rebuilds_past_its_precision_horizon():
     critical = CriticalOrbitPair(symmetric_map(F(11, 10)))
-    minus, _plus = critical.grow(4, 10)
-    assert (minus.horizon, len(minus.bounds)) == (10, 5)
-    assert critical.grow(10)[0] is minus and len(minus.bounds) == 11
-    assert critical.grow(3)[0] is minus and len(minus.bounds) == 11
-    wider, _plus = critical.grow(12)
-    assert wider is not minus and wider.horizon == 12
-    assert wider.precision > minus.precision and len(wider.bounds) == 13
-    # a horizon past the one held rebuilds even when the length fits
-    widest, _plus = critical.grow(5, 16)
-    assert widest is not wider and widest.horizon == 16
-    assert len(widest.bounds) == 6 and critical.grow(16)[0] is widest
+    minus, _plus = critical.grow(4)
+    assert (minus.horizon, len(minus.bounds)) == (8, 5)
+    assert critical.grow(8)[0] is minus and len(minus.bounds) == 9
+    assert critical.grow(3)[0] is minus and len(minus.bounds) == 9
+    wider, _plus = critical.grow(9)
+    assert wider is not minus and wider.horizon == 18
+    assert wider.precision > minus.precision and len(wider.bounds) == 10
+    # grown one step at a time, a pair is rebuilt at lengths 2^k - 1 only
+    critical = CriticalOrbitPair(symmetric_map(F(11, 10)))
+    horizons = []
+    for length in range(1, 64):
+        held = critical.minus
+        critical.grow(length)
+        if critical.minus is not held:
+            horizons.append(critical.minus.horizon)
+    assert horizons == [2, 6, 14, 30, 62, 126]
 
 
 def test_search_rebuilds_a_lower_precision_pair_once(monkeypatch):
     m = symmetric_map(F(11, 10))
     critical = CriticalOrbitPair(m)
-    critical.grow(2, 10)
+    critical.grow(2)
     built = []
     original = orbits.critical_orbit_values
 
-    def recording(m, length, horizon=0):
-        built.append((length, horizon))
-        return original(m, length, horizon)
+    def recording(m, length):
+        built.append(length)
+        return original(m, length)
 
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
     assert _search_pairs(m, 8, critical) == _exact_search(m, 8)
-    assert built == [(8, 16)] and critical.minus.horizon == 16
+    assert built == [8] and critical.minus.horizon == 16
 
 
 def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):

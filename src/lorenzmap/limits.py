@@ -23,10 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Scalar
-from .maps import CapExceeded, LorenzMap, SidedPoint, as_sided, evaluate, inverse_images
+from .numerics import Scalar, format_scalar, reduced_fraction
+from .maps import (
+    CapExceeded,
+    LorenzMap,
+    SidedPoint,
+    SideRequired,
+    as_sided,
+    evaluate,
+    inverse_images,
+)
 from .interval_dynamics import IntervalUnion
-from .orbits import CriticalOrbitPair
+from .orbits import CriticalOrbitPair, order_key
 from .renorm import Tower
 
 DEFAULT_APPROX_DEPTH = 4
@@ -142,21 +150,36 @@ def alpha_classify(
 
 
 def _forward_orbit_closure(m: LorenzMap, x: Scalar, cap: int = 100_000) -> list:
-    """The finite forward orbit of an exactly periodic point.
+    """The finite forward orbit of an exactly periodic point, ascending.
 
     Unsided evaluation suffices: repelling orbits avoid the open return
-    window, which contains the discontinuity.
+    window, which contains the discontinuity, and an orbit that lands on
+    ``c`` raises :class:`~lorenzmap.maps.SideRequired`.  The orbit is
+    stepped on reduced integer pairs (:meth:`~lorenzmap.maps.BranchFn.step`),
+    and the branch is picked by cross-multiplying against ``c``; the
+    branches map ``[a, b]`` into itself, so only ``x`` is checked against
+    the domain.  Reduced pairs are equal exactly when their values are,
+    so the walk stops where the orbit closes.  It is sorted with
+    :func:`~lorenzmap.orbits.order_key`.
     """
-    orbit = [x]
-    y = evaluate(m, SidedPoint(x))
-    steps = 0
-    while y != x:
-        orbit.append(y)
-        y = evaluate(m, SidedPoint(y))
-        steps += 1
-        if steps > cap:
-            raise CapExceeded(f"{x} did not return to itself within {cap} steps")
-    return sorted(orbit)
+    if not (m.a <= x <= m.b):
+        raise ValueError(f"{format_scalar(x)} outside the domain")
+    c_n, c_d = m.c.numerator, m.c.denominator
+    left, right = m.left.step, m.right.step
+    start = n, d = x.numerator, x.denominator
+    orbit = []
+    for _ in range(cap + 1):
+        orbit.append(reduced_fraction(n, d))
+        side = n * c_d - c_n * d
+        if side < 0:
+            n, d = left(n, d)
+        elif side > 0:
+            n, d = right(n, d)
+        else:
+            raise SideRequired("evaluation at c needs an explicit side")
+        if (n, d) == start:
+            return sorted(orbit, key=order_key)
+    raise CapExceeded(f"{x} did not return to itself within {cap} steps")
 
 
 def alpha_limit_approx(
@@ -191,7 +214,7 @@ def alpha_limit_approx(
                     new.add(p.x)
         points |= new
         frontier = new
-    return tuple(sorted(points))
+    return tuple(sorted(points, key=order_key))
 
 
 class Membership(enum.Enum):

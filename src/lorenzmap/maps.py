@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -114,6 +115,9 @@ class BranchFn:
             raise ValueError("slopes and intercepts must pair up")
         if not self.slopes:
             raise ValueError("branch needs at least one piece")
+        # set here, not on first use, so that every branch holds the same
+        # attributes in the same order and attribute loads stay fast
+        object.__setattr__(self, "_integer_pieces", None)
 
     @classmethod
     def affine(cls, lo: Scalar, hi: Scalar, slope: Scalar, intercept: Scalar):
@@ -139,6 +143,51 @@ class BranchFn:
     def value(self, x: Scalar) -> Scalar:
         i = self.piece_index(x)
         return self.slopes[i] * x + self.intercepts[i]
+
+    def _make_integer_pieces(self) -> tuple:
+        """``(cuts, pieces)`` for :meth:`step`, computed once per branch.
+
+        ``cuts`` are the internal breakpoints as ``(numerator,
+        denominator)``; piece ``s·x + t`` is ``(A, B, E, E·A)`` with
+        ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.
+        """
+        cuts = tuple((x.numerator, x.denominator) for x in self.breakpoints[1:-1])
+        pieces = []
+        for s, t in zip(self.slopes, self.intercepts):
+            e = math.lcm(s.denominator, t.denominator)
+            a = s.numerator * (e // s.denominator)
+            pieces.append((a, t.numerator * (e // t.denominator), e, e * a))
+        object.__setattr__(self, "_integer_pieces", (cuts, tuple(pieces)))
+        return self._integer_pieces
+
+    def step(self, n: int, d: int) -> tuple:
+        """:meth:`value` at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
+
+        Piece ``s·x + t`` maps ``n/d`` to ``N / (E·d)`` with
+        ``N = A·n + B·d`` (see :meth:`_make_integer_pieces`).  A common factor
+        ``g`` of ``N`` and ``E·d`` divides ``E·N - B·(E·d) = E·A·n``, so it
+        divides ``gcd(E·A·n, E·d) = E·gcd(A, d)`` (``n`` and ``d`` are
+        coprime), and that divides ``E·A``.  So ``gcd(N, E·d)`` is
+        ``gcd(gcd(N, E·A), E·d)``: two gcds that each have one small
+        argument, ``E·A`` and then their result.  The quotients are
+        coprime with a positive denominator, as a ``Fraction`` holds them.
+        The piece is picked by cross-multiplying against the internal
+        breakpoints, the left one at a breakpoint, as in :meth:`value`;
+        past the domain ends the end pieces continue, so callers check
+        the domain.
+        """
+        cuts, pieces = self._integer_pieces or self._make_integer_pieces()
+        i = 0
+        for cut_n, cut_d in cuts:
+            if n * cut_d <= cut_n * d:
+                break
+            i += 1
+        a, b, e, ea = pieces[i]
+        n, d = a * n + b * d, e * d
+        g = math.gcd(math.gcd(n, ea), d)
+        if g == 1:
+            return n, d
+        return n // g, d // g
 
     def solve(self, y: Scalar) -> Optional[Scalar]:
         """The unique ``x`` in the closed domain with ``value(x) == y``, if any."""

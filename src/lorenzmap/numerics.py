@@ -2,12 +2,19 @@
 
 Every scalar in the analysis pipeline is a stdlib
 :class:`fractions.Fraction`, always in lowest terms with positive
-denominator, so every ordering decision is an exact comparison with the
-plain operators.  Inputs that are known only to finite precision are
+denominator, so every ordering decision is an exact comparison: with the
+plain operators, or by cross-multiplying the integer pairs below.  Inputs that are known only to finite precision are
 refused where maps are loaded (:func:`lorenzmap.maps.parse_map_text`)
 by raising :class:`PrecisionExhausted`: no order relation of the
 analysis can be certified for them.  An interval is a closed
 ``(lo, hi)`` pair of scalars with ``lo <= hi``.
+
+Long exact orbits are stepped on integer pairs instead of by
+``Fraction`` arithmetic (:meth:`lorenzmap.maps.BranchFn.step`, which
+also proves that its pairs stay reduced): a pair ``(n, d)`` with
+``gcd(n, d) == 1`` and ``d > 0`` is the scalar ``n/d`` in lowest terms,
+so it stands for exactly one ``Fraction``, and :func:`reduced_fraction`
+turns it into that ``Fraction`` without normalising it again.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 Scalar = Fraction
+
+
+_new = object.__new__
 
 
 class PrecisionExhausted(Exception):
@@ -27,6 +37,18 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
+def reduced_fraction(n: int, d: int) -> Fraction:
+    """``n/d`` for ``gcd(n, d) == 1`` and ``d > 0``, taken as it is.
+
+    ``Fraction(n, d)`` would divide by ``gcd(n, d)`` again; a pair that
+    is not reduced would give a ``Fraction`` that compares and hashes
+    wrongly, so callers pass only reduced pairs.
+    """
+    x = _new(Fraction)
+    x._numerator, x._denominator = n, d
+    return x
 
 
 def format_scalar(x: Fraction) -> str:

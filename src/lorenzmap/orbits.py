@@ -18,6 +18,9 @@ order their values outright.  Exact ``Fraction`` iterates are computed
 only on demand: where an enclosure meets ``c`` (the branch is then
 decided exactly), where enclosures overlap while the values are ranked,
 and where a caller asks for a value.  So every decision is still exact.
+An exact iterate is one integer step on the reduced pair of the one
+before (:meth:`~lorenzmap.maps.BranchFn.step`), with the branch of the
+orbit's word, so no ``Fraction`` arithmetic runs along the orbit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .numerics import Scalar
+from .numerics import Scalar, reduced_fraction
 from .maps import BranchLabel, LorenzMap, Side
 
 _GUARD_BITS = 64
@@ -35,6 +38,15 @@ def enclose(x: Scalar, precision: int) -> tuple:
     """``(floor(x·2^P), ceil(x·2^P))`` for ``P = precision``."""
     num, den = x.numerator, x.denominator
     return (num << precision) // den, -((-num << precision) // den)
+
+
+def order_key(x: Scalar) -> tuple:
+    """``(floor(x·2^64), x)``: the lower end of :func:`enclose`, then ``x``.
+
+    The floor is monotone, so this key sorts as ``x`` does, and two
+    ``Fraction`` values are compared only when their floors tie.
+    """
+    return enclose(x, _GUARD_BITS)[0], x
 
 
 class _ScaledBranch:
@@ -117,9 +129,12 @@ class CriticalOrbit:
             bounds.append((lo, hi))
 
     def exact(self, i: int) -> Scalar:
-        known, word, functions = self._exact, self._word, self._functions
-        while len(known) <= i:
-            known.append(functions[word[len(known) - 1]].value(known[-1]))
+        known, functions = self._exact, self._functions
+        if len(known) <= i:
+            n, d = known[-1].numerator, known[-1].denominator
+            for label in self._word[len(known) - 1 : i]:
+                n, d = functions[label].step(n, d)
+                known.append(reduced_fraction(n, d))
         return known[i]
 
 

@@ -7,7 +7,9 @@ images are iterated endpoint by endpoint, and ``cylinder_pieces``
 enumerates every cylinder of ``f^n`` on an interval.  Expected values
 frozen in the tests were computed with these.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
-``hypothesis`` properties.
+``hypothesis`` properties.  ``ranking_corpus`` holds 119 maps, from
+shallow families to the deep inner maps of their towers, for the checks
+of the ordered critical orbit and the exact integer step.
 """
 
 from __future__ import annotations
@@ -15,11 +17,23 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from lorenzmap.maps import BranchFn, BranchLabel, LorenzMap, validate_map
+from lorenzmap.maps import (
+    BranchFn,
+    BranchLabel,
+    LorenzMap,
+    beta_transformation,
+    parse_map_text,
+    symmetric_map,
+    validate_map,
+)
+from lorenzmap.renorm import renorm_tower
+
+GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 # params = (c, slope_left, intercept_left, slope_right, intercept_right) on [0, 1]
 
@@ -293,4 +307,46 @@ def sample_maps():
         if per.kappa is None or per.kappa > 12:
             continue
         maps.append(("beta", beta, alpha, m))
+    return maps
+
+
+@pytest.fixture(scope="session")
+def ranking_corpus(sample_maps):
+    """Symmetric, beta and multi-piece maps with the inner maps of their towers."""
+    c, s1, s2 = F(1, 4), F(51, 50), F(11, 10)
+    non_first_return = LorenzMap(
+        F(0),
+        F(1),
+        c,
+        BranchFn.affine(F(0), c, s1, 1 - s1 * c),
+        BranchFn.affine(c, F(1), s2, -s2 * c),
+    )
+    # symmetric slope 11/10 moved to [-3, 5] by x -> 8x - 3
+    shifted = LorenzMap(
+        F(-3),
+        F(5),
+        F(1),
+        BranchFn.affine(F(-3), F(1), F(11, 10), F(5) - F(11, 10)),
+        BranchFn.affine(F(1), F(5), F(11, 10), F(-3) - F(11, 10)),
+    )
+    bases = [
+        symmetric_map(F(11, 10)),
+        symmetric_map(F(107, 100)),
+        symmetric_map(F(3, 2)),
+        beta_transformation(F(6, 5), F(1, 10)),
+        beta_transformation(F(23, 20), F(7, 40)),
+        beta_transformation(F(3, 2), F(2, 5)),
+        non_first_return,
+        shifted,
+    ]
+    bases += [
+        parse_map_text(path.read_text())
+        for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
+    ]
+    bases += [m for _family, _p1, _p2, m in sample_maps]
+    maps = []
+    for m in bases:
+        assert validate_map(m).valid
+        maps.append(m)
+        maps += [level.step.inner_map for level in renorm_tower(m, bound=24).levels]
     return maps

@@ -1,10 +1,14 @@
 import csv
+import gc
 import io
 import json
 import random
 import sys
+import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +328,39 @@ def test_summary_stages_give_the_rows_of_full_reports():
         ("ok", "periodic-minimal-renorm"),
         ("cap-exceeded", "prime-up-to-bound"),
     } <= statuses
+
+
+def test_analyze_map_keeps_no_reference_to_its_map():
+    # per-map data, such as the integer pieces of the exact orbit step, is
+    # held by the map's own objects, not by a table that outlives them
+    default = cli.Config(**cli.DEFAULTS)
+    cantor = Path(__file__).parent / "golden" / "maps" / "custom_periodic_cantor.map"
+    for make in (lambda: symmetric_map(F(41, 40)), lambda: parse_map_text(cantor.read_text())):
+        m = make()
+        report, code = cli.analyze_map(m, {}, default)
+        assert code == 0 and report["omega"]["parts"]
+        ref = weakref.ref(m)
+        del m, report
+        gc.collect()
+        assert ref() is None
+
+    # nor data keyed by it: fresh maps leave the traced memory as it was
+    def analyze(k):
+        report, code = cli.analyze_map(symmetric_map(F(41, 40) + F(1, k)), {}, default)
+        assert code == 0 and len(report["omega"]["parts"]) >= 3
+
+    analyze(10**6)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 6):
+            analyze(10**6 + k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_000
 
 
 def test_env_overrides_and_flag_precedence(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -6,9 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
+from lorenzmap.cli import build_map, build_parser
 from lorenzmap.maps import (
+    CapExceeded,
     SidedPoint,
     Side,
+    SideRequired,
     beta_transformation,
     evaluate,
     parse_map_text,
@@ -24,6 +28,7 @@ from lorenzmap.renorm import (
     renorm_tower,
 )
 from lorenzmap.limits import (
+    _forward_orbit_closure,
     AlphaKind,
     Membership,
     StructureKind,
@@ -38,7 +43,8 @@ from lorenzmap.limits import (
 
 from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps
 
-GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_MAPS = ROOT / "tests" / "golden" / "maps"
 
 ATTRACTOR_6_5 = [(F(0), F(3, 25)), (F(2, 5), F(3, 5)), (F(22, 25), F(1))]
 # the attractor of the slope-11/10 map: eight return intervals, merged once at c
@@ -363,3 +369,61 @@ def test_membership_requires_rational():
     tower = renorm_tower(m)
     with pytest.raises(TypeError):
         membership_E(m, tower, 1, 0.25)
+
+
+def _golden_case_maps() -> list:
+    """The map of every golden ``analyze`` or ``classify`` case that exits 0."""
+    cases = json.loads((ROOT / "tests" / "golden" / "cases.json").read_text())
+    maps = []
+    for case in cases:
+        if case["argv"][0] in ("analyze", "classify") and case["exit"] == 0:
+            args = build_parser().parse_args(case["argv"])
+            if args.map_file:
+                args.map_file = str(ROOT / args.map_file)
+            maps.append(build_map(args)[0])
+    return maps
+
+
+def _evaluate_walk(m, x) -> list:
+    orbit, y = [x], evaluate(m, SidedPoint(x))
+    while y != x:
+        orbit.append(y)
+        y = evaluate(m, SidedPoint(y))
+    return orbit
+
+
+def test_forward_orbit_closure_is_the_sorted_evaluate_walk():
+    maps = _golden_case_maps() + [symmetric_map(F(198, 197))]
+    levels = 0
+    for m in maps:
+        for level in renorm_tower(m).levels:
+            x = level.e_minus
+            assert _forward_orbit_closure(m, x) == sorted(_evaluate_walk(m, x))
+            levels += 1
+    assert len(maps) >= 25 and levels >= 40
+
+
+def test_forward_orbit_closure_keeps_its_errors():
+    m = symmetric_map(F(3, 2))
+    # 1/6 maps onto c = 1/2, whose image needs a side
+    assert evaluate(m, F(1, 6)) == m.c
+    for x in (m.c, F(1, 6)):
+        with pytest.raises(SideRequired):
+            _forward_orbit_closure(m, x)
+    for x in (F(-1, 7), F(3, 2)):
+        with pytest.raises(ValueError, match="outside the domain"):
+            _forward_orbit_closure(m, x)
+    # a period-p orbit closes within cap = p - 1 steps past the first
+    m = symmetric_map(F(6, 5))
+    assert _forward_orbit_closure(m, F(8, 11), cap=1) == [F(3, 11), F(8, 11)]
+    with pytest.raises(CapExceeded):
+        _forward_orbit_closure(m, F(8, 11), cap=0)
+
+
+def test_alpha_limit_approx_on_real_cantor_levels_is_ascending():
+    for name in ("custom_cantor.map", "custom_periodic_cantor.map"):
+        m = parse_map_text((GOLDEN_MAPS / name).read_text())
+        tower = renorm_tower(m)
+        for level in tower.levels:
+            points = alpha_limit_approx(m, tower, level.index, 3)
+            assert list(points) == sorted(set(points)) and len(points) >= 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzmap.numerics import PrecisionExhausted
+from lorenzmap.numerics import PrecisionExhausted, reduced_fraction
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -249,6 +250,69 @@ def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
     assert tiles[0][0] == lo and tiles[-1][1] == hi
     assert all(x0 < x1 for x0, x1, *_ in tiles)
     assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
+
+
+def _moved(m: LorenzMap) -> LorenzMap:
+    """A map on ``[0, 1]`` conjugated by ``x -> 8x - 3`` onto ``[-3, 5]``."""
+
+    def branch(br):
+        return BranchFn(
+            tuple(8 * x - 3 for x in br.breakpoints),
+            br.slopes,
+            tuple(3 * s + 8 * t - 3 for s, t in zip(br.slopes, br.intercepts)),
+        )
+
+    return LorenzMap(8 * m.a - 3, 8 * m.b - 3, 8 * m.c - 3, branch(m.left), branch(m.right))
+
+
+def _branch_points(branch):
+    """Breakpoints (internal ones and both ends) or points of the domain."""
+    lo, hi = branch.lo, branch.hi
+    inside = st.integers(1, 2**128).flatmap(
+        lambda q: st.integers(0, q).map(lambda k: lo + (hi - lo) * F(k, q))
+    )
+    return st.one_of(st.sampled_from(branch.breakpoints), inside)
+
+
+def _assert_step_is_the_reduced_value(branch, x):
+    n, d = branch.step(x.numerator, x.denominator)
+    assert d > 0 and math.gcd(n, d) == 1
+    y = reduced_fraction(n, d)
+    # a pair that is not reduced would break Fraction's == and hash here
+    assert y == branch.value(x) and hash(y) == hash(branch.value(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(multi_piece_maps(), multi_piece_maps(near_unit=True)),
+    st.booleans(),
+    st.data(),
+)
+def test_integer_step_is_the_reduced_value_on_random_maps(m, moved, data):
+    if moved:
+        m = _moved(m)
+        assert validate_map(m).valid and (m.a, m.b) == (-3, 5)
+    for branch in (m.left, m.right):
+        for _ in range(3):
+            _assert_step_is_the_reduced_value(branch, data.draw(_branch_points(branch)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_step_is_the_reduced_value_on_the_ranking_corpus(ranking_corpus, data):
+    m = data.draw(st.sampled_from(ranking_corpus))
+    for branch in (m.left, m.right):
+        for _ in range(3):
+            _assert_step_is_the_reduced_value(branch, data.draw(_branch_points(branch)))
+
+
+def test_integer_step_at_every_breakpoint_of_the_ranking_corpus(ranking_corpus):
+    shifted = [m for m in ranking_corpus if (m.a, m.b) == (-3, 5)]
+    assert len(ranking_corpus) >= 119 and shifted
+    for m in ranking_corpus:
+        for branch in (m.left, m.right):
+            for x in branch.breakpoints:
+                _assert_step_is_the_reduced_value(branch, x)
 
 
 def test_rescale_clips_pieces_that_reach_past_the_interval():

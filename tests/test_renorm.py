@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +37,6 @@ from lorenzmap.cli import main
 from lorenzmap.orbits import CriticalOrbitPair, enclose, rank_values, ranked_orbits
 
 from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps, piece_map
-
-GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
 
 
 def test_valid_renormalization_basic():
@@ -273,48 +270,6 @@ def _assert_enclosures_are_exact(m, length):
     assert [*ranks[:3], *ranks[3], *ranks[4]] == expected
     assert [minus.exact(i) for i in range(length + 1)] == exact_minus.values
     assert [plus.exact(i) for i in range(length + 1)] == exact_plus.values
-
-
-@pytest.fixture(scope="module")
-def ranking_corpus(sample_maps):
-    """Symmetric, beta and multi-piece maps with the inner maps of their towers."""
-    c, s1, s2 = F(1, 4), F(51, 50), F(11, 10)
-    non_first_return = LorenzMap(
-        F(0),
-        F(1),
-        c,
-        BranchFn.affine(F(0), c, s1, 1 - s1 * c),
-        BranchFn.affine(c, F(1), s2, -s2 * c),
-    )
-    # symmetric slope 11/10 moved to [-3, 5] by x -> 8x - 3
-    shifted = LorenzMap(
-        F(-3),
-        F(5),
-        F(1),
-        BranchFn.affine(F(-3), F(1), F(11, 10), F(5) - F(11, 10)),
-        BranchFn.affine(F(1), F(5), F(11, 10), F(-3) - F(11, 10)),
-    )
-    bases = [
-        symmetric_map(F(11, 10)),
-        symmetric_map(F(107, 100)),
-        symmetric_map(F(3, 2)),
-        beta_transformation(F(6, 5), F(1, 10)),
-        beta_transformation(F(23, 20), F(7, 40)),
-        beta_transformation(F(3, 2), F(2, 5)),
-        non_first_return,
-        shifted,
-    ]
-    bases += [
-        parse_map_text(path.read_text())
-        for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
-    ]
-    bases += [m for _family, _p1, _p2, m in sample_maps]
-    maps = []
-    for m in bases:
-        assert validate_map(m).valid
-        maps.append(m)
-        maps += [level.step.inner_map for level in renorm_tower(m, bound=24).levels]
-    return maps
 
 
 def test_ranked_pair_failure_matches_exact_values(ranking_corpus):

@@ -10,8 +10,15 @@ revision of the checkout, and per slope the exit code, the report bytes
 and sha256, every repeat's seconds, their min and median, and the
 largest peak RSS of the child processes.
 
+Given ``--parent``, a checkout of the parent commit, it times that
+checkout and this one in the same invocation: every repeat of a slope
+runs both sides, and the side that runs first alternates from one
+repeat to the next, so drift of the machine's speed during the run
+falls on both sides alike.  The results go to
+``BENCH_deep_<label>_parent.json`` and ``BENCH_deep_<label>_change.json``.
+
     python tools/bench_deep.py --label change
-    python tools/bench_deep.py --label parent --checkout ../parent
+    python tools/bench_deep.py --label NAME --parent ../parent
 
 Run one benchmark at a time on an otherwise idle machine; 2001/2000
 writes a 60 MB report and takes seconds per repeat.
@@ -30,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SLOPES = ("501/500", "1001/1000", "2001/2000")
-REPEATS = 3
+REPEATS = 4
 
 CHILD = r"""
 import contextlib, hashlib, io, json, resource, sys, time
@@ -80,16 +87,18 @@ def run_once(checkout: Path, argv: list) -> dict:
     return json.loads(done.stdout)
 
 
-def measure(checkout: Path, slope: str) -> dict:
-    argv = ["analyze", "--family", "symmetric", "--a", slope]
-    runs = [run_once(checkout, argv) for _ in range(REPEATS)]
+def argv_for(slope: str) -> list:
+    return ["analyze", "--family", "symmetric", "--a", slope]
+
+
+def summarize(slope: str, runs: list) -> dict:
     first = runs[0]
     for run in runs[1:]:
         if (run["exit"], run["sha256"]) != (first["exit"], first["sha256"]):
             raise RuntimeError(f"{slope}: repeats printed different reports")
     seconds = [run["seconds"] for run in runs]
     return {
-        "argv": argv,
+        "argv": argv_for(slope),
         "exit": first["exit"],
         "report_bytes": first["report_bytes"],
         "sha256": first["sha256"],
@@ -102,30 +111,45 @@ def measure(checkout: Path, slope: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names BENCH_deep_<label>.json")
     parser.add_argument(
-        "--checkout", type=Path, default=ROOT, help="repository whose src/ is timed"
+        "--label", required=True, help="names BENCH_deep_<label>[_parent|_change].json"
+    )
+    parser.add_argument(
+        "--parent",
+        type=Path,
+        help="checkout of the parent commit, timed against this one, alternating",
     )
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    status = git(checkout, "status", "--porcelain", "--", "src")
-    result = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "git_rev": git(checkout, "rev-parse", "HEAD"),
-        "src_modified": None if status is None else bool(status),
-        "repeats": REPEATS,
-        "cases": {slope: measure(checkout, slope) for slope in SLOPES},
-    }
-    path = ROOT / f"BENCH_deep_{args.label}.json"
-    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for slope, case in result["cases"].items():
-        print(
-            f"{slope}: exit {case['exit']}, {case['report_bytes']} bytes, "
-            f"min {case['min_s']:.2f} s, median {case['median_s']:.2f} s"
-        )
-    print(f"wrote {path}")
+    if args.parent is None:
+        sides = {args.label: ROOT}
+    else:
+        sides = {f"{args.label}_parent": args.parent.resolve(), f"{args.label}_change": ROOT}
+    runs = {label: {slope: [] for slope in SLOPES} for label in sides}
+    for slope in SLOPES:
+        for repeat in range(REPEATS):
+            order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
+            for label in order:
+                runs[label][slope].append(run_once(sides[label], argv_for(slope)))
+    for label, checkout in sides.items():
+        status = git(checkout, "status", "--porcelain", "--", "src")
+        result = {
+            "label": label,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "git_rev": git(checkout, "rev-parse", "HEAD"),
+            "src_modified": None if status is None else bool(status),
+            "repeats": REPEATS,
+            "cases": {slope: summarize(slope, runs[label][slope]) for slope in SLOPES},
+        }
+        path = ROOT / f"BENCH_deep_{label}.json"
+        path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+        for slope, case in result["cases"].items():
+            print(
+                f"{label} {slope}: exit {case['exit']}, {case['report_bytes']} bytes, "
+                f"sha256 {case['sha256'][:16]}, min {case['min_s']:.2f} s, "
+                f"median {case['median_s']:.2f} s"
+            )
+        print(f"wrote {path}")
     return 0
 
 

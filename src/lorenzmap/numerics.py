@@ -3,11 +3,12 @@
 Every scalar in the analysis pipeline is a stdlib
 :class:`fractions.Fraction`, always in lowest terms with positive
 denominator, so every ordering decision is an exact comparison: with the
-plain operators, or by cross-multiplying the integer pairs below.  Inputs that are known only to finite precision are
-refused where maps are loaded (:func:`lorenzmap.maps.parse_map_text`)
-by raising :class:`PrecisionExhausted`: no order relation of the
-analysis can be certified for them.  An interval is a closed
-``(lo, hi)`` pair of scalars with ``lo <= hi``.
+plain operators, or by cross-multiplying the integer pairs below.
+Inputs that are known only to finite precision are refused where maps
+are loaded (:func:`lorenzmap.maps.parse_map_text`) by raising
+:class:`PrecisionExhausted`: no order relation of the analysis can be
+certified for them.  An interval is a closed ``(lo, hi)`` pair of
+scalars with ``lo <= hi``.
 
 Long exact orbits are stepped on integer pairs instead of by
 ``Fraction`` arithmetic (:meth:`lorenzmap.maps.BranchFn.step`, which
@@ -24,9 +25,6 @@ from fractions import Fraction
 Scalar = Fraction
 
 
-_new = object.__new__
-
-
 class PrecisionExhausted(Exception):
     """An input is known only to finite precision, so no order is certified."""
 
@@ -39,12 +37,16 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
+_new = object.__new__
+
+
 def reduced_fraction(n: int, d: int) -> Fraction:
     """``n/d`` for ``gcd(n, d) == 1`` and ``d > 0``, taken as it is.
 
-    ``Fraction(n, d)`` would divide by ``gcd(n, d)`` again; a pair that
-    is not reduced would give a ``Fraction`` that compares and hashes
-    wrongly, so callers pass only reduced pairs.
+    ``Fraction(n, d)`` would divide by ``gcd(n, d)`` again.  A pair that
+    is not reduced would give a ``Fraction`` unequal to the same value
+    in lowest terms, so sets and dicts would miss it: callers pass only
+    reduced pairs.
     """
     x = _new(Fraction)
     x._numerator, x._denominator = n, d

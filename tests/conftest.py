@@ -310,6 +310,19 @@ def sample_maps():
     return maps
 
 
+def moved_to_minus_3_5(m: LorenzMap) -> LorenzMap:
+    """A map on ``[0, 1]`` conjugated by ``x -> 8x - 3`` onto ``[-3, 5]``."""
+
+    def branch(br):
+        return BranchFn(
+            tuple(8 * x - 3 for x in br.breakpoints),
+            br.slopes,
+            tuple(3 * s + 8 * t - 3 for s, t in zip(br.slopes, br.intercepts)),
+        )
+
+    return LorenzMap(8 * m.a - 3, 8 * m.b - 3, 8 * m.c - 3, branch(m.left), branch(m.right))
+
+
 @pytest.fixture(scope="session")
 def ranking_corpus(sample_maps):
     """Symmetric, beta and multi-piece maps with the inner maps of their towers."""
@@ -321,14 +334,7 @@ def ranking_corpus(sample_maps):
         BranchFn.affine(F(0), c, s1, 1 - s1 * c),
         BranchFn.affine(c, F(1), s2, -s2 * c),
     )
-    # symmetric slope 11/10 moved to [-3, 5] by x -> 8x - 3
-    shifted = LorenzMap(
-        F(-3),
-        F(5),
-        F(1),
-        BranchFn.affine(F(-3), F(1), F(11, 10), F(5) - F(11, 10)),
-        BranchFn.affine(F(1), F(5), F(11, 10), F(-3) - F(11, 10)),
-    )
+    shifted = moved_to_minus_3_5(symmetric_map(F(11, 10)))
     bases = [
         symmetric_map(F(11, 10)),
         symmetric_map(F(107, 100)),

@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -49,10 +48,8 @@ DEFAULTS = {
 }
 
 # below these, the pair search or the tower searches nothing and would
-# still report "prime-up-to-bound"
-MINIMA = {"l_max": 2, "level_cap": 1}
-
-ENV_PREFIX = "LORENZ_"
+# still report "prime-up-to-bound", or the backward chain has no length
+MINIMA = {"l_max": 2, "level_cap": 1, "hit_cap": 0}
 
 SWEEP_COLUMNS = [
     "parameter",
@@ -101,19 +98,11 @@ class Config:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    """Flags beat LORENZ_* environment variables beat defaults."""
+    """Each setting from its flag, or its default when the flag is not given."""
     values = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-            continue
-        name = ENV_PREFIX + key.upper()
-        env = os.environ.get(name)
-        try:
-            values[key] = int(env) if env is not None else default
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {env!r}") from None
+        values[key] = default if flag is None else flag
     for key, least in MINIMA.items():
         if values[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {values[key]}")

@@ -13,7 +13,10 @@ Every endpoint of a level's orbit union is a base critical-orbit value
 ``f^k(c±)``, so the unions of a whole tower are sorted and merged on
 the integer ranks of one ordered critical orbit
 (:mod:`lorenzmap.orbits`), and only the endpoints that survive the
-merge are taken as exact values.
+merge are taken as exact values.  The forward orbits that give the
+periodic ω parts and decide membership in ``E_i`` are exact, one
+integer step on a reduced pair per point
+(:func:`~lorenzmap.maps.sided_step`).
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from .maps import (
     CapExceeded,
     LorenzMap,
     SidedPoint,
-    SideRequired,
     as_sided,
     evaluate,
     inverse_images,
+    sided_step,
 )
 from .interval_dynamics import IntervalUnion
 from .orbits import CriticalOrbitPair, order_key
@@ -155,28 +158,18 @@ def _forward_orbit_closure(m: LorenzMap, x: Scalar, cap: int = 100_000) -> list:
     Unsided evaluation suffices: repelling orbits avoid the open return
     window, which contains the discontinuity, and an orbit that lands on
     ``c`` raises :class:`~lorenzmap.maps.SideRequired`.  The orbit is
-    stepped on reduced integer pairs (:meth:`~lorenzmap.maps.BranchFn.step`),
-    and the branch is picked by cross-multiplying against ``c``; the
-    branches map ``[a, b]`` into itself, so only ``x`` is checked against
-    the domain.  Reduced pairs are equal exactly when their values are,
-    so the walk stops where the orbit closes.  It is sorted with
-    :func:`~lorenzmap.orbits.order_key`.
+    stepped on reduced integer pairs (:func:`~lorenzmap.maps.sided_step`),
+    so only ``x`` is checked against the domain.  Reduced pairs are equal
+    exactly when their values are, so the walk stops where the orbit
+    closes.  It is sorted with :func:`~lorenzmap.orbits.order_key`.
     """
     if not (m.a <= x <= m.b):
         raise ValueError(f"{format_scalar(x)} outside the domain")
-    c_n, c_d = m.c.numerator, m.c.denominator
-    left, right = m.left.step, m.right.step
     start = n, d = x.numerator, x.denominator
     orbit = []
     for _ in range(cap + 1):
         orbit.append(reduced_fraction(n, d))
-        side = n * c_d - c_n * d
-        if side < 0:
-            n, d = left(n, d)
-        elif side > 0:
-            n, d = right(n, d)
-        else:
-            raise SideRequired("evaluation at c needs an explicit side")
+        n, d = sided_step(m, n, d)
         if (n, d) == start:
             return sorted(orbit, key=order_key)
     raise CapExceeded(f"{x} did not return to itself within {cap} steps")

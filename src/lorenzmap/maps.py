@@ -19,10 +19,15 @@ of :mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
 word of ``c-`` or ``c+``.
 
 Every scalar is an exact :class:`fractions.Fraction` and every order
-decision is a plain comparison.  :func:`parse_map_text` is where
-finite-precision input is refused: a map file with a ``precision`` line
-raises :class:`~lorenzmap.numerics.PrecisionExhausted` once the file has
-parsed.
+decision is exact.  Every exact point evaluation is one integer step on
+a reduced pair (:meth:`BranchFn.step`): :meth:`BranchFn.value`,
+:func:`evaluate` and :func:`sided_step`, and through them the exact
+orbits of :mod:`~lorenzmap.orbits` and :mod:`~lorenzmap.limits`.  Each
+branch holds one integer piece table (:meth:`BranchFn.integer_pieces`),
+which the dyadic enclosures of the critical orbits read too.
+:func:`parse_map_text` is where finite-precision input is refused: a
+map file with a ``precision`` line raises
+:class:`~lorenzmap.numerics.PrecisionExhausted` once the file has parsed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .numerics import (
     format_interval,
     format_scalar,
     parse_scalar,
+    reduced_fraction,
 )
 
 HALF = Fraction(1, 2)
@@ -131,40 +137,38 @@ class BranchFn:
     def hi(self) -> Scalar:
         return self.breakpoints[-1]
 
-    def piece_index(self, x: Scalar) -> int:
-        bps = self.breakpoints
-        if x < bps[0]:
-            raise ValueError(f"{format_scalar(x)} below branch domain")
-        for i in range(len(self.slopes)):
-            if x <= bps[i + 1]:
-                return i
-        raise ValueError(f"{format_scalar(x)} above branch domain")
-
     def value(self, x: Scalar) -> Scalar:
-        i = self.piece_index(x)
-        return self.slopes[i] * x + self.intercepts[i]
+        """The branch at ``x`` on its closed domain: :meth:`step` on ``x``'s pair."""
+        if x < self.breakpoints[0]:
+            raise ValueError(f"{format_scalar(x)} below branch domain")
+        if x > self.breakpoints[-1]:
+            raise ValueError(f"{format_scalar(x)} above branch domain")
+        return reduced_fraction(*self.step(x.numerator, x.denominator))
 
-    def _make_integer_pieces(self) -> tuple:
-        """``(cuts, pieces)`` for :meth:`step`, computed once per branch.
+    def integer_pieces(self) -> tuple:
+        """``(cuts, pieces)``: the branch's pieces on integers, computed once.
 
         ``cuts`` are the internal breakpoints as ``(numerator,
         denominator)``; piece ``s·x + t`` is ``(A, B, E, E·A)`` with
-        ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.
+        ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.  Every
+        exact evaluation (:meth:`step`) and every dyadic enclosure of
+        :mod:`~lorenzmap.orbits` reads this one table.
         """
-        cuts = tuple((x.numerator, x.denominator) for x in self.breakpoints[1:-1])
-        pieces = []
-        for s, t in zip(self.slopes, self.intercepts):
-            e = math.lcm(s.denominator, t.denominator)
-            a = s.numerator * (e // s.denominator)
-            pieces.append((a, t.numerator * (e // t.denominator), e, e * a))
-        object.__setattr__(self, "_integer_pieces", (cuts, tuple(pieces)))
+        if self._integer_pieces is None:
+            cuts = tuple((x.numerator, x.denominator) for x in self.breakpoints[1:-1])
+            pieces = []
+            for s, t in zip(self.slopes, self.intercepts):
+                e = math.lcm(s.denominator, t.denominator)
+                a = s.numerator * (e // s.denominator)
+                pieces.append((a, t.numerator * (e // t.denominator), e, e * a))
+            object.__setattr__(self, "_integer_pieces", (cuts, tuple(pieces)))
         return self._integer_pieces
 
     def step(self, n: int, d: int) -> tuple:
-        """:meth:`value` at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
+        """The branch at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
 
         Piece ``s·x + t`` maps ``n/d`` to ``N / (E·d)`` with
-        ``N = A·n + B·d`` (see :meth:`_make_integer_pieces`).  A common factor
+        ``N = A·n + B·d`` (see :meth:`integer_pieces`).  A common factor
         ``g`` of ``N`` and ``E·d`` divides ``E·N - B·(E·d) = E·A·n``, so it
         divides ``gcd(E·A·n, E·d) = E·gcd(A, d)`` (``n`` and ``d`` are
         coprime), and that divides ``E·A``.  So ``gcd(N, E·d)`` is
@@ -172,11 +176,11 @@ class BranchFn:
         argument, ``E·A`` and then their result.  The quotients are
         coprime with a positive denominator, as a ``Fraction`` holds them.
         The piece is picked by cross-multiplying against the internal
-        breakpoints, the left one at a breakpoint, as in :meth:`value`;
-        past the domain ends the end pieces continue, so callers check
-        the domain.
+        breakpoints, the left one at a breakpoint (adjacent pieces agree
+        there); past the domain ends the end pieces continue, so callers
+        check the domain, as :meth:`value` does.
         """
-        cuts, pieces = self._integer_pieces or self._make_integer_pieces()
+        cuts, pieces = self._integer_pieces or self.integer_pieces()
         i = 0
         for cut_n, cut_d in cuts:
             if n * cut_d <= cut_n * d:
@@ -325,21 +329,35 @@ def validate_map(m: LorenzMap) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def sided_step(m: LorenzMap, n: int, d: int, side: Optional[Side] = None) -> tuple:
+    """``f(n/d)`` as a reduced pair, for a reduced pair ``n/d`` in ``[a, b]``.
+
+    The branch is picked by cross-multiplying against ``c`` and applied
+    with :meth:`BranchFn.step`; at ``c`` the side decides, ``f(c-) = b``
+    and ``f(c+) = a``, and without one :class:`SideRequired` is raised.
+    The branches map ``[a, b]`` into itself, so an orbit checked against
+    the domain once stays in it.
+    """
+    c = m.c
+    cross = n * c.denominator - c.numerator * d
+    if cross < 0:
+        return m.left.step(n, d)
+    if cross > 0:
+        return m.right.step(n, d)
+    if side is Side.MINUS:
+        return m.b.numerator, m.b.denominator
+    if side is Side.PLUS:
+        return m.a.numerator, m.a.denominator
+    raise SideRequired("evaluation at c needs an explicit side")
+
+
 def evaluate(m: LorenzMap, p) -> Scalar:
     """Sided evaluation: ``f(c-) = b`` and ``f(c+) = a`` exactly."""
     p = as_sided(p)
     x = p.x
     if not (m.a <= x <= m.b):
         raise ValueError(f"{format_scalar(x)} outside the domain")
-    if x < m.c:
-        return m.left.value(x)
-    if x > m.c:
-        return m.right.value(x)
-    if p.side is Side.MINUS:
-        return m.b
-    if p.side is Side.PLUS:
-        return m.a
-    raise SideRequired("evaluation at c needs an explicit side")
+    return reduced_fraction(*sided_step(m, x.numerator, x.denominator, p.side))
 
 
 def iterate(m: LorenzMap, p, n: int) -> SidedPoint:
@@ -347,10 +365,7 @@ def iterate(m: LorenzMap, p, n: int) -> SidedPoint:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     p = as_sided(p)
-    x, side = p.x, p.side
-    for _ in range(n):
-        x = evaluate(m, SidedPoint(x, side))
-    return SidedPoint(x, side)
+    return SidedPoint(orbit_values(m, p, n)[-1], p.side)
 
 
 def orbit_values(m: LorenzMap, p, length: int) -> list:

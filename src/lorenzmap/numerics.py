@@ -10,7 +10,7 @@ are loaded (:func:`lorenzmap.maps.parse_map_text`) by raising
 certified for them.  An interval is a closed ``(lo, hi)`` pair of
 scalars with ``lo <= hi``.
 
-Long exact orbits are stepped on integer pairs instead of by
+Every exact point evaluation steps on integer pairs instead of using
 ``Fraction`` arithmetic (:meth:`lorenzmap.maps.BranchFn.step`, which
 also proves that its pairs stay reduced): a pair ``(n, d)`` with
 ``gcd(n, d) == 1`` and ``d > 0`` is the scalar ``n/d`` in lowest terms,

@@ -20,7 +20,9 @@ decided exactly), where enclosures overlap while the values are ranked,
 and where a caller asks for a value.  So every decision is still exact.
 An exact iterate is one integer step on the reduced pair of the one
 before (:meth:`~lorenzmap.maps.BranchFn.step`), with the branch of the
-orbit's word, so no ``Fraction`` arithmetic runs along the orbit.
+orbit's word, so no ``Fraction`` arithmetic runs along the orbit.  The
+enclosures and the exact steps read the same integer pieces of each
+branch (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`).
 """
 
 from __future__ import annotations
@@ -52,23 +54,20 @@ def order_key(x: Scalar) -> tuple:
 class _ScaledBranch:
     """A branch acting on integers ``X`` that stand for ``X·2^-P``.
 
-    The end pieces are continued affinely past the branch domain, so the
-    scaled branch is increasing and continuous on all integers.
+    Read from the branch's integer piece table
+    (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`), the one that
+    :meth:`~lorenzmap.maps.BranchFn.step` reads.  The end pieces are
+    continued affinely past the branch domain, so the scaled branch is
+    increasing and continuous on all integers.
     """
 
     def __init__(self, branch, precision: int):
+        cuts, pieces = branch.integer_pieces()
         # X <= floor(bp·2^P) gives X·2^-P <= bp and X > floor(bp·2^P) gives
         # X·2^-P > bp, so bisecting the floors picks a piece that holds X
-        self.cuts = [enclose(bp, precision)[0] for bp in branch.breakpoints[1:-1]]
-        # s·X + t·2^P = (A·X + B) / D
-        self.pieces = [
-            (
-                s.numerator * t.denominator,
-                (t.numerator * s.denominator) << precision,
-                s.denominator * t.denominator,
-            )
-            for s, t in zip(branch.slopes, branch.intercepts)
-        ]
+        self.cuts = [(n << precision) // d for n, d in cuts]
+        # s·X + t·2^P = (A·X + B·2^P) / E
+        self.pieces = [(a, b << precision, e) for a, b, e, _ in pieces]
 
     def image(self, lo: int, hi: int) -> tuple:
         """Enclosure of the branch image of ``[lo, hi]·2^-P``."""

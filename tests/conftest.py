@@ -5,7 +5,9 @@ machinery: maps are evaluated from explicit affine formulas, periodic
 points are found by composing words over the affine pieces, interval
 images are iterated endpoint by endpoint, and ``cylinder_pieces``
 enumerates every cylinder of ``f^n`` on an interval.  Expected values
-frozen in the tests were computed with these.  ``piece_map`` builds
+frozen in the tests were computed with these.  ``reference_value``
+evaluates a branch in ``Fraction`` arithmetic, the oracle of the
+library's integer step.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties.  ``ranking_corpus`` holds 119 maps, from
 shallow families to the deep inner maps of their towers, for the checks
@@ -84,6 +86,19 @@ def map_piece_table(m):
         bps = branch.breakpoints
         pieces += zip(bps, bps[1:], branch.slopes, branch.intercepts)
     return m.c, pieces
+
+
+def reference_value(branch, x):
+    """A branch at ``x`` in ``Fraction`` arithmetic, without its integer pieces.
+
+    The first piece whose right end is ``>= x`` gives ``s*x + t``: at an
+    internal breakpoint the left piece, at the end next to ``c`` the
+    one-sided limit.  ``x`` must not lie above the branch domain.
+    """
+    for hi, s, t in zip(branch.breakpoints[1:], branch.slopes, branch.intercepts):
+        if x <= hi:
+            return s * x + t
+    raise ValueError("point above the branch domain")
 
 
 def table_eval(table, x):

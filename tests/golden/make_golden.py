@@ -119,6 +119,4 @@ if __name__ == "__main__":
     import os
 
     os.chdir(ROOT)
-    for key in [k for k in os.environ if k.startswith("LORENZ_")]:
-        del os.environ[key]
     write_corpus()

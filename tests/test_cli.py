@@ -363,16 +363,6 @@ def test_analyze_map_keeps_no_reference_to_its_map():
     assert retained < 2_000
 
 
-def test_env_overrides_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("LORENZ_L_MAX", "8")
-    code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "3/2")
-    assert json.loads(out)["config"]["l_max"] == 8
-    code, out = run_cli(
-        capsys, "analyze", "--family", "symmetric", "--a", "3/2", "--l-max", "12"
-    )
-    assert json.loads(out)["config"]["l_max"] == 12
-
-
 def test_sweep_reports_per_row_status(capsys):
     # beta + alpha = 1 gives a fixed point at 0... use alpha producing an
     # invalid two-branch form: alpha large enough that f(1) escapes
@@ -441,24 +431,22 @@ CUSTOM_PRECISION_MAP = (
 
 
 @pytest.mark.parametrize(
-    "argv, map_text, env, code, status",
+    "argv, map_text, code, status",
     [
-        (["classify", "--x", "1/3"], PRECISION_MAP, {}, 3, "precision-exhausted"),
-        (["analyze"], CUSTOM_PRECISION_MAP, {}, 3, "precision-exhausted"),
-        (["analyze"], MISSING_KEY_MAP, {}, 2, "invalid-map"),
-        (["analyze", "--family", "symmetric", "--a", "1/0"], None, {}, 2, "invalid-map"),
-        (["analyze", "--family", "beta", "--beta", "0", "--alpha", "1/10"], None, {}, 2,
+        (["classify", "--x", "1/3"], PRECISION_MAP, 3, "precision-exhausted"),
+        (["analyze"], CUSTOM_PRECISION_MAP, 3, "precision-exhausted"),
+        (["analyze"], MISSING_KEY_MAP, 2, "invalid-map"),
+        (["analyze", "--family", "symmetric", "--a", "1/0"], None, 2, "invalid-map"),
+        (["analyze", "--family", "beta", "--beta", "0", "--alpha", "1/10"], None, 2,
          "invalid-map"),
-        (["analyze", "--family", "symmetric", "--a", "6/5"], None,
-         {"LORENZ_HIT_CAP": "many"}, 2, "invalid-map"),
-        (["sweep", "--family", "symmetric", "--start", "6/5", "--end", "6/5", "--step", "1"],
-         None, {"LORENZ_L_MAX": "1.5"}, 2, "invalid-map"),
-        (["analyze", "--family", "symmetric", "--a", "6/5", "--l-max", "-3"], None, {}, 2,
+        (["analyze", "--family", "symmetric", "--a", "6/5", "--l-max", "-3"], None, 2,
          "invalid-map"),
         (["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4", "--level-cap",
-          "0"], None, {}, 2, "invalid-map"),
-        (["analyze", "--family", "beta", "--beta", "6/5"], None, {}, 2, "invalid-map"),
-        (["analyze"], None, {}, 2, "invalid-map"),
+          "0"], None, 2, "invalid-map"),
+        (["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4", "--hit-cap",
+          "-3"], None, 2, "invalid-map"),
+        (["analyze", "--family", "beta", "--beta", "6/5"], None, 2, "invalid-map"),
+        (["analyze"], None, 2, "invalid-map"),
     ],
     ids=[
         "classify-precision-map",
@@ -466,19 +454,14 @@ CUSTOM_PRECISION_MAP = (
         "missing-key",
         "zero-denominator",
         "beta-zero",
-        "env-not-integer",
-        "sweep-env-not-integer",
         "l-max-below-2",
         "level-cap-below-1",
+        "hit-cap-below-0",
         "beta-without-alpha",
         "no-map",
     ],
 )
-def test_input_boundary_exit_codes(
-    capsys, tmp_path, monkeypatch, argv, map_text, env, code, status
-):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_input_boundary_exit_codes(capsys, tmp_path, argv, map_text, code, status):
     if map_text is not None:
         path = tmp_path / "input.map"
         path.write_text(map_text)
@@ -512,13 +495,7 @@ def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
 
 
 
-def _clear_config_env(monkeypatch):
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
-
-
-def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
-    _clear_config_env(monkeypatch)
+def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
     map_flags = ["analyze", "--family", "symmetric", "--a", "3/2"]
     code, out = run_cli(capsys, *map_flags, "--l-max", "8")

@@ -24,8 +24,6 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_golden_output(case, monkeypatch):
     monkeypatch.chdir(ROOT)  # map-file paths are echoed relative to the root
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(list(case["argv"]))
@@ -40,9 +38,7 @@ def test_golden_output(case, monkeypatch):
 DEEP_TOWER_SHA256 = "eb389a34d7ee3d82e5ea289e86ec6ff0fe2b440c15fdf1bbd10b7e299a7b6082"
 
 
-def _assert_symmetric_report(monkeypatch, slope, levels, size, sha256):
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+def _assert_symmetric_report(slope, levels, size, sha256):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(["analyze", "--family", "symmetric", "--a", slope])
@@ -53,8 +49,8 @@ def _assert_symmetric_report(monkeypatch, slope, levels, size, sha256):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
-def test_deep_tower_report_digest(monkeypatch):
-    _assert_symmetric_report(monkeypatch, "198/197", 7, 681_368, DEEP_TOWER_SHA256)
+def test_deep_tower_report_digest():
+    _assert_symmetric_report("198/197", 7, 681_368, DEEP_TOWER_SHA256)
 
 
 # stdout of ``analyze --family symmetric --a 501/500`` (8 levels, 3,122,204
@@ -65,9 +61,7 @@ DIGIT_LIMIT_SHA256 = "43a91ca91902cf959481ddd13183c185393e8de81fed8407b2287cadfa
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11"
 )
-def test_report_is_exact_past_the_int_digit_limit(monkeypatch):
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
+def test_report_is_exact_past_the_int_digit_limit():
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(1000)
     try:
@@ -87,7 +81,5 @@ def test_report_is_exact_past_the_int_digit_limit(monkeypatch):
 DEEPER_TOWER_SHA256 = "6e1ccaed23c1504e71ce231770ac9c99a4eaca2d5a755fc83021134f4aafe754"
 
 
-def test_deeper_tower_report_digest(monkeypatch):
-    _assert_symmetric_report(
-        monkeypatch, "1001/1000", 9, 13_739_285, DEEPER_TOWER_SHA256
-    )
+def test_deeper_tower_report_digest():
+    _assert_symmetric_report("1001/1000", 9, 13_739_285, DEEPER_TOWER_SHA256)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzmap.numerics import PrecisionExhausted, reduced_fraction
+from lorenzmap.numerics import PrecisionExhausted, format_scalar, reduced_fraction
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -36,6 +36,7 @@ from conftest import (
     moved_to_minus_3_5,
     multi_piece_maps,
     raw_eval,
+    reference_value,
     sym_params,
 )
 
@@ -268,11 +269,30 @@ def _branch_points(branch):
     return st.one_of(st.sampled_from(branch.breakpoints), inside)
 
 
-def _assert_step_is_the_reduced_value(branch, x):
+def _assert_exact_evaluations(m, branch, x):
+    """``step``, ``value`` and sided ``evaluate`` at ``x`` give the reference value."""
+    expected = reference_value(branch, x)
     n, d = branch.step(x.numerator, x.denominator)
     assert d > 0 and math.gcd(n, d) == 1
     # an unreduced pair would make this Fraction unequal to the value
-    assert reduced_fraction(n, d) == branch.value(x)
+    assert reduced_fraction(n, d) == expected
+    assert branch.value(x) == expected
+    side = Side.MINUS if branch is m.left else Side.PLUS
+    assert evaluate(m, SidedPoint(x, side)) == expected
+
+
+def _assert_left_piece_at_breakpoints(branch):
+    """With piece ``k`` raised by ``k`` the branch jumps at every internal
+    breakpoint, and the value there is the left piece's."""
+    jumped = BranchFn(
+        branch.breakpoints,
+        branch.slopes,
+        tuple(t + k for k, t in enumerate(branch.intercepts)),
+    )
+    for x in branch.breakpoints:
+        expected = reference_value(jumped, x)
+        assert jumped.value(x) == expected
+        assert reduced_fraction(*jumped.step(x.numerator, x.denominator)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -286,8 +306,9 @@ def test_integer_step_is_the_reduced_value_on_random_maps(m, moved, data):
         m = moved_to_minus_3_5(m)
         assert validate_map(m).valid and (m.a, m.b) == (-3, 5)
     for branch in (m.left, m.right):
+        _assert_left_piece_at_breakpoints(branch)
         for _ in range(3):
-            _assert_step_is_the_reduced_value(branch, data.draw(_branch_points(branch)))
+            _assert_exact_evaluations(m, branch, data.draw(_branch_points(branch)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,16 +317,53 @@ def test_integer_step_is_the_reduced_value_on_the_ranking_corpus(ranking_corpus,
     m = data.draw(st.sampled_from(ranking_corpus))
     for branch in (m.left, m.right):
         for _ in range(3):
-            _assert_step_is_the_reduced_value(branch, data.draw(_branch_points(branch)))
+            _assert_exact_evaluations(m, branch, data.draw(_branch_points(branch)))
 
 
 def test_integer_step_at_every_breakpoint_of_the_ranking_corpus(ranking_corpus):
     shifted = [m for m in ranking_corpus if (m.a, m.b) == (-3, 5)]
-    assert len(ranking_corpus) >= 119 and shifted
+    multi_piece = [m for m in ranking_corpus if len(m.left.slopes) + len(m.right.slopes) > 2]
+    assert len(ranking_corpus) >= 119 and shifted and multi_piece
     for m in ranking_corpus:
         for branch in (m.left, m.right):
+            _assert_left_piece_at_breakpoints(branch)
             for x in branch.breakpoints:
-                _assert_step_is_the_reduced_value(branch, x)
+                _assert_exact_evaluations(m, branch, x)
+
+
+def _assert_sides_and_domain_errors(m, eps):
+    """``c±`` give ``b`` and ``a``, unsided ``c`` and points past the ends raise."""
+    assert evaluate(m, SidedPoint(m.c, Side.MINUS)) == m.b == reference_value(m.left, m.c)
+    assert evaluate(m, SidedPoint(m.c, Side.PLUS)) == m.a == reference_value(m.right, m.c)
+    with pytest.raises(SideRequired):
+        evaluate(m, m.c)
+    for branch in (m.left, m.right):
+        x = branch.lo - eps
+        with pytest.raises(ValueError, match=f"^{format_scalar(x)} below branch domain$"):
+            branch.value(x)
+        x = branch.hi + eps
+        with pytest.raises(ValueError, match=f"^{format_scalar(x)} above branch domain$"):
+            branch.value(x)
+    for x in (m.a - eps, m.b + eps):
+        with pytest.raises(ValueError, match=f"^{format_scalar(x)} outside the domain$"):
+            evaluate(m, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(multi_piece_maps(), multi_piece_maps(near_unit=True)),
+    st.booleans(),
+    st.integers(1, 2**64),
+)
+def test_exact_evaluation_at_c_and_past_the_ends_on_random_maps(m, moved, q):
+    if moved:
+        m = moved_to_minus_3_5(m)
+    _assert_sides_and_domain_errors(m, F(1, q))
+
+
+def test_exact_evaluation_at_c_and_past_the_ends_of_the_ranking_corpus(ranking_corpus):
+    for m in ranking_corpus:
+        _assert_sides_and_domain_errors(m, F(1, 10**30))
 
 
 def test_rescale_clips_pieces_that_reach_past_the_interval():

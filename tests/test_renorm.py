@@ -14,7 +14,6 @@ from lorenzmap.maps import (
     SidedPoint,
     beta_transformation,
     iterate,
-    orbit_values,
     parse_map_text,
     symmetric_map,
     validate_map,
@@ -36,7 +35,12 @@ from lorenzmap.renorm import (
 from lorenzmap.cli import main
 from lorenzmap.orbits import CriticalOrbitPair, enclose, rank_values, ranked_orbits
 
-from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps, piece_map
+from conftest import (
+    LONG_ORBIT_MAP_TEXT,
+    multi_piece_maps,
+    piece_map,
+    reference_value,
+)
 
 
 def test_valid_renormalization_basic():
@@ -221,16 +225,16 @@ def test_beta_family_renormalizes_only_periodically(sample_maps):
 
 
 class _ExactOrbit:
-    """A critical orbit iterated on exact values, with its branch word."""
+    """A critical orbit iterated on reference values, with its branch word."""
 
     def __init__(self, m, side, length):
-        self.values = orbit_values(m, SidedPoint(m.c, side), length)
-        self.word = tuple(
-            BranchLabel.LEFT
-            if x < m.c or (x == m.c and side is Side.MINUS)
-            else BranchLabel.RIGHT
-            for x in self.values[:-1]
-        )
+        self.values, word = [m.c], []
+        for _ in range(length):
+            x = self.values[-1]
+            left = x < m.c or (x == m.c and side is Side.MINUS)
+            word.append(BranchLabel.LEFT if left else BranchLabel.RIGHT)
+            self.values.append(reference_value(m.left if left else m.right, x))
+        self.word = tuple(word)
 
     def exact(self, i):
         return self.values[i]
@@ -270,6 +274,40 @@ def _assert_enclosures_are_exact(m, length):
     assert [*ranks[:3], *ranks[3], *ranks[4]] == expected
     assert [minus.exact(i) for i in range(length + 1)] == exact_minus.values
     assert [plus.exact(i) for i in range(length + 1)] == exact_plus.values
+
+
+def _scaled_branch_with_fraction_pieces(branch, precision):
+    """A ``_ScaledBranch`` whose cuts and pieces are read off the branch's
+    ``Fraction``s, not off its integer piece table."""
+    scaled = object.__new__(orbits._ScaledBranch)
+    scaled.cuts = [enclose(bp, precision)[0] for bp in branch.breakpoints[1:-1]]
+    scaled.pieces = [
+        (
+            s.numerator * t.denominator,
+            (t.numerator * s.denominator) << precision,
+            s.denominator * t.denominator,
+        )
+        for s, t in zip(branch.slopes, branch.intercepts)
+    ]
+    return scaled
+
+
+def test_scaled_branch_encloses_as_the_fraction_pieces_do(ranking_corpus):
+    rng = random.Random(16)
+    for m in ranking_corpus:
+        for branch in (m.left, m.right):
+            for precision in (0, 64, 300):
+                scaled = orbits._ScaledBranch(branch, precision)
+                oracle = _scaled_branch_with_fraction_pieces(branch, precision)
+                assert scaled.cuts == oracle.cuts
+                # the ends and cuts with their neighbours, and points between
+                ends = [enclose(x, precision) for x in branch.breakpoints]
+                points = {x + k for pair in ends for x in pair for k in (-1, 0, 1)}
+                low, high = ends[0][0] - 2, ends[-1][1] + 2
+                points.update(rng.randint(low, high) for _ in range(20))
+                points = sorted(points)
+                for lo, hi in [*zip(points, points[1:]), *zip(points, points)]:
+                    assert scaled.image(lo, hi) == oracle.image(lo, hi)
 
 
 def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
@@ -430,8 +468,6 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
 def test_analyze_builds_base_orbits_once_per_horizon(
     monkeypatch, capsys, base, flags, horizons
 ):
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        monkeypatch.delenv(f"LORENZ_{key}", raising=False)
     built = _base_orbit_builds(monkeypatch, capsys, base, ["analyze", *flags])
     assert built == horizons
 

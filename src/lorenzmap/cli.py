@@ -48,7 +48,7 @@ DEFAULTS = {
 }
 
 # below these, the pair search or the tower searches nothing and would
-# still report "prime-up-to-bound", or the backward chain has no length
+# still report "prime-up-to-bound", and the backward chain checks no point
 MINIMA = {"l_max": 2, "level_cap": 1, "hit_cap": 0}
 
 SWEEP_COLUMNS = [

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 from .numerics import PrecisionExhausted, format_scalar, parse_scalar
 from .maps import (
+    CapExceeded,
     LorenzMap,
     beta_transformation,
     describe_map,
@@ -28,7 +29,7 @@ from .maps import (
     symmetric_map,
     validate_map,
 )
-from .interval_dynamics import CapExceeded, format_union
+from .interval_dynamics import format_union
 from .periods import DEFAULT_BACKWARD_CAP, minimal_period, minimal_periodic_orbit
 from .renorm import (
     DEFAULT_LEVEL_CAP,
@@ -98,15 +99,13 @@ class Config:
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
-    """Each setting from its flag, or its default when the flag is not given."""
-    values = {}
-    for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
-        values[key] = default if flag is None else flag
+    """The settings of the flags (their defaults are :data:`DEFAULTS`), checked."""
+    config = Config(**{key: getattr(args, key) for key in DEFAULTS})
     for key, least in MINIMA.items():
-        if values[key] < least:
-            raise ValueError(f"{key} must be at least {least}, got {values[key]}")
-    return Config(**values)
+        value = getattr(config, key)
+        if value < least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
+    return config
 
 
 def build_map(args: argparse.Namespace) -> tuple:
@@ -229,7 +228,7 @@ def _fill_report(report: dict, m: LorenzMap, config: Config, full: bool) -> int:
 
     if full:
         if period.kappa is not None and period.kappa > 1:
-            orbit = minimal_periodic_orbit(m, period.kappa, tower.critical)
+            orbit = minimal_periodic_orbit(m, period.kappa)
             report["orbit"] = _orbit_dict(orbit)
         unions = orbit_unions(m, tower)
         omega = omega_decomposition(m, tower, unions)
@@ -365,20 +364,22 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l-max", dest="l_max", type=int, default=None)
-    parser.add_argument("--level-cap", dest="level_cap", type=int, default=None)
+    parser.add_argument("--l-max", dest="l_max", type=int, default=DEFAULTS["l_max"])
+    parser.add_argument(
+        "--level-cap", dest="level_cap", type=int, default=DEFAULTS["level_cap"]
+    )
     parser.add_argument(
         "--hit-cap",
         dest="hit_cap",
         type=int,
-        default=None,
+        default=DEFAULTS["hit_cap"],
         help="backward steps of c that the base map's minimal period may take",
     )
     parser.add_argument(
         "--precision-bits",
         dest="precision_bits",
         type=int,
-        default=None,
+        default=DEFAULTS["precision_bits"],
         help="echoed in the report only: every scalar is exact",
     )
 

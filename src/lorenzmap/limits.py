@@ -11,9 +11,9 @@ union of the deepest interval.
 
 Every endpoint of a level's orbit union is a base critical-orbit value
 ``f^k(c±)``, so the unions of a whole tower are sorted and merged on
-the integer ranks of one ordered critical orbit
-(:mod:`lorenzmap.orbits`), and only the endpoints that survive the
-merge are taken as exact values.  The forward orbits that give the
+the integer ranks of the base map's own ordered critical orbit
+(:func:`~lorenzmap.orbits.critical_pair`), and only the endpoints that
+survive the merge are taken as exact values.  The forward orbits that give the
 periodic ω parts and decide membership in ``E_i`` are exact, one
 integer step on a reduced pair per point
 (:func:`~lorenzmap.maps.sided_step`).
@@ -37,7 +37,7 @@ from .maps import (
     sided_step,
 )
 from .interval_dynamics import IntervalUnion
-from .orbits import CriticalOrbitPair, order_key
+from .orbits import critical_pair, order_key
 from .renorm import Tower
 
 DEFAULT_APPROX_DEPTH = 4
@@ -73,17 +73,13 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     length ``max(RL + RR)``, ranked once, serves every level: the
     intervals are sorted and merged on the integer ranks, and exact
     values are taken only for the endpoints of the merged components.
-    The orbit is the tower's shared pair (``tower.critical``), grown to
-    that length, so the orbit the tower's first level was searched on is
-    not iterated again; a tower without it (or of another map) gets a
-    new pair.
+    The orbit is the map's own pair, grown to that length, so the orbit
+    the tower's first level was searched on is not iterated again.
     """
     if not tower.levels:
         return []
     length = max(level.return_left + level.return_right for level in tower.levels)
-    critical = tower.critical
-    if critical is None or critical.m != m:
-        critical = CriticalOrbitPair(m)
+    critical = critical_pair(m)
     _a, _b, c, minus_rank, plus_rank = critical.ranks(length)
     minus, plus = critical.minus, critical.plus
     unions = []
@@ -352,7 +348,8 @@ def preimage_open_intervals(m: LorenzMap, lo: Scalar, hi: Scalar, depth: int) ->
         pulled = []
         for plo, phi in current:
             for branch in (m.left, m.right):
-                for d0, d1, s, t in branch.pieces():
+                bps = branch.breakpoints
+                for d0, d1, s, t in zip(bps, bps[1:], branch.slopes, branch.intercepts):
                     xlo = max(d0, (plo - t) / s)
                     xhi = min(d1, (phi - t) / s)
                     if xlo < xhi:

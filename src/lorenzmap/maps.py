@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .numerics import (
     PrecisionExhausted,
@@ -215,10 +215,6 @@ class BranchFn:
             bps.append(self.breakpoints[i + 1])
         return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts))
 
-    def pieces(self) -> Iterable[tuple]:
-        for i, (s, t) in enumerate(zip(self.slopes, self.intercepts)):
-            yield self.breakpoints[i], self.breakpoints[i + 1], s, t
-
 
 @dataclass(frozen=True)
 class LorenzMap:
@@ -233,6 +229,10 @@ class LorenzMap:
     c: Scalar
     left: BranchFn
     right: BranchFn
+
+    def __post_init__(self):
+        # the map's critical-orbit pair, filled by orbits.critical_pair
+        object.__setattr__(self, "_critical", None)
 
     def canonical(self) -> "LorenzMap":
         return LorenzMap(

@@ -4,10 +4,11 @@ Every order question the analysis asks about a renormalization, from
 the pair search to the orbit unions of the tower levels, is an order
 relation between the points ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and
 ``c``.  So these values are ranked once per map, and the callers decide
-on the integer ranks.  One :class:`CriticalOrbitPair` per map serves the
-``(kappa, kappa)`` rule, the pair search and the orbit unions: it grows the
-orbits to the longest prefix asked for so far, so no caller iterates
-them again.
+on the integer ranks.  Each map owns one :class:`CriticalOrbitPair`,
+which :func:`critical_pair` builds on first use and every caller reads:
+the ``(kappa, kappa)`` rule, the pair search, the validity check, the
+minimal orbit and the orbit unions.  It grows the orbits to the longest
+prefix asked for so far, so no caller iterates them again.
 
 The critical orbits are iterated as dyadic enclosures: integers
 ``lo <= f^i(c±)·2^P <= hi``, at a precision ``P`` fixed by the map and
@@ -28,6 +29,7 @@ branch (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`).
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 
 from .numerics import Scalar, reduced_fraction
@@ -172,10 +174,14 @@ class CriticalOrbitPair:
     grown one step at a time is rebuilt ``O(log n)`` times.  The joint
     ranks of :func:`ranked_orbits` are computed once per length; ranks of
     a longer orbit order the shorter prefix just as exactly.
+
+    The pair keeps a copy of ``m`` (the same branches, an empty pair
+    slot), not ``m`` itself: the map holds its pair, and a reference
+    back would make a cycle that only the cycle collector frees.
     """
 
     def __init__(self, m: LorenzMap):
-        self.m = m
+        self.m = dataclasses.replace(m)
         self.minus = self.plus = None
         self._ranks = None
 
@@ -197,6 +203,13 @@ class CriticalOrbitPair:
         if self._ranks is None:
             self._ranks = ranked_orbits(self.m, minus, plus)
         return self._ranks
+
+
+def critical_pair(m: LorenzMap) -> CriticalOrbitPair:
+    """The map's own :class:`CriticalOrbitPair`, built on first use."""
+    if m._critical is None:
+        object.__setattr__(m, "_critical", CriticalOrbitPair(m))
+    return m._critical
 
 
 def rank_values(bounds, exact) -> list:

@@ -1,12 +1,14 @@
 """Fixed points, the minimal period, and the unique minimal periodic orbit.
 
+A fixed point can only be a domain end, ``f(a) = a`` or ``f(b) = b``.
 For an expanding Lorenz map without fixed point the least period over
 all periodic points is ``m + 2``, where ``m`` counts backward steps of
 the discontinuity through its unique preimages until the chain enters
 the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
 unique.  Its largest point left of ``c`` follows the branch word of
-``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), so it
-is found by solving ``f^kappa(x) = x`` exactly on the pieces of
+``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), read
+off the map's own critical-orbit pair, so it is found by solving
+``f^kappa(x) = x`` exactly on the pieces of
 :func:`~lorenzmap.maps.word_pieces` along that one word, and its orbit
 is iterated once.  The same solve, on the words of the return branches,
 gives the repelling fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
@@ -28,7 +30,7 @@ from .maps import (
     orbit_values,
     word_pieces,
 )
-from .orbits import CriticalOrbitPair
+from .orbits import critical_pair
 
 DEFAULT_BACKWARD_CAP = 10_000
 
@@ -72,40 +74,31 @@ class PeriodicOrbit:
 
 
 def fixed_points(m: LorenzMap) -> list:
-    """All solutions of ``f(x) = x``, found per affine piece."""
-    out = []
-    for branch, is_left in ((m.left, True), (m.right, False)):
-        for lo, hi, s, t in branch.pieces():
-            if s == 1:
-                continue
-            x = t / (1 - s)
-            if not (lo <= x <= hi):
-                continue
-            # the discontinuity itself belongs to neither branch
-            if x == m.c:
-                continue
-            if is_left and not (m.a <= x < m.c):
-                continue
-            if not is_left and not (m.c < x <= m.b):
-                continue
-            if x not in out:
-                out.append(x)
-    return sorted(out)
+    """All solutions of ``f(x) = x`` on a valid map: ``a`` and ``b`` at most.
+
+    On ``[a, c)`` the function ``f(x) - x`` is continuous and strictly
+    increasing (every slope is above 1), and it tends to ``b - c > 0`` at
+    ``c``.  So a fixed point there needs ``f(a) <= a``, and as
+    ``f(a)`` lies in ``[a, b]`` that means ``f(a) = a``: the only
+    candidate is ``a``.  The right branch mirrors this with ``f(b) = b``.
+    """
+    return [x for x in (m.a, m.b) if evaluate(m, x) == x]
 
 
 def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeriodResult:
     """Minimal period via the backward chain of the discontinuity.
 
-    Fixed points short-circuit to ``kappa = 1``.  Otherwise ``c`` is
-    pulled back through its unique preimages; the first entry of the
+    Fixed points, which only ``a`` and ``b`` can be (see
+    :func:`fixed_points`), short-circuit to ``kappa = 1``.  Otherwise
+    ``c`` is pulled back through its unique preimages; the first entry of the
     chain into ``[f(a), f(b)]`` at step ``m`` gives ``kappa = m + 2``.
     Exceeding the cap leaves the period undetermined (an infinite
     minimal period is suspected but never asserted).
     """
-    if fixed_points(m):
-        return MinimalPeriodResult(1, None, ())
     fa = evaluate(m, SidedPoint(m.a))
     fb = evaluate(m, SidedPoint(m.b))
+    if fa == m.a or fb == m.b:
+        return MinimalPeriodResult(1, None, ())
     chain = [m.c]
     x = m.c
     for i in range(cap + 1):
@@ -141,9 +134,7 @@ def _fixed_point(pieces: list, lo: Scalar, hi: Scalar) -> Scalar:
     raise AssertionError("no repelling fixed point in the word-domain bracket")
 
 
-def minimal_periodic_orbit(
-    m: LorenzMap, kappa: int, critical: Optional[CriticalOrbitPair] = None
-) -> PeriodicOrbit:
+def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     """The unique orbit of least period ``kappa`` (1 < kappa < ∞).
 
     Let ``p`` be the orbit's largest point left of ``c`` (at ``c`` itself
@@ -162,16 +153,16 @@ def minimal_periodic_orbit(
     A solution at a domain end whose orbit meets ``c`` is the one-sided
     point that end stands for: ``+`` at the left end, ``-`` at the right
     end.  ``kappa`` must be the minimal period; any other value raises
-    :class:`ValueError`.  The word of ``c-`` is read off ``critical``
-    (the map's shared pair, such as a tower's, grown to ``kappa`` steps
-    if shorter) or off a new pair.
+    :class:`ValueError`.  The word of ``c-`` is read off the map's own
+    pair (:func:`~lorenzmap.orbits.critical_pair`), grown to ``kappa``
+    steps if shorter: after a tower, the orbits its first level was
+    searched on.
     """
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
     if minimal_period(m, kappa - 2).kappa != kappa:
         raise ValueError("kappa is not the minimal period")
-    critical = critical if critical is not None else CriticalOrbitPair(m)
-    minus, _plus = critical.grow(kappa)
+    minus, _plus = critical_pair(m).grow(kappa)
     pieces = word_pieces(m, minus.word[:kappa], m.a, m.c)
     lo, hi = pieces[0][0], pieces[-1][1]
     x = _fixed_point(pieces, lo, hi)

@@ -26,14 +26,17 @@ Every condition on a pair is an order relation between the points
 ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and ``c``, so the pair search
 runs on the integer ranks of the ordered critical orbit
 (:mod:`lorenzmap.orbits`); exact iterates are computed only where the
-ranking needs them and for the ``u``, ``v`` of a chosen pair.
+ranking needs them and for the ``u``, ``v`` of a chosen pair.  Each map
+is ruled on with its own pair (:func:`~lorenzmap.orbits.critical_pair`),
+so the tower's base map keeps the orbits its first level was searched
+on for the minimal orbit and the orbit unions.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -45,7 +48,8 @@ from .maps import (
     rescale_to_unit,
     word_pieces,
 )
-from .orbits import CriticalOrbitPair, critical_orbit_values, ranked_orbits
+# perfbench's tracer resolves the renorm.critical_orbit_values span by this name
+from .orbits import critical_orbit_values, critical_pair
 from .periods import MinimalPeriodResult, _fixed_point, minimal_period
 
 DEFAULT_PAIR_BOUND = 64
@@ -143,16 +147,16 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
     their first ``ell``/``r`` steps (continuity of the return branches);
     and the return branches map back into ``[u, v]``.  On success the
     repelling fixed points, periodicity flag, and rescaled inner map are
-    extracted.
+    extracted.  The conditions read the ranks of the map's own pair.
     """
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
-    minus, plus = critical_orbit_values(m, ell + r)
-    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    critical = critical_pair(m)
+    a, b, c, minus_rank, plus_rank = critical.ranks(ell + r)
     reason = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
     if reason is not None:
         return RenormCheck(None, reason)
-    return RenormCheck(_build_step(m, ell, r, minus, plus))
+    return RenormCheck(_build_step(m, ell, r, critical.minus, critical.plus))
 
 
 @dataclass(frozen=True)
@@ -204,17 +208,15 @@ def _record_times(c, minus, plus, bound: int) -> tuple:
     return left, right
 
 
-def _search_pairs(
-    m: LorenzMap, bound: int, critical: Optional[CriticalOrbitPair] = None
-) -> Optional[RenormStep]:
+def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     """The first valid pair of record times in ``[2, bound]``, or None.
 
     The record times need the first ``bound`` steps of the critical
     orbits, and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the
-    orbits in ``critical`` (the map's shared pair, or a new one) are grown
-    to ``bound`` steps and then only to ``max(L) + max(R)``.
+    map's pair is grown to ``bound`` steps and then only to
+    ``max(L) + max(R)``.
     """
-    critical = critical if critical is not None else CriticalOrbitPair(m)
+    critical = critical_pair(m)
     _a, _b, c, minus_rank, plus_rank = critical.ranks(bound)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     if not (left and right):
@@ -233,7 +235,6 @@ def minimal_renormalization(
     m: LorenzMap,
     bound: int = DEFAULT_PAIR_BOUND,
     period: Optional[MinimalPeriodResult] = None,
-    critical: Optional[CriticalOrbitPair] = None,
 ) -> MinimalRenormResult:
     """The coordinatewise-minimal renormalization, or bounded prime evidence.
 
@@ -246,20 +247,20 @@ def minimal_renormalization(
     pairs of critical-orbit record times are ruled on: every valid pair
     is one (see :func:`_record_times`), so skipping the others changes
     neither the pair found nor the "prime up to bound" answer.  Both
-    rulings read the ranks of one pair of critical orbits, ``critical``
-    when given, grown to ``2·kappa`` steps for the first one.
+    rulings read the ranks of the map's pair, grown to ``2·kappa`` steps
+    for the first one.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
         return MinimalRenormResult(None, None, True, False, period)
-    critical = critical if critical is not None else CriticalOrbitPair(m)
+    critical = critical_pair(m)
     kappa = period.kappa
     if kappa is not None:
         a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
         if _pair_failure(a, b, c, kappa, kappa, minus_rank, plus_rank) is None:
             step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
             return MinimalRenormResult(step, None, False, True, period)
-    step = _search_pairs(m, bound, critical)
+    step = _search_pairs(m, bound)
     if step is not None:
         return MinimalRenormResult(step, None, False, False, period)
     return MinimalRenormResult(None, bound, False, False, period)
@@ -293,20 +294,12 @@ class TowerLevel:
 
 @dataclass(frozen=True)
 class Tower:
-    """The levels, why the tower ended, and the base map's critical orbits.
-
-    ``critical`` is the base map's shared :class:`CriticalOrbitPair`, as
-    grown while the first level was searched; the orbit unions grow it
-    further instead of iterating the critical orbits again.
-    """
+    """The levels, and why the tower ended."""
 
     levels: tuple
     terminal: TowerTerminal
     bound: int
     level_cap: int
-    critical: Optional[CriticalOrbitPair] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -324,17 +317,14 @@ def renorm_tower(
     coordinates.  The tower ends when the current inner map has a fixed
     point (prime), shows no renormalization up to the pair bound (prime
     up to bound), when its minimal period is undetermined at the cap, or
-    at the level cap.
+    at the level cap.  ``period``, when given, is the base map's.
     """
     levels = []
     g = m
     scale, shift = Fraction(1), Fraction(0)
     cost_left, cost_right = 1, 1
-    critical = base = CriticalOrbitPair(m)
     for index in range(1, level_cap + 1):
-        result = minimal_renormalization(g, bound, period, critical)
-        # precomputed data applies to the base map only
-        period = critical = None
+        result = minimal_renormalization(g, bound, period if g is m else None)
         if not result.found:
             if result.certainly_prime:
                 terminal = TowerTerminal.PRIME
@@ -342,7 +332,7 @@ def renorm_tower(
                 terminal = TowerTerminal.PERIOD_CAP_REACHED
             else:
                 terminal = TowerTerminal.PRIME_UP_TO_BOUND
-            return Tower(tuple(levels), terminal, bound, level_cap, base)
+            return Tower(tuple(levels), terminal, bound, level_cap)
         step = result.step
         return_left = sum(
             cost_left if lab is BranchLabel.LEFT else cost_right
@@ -367,9 +357,7 @@ def renorm_tower(
         scale = scale * (step.v - step.u)
         cost_left, cost_right = return_left, return_right
         g = step.inner_map
-    return Tower(
-        tuple(levels), TowerTerminal.LEVEL_CAP_REACHED, bound, level_cap, base
-    )
+    return Tower(tuple(levels), TowerTerminal.LEVEL_CAP_REACHED, bound, level_cap)
 
 
 class Trichotomy(enum.Enum):

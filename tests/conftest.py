@@ -9,7 +9,8 @@ frozen in the tests were computed with these.  ``reference_value``
 evaluates a branch in ``Fraction`` arithmetic, the oracle of the
 library's integer step.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
-``hypothesis`` properties.  ``ranking_corpus`` holds 119 maps, from
+``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
+points, for the per-piece oracle ``piece_fixed_points``.  ``ranking_corpus`` holds 119 maps, from
 shallow families to the deep inner maps of their towers, for the checks
 of the ordered critical orbit and the exact integer step.
 """
@@ -289,6 +290,56 @@ right_intercepts = -1133/2500
 def multi_piece_maps(draw, near_unit=False):
     """``hypothesis`` strategy of :func:`piece_map` draws."""
     return piece_map(lambda lo, hi: draw(st.integers(lo, hi)), near_unit)
+
+
+def piece_fixed_points(m):
+    """All solutions of ``f(x) = x``, solved piece by piece.
+
+    Each piece ``s*x + t`` with ``s != 1`` has one candidate
+    ``t / (1 - s)``, kept when it lies on the piece and is not ``c``.
+    """
+    c, pieces = map_piece_table(m)
+    out = set()
+    for lo, hi, s, t in pieces:
+        if s != 1:
+            x = t / (1 - s)
+            if lo <= x <= hi and x != c:
+                out.add(x)
+    return sorted(out)
+
+
+def pinned(m, left, right):
+    """``m`` with the chosen branches stretched affinely onto ``[a, b]``.
+
+    A stretched left branch has ``f(a) = a`` and a stretched right one
+    ``f(b) = b``.  Each keeps its end at ``c`` and its slopes only grow,
+    so the map stays valid.
+    """
+
+    def stretch(branch, y0, y1):
+        k = (m.b - m.a) / (y1 - y0)
+        return BranchFn(
+            branch.breakpoints,
+            tuple(k * s for s in branch.slopes),
+            tuple(k * (t - y0) + m.a for t in branch.intercepts),
+        )
+
+    new_left, new_right = m.left, m.right
+    if left:
+        new_left = stretch(m.left, reference_value(m.left, m.a), m.b)
+    if right:
+        new_right = stretch(m.right, m.a, reference_value(m.right, m.b))
+    out = LorenzMap(m.a, m.b, m.c, new_left, new_right)
+    assert validate_map(out).valid, validate_map(out).violations
+    return out
+
+
+@st.composite
+def pinned_piece_maps(draw):
+    """Plain or near-unit :func:`piece_map` draws, with none, one or both
+    ends made fixed by :func:`pinned`."""
+    m = draw(multi_piece_maps(near_unit=draw(st.booleans())))
+    return pinned(m, draw(st.booleans()), draw(st.booleans()))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,7 +21,8 @@ from lorenzmap.maps import (
     symmetric_map,
 )
 from lorenzmap.interval_dynamics import image_union, interval_orbit
-from lorenzmap.orbits import CriticalOrbitPair
+from lorenzmap.orbits import critical_pair
+from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
     RenormStep,
     Tower,
@@ -120,14 +123,36 @@ def test_orbit_unions_grow_the_towers_critical_orbits():
     # it in place
     returns = [(level.return_left, level.return_right) for level in tower.levels]
     assert returns == [(2, 2), (4, 4)]
-    minus = tower.critical.minus
+    minus = critical_pair(m).minus
     assert (len(minus.bounds), minus.horizon) == (5, 8)
     unions = orbit_unions(m, tower)
-    assert tower.critical.minus is minus and len(minus.bounds) == 9
-    assert orbit_unions(m, tower) == unions and tower.critical.minus is minus
-    # a tower without its pair, or holding another map's, gets a new pair
-    for critical in (None, CriticalOrbitPair(symmetric_map(F(6, 5)))):
-        assert orbit_unions(m, dataclasses.replace(tower, critical=critical)) == unions
+    assert critical_pair(m).minus is minus and len(minus.bounds) == 9
+    assert orbit_unions(m, tower) == unions and critical_pair(m).minus is minus
+    # an equal map that was not analysed builds its own pair
+    fresh = dataclasses.replace(m)
+    assert orbit_unions(fresh, tower) == unions
+    assert critical_pair(fresh) is not critical_pair(m)
+
+
+def test_analysed_map_is_freed_without_the_cycle_collector():
+    # a map holds its critical-orbit pair and the pair holds a copy of the
+    # map, not the map: reference counting alone frees the map, its
+    # tower's inner maps and their pairs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = symmetric_map(F(11, 10))
+        tower = renorm_tower(m)
+        orbit_unions(m, tower)
+        minimal_periodic_orbit(m, minimal_period(m).kappa)
+        analysed = [m] + [level.step.inner_map for level in tower.levels]
+        assert all(x._critical is not None for x in analysed)
+        refs = [weakref.ref(x) for x in analysed]
+        del m, tower, analysed
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_orbit_unions_of_a_prime_map_are_empty():

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from lorenzmap import orbits, periods
 from lorenzmap.maps import (
@@ -23,7 +24,7 @@ from lorenzmap.periods import (
     minimal_period,
     minimal_periodic_orbit,
 )
-from lorenzmap.orbits import CriticalOrbitPair
+from lorenzmap.orbits import critical_pair
 from lorenzmap.renorm import renorm_tower
 
 from conftest import (
@@ -31,6 +32,8 @@ from conftest import (
     cylinder_pieces,
     map_piece_table,
     multi_piece_maps,
+    piece_fixed_points,
+    pinned_piece_maps,
     sym_params,
     two_piece_table,
     word_periodic_points,
@@ -43,6 +46,19 @@ def test_fixed_points_examples():
     assert fixed_points(symmetric_map(F(3, 2))) == []
     assert fixed_points(symmetric_map(F(2))) == [F(0), F(1)]
     assert fixed_points(beta_transformation(F(6, 5), F(1, 10))) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_piece_maps())
+@example(symmetric_map(F(2)))
+@example(beta_transformation(F(3, 2), F(0)))
+@example(beta_transformation(F(3, 2), F(1, 2)))
+@example(beta_transformation(F(6, 5), F(1, 10)))
+def test_fixed_points_match_the_per_piece_solve(m):
+    fixed = fixed_points(m)
+    assert fixed == piece_fixed_points(m)
+    assert set(fixed) <= {m.a, m.b}
+    assert (minimal_period(m, 50).kappa == 1) == bool(fixed)
 
 
 def test_minimal_period_symmetric_family():
@@ -260,20 +276,23 @@ def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
         return original(m, length)
 
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
-    for _family, _p1, _p2, m in sample_maps:
+    for _family, _p1, _p2, shared in sample_maps:
+        # copies with empty pair slots: the fixture's maps are shared
+        m, alone_map, short_map = (dataclasses.replace(shared) for _ in range(3))
         kappa = minimal_period(m).kappa
-        alone = minimal_periodic_orbit(m, kappa)
-        # the (kappa, kappa) rule grew the tower's pair to 2·kappa steps
-        critical = renorm_tower(m, level_cap=1, bound=4).critical
+        alone = minimal_periodic_orbit(alone_map, kappa)
+        # the (kappa, kappa) rule grew the map's pair to 2·kappa steps
+        renorm_tower(m, level_cap=1, bound=4)
+        critical = critical_pair(m)
         held = critical.minus
         built.clear()
-        assert minimal_periodic_orbit(m, kappa, critical) == alone
+        assert minimal_periodic_orbit(m, kappa) == alone
         assert critical.minus is held and built == []
         # a shorter pair is grown to kappa steps in place
-        short = CriticalOrbitPair(m)
+        short = critical_pair(short_map)
         held, _plus = short.grow((kappa + 1) // 2)
         built.clear()
-        assert minimal_periodic_orbit(m, kappa, short) == alone
+        assert minimal_periodic_orbit(short_map, kappa) == alone
         assert short.minus is held and len(held.bounds) == kappa + 1
         assert built == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -33,7 +34,13 @@ from lorenzmap.renorm import (
     critical_orbit_values,
 )
 from lorenzmap.cli import main
-from lorenzmap.orbits import CriticalOrbitPair, enclose, rank_values, ranked_orbits
+from lorenzmap.orbits import (
+    CriticalOrbitPair,
+    critical_pair,
+    enclose,
+    rank_values,
+    ranked_orbits,
+)
 
 from conftest import (
     LONG_ORBIT_MAP_TEXT,
@@ -516,7 +523,7 @@ def test_pair_rebuilds_past_its_precision_horizon():
 
 def test_search_rebuilds_a_lower_precision_pair_once(monkeypatch):
     m = symmetric_map(F(11, 10))
-    critical = CriticalOrbitPair(m)
+    critical = critical_pair(m)
     critical.grow(2)
     built = []
     original = orbits.critical_orbit_values
@@ -526,7 +533,7 @@ def test_search_rebuilds_a_lower_precision_pair_once(monkeypatch):
         return original(m, length)
 
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
-    assert _search_pairs(m, 8, critical) == _exact_search(m, 8)
+    assert _search_pairs(m, 8) == _exact_search(m, 8)
     assert built == [8] and critical.minus.horizon == 16
 
 
@@ -534,9 +541,11 @@ def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):
     past_bound = found_past_bound = 0
     for m in ranking_corpus:
         for bound in (3, 6, 12, 24):
-            critical = CriticalOrbitPair(m)
-            step = _search_pairs(m, bound, critical)
+            # a copy with an empty pair slot: the corpus maps are shared
+            fresh = dataclasses.replace(m)
+            step = _search_pairs(fresh, bound)
             assert step == _exact_search(m, bound)
+            critical = critical_pair(fresh)
             *_abc, c, minus_rank, plus_rank = ranked_orbits(
                 m, *critical_orbit_values(m, bound)
             )

@@ -272,8 +272,8 @@ def summary_row(report: dict) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    m, echo = build_map(args)
-    report, code = analyze_map(m, echo, config, full=args.format != "csv")
+    # no local keeps the map, so its critical orbits are freed before printing
+    report, code = analyze_map(*build_map(args), config, full=args.format != "csv")
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()

@@ -10,9 +10,10 @@ evaluates a branch in ``Fraction`` arithmetic, the oracle of the
 library's integer step.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
-points, for the per-piece oracle ``piece_fixed_points``.  ``ranking_corpus`` holds 119 maps, from
-shallow families to the deep inner maps of their towers, for the checks
-of the ordered critical orbit and the exact integer step.
+points, for the per-piece oracle ``piece_fixed_points``.
+``ranking_corpus`` holds 119 maps, from shallow families to the deep
+inner maps of their towers, for the checks of the ordered critical
+orbit and the exact integer step.
 """
 
 from __future__ import annotations

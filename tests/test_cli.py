@@ -363,6 +363,33 @@ def test_analyze_map_keeps_no_reference_to_its_map():
     assert retained < 2_000
 
 
+def test_analyze_frees_the_map_before_printing(capsys, monkeypatch):
+    # the map holds its critical orbits, which would otherwise stay alive
+    # while a deep report is encoded
+    maps, alive = [], []
+    build, dumps = cli.build_map, json.dumps
+
+    def recording(args):
+        m, echo = build(args)
+        maps.append(weakref.ref(m))
+        return m, echo
+
+    def checking(obj, **kwargs):
+        alive.append(maps[0]() is not None)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli, "build_map", recording)
+    monkeypatch.setattr(json, "dumps", checking)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0 and alive == [False]
+
+
 def test_sweep_reports_per_row_status(capsys):
     # beta + alpha = 1 gives a fixed point at 0... use alpha producing an
     # invalid two-branch form: alpha large enough that f(1) escapes

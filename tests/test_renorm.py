@@ -59,6 +59,10 @@ def test_valid_renormalization_basic():
     assert (step.e_minus, step.e_plus) == (F(3, 11), F(8, 11))
     assert step.periodic
     assert step.inner_map.same_map(symmetric_map(F(36, 25)))
+    # the check grew the map's own pair, and the (kappa, kappa) rule reads it
+    minus = critical_pair(m).minus
+    assert len(minus.bounds) == 5
+    assert minimal_renormalization(m).step == step and critical_pair(m).minus is minus
 
 
 def test_invalid_renormalizations():

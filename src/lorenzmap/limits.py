@@ -13,9 +13,9 @@ Every endpoint of a level's orbit union is a base critical-orbit value
 ``f^k(c±)``, so the unions of a whole tower are sorted and merged on
 the integer ranks of the base map's own ordered critical orbit
 (:func:`~lorenzmap.orbits.critical_pair`), and only the endpoints that
-survive the merge are taken as exact values.  The forward orbits that give the
-periodic ω parts and decide membership in ``E_i`` are exact, one
-integer step on a reduced pair per point
+survive the merge are taken as exact values.  The forward orbits that
+give the periodic ω parts and decide membership in ``E_i`` are exact,
+one integer step on a reduced pair per point
 (:func:`~lorenzmap.maps.sided_step`).
 """
 

@@ -90,8 +90,9 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
 
     Fixed points, which only ``a`` and ``b`` can be (see
     :func:`fixed_points`), short-circuit to ``kappa = 1``.  Otherwise
-    ``c`` is pulled back through its unique preimages; the first entry of the
-    chain into ``[f(a), f(b)]`` at step ``m`` gives ``kappa = m + 2``.
+    ``c`` is pulled back through its unique preimages; the first entry
+    of the chain into ``[f(a), f(b)]`` at step ``m`` gives
+    ``kappa = m + 2``.
     Exceeding the cap leaves the period undetermined (an infinite
     minimal period is suspected but never asserted).
     """

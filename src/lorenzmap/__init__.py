@@ -17,6 +17,7 @@ from .numerics import (
 from .maps import (
     BranchFn,
     BranchLabel,
+    CapExceeded,
     IntervalDoesNotStraddleC,
     LorenzMap,
     Side,
@@ -32,16 +33,7 @@ from .maps import (
     symmetric_map,
     validate_map,
 )
-from .interval_dynamics import (
-    CapExceeded,
-    CoverageResult,
-    HittingResult,
-    IntervalUnion,
-    hitting_index,
-    image_union,
-    interval_orbit,
-    leo_evidence,
-)
+from .interval_dynamics import IntervalUnion, interval_orbit
 from .periods import (
     AmbiguousPreimage,
     MinimalPeriodResult,
@@ -71,15 +63,11 @@ from .limits import (
     MembershipResult,
     OmegaDecomposition,
     OmegaPart,
-    StructureKind,
-    StructureTag,
     alpha_classify,
     alpha_limit_approx,
-    depth_report,
     membership_E,
     omega_decomposition,
     orbit_unions,
-    preimage_open_intervals,
 )
 
 __version__ = "0.1.0"

@@ -10,13 +10,16 @@ matching the level's periodicity flag) plus the attractor, the orbit
 union of the deepest interval.
 
 Every endpoint of a level's orbit union is a base critical-orbit value
-``f^k(c±)``, so the unions of a whole tower are sorted and merged on
-the integer ranks of the base map's own ordered critical orbit
+``f^k(c±)``, so the unions of a whole tower are merged on the integer
+ranks of the base map's own ordered critical orbit
 (:func:`~lorenzmap.orbits.critical_pair`), and only the endpoints that
 survive the merge are taken as exact values.  The forward orbits that
 give the periodic ω parts and decide membership in ``E_i`` are exact,
 one integer step on a reduced pair per point
-(:func:`~lorenzmap.maps.sided_step`).
+(:func:`~lorenzmap.maps.sided_step`).  The paper's statements about
+these sets that the analyzer does not report, the structural depth of
+each ``E_i`` and the preimages of a level's gap avoiding it, are
+checked in the tests.
 """
 
 from __future__ import annotations
@@ -70,9 +73,13 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     :func:`~lorenzmap.interval_dynamics.interval_orbit` unites are
     ``[plus[RR + j], minus[j]]`` for ``j < RL`` and
     ``[plus[j], minus[RL + j]]`` for ``j < RR``.  One critical orbit of
-    length ``max(RL + RR)``, ranked once, serves every level: the
-    intervals are sorted and merged on the integer ranks, and exact
-    values are taken only for the endpoints of the merged components.
+    length ``max(RL + RR)``, ranked once, serves every level: each
+    level's rank pairs ``(plus_rank[p], minus_rank[q])`` are merged by
+    :meth:`~lorenzmap.interval_dynamics.IntervalUnion.from_pairs`, and
+    each merged end is mapped back through its rank to an iterate, whose
+    exact value is taken.  Ranks order the values exactly and equal
+    values share a rank, so these are the components that merging the
+    values would give, and only the ends that survive are made exact.
     The orbit is the map's own pair, grown to that length, so the orbit
     the tower's first level was searched on is not iterated again.
     """
@@ -96,21 +103,15 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
                     "interval image crossed the discontinuity: return times "
                     "do not match the first-return structure"
                 )
-        ranked = sorted((plus_rank[p], minus_rank[q], p, q) for p, q in windows)
-        merged: list[list] = []
-        for lo, hi, p, q in ranked:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1], merged[-1][3] = hi, q
-            else:
-                merged.append([lo, hi, p, q])
-        components = []
-        for lo, hi, p, q in merged:
-            if lo > hi:
-                raise ValueError(
-                    f"empty interval: lo={plus.exact(p)} > hi={minus.exact(q)}"
-                )
-            components.append((plus.exact(p), minus.exact(q)))
+        ranked = IntervalUnion.from_pairs(
+            (plus_rank[p], minus_rank[q]) for p, q in windows
+        )
+        plus_at = {plus_rank[p]: p for p, _q in windows}
+        minus_at = {minus_rank[q]: q for _p, q in windows}
+        components = (
+            (plus.exact(plus_at[lo]), minus.exact(minus_at[hi]))
+            for lo, hi in ranked.components
+        )
         unions.append(IntervalUnion(tuple(components)))
     return unions
 
@@ -296,66 +297,3 @@ def omega_decomposition(
     attractor = outer_union(m, unions, len(tower.levels) + 1)
     flags = tuple(level.step.periodic for level in tower.levels)
     return OmegaDecomposition(tuple(parts), attractor, flags)
-
-
-class StructureKind(enum.Enum):
-    COUNTABLE = "countable"
-    CANTOR = "cantor"
-    ISOLATED_OVER_CANTOR = "isolated-over-cantor"
-
-
-@dataclass(frozen=True)
-class StructureTag:
-    level: int
-    kind: StructureKind
-    depth: Optional[int] = None  # defined only for countable sets
-
-
-def depth_report(tower: Tower) -> tuple:
-    """Structural tags for the repelling sets, derived from periodicity.
-
-    All levels periodic through ``i``: countable with depth ``i`` (each
-    derived set drops one level).  A non-periodic level is a Cantor set.
-    A periodic level above a non-periodic one keeps isolated points but
-    contains a Cantor set, so it is neither.
-    """
-    tags = []
-    all_periodic = True
-    for level in tower.levels:
-        if not level.step.periodic:
-            all_periodic = False
-            tags.append(StructureTag(level.index, StructureKind.CANTOR))
-        elif all_periodic:
-            tags.append(
-                StructureTag(level.index, StructureKind.COUNTABLE, level.index)
-            )
-        else:
-            tags.append(StructureTag(level.index, StructureKind.ISOLATED_OVER_CANTOR))
-    return tuple(tags)
-
-
-def preimage_open_intervals(m: LorenzMap, lo: Scalar, hi: Scalar, depth: int) -> list:
-    """Open intervals mapping into ``(lo, hi)`` within ``depth`` pullbacks.
-
-    Level ``0`` is the interval itself; each pullback inverts both
-    branches piecewise.  It checks the paper's complement identity: the
-    preimages of the gap ``(u, v)`` of a renormalization avoid its
-    repelling set ``E_1`` (acceptance criterion 11).
-    """
-    current = [(lo, hi)]
-    out = [(lo, hi)]
-    for _ in range(depth):
-        pulled = []
-        for plo, phi in current:
-            for branch in (m.left, m.right):
-                bps = branch.breakpoints
-                for d0, d1, s, t in zip(bps, bps[1:], branch.slopes, branch.intercepts):
-                    xlo = max(d0, (plo - t) / s)
-                    xhi = min(d1, (phi - t) / s)
-                    if xlo < xhi:
-                        pulled.append((xlo, xhi))
-        # merge duplicates from shared piece endpoints
-        pulled = sorted(set(pulled))
-        current = pulled
-        out.extend(pulled)
-    return out

@@ -95,6 +95,19 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     ``kappa = m + 2``.
     Exceeding the cap leaves the period undetermined (an infinite
     minimal period is suspected but never asserted).
+
+    No valid map reaches the two :class:`AmbiguousPreimage` raises.
+    The left branch takes ``[a, c)`` onto ``[f(a), b)`` with every slope
+    above 1, so ``b - f(a) > c - a``; the right branch likewise gives
+    ``f(b) - a > b - c``.  Hence ``f(a) < a + b - c < f(b)``.  A point
+    below ``f(a)`` lies only in the right image ``[a, f(b)]`` and a
+    point above ``f(b)`` only in the left image ``[f(a), b]``, so every
+    point outside ``[f(a), f(b)]`` has exactly one preimage.  A
+    one-sided preimage ``c-`` or ``c+`` belongs to ``b`` or ``a`` alone.
+    The chain starts at ``c``, and it would hold ``b`` only after
+    ``f(b)`` and ``a`` only after ``f(a)``; both lie in
+    ``[f(a), f(b)]``, where the chain stops.  So no one-sided preimage
+    is ever met.
     """
     fa = evaluate(m, SidedPoint(m.a))
     fb = evaluate(m, SidedPoint(m.b))

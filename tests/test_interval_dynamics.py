@@ -9,20 +9,15 @@ import lorenzmap
 from lorenzmap import cli, maps
 from lorenzmap.limits import _forward_orbit_closure
 from lorenzmap.maps import (
+    CapExceeded,
     beta_transformation,
     iterate,
     symmetric_map,
 )
-from lorenzmap.interval_dynamics import (
-    CapExceeded,
-    IntervalUnion,
-    hitting_index,
-    image_union,
-    interval_orbit,
-    leo_evidence,
-)
+from lorenzmap.interval_dynamics import IntervalUnion, interval_orbit
 
 from conftest import raw_cover_steps, sym_params
+from paper_checks import covers, hitting_index, image_union, leo_evidence
 
 
 # values on a coarse grid, so that drawn pairs often touch or share ends
@@ -88,7 +83,7 @@ def test_hitting_index_cap():
 
 
 def test_internal_iteration_caps_raise_cap_exceeded():
-    # one class, importable from maps, interval_dynamics and the package
+    # one class, defined in maps and exported by the package
     assert CapExceeded is maps.CapExceeded is lorenzmap.CapExceeded
     assert cli.exit_code_for(CapExceeded("cap")) == cli.EXIT_CAP
     m = symmetric_map(F(6, 5))
@@ -157,7 +152,7 @@ def test_interval_orbit_forward_invariant():
         u = F(1) - a / 2
         v = a / 2
         orbit = interval_orbit(m, (u, v), times)
-        assert orbit.covers(image_union(m, orbit))
+        assert covers(orbit, image_union(m, orbit))
 
 
 def test_covering_check_examples():

@@ -20,7 +20,7 @@ from lorenzmap.maps import (
     parse_map_text,
     symmetric_map,
 )
-from lorenzmap.interval_dynamics import image_union, interval_orbit
+from lorenzmap.interval_dynamics import interval_orbit
 from lorenzmap.orbits import critical_pair
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
@@ -34,17 +34,21 @@ from lorenzmap.limits import (
     _forward_orbit_closure,
     AlphaKind,
     Membership,
-    StructureKind,
     alpha_classify,
     alpha_limit_approx,
-    depth_report,
     membership_E,
     omega_decomposition,
     orbit_unions,
-    preimage_open_intervals,
 )
 
 from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps
+from paper_checks import (
+    StructureKind,
+    covers,
+    depth_report,
+    image_union,
+    preimage_open_intervals,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_MAPS = ROOT / "tests" / "golden" / "maps"
@@ -245,7 +249,7 @@ def test_attractor_absorbs():
         m = symmetric_map(a)
         omega = omega_decomposition(m, renorm_tower(m))
         attractor = omega.attractor
-        assert attractor.covers(image_union(m, attractor))
+        assert covers(attractor, image_union(m, attractor))
         rng = random.Random(33)
         for _ in range(starts):
             x = F(rng.randint(0, 10**6), 10**6)

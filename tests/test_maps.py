@@ -110,6 +110,11 @@ def test_inverse_images_examples():
     assert [(p.x, b) for p, b in hits] == [(F(17, 30), BranchLabel.RIGHT)]
     hits = inverse_images(m, m.b)
     assert len(hits) == 1 and hits[0][0] == SidedPoint(m.c, Side.MINUS)
+    hits = inverse_images(m, m.a)
+    assert hits == [(SidedPoint(m.c, Side.PLUS), BranchLabel.RIGHT)]
+    for y in (m.a - F(1, 10), m.b + F(1, 10)):
+        with pytest.raises(ValueError, match="outside the domain"):
+            inverse_images(m, y)
 
 
 def test_branch_monotonicity_random():

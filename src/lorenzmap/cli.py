@@ -321,13 +321,15 @@ def sweep_rows(args: argparse.Namespace, config: Config):
     step = parse_scalar(args.step)
     if step <= 0:
         raise ValueError("--step must be positive")
+    # the parser allows only symmetric and beta
+    alpha = parse_scalar(args.alpha) if args.family == "beta" else None
     param = start
     while param <= end:
         try:
-            if args.family == "symmetric":
+            if alpha is None:
                 m = symmetric_map(param)
-            else:  # the parser allows only symmetric and beta
-                m = beta_transformation(param, parse_scalar(args.alpha))
+            else:
+                m = beta_transformation(param, alpha)
         except HANDLED_ERRORS as err:
             row = dict.fromkeys(SWEEP_COLUMNS, "")
             row["tower_length"] = 0

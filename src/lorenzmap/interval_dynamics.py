@@ -64,12 +64,6 @@ class IntervalUnion:
             return self.components[i]
         return None
 
-    def __str__(self) -> str:
-        return (
-            " U ".join(format_interval(lo, hi) for lo, hi in self.components)
-            or "(empty)"
-        )
-
 
 def closed_image_pairs(m: LorenzMap, lo: Scalar, hi: Scalar) -> list:
     """Image of a closed interval, split at the discontinuity.

@@ -13,10 +13,12 @@ Every endpoint of a level's orbit union is a base critical-orbit value
 ``f^k(c±)``, so the unions of a whole tower are merged on the integer
 ranks of the base map's own ordered critical orbit
 (:func:`~lorenzmap.orbits.critical_pair`), and only the endpoints that
-survive the merge are taken as exact values.  The forward orbits that
-give the periodic ω parts and decide membership in ``E_i`` are exact,
-one integer step on a reduced pair per point
-(:func:`~lorenzmap.maps.sided_step`).  The paper's statements about
+survive the merge are taken as exact values.  The periodic ω parts
+are the orbits of the levels' ``e-``, walked along the base word of
+``c-`` (:func:`_level_orbit`, :func:`~lorenzmap.maps.word_orbit`), and
+the forward orbits that decide membership in ``E_i`` are exact, one
+integer step on a reduced pair per point
+(:func:`~lorenzmap.maps.evaluate`).  The paper's statements about
 these sets that the analyzer does not report, the structural depth of
 each ``E_i`` and the preimages of a level's gap avoiding it, are
 checked in the tests.
@@ -29,19 +31,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Scalar, format_scalar, reduced_fraction
+from .numerics import Scalar
 from .maps import (
-    CapExceeded,
     LorenzMap,
     SidedPoint,
     as_sided,
     evaluate,
     inverse_images,
-    sided_step,
+    word_orbit,
 )
 from .interval_dynamics import IntervalUnion
 from .orbits import critical_pair, order_key
-from .renorm import Tower
+from .renorm import Tower, TowerLevel
 
 DEFAULT_APPROX_DEPTH = 4
 DEFAULT_MEMBERSHIP_CAP = 1_000
@@ -149,27 +150,32 @@ def alpha_classify(
     return AlphaClass(AlphaKind.FULL_INTERVAL)
 
 
-def _forward_orbit_closure(m: LorenzMap, x: Scalar, cap: int = 100_000) -> list:
-    """The finite forward orbit of an exactly periodic point, ascending.
+def _level_orbit(m: LorenzMap, level: TowerLevel) -> list:
+    """The orbit of the level's ``e-`` in base coordinates, ascending.
 
-    Unsided evaluation suffices: repelling orbits avoid the open return
-    window, which contains the discontinuity, and an orbit that lands on
-    ``c`` raises :class:`~lorenzmap.maps.SideRequired`.  The orbit is
-    stepped on reduced integer pairs (:func:`~lorenzmap.maps.sided_step`),
-    so only ``x`` is checked against the domain.  Reduced pairs are equal
-    exactly when their values are, so the walk stops where the orbit
-    closes.  It is sorted with :func:`~lorenzmap.orbits.order_key`.
+    Write ``RL_i`` and ``RR_i`` for level ``i``'s return times in base
+    steps, and ``RL_0 = RR_0 = 1`` for the map itself.  Claim: level
+    ``i``'s left return branch, on its closed domain with ``c`` read as
+    ``c-``, is ``f^RL_i`` along the base word ``minus.word[:RL_i]``, and
+    its right one ``f^RR_i`` along ``plus.word[:RR_i]``.  Level ``i``'s
+    left return word ``w`` is a word in level ``i - 1``'s branches, so
+    by the claim for ``i - 1`` a point that follows ``w`` follows, under
+    ``f``, the word that expands each ``L`` of ``w`` into
+    ``minus.word[:RL_{i-1}]`` and each ``R`` into
+    ``plus.word[:RR_{i-1}]``.  ``c-`` follows ``w`` (the word is read
+    off its orbit), so that expansion is ``minus.word[:RL_i]``; the
+    points of the left domain follow ``w``, which proves the claim, and
+    so does ``e-``, the fixed point on ``w``'s pieces.  So ``e-``
+    follows ``minus.word[:RL_i]``, :func:`~lorenzmap.maps.word_orbit`
+    walks it, and ``f^RL_i(e-) = e-``.  The orbit ends at the first
+    return to ``e-``, found by equality, so no value is hashed.
     """
-    if not (m.a <= x <= m.b):
-        raise ValueError(f"{format_scalar(x)} outside the domain")
-    start = n, d = x.numerator, x.denominator
-    orbit = []
-    for _ in range(cap + 1):
-        orbit.append(reduced_fraction(n, d))
-        n, d = sided_step(m, n, d)
-        if (n, d) == start:
-            return sorted(orbit, key=order_key)
-    raise CapExceeded(f"{x} did not return to itself within {cap} steps")
+    ell = level.return_left
+    minus, _plus = critical_pair(m).grow(ell)
+    values = word_orbit(m, minus.word[:ell], level.e_minus)
+    if values[ell] != level.e_minus:
+        raise AssertionError("e- is not fixed by its level's left return branch")
+    return sorted(values[: values.index(level.e_minus, 1)], key=order_key)
 
 
 def alpha_limit_approx(
@@ -187,7 +193,7 @@ def alpha_limit_approx(
         raise ValueError("level index outside the tower")
     level = tower.levels[i - 1]
     gap_lo, gap_hi = level.interval
-    points = set(_forward_orbit_closure(m, level.e_minus))
+    points = set(_level_orbit(m, level))
     for x in points:
         if gap_lo < x < gap_hi:
             raise AssertionError("repelling orbit enters its own level interval")
@@ -287,7 +293,7 @@ def omega_decomposition(
     parts = []
     for level in tower.levels:
         if level.step.periodic:
-            points = tuple(_forward_orbit_closure(m, level.e_minus))
+            points = tuple(_level_orbit(m, level))
             parts.append(OmegaPart(level.index, True, points, True))
         else:
             approx = alpha_limit_approx(m, tower, level.index, approx_depth)

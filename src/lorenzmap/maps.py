@@ -21,10 +21,14 @@ word of ``c-`` or ``c+``.
 Every scalar is an exact :class:`fractions.Fraction` and every order
 decision is exact.  Every exact point evaluation is one integer step on
 a reduced pair (:meth:`BranchFn.step`): :meth:`BranchFn.value`,
-:func:`evaluate` and :func:`sided_step`, and through them the exact
-orbits of :mod:`~lorenzmap.orbits` and :mod:`~lorenzmap.limits`.  Each
-branch holds one integer piece table (:meth:`BranchFn.integer_pieces`),
-which the dyadic enclosures of the critical orbits read too.
+:func:`evaluate` and :func:`word_orbit`.  Every exact orbit the
+analysis walks (the critical orbits of :mod:`~lorenzmap.orbits`, the
+minimal periodic orbit, the orbit of ``e-`` and the periodic ω-orbits
+of :mod:`~lorenzmap.limits`) has a known branch word, and
+:func:`word_orbit` walks it along that word, so no walk compares with
+``c`` or needs a side.  Each branch holds one integer piece table
+(:meth:`BranchFn.integer_pieces`), which the dyadic enclosures of the
+critical orbits read too.
 :func:`parse_map_text` is where finite-precision input is refused: a
 map file with a ``precision`` line raises
 :class:`~lorenzmap.numerics.PrecisionExhausted` once the file has parsed.
@@ -86,10 +90,6 @@ class SidedPoint:
 
     x: Scalar
     side: Optional[Side] = None
-
-    def __str__(self) -> str:
-        tag = self.side.value if self.side else ""
-        return f"{format_scalar(self.x)}{tag}"
 
 
 def as_sided(p) -> SidedPoint:
@@ -248,12 +248,6 @@ class LorenzMap:
             and s.right == o.right
         )
 
-    def __str__(self) -> str:
-        return (
-            f"LorenzMap on [{format_scalar(self.a)}, {format_scalar(self.b)}], "
-            f"c = {format_scalar(self.c)}"
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -329,35 +323,28 @@ def validate_map(m: LorenzMap) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def sided_step(m: LorenzMap, n: int, d: int, side: Optional[Side] = None) -> tuple:
-    """``f(n/d)`` as a reduced pair, for a reduced pair ``n/d`` in ``[a, b]``.
-
-    The branch is picked by cross-multiplying against ``c`` and applied
-    with :meth:`BranchFn.step`; at ``c`` the side decides, ``f(c-) = b``
-    and ``f(c+) = a``, and without one :class:`SideRequired` is raised.
-    The branches map ``[a, b]`` into itself, so an orbit checked against
-    the domain once stays in it.
-    """
-    c = m.c
-    cross = n * c.denominator - c.numerator * d
-    if cross < 0:
-        return m.left.step(n, d)
-    if cross > 0:
-        return m.right.step(n, d)
-    if side is Side.MINUS:
-        return m.b.numerator, m.b.denominator
-    if side is Side.PLUS:
-        return m.a.numerator, m.a.denominator
-    raise SideRequired("evaluation at c needs an explicit side")
-
-
 def evaluate(m: LorenzMap, p) -> Scalar:
-    """Sided evaluation: ``f(c-) = b`` and ``f(c+) = a`` exactly."""
+    """Sided evaluation: ``f(c-) = b`` and ``f(c+) = a`` exactly.
+
+    The branch is picked by cross-multiplying ``x``'s pair against ``c``
+    and applied with :meth:`BranchFn.step`; at ``c`` the side decides,
+    and without one :class:`SideRequired` is raised.
+    """
     p = as_sided(p)
     x = p.x
     if not (m.a <= x <= m.b):
         raise ValueError(f"{format_scalar(x)} outside the domain")
-    return reduced_fraction(*sided_step(m, x.numerator, x.denominator, p.side))
+    n, d, c = x.numerator, x.denominator, m.c
+    cross = n * c.denominator - c.numerator * d
+    if cross < 0:
+        return reduced_fraction(*m.left.step(n, d))
+    if cross > 0:
+        return reduced_fraction(*m.right.step(n, d))
+    if p.side is Side.MINUS:
+        return m.b
+    if p.side is Side.PLUS:
+        return m.a
+    raise SideRequired("evaluation at c needs an explicit side")
 
 
 def iterate(m: LorenzMap, p, n: int) -> SidedPoint:
@@ -365,17 +352,28 @@ def iterate(m: LorenzMap, p, n: int) -> SidedPoint:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     p = as_sided(p)
-    return SidedPoint(orbit_values(m, p, n)[-1], p.side)
+    x = p.x
+    for _ in range(n):
+        x = evaluate(m, SidedPoint(x, p.side))
+    return SidedPoint(x, p.side)
 
 
-def orbit_values(m: LorenzMap, p, length: int) -> list:
-    """Values ``[x, f(x), ..., f^length(x)]`` along a sided orbit."""
-    p = as_sided(p)
-    x, side = p.x, p.side
+def word_orbit(m: LorenzMap, word, x: Scalar) -> list:
+    """``[x, f(x), ..., f^len(word)(x)]`` for a point ``x`` that follows ``word``.
+
+    Step ``k`` applies branch ``word[k]`` with :meth:`BranchFn.step`, so
+    a point at ``c`` continues as ``c-`` under :attr:`BranchLabel.LEFT`
+    and as ``c+`` under :attr:`BranchLabel.RIGHT`, as in
+    :func:`word_pieces`.  No side is needed and no domain is checked:
+    each caller passes a point that it has proved follows ``word``.
+    Every exact orbit of the analysis is walked here.
+    """
+    steps = {BranchLabel.LEFT: m.left.step, BranchLabel.RIGHT: m.right.step}
+    n, d = x.numerator, x.denominator
     values = [x]
-    for _ in range(length):
-        x = evaluate(m, SidedPoint(x, side))
-        values.append(x)
+    for label in word:
+        n, d = steps[label](n, d)
+        values.append(reduced_fraction(n, d))
     return values
 
 

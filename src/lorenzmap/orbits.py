@@ -19,11 +19,11 @@ order their values outright.  Exact ``Fraction`` iterates are computed
 only on demand: where an enclosure meets ``c`` (the branch is then
 decided exactly), where enclosures overlap while the values are ranked,
 and where a caller asks for a value.  So every decision is still exact.
-An exact iterate is one integer step on the reduced pair of the one
-before (:meth:`~lorenzmap.maps.BranchFn.step`), with the branch of the
-orbit's word, so no ``Fraction`` arithmetic runs along the orbit.  The
-enclosures and the exact steps read the same integer pieces of each
-branch (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`).
+The exact iterates are walked along the orbit's own word
+(:func:`~lorenzmap.maps.word_orbit`), one integer step on the reduced
+pair of the one before, so no ``Fraction`` arithmetic runs along the
+orbit.  The enclosures and the exact steps read the same integer pieces
+of each branch (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import bisect
 import dataclasses
 import math
 
-from .numerics import Scalar, reduced_fraction
-from .maps import BranchLabel, LorenzMap, Side
+from .numerics import Scalar
+from .maps import BranchLabel, LorenzMap, Side, word_orbit
 
 _GUARD_BITS = 64
 
@@ -89,18 +89,17 @@ class CriticalOrbit:
     ``c-`` and the right one for ``c+``.  :meth:`extend` iterates further
     at the same precision, up to the ``horizon`` that precision was chosen
     for.  :meth:`exact` computes the exact iterates up to the one asked
-    for, once, each with the branch of its step (at ``c`` that gives
-    ``f(c-) = b`` and ``f(c+) = a``).
+    for, once, along the word (:func:`~lorenzmap.maps.word_orbit`; at
+    ``c`` that gives ``f(c-) = b`` and ``f(c+) = a``).
     """
 
     def __init__(
         self, m: LorenzMap, side: Side, precision: int, horizon: int, branches: dict
     ):
         self.precision, self.horizon = precision, horizon
-        self._c, self._side, self._branches = m.c, side, branches
+        self._m, self._c, self._side, self._branches = m, m.c, side, branches
         self._c_bounds = enclose(m.c, precision)
         self._exact = [m.c]
-        self._functions = {BranchLabel.LEFT: m.left, BranchLabel.RIGHT: m.right}
         self._word: list = []
         self.bounds = [self._c_bounds]
 
@@ -130,12 +129,9 @@ class CriticalOrbit:
             bounds.append((lo, hi))
 
     def exact(self, i: int) -> Scalar:
-        known, functions = self._exact, self._functions
+        known = self._exact
         if len(known) <= i:
-            n, d = known[-1].numerator, known[-1].denominator
-            for label in self._word[len(known) - 1 : i]:
-                n, d = functions[label].step(n, d)
-                known.append(reduced_fraction(n, d))
+            known += word_orbit(self._m, self._word[len(known) - 1 : i], known[-1])[1:]
         return known[i]
 
 

@@ -10,8 +10,9 @@ unique.  Its largest point left of ``c`` follows the branch word of
 off the map's own critical-orbit pair, so it is found by solving
 ``f^kappa(x) = x`` exactly on the pieces of
 :func:`~lorenzmap.maps.word_pieces` along that one word, and its orbit
-is iterated once.  The same solve, on the words of the return branches,
-gives the repelling fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
+is walked once along the same word (:func:`~lorenzmap.maps.word_orbit`).
+The same solve, on the words of the return branches, gives the
+repelling fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from typing import Optional
 
 from .numerics import Scalar
 from .maps import (
+    BranchLabel,
     LorenzMap,
     Side,
     SidedPoint,
-    SideRequired,
     evaluate,
     inverse_images,
-    orbit_values,
+    word_orbit,
     word_pieces,
 )
 from .orbits import critical_pair
@@ -164,46 +165,38 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     ``f^kappa - id`` is increasing, so ``p`` is its only zero there, and
     one exact solve finds it.
 
-    A solution at a domain end whose orbit meets ``c`` is the one-sided
-    point that end stands for: ``+`` at the left end, ``-`` at the right
-    end.  ``kappa`` must be the minimal period; any other value raises
-    :class:`ValueError`.  The word of ``c-`` is read off the map's own
-    pair (:func:`~lorenzmap.orbits.critical_pair`), grown to ``kappa``
-    steps if shorter: after a tower, the orbits its first level was
-    searched on.
+    The orbit is walked along the word it follows, so its labels are the
+    sides: a point is left of ``c`` when its letter is ``L``, and a point
+    at ``c`` is ``c-`` under ``L`` and ``c+`` under ``R``.  When the
+    orbit meets ``c``, every point carries that side.  ``kappa`` must be
+    the minimal period; any other value raises :class:`ValueError`.  The
+    word of ``c-`` is read off the map's own pair
+    (:func:`~lorenzmap.orbits.critical_pair`), grown to ``kappa`` steps
+    if shorter: after a tower, the orbits its first level was searched
+    on.
     """
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
     if minimal_period(m, kappa - 2).kappa != kappa:
         raise ValueError("kappa is not the minimal period")
     minus, _plus = critical_pair(m).grow(kappa)
-    pieces = word_pieces(m, minus.word[:kappa], m.a, m.c)
-    lo, hi = pieces[0][0], pieces[-1][1]
-    x = _fixed_point(pieces, lo, hi)
-    p = SidedPoint(x)
-    try:
-        values = orbit_values(m, p, kappa)
-    except SideRequired:
-        if x not in (lo, hi):
-            raise AssertionError(
-                "interior word-domain point hit the discontinuity"
-            ) from None
-        p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
-        values = orbit_values(m, p, kappa)
+    word = minus.word[:kappa]
+    pieces = word_pieces(m, word, m.a, m.c)
+    x = _fixed_point(pieces, pieces[0][0], pieces[-1][1])
+    values = word_orbit(m, word, x)
     if values[kappa] != x:
         raise AssertionError("the word-domain solution is not fixed by f^kappa")
-    points = tuple(SidedPoint(y, p.side) for y in sorted(set(values[:kappa])))
-    if len(points) != kappa:
+    order = sorted(range(kappa), key=values.__getitem__)
+    if any(values[i] == values[j] for i, j in zip(order, order[1:])):
         raise UniquenessViolated("orbit size does not match the period")
-
-    def is_left(sp: SidedPoint) -> bool:
-        if sp.x == m.c:
-            return sp.side is Side.MINUS
-        return sp.x < m.c
-
-    itinerary = "".join("L" if is_left(sp) else "R" for sp in points)
-    lefts = [sp.x for sp in points if is_left(sp)]
-    rights = [sp.x for sp in points if not is_left(sp)]
+    side = None  # the side of the point at c, if the orbit meets c
+    for y, label in zip(values, word):
+        if y == m.c:
+            side = Side.MINUS if label is BranchLabel.LEFT else Side.PLUS
+    points = tuple(SidedPoint(values[i], side) for i in order)
+    itinerary = "".join(word[i].value for i in order)
+    lefts = [values[i] for i in order if word[i] is BranchLabel.LEFT]
+    rights = [values[i] for i in order if word[i] is BranchLabel.RIGHT]
     if not lefts or not rights:
         raise UniquenessViolated("orbit does not flank the discontinuity")
-    return PeriodicOrbit(points, kappa, itinerary, max(lefts), min(rights))
+    return PeriodicOrbit(points, kappa, itinerary, lefts[-1], rights[0])

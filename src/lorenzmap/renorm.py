@@ -7,7 +7,9 @@ subinterval ``[u, v]`` around ``c``.  Each renormalization comes with a
 repelling set whose gap around ``c`` is bounded by two periodic points
 ``e- <= u`` and ``e+ >= v`` with ``f^ell(e-) = e-`` and ``f^r(e+) = e+``
 exactly; the renormalization is periodic when ``e-`` and ``e+`` lie on
-one orbit.
+one orbit.  ``e-`` is solved on the pieces of the left return word, so
+it follows that word, and its orbit is walked along it
+(:func:`~lorenzmap.maps.word_orbit`).
 
 The minimal renormalization is ``(kappa, kappa)``, with ``kappa`` the
 minimal period, when that pair is valid; otherwise it is the first valid
@@ -44,8 +46,8 @@ from .numerics import Scalar
 from .maps import (
     BranchLabel,
     LorenzMap,
-    orbit_values,
     rescale_to_unit,
+    word_orbit,
     word_pieces,
 )
 # perfbench's tracer resolves the renorm.critical_orbit_values span by this name
@@ -93,11 +95,11 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
 
     if not (e_minus <= u and v <= e_plus):
         raise AssertionError("repelling fixed points do not bound the interval")
-    orbit_of_e_minus = orbit_values(m, e_minus, ell - 1)
+    orbit_of_e_minus = word_orbit(m, left_word[:-1], e_minus)
     for value in orbit_of_e_minus:
         if u < value < v:
             raise AssertionError("repelling orbit enters the return window")
-    periodic = e_plus in orbit_of_e_minus
+    periodic = e_plus in orbit_of_e_minus  # list equality: nothing is hashed
     inner = rescale_to_unit(m, (u, v), (left_pieces, right_pieces))
     return RenormStep(
         ell, r, u, v, e_minus, e_plus, periodic, inner, left_word, right_word

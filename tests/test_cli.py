@@ -474,6 +474,8 @@ CUSTOM_PRECISION_MAP = (
           "-3"], None, 2, "invalid-map"),
         (["analyze", "--family", "beta", "--beta", "6/5"], None, 2, "invalid-map"),
         (["analyze"], None, 2, "invalid-map"),
+        (["sweep", "--family", "beta", "--alpha", "1/0", "--start", "11/10", "--end",
+          "13/10", "--step", "1/10"], None, 2, "invalid-map"),
     ],
     ids=[
         "classify-precision-map",
@@ -486,6 +488,7 @@ CUSTOM_PRECISION_MAP = (
         "hit-cap-below-0",
         "beta-without-alpha",
         "no-map",
+        "sweep-beta-zero-denominator-alpha",
     ],
 )
 def test_input_boundary_exit_codes(capsys, tmp_path, argv, map_text, code, status):

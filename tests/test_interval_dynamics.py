@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import lorenzmap
 from lorenzmap import cli, maps
-from lorenzmap.limits import _forward_orbit_closure
 from lorenzmap.maps import (
     CapExceeded,
     beta_transformation,
@@ -86,10 +85,6 @@ def test_internal_iteration_caps_raise_cap_exceeded():
     # one class, defined in maps and exported by the package
     assert CapExceeded is maps.CapExceeded is lorenzmap.CapExceeded
     assert cli.exit_code_for(CapExceeded("cap")) == cli.EXIT_CAP
-    m = symmetric_map(F(6, 5))
-    # 0 -> 2/5 -> 22/25 -> ...: denominators 5^n, so 0 never comes back
-    with pytest.raises(CapExceeded):
-        _forward_orbit_closure(m, F(0), cap=5)
 
 
 def test_hitting_index_decrements_under_image():

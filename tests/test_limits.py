@@ -11,10 +11,8 @@ from hypothesis import example, given, settings
 
 from lorenzmap.cli import build_map, build_parser
 from lorenzmap.maps import (
-    CapExceeded,
     SidedPoint,
     Side,
-    SideRequired,
     beta_transformation,
     evaluate,
     parse_map_text,
@@ -31,7 +29,7 @@ from lorenzmap.renorm import (
     renorm_tower,
 )
 from lorenzmap.limits import (
-    _forward_orbit_closure,
+    _level_orbit,
     AlphaKind,
     Membership,
     alpha_classify,
@@ -41,7 +39,7 @@ from lorenzmap.limits import (
     orbit_unions,
 )
 
-from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps
+from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps, piece_map
 from paper_checks import (
     StructureKind,
     covers,
@@ -421,32 +419,23 @@ def _evaluate_walk(m, x) -> list:
     return orbit
 
 
-def test_forward_orbit_closure_is_the_sorted_evaluate_walk():
+def test_level_orbit_is_the_sorted_evaluate_walk():
+    # the word walk of each level's e- against the walk that picks each
+    # branch by position
+    def checked_levels(maps) -> int:
+        count = 0
+        for m in maps:
+            for level in renorm_tower(m).levels:
+                x = level.e_minus
+                assert _level_orbit(m, level) == sorted(_evaluate_walk(m, x))
+                count += 1
+        return count
+
     maps = _golden_case_maps() + [symmetric_map(F(198, 197))]
-    levels = 0
-    for m in maps:
-        for level in renorm_tower(m).levels:
-            x = level.e_minus
-            assert _forward_orbit_closure(m, x) == sorted(_evaluate_walk(m, x))
-            levels += 1
-    assert len(maps) >= 25 and levels >= 40
-
-
-def test_forward_orbit_closure_keeps_its_errors():
-    m = symmetric_map(F(3, 2))
-    # 1/6 maps onto c = 1/2, whose image needs a side
-    assert evaluate(m, F(1, 6)) == m.c
-    for x in (m.c, F(1, 6)):
-        with pytest.raises(SideRequired):
-            _forward_orbit_closure(m, x)
-    for x in (F(-1, 7), F(3, 2)):
-        with pytest.raises(ValueError, match="outside the domain"):
-            _forward_orbit_closure(m, x)
-    # a period-p orbit closes within cap = p - 1 steps past the first
-    m = symmetric_map(F(6, 5))
-    assert _forward_orbit_closure(m, F(8, 11), cap=1) == [F(3, 11), F(8, 11)]
-    with pytest.raises(CapExceeded):
-        _forward_orbit_closure(m, F(8, 11), cap=0)
+    assert len(maps) >= 25 and checked_levels(maps) >= 40
+    rng = random.Random(34)
+    near_unit = [piece_map(rng.randint, near_unit=True) for _ in range(200)]
+    assert checked_levels(near_unit) >= 40
 
 
 def test_alpha_limit_approx_on_real_cantor_levels_is_ascending():

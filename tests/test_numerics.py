@@ -12,8 +12,6 @@ from lorenzmap.numerics import (
     parse_scalar,
 )
 
-from paper_checks import union
-
 
 def _closed(lo, hi) -> IntervalUnion:
     return IntervalUnion.from_pairs([(lo, hi)])
@@ -75,6 +73,3 @@ def test_parse_and_format():
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
     assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"
-    assert str(union(_closed(F(0), F(2, 5)), _closed(F(3, 5), F(1)))) == (
-        "[0/1, 2/5] U [3/5, 1/1]"
-    )

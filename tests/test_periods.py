@@ -101,13 +101,13 @@ def test_minimal_orbit_symmetric_closed_form():
 
 def test_minimal_orbit_walks_each_orbit_once(monkeypatch):
     walks = []
-    original = periods.orbit_values
+    original = periods.word_orbit
 
-    def recording(m, p, length):
-        walks.append(p)
-        return original(m, p, length)
+    def recording(m, word, x):
+        walks.append(x)
+        return original(m, word, x)
 
-    monkeypatch.setattr(periods, "orbit_values", recording)
+    monkeypatch.setattr(periods, "word_orbit", recording)
     # two candidates, 3/11 and 8/11, on one orbit
     orbit = minimal_periodic_orbit(symmetric_map(F(6, 5)), 2)
     assert orbit.values() == (F(3, 11), F(8, 11)) and len(walks) == 1

@@ -7,7 +7,9 @@ process and against the ``src/`` of this checkout:
   1 and 2 (the multipiece map files go to a temporary directory, so
   nothing is written under ``perfbench/``), then the CLI runs listed in
   ``tests/golden/cases.json``;
-* tests: the tier-1 suite, ``pytest tests``.
+* tests: the tier-1 suite, ``pytest tests --hypothesis-seed=0``; the
+  fixed seed makes the ``hypothesis`` tests draw the same examples on
+  every run, so two runs of the same code report the same lines.
 
 The tracer is installed before ``lorenzmap`` is imported, so the
 statements that run at import time count as traffic.  For each module
@@ -88,7 +90,9 @@ def run_golden_cases() -> None:
 def run_tests() -> None:
     import pytest
 
-    code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    code = pytest.main(
+        ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
+    )
     if code != 0:
         raise RuntimeError(f"the test suite exited {code}")
 

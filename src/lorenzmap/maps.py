@@ -368,11 +368,11 @@ def word_orbit(m: LorenzMap, word, x: Scalar) -> list:
     each caller passes a point that it has proved follows ``word``.
     Every exact orbit of the analysis is walked here.
     """
-    steps = {BranchLabel.LEFT: m.left.step, BranchLabel.RIGHT: m.right.step}
+    left, right, left_label = m.left.step, m.right.step, BranchLabel.LEFT
     n, d = x.numerator, x.denominator
     values = [x]
     for label in word:
-        n, d = steps[label](n, d)
+        n, d = (left if label is left_label else right)(n, d)
         values.append(reduced_fraction(n, d))
     return values
 

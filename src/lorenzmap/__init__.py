@@ -20,14 +20,10 @@ from .maps import (
     CapExceeded,
     IntervalDoesNotStraddleC,
     LorenzMap,
-    Side,
-    SidedPoint,
-    SideRequired,
     ValidationReport,
     beta_transformation,
     evaluate,
     inverse_images,
-    iterate,
     parse_map_text,
     rescale_to_unit,
     symmetric_map,

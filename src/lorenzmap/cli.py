@@ -138,7 +138,7 @@ def build_map(args: argparse.Namespace) -> tuple:
 
 def _orbit_dict(orbit) -> dict:
     return {
-        "points": [format_scalar(p.x) for p in orbit.points],
+        "points": [format_scalar(x) for x in orbit.points],
         "period": orbit.period,
         "itinerary": orbit.itinerary,
         "flank_left": format_scalar(orbit.flank_left),

@@ -32,14 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .numerics import Scalar
-from .maps import (
-    LorenzMap,
-    SidedPoint,
-    as_sided,
-    evaluate,
-    inverse_images,
-    word_orbit,
-)
+from .maps import LorenzMap, evaluate, inverse_images, word_orbit
 from .interval_dynamics import IntervalUnion
 from .orbits import critical_pair, order_key
 from .renorm import Tower, TowerLevel
@@ -129,17 +122,16 @@ def outer_union(m: LorenzMap, unions: list, i: int) -> IntervalUnion:
 
 
 def alpha_classify(
-    m: LorenzMap, tower: Tower, x, unions: Optional[list] = None
+    m: LorenzMap, tower: Tower, x: Scalar, unions: Optional[list] = None
 ) -> AlphaClass:
     """Backward-limit class of a point: some level's ``E_i`` or the full interval.
 
     The class is ``E_i`` for the unique level whose orbit union is the
     first one the point falls out of; points inside every level's union
-    (the attractor) have full-interval backward limits.  Both sides of
-    the discontinuity classify as full interval, since ``c`` lies in
-    every level interval.
+    (the attractor) have full-interval backward limits.  ``c`` (either
+    side of it) classifies as full interval, since it lies in every
+    level interval.
     """
-    x = as_sided(x).x
     if not (m.a <= x <= m.b):
         raise ValueError("point outside the domain")
     if unions is None:
@@ -167,15 +159,23 @@ def _level_orbit(m: LorenzMap, level: TowerLevel) -> list:
     points of the left domain follow ``w``, which proves the claim, and
     so does ``e-``, the fixed point on ``w``'s pieces.  So ``e-``
     follows ``minus.word[:RL_i]``, :func:`~lorenzmap.maps.word_orbit`
-    walks it, and ``f^RL_i(e-) = e-``.  The orbit ends at the first
-    return to ``e-``, found by equality, so no value is hashed.
+    walks it, and ``f^RL_i(e-) = e-``.
+
+    ``RL_i`` is the least period of ``e-``, so the orbit is the walk's
+    first ``RL_i`` points.  Write ``[u, v]`` for the level interval in base
+    coordinates.  ``f^j`` is continuous and increasing on ``[u, c)`` for
+    ``j <= RL_i`` (the claim), and by the first-return property
+    ``f^j([u, c)) = [f^j(u), f^j(c-))`` misses ``(u, v)`` for
+    ``0 < j < RL_i``.  ``e-`` lies in ``[u, c)``, so ``f^j(e-) = e-``
+    would force ``e- = u`` and then ``f^j(u) = u``: the non-degenerate
+    interval ``[u, f^j(c-))`` would meet ``(u, v)``.
     """
     ell = level.return_left
     minus, _plus = critical_pair(m).grow(ell)
     values = word_orbit(m, minus.word[:ell], level.e_minus)
     if values[ell] != level.e_minus:
         raise AssertionError("e- is not fixed by its level's left return branch")
-    return sorted(values[: values.index(level.e_minus, 1)], key=order_key)
+    return sorted(values[:ell], key=order_key)
 
 
 def alpha_limit_approx(
@@ -201,13 +201,11 @@ def alpha_limit_approx(
     for _ in range(depth):
         new = set()
         for y in frontier:
-            for p, _branch in inverse_images(m, y):
-                if p.side is not None:
-                    continue  # one-sided hits of c sit inside the gap anyway
-                if gap_lo < p.x < gap_hi:
-                    continue
-                if p.x not in points:
-                    new.add(p.x)
+            for x, _label in inverse_images(m, y):
+                if gap_lo < x < gap_hi:
+                    continue  # c, the one-sided preimage, is in the gap too
+                if x not in points:
+                    new.add(x)
         points |= new
         frontier = new
     return tuple(sorted(points, key=order_key))
@@ -253,7 +251,7 @@ def membership_E(
         seen.add(y)
         if len(seen) == size:
             return MembershipResult(Membership.IN, step)
-        y = evaluate(m, SidedPoint(y))
+        y = evaluate(m, y)
     return MembershipResult(Membership.UNDETERMINED)
 
 

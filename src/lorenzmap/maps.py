@@ -2,9 +2,10 @@
 
 A Lorenz map on ``[a, b]`` has one discontinuity ``c``: it is strictly
 increasing on ``[a, c)`` and on ``(c, b]``, with one-sided limits
-``f(c-) = b`` and ``f(c+) = a``.  The discontinuity is treated as the
-point pair ``c-`` / ``c+`` throughout: an orbit that lands exactly on
-``c`` continues as the one-sided limit it was carried with.
+``f(c-) = b`` and ``f(c+) = a``.  Points are plain scalars; which
+side of ``c`` is meant is said by a :class:`BranchLabel`: a point at
+``c`` is ``c-`` under :attr:`BranchLabel.LEFT` and ``c+`` under
+:attr:`BranchLabel.RIGHT`.
 
 Branches are piecewise affine with every slope > 1, which certifies the
 expanding property (dense preimages of ``c``); maps that fail the slope
@@ -26,7 +27,7 @@ analysis walks (the critical orbits of :mod:`~lorenzmap.orbits`, the
 minimal periodic orbit, the orbit of ``e-`` and the periodic ω-orbits
 of :mod:`~lorenzmap.limits`) has a known branch word, and
 :func:`word_orbit` walks it along that word, so no walk compares with
-``c`` or needs a side.  Each branch holds one integer piece table
+``c``.  Each branch holds one integer piece table
 (:meth:`BranchFn.integer_pieces`), which the dyadic enclosures of the
 critical orbits read too.
 :func:`parse_map_text` is where finite-precision input is refused: a
@@ -57,10 +58,6 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-class SideRequired(Exception):
-    """Evaluation at the discontinuity needs an explicit side."""
-
-
 class IntervalDoesNotStraddleC(Exception):
     """The interval must contain the discontinuity in its interior."""
 
@@ -69,33 +66,9 @@ class CapExceeded(Exception):
     """An iteration guard was hit before the sought event occurred."""
 
 
-class Side(enum.Enum):
-    MINUS = "-"
-    PLUS = "+"
-
-
 class BranchLabel(enum.Enum):
     LEFT = "L"
     RIGHT = "R"
-
-
-@dataclass(frozen=True)
-class SidedPoint:
-    """A point plus the side it is approached from.
-
-    The side matters only when ``x`` equals the discontinuity; it is
-    carried along orbits so that landing exactly on ``c`` continues as
-    ``c-`` or ``c+``.
-    """
-
-    x: Scalar
-    side: Optional[Side] = None
-
-
-def as_sided(p) -> SidedPoint:
-    if isinstance(p, SidedPoint):
-        return p
-    return SidedPoint(p)
 
 
 @dataclass(frozen=True)
@@ -323,15 +296,20 @@ def validate_map(m: LorenzMap) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def evaluate(m: LorenzMap, p) -> Scalar:
-    """Sided evaluation: ``f(c-) = b`` and ``f(c+) = a`` exactly.
+def evaluate(m: LorenzMap, x: Scalar) -> Scalar:
+    """``f(x)`` for ``x`` in ``[a, b]`` other than ``c``.
 
     The branch is picked by cross-multiplying ``x``'s pair against ``c``
-    and applied with :meth:`BranchFn.step`; at ``c`` the side decides,
-    and without one :class:`SideRequired` is raised.
+    and applied with :meth:`BranchFn.step`.  At ``c`` the map has two
+    one-sided values, and which one is meant is a branch label's to say
+    (:func:`word_orbit`), so ``c`` raises :class:`ValueError`, as a
+    point outside the domain does.  No analysis path evaluates at ``c``:
+    :func:`~lorenzmap.periods.minimal_period` and
+    :func:`~lorenzmap.periods.fixed_points` evaluate only at ``a`` and
+    ``b``, and :func:`~lorenzmap.limits.membership_E` returns OUT at
+    ``y = c`` before it evaluates, because ``c`` lies inside every level
+    interval.
     """
-    p = as_sided(p)
-    x = p.x
     if not (m.a <= x <= m.b):
         raise ValueError(f"{format_scalar(x)} outside the domain")
     n, d, c = x.numerator, x.denominator, m.c
@@ -340,22 +318,7 @@ def evaluate(m: LorenzMap, p) -> Scalar:
         return reduced_fraction(*m.left.step(n, d))
     if cross > 0:
         return reduced_fraction(*m.right.step(n, d))
-    if p.side is Side.MINUS:
-        return m.b
-    if p.side is Side.PLUS:
-        return m.a
-    raise SideRequired("evaluation at c needs an explicit side")
-
-
-def iterate(m: LorenzMap, p, n: int) -> SidedPoint:
-    """Apply the map ``n`` times, carrying the side through exact hits of ``c``."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    p = as_sided(p)
-    x = p.x
-    for _ in range(n):
-        x = evaluate(m, SidedPoint(x, p.side))
-    return SidedPoint(x, p.side)
+    raise ValueError("f has two one-sided values at c: f(c-) = b, f(c+) = a")
 
 
 def word_orbit(m: LorenzMap, word, x: Scalar) -> list:
@@ -364,9 +327,9 @@ def word_orbit(m: LorenzMap, word, x: Scalar) -> list:
     Step ``k`` applies branch ``word[k]`` with :meth:`BranchFn.step`, so
     a point at ``c`` continues as ``c-`` under :attr:`BranchLabel.LEFT`
     and as ``c+`` under :attr:`BranchLabel.RIGHT`, as in
-    :func:`word_pieces`.  No side is needed and no domain is checked:
-    each caller passes a point that it has proved follows ``word``.
-    Every exact orbit of the analysis is walked here.
+    :func:`word_pieces`.  No domain is checked: each caller passes a
+    point that it has proved follows ``word``.  Every exact orbit of the
+    analysis is walked here.
     """
     left, right, left_label = m.left.step, m.right.step, BranchLabel.LEFT
     n, d = x.numerator, x.denominator
@@ -378,28 +341,20 @@ def word_orbit(m: LorenzMap, word, x: Scalar) -> list:
 
 
 def inverse_images(m: LorenzMap, y: Scalar) -> list:
-    """All preimages of ``y``: 0, 1, or 2 results, ascending.
+    """All preimages of ``y`` as ``(x, label)``: 0, 1, or 2 results, ascending.
 
     A point has two preimages exactly when it lies in ``[f(a), f(b)]``.
     The boundary values are reached only as one-sided limits, so
-    ``y = b`` yields ``c-`` on the left branch and ``y = a`` yields
-    ``c+`` on the right branch.
+    ``y = b`` yields ``(c, L)``, read as ``c-``, and ``y = a`` yields
+    ``(c, R)``, read as ``c+``.
     """
     if not (m.a <= y <= m.b):
         raise ValueError(f"{format_scalar(y)} outside the domain")
     results = []
-    x = m.left.solve(y)
-    if x is not None:
-        if x == m.c:
-            results.append((SidedPoint(m.c, Side.MINUS), BranchLabel.LEFT))
-        else:
-            results.append((SidedPoint(x), BranchLabel.LEFT))
-    x = m.right.solve(y)
-    if x is not None:
-        if x == m.c:
-            results.append((SidedPoint(m.c, Side.PLUS), BranchLabel.RIGHT))
-        else:
-            results.append((SidedPoint(x), BranchLabel.RIGHT))
+    for branch, label in ((m.left, BranchLabel.LEFT), (m.right, BranchLabel.RIGHT)):
+        x = branch.solve(y)
+        if x is not None:
+            results.append((x, label))
     return results
 
 

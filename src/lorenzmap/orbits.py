@@ -33,7 +33,7 @@ import dataclasses
 import math
 
 from .numerics import Scalar
-from .maps import BranchLabel, LorenzMap, Side, word_orbit
+from .maps import BranchLabel, LorenzMap, word_orbit
 
 _GUARD_BITS = 64
 
@@ -84,20 +84,22 @@ class CriticalOrbit:
 
     ``bounds[i]`` is an integer pair ``(lo, hi)`` with
     ``lo <= f^i(c±)·2^P <= hi`` and ``word[i]`` is the branch that step
-    ``i`` applies.  An orbit landing on ``c`` continues as the one-sided
-    limit it is carried with, so its branch at ``c`` is the left one for
-    ``c-`` and the right one for ``c+``.  :meth:`extend` iterates further
-    at the same precision, up to the ``horizon`` that precision was chosen
-    for.  :meth:`exact` computes the exact iterates up to the one asked
-    for, once, along the word (:func:`~lorenzmap.maps.word_orbit`; at
-    ``c`` that gives ``f(c-) = b`` and ``f(c+) = a``).
+    ``i`` applies.  The orbit is keyed by its first label, ``L`` for
+    ``c-`` and ``R`` for ``c+``, and every visit of ``c`` takes that
+    branch: an orbit landing on ``c`` continues as the one-sided limit it
+    started from.  :meth:`extend` iterates further at the same precision,
+    up to the ``horizon`` that precision was chosen for.  :meth:`exact`
+    computes the exact iterates up to the one asked for, once, along the
+    word (:func:`~lorenzmap.maps.word_orbit`; at ``c`` that gives
+    ``f(c-) = b`` and ``f(c+) = a``).
     """
 
     def __init__(
-        self, m: LorenzMap, side: Side, precision: int, horizon: int, branches: dict
+        self, m: LorenzMap, first: BranchLabel, precision: int, horizon: int,
+        branches: dict,
     ):
         self.precision, self.horizon = precision, horizon
-        self._m, self._c, self._side, self._branches = m, m.c, side, branches
+        self._m, self._c, self._first, self._branches = m, m.c, first, branches
         self._c_bounds = enclose(m.c, precision)
         self._exact = [m.c]
         self._word: list = []
@@ -122,7 +124,7 @@ class CriticalOrbit:
             else:  # the enclosure meets c: decide on the exact value
                 x = self.exact(i)
                 lo, hi = bounds[i] = enclose(x, self.precision)
-                left = x < c or (x == c and self._side is Side.MINUS)
+                left = x < c or (x == c and self._first is BranchLabel.LEFT)
             label = BranchLabel.LEFT if left else BranchLabel.RIGHT
             word.append(label)
             lo, hi = branches[label].image(lo, hi)
@@ -151,8 +153,8 @@ def critical_orbit_values(m: LorenzMap, length: int):
         BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
     }
     pair = tuple(
-        CriticalOrbit(m, side, precision, horizon, branches)
-        for side in (Side.MINUS, Side.PLUS)
+        CriticalOrbit(m, first, precision, horizon, branches)
+        for first in (BranchLabel.LEFT, BranchLabel.RIGHT)
     )
     for orbit in pair:
         orbit.extend(length)

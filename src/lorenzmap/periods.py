@@ -24,8 +24,6 @@ from .numerics import Scalar
 from .maps import (
     BranchLabel,
     LorenzMap,
-    Side,
-    SidedPoint,
     evaluate,
     inverse_images,
     word_orbit,
@@ -64,14 +62,11 @@ class MinimalPeriodResult:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    points: tuple  # SidedPoints sorted by value; sided when the orbit meets c
+    points: tuple  # ascending
     period: int
-    itinerary: str  # letter k is L iff the k-th sorted point is left of c
+    itinerary: str  # letter k is the branch of point k; at c, L means c-
     flank_left: Scalar  # largest orbit value left of c
     flank_right: Scalar  # smallest orbit value right of c
-
-    def values(self) -> tuple:
-        return tuple(p.x for p in self.points)
 
 
 def fixed_points(m: LorenzMap) -> list:
@@ -97,21 +92,19 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     Exceeding the cap leaves the period undetermined (an infinite
     minimal period is suspected but never asserted).
 
-    No valid map reaches the two :class:`AmbiguousPreimage` raises.
+    No valid map reaches the :class:`AmbiguousPreimage` raise.
     The left branch takes ``[a, c)`` onto ``[f(a), b)`` with every slope
     above 1, so ``b - f(a) > c - a``; the right branch likewise gives
     ``f(b) - a > b - c``.  Hence ``f(a) < a + b - c < f(b)``.  A point
     below ``f(a)`` lies only in the right image ``[a, f(b)]`` and a
     point above ``f(b)`` only in the left image ``[f(a), b]``, so every
-    point outside ``[f(a), f(b)]`` has exactly one preimage.  A
-    one-sided preimage ``c-`` or ``c+`` belongs to ``b`` or ``a`` alone.
-    The chain starts at ``c``, and it would hold ``b`` only after
-    ``f(b)`` and ``a`` only after ``f(a)``; both lie in
-    ``[f(a), f(b)]``, where the chain stops.  So no one-sided preimage
-    is ever met.
+    point outside ``[f(a), f(b)]`` has exactly one preimage.  The chain
+    never returns to ``c``, the one-sided preimage of ``b`` and ``a``
+    alone: it would hold ``b`` only after ``f(b)`` and ``a`` only after
+    ``f(a)``, and both lie in ``[f(a), f(b)]``, where the chain stops.
     """
-    fa = evaluate(m, SidedPoint(m.a))
-    fb = evaluate(m, SidedPoint(m.b))
+    fa = evaluate(m, m.a)
+    fb = evaluate(m, m.b)
     if fa == m.a or fb == m.b:
         return MinimalPeriodResult(1, None, ())
     chain = [m.c]
@@ -124,12 +117,7 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
             raise AmbiguousPreimage(
                 f"chain point {x} outside [f(a), f(b)] has {len(preimages)} preimages"
             )
-        point = preimages[0][0]
-        if point.side is not None:
-            raise AmbiguousPreimage(
-                "backward chain reached the discontinuity as a one-sided limit"
-            )
-        x = point.x
+        x = preimages[0][0]
         chain.append(x)
     return MinimalPeriodResult(None, None, tuple(chain))
 
@@ -167,8 +155,7 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
 
     The orbit is walked along the word it follows, so its labels are the
     sides: a point is left of ``c`` when its letter is ``L``, and a point
-    at ``c`` is ``c-`` under ``L`` and ``c+`` under ``R``.  When the
-    orbit meets ``c``, every point carries that side.  ``kappa`` must be
+    at ``c`` is ``c-`` under ``L`` and ``c+`` under ``R``.  ``kappa`` must be
     the minimal period; any other value raises :class:`ValueError`.  The
     word of ``c-`` is read off the map's own pair
     (:func:`~lorenzmap.orbits.critical_pair`), grown to ``kappa`` steps
@@ -189,11 +176,7 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     order = sorted(range(kappa), key=values.__getitem__)
     if any(values[i] == values[j] for i, j in zip(order, order[1:])):
         raise UniquenessViolated("orbit size does not match the period")
-    side = None  # the side of the point at c, if the orbit meets c
-    for y, label in zip(values, word):
-        if y == m.c:
-            side = Side.MINUS if label is BranchLabel.LEFT else Side.PLUS
-    points = tuple(SidedPoint(values[i], side) for i in order)
+    points = tuple(values[i] for i in order)
     itinerary = "".join(word[i].value for i in order)
     lefts = [values[i] for i in order if word[i] is BranchLabel.LEFT]
     rights = [values[i] for i in order if word[i] is BranchLabel.RIGHT]

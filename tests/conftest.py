@@ -31,6 +31,7 @@ from lorenzmap.maps import (
     BranchLabel,
     LorenzMap,
     beta_transformation,
+    evaluate,
     parse_map_text,
     symmetric_map,
     validate_map,
@@ -143,6 +144,38 @@ def word_periodic_points(table, n):
             least += 1
         out[x0] = least
     return out
+
+
+def evaluate_walk(m, word, x):
+    """``[x, f(x), ..., f^len(word)(x)]`` by ``evaluate``, the oracle of ``word_orbit``.
+
+    Off ``c`` each step is :func:`~lorenzmap.maps.evaluate`, and the point
+    must lie on the side of ``c`` its letter names; at ``c`` the letter
+    decides, ``f(c-) = b`` under ``L`` and ``f(c+) = a`` under ``R``.
+    """
+    values = [x]
+    for label in word:
+        y = values[-1]
+        if y == m.c:
+            values.append(m.b if label is BranchLabel.LEFT else m.a)
+        else:
+            assert (y < m.c) == (label is BranchLabel.LEFT)
+            values.append(evaluate(m, y))
+    return values
+
+
+def evaluate_orbit(m, x, n):
+    """``[x, f(x), ..., f^n(x)]`` by ``evaluate``, for an orbit that misses ``c``."""
+    values = [x]
+    for _ in range(n):
+        values.append(evaluate(m, values[-1]))
+    return values
+
+
+def label_word(m, x, n):
+    """The labels of ``x``'s first ``n`` steps, for an orbit that misses ``c``."""
+    orbit = evaluate_orbit(m, x, n)[:-1]
+    return tuple(BranchLabel.LEFT if y < m.c else BranchLabel.RIGHT for y in orbit)
 
 
 def interior_cuts(m):

@@ -11,10 +11,8 @@ import time
 from fractions import Fraction as F
 
 from lorenzmap.maps import (
-    SidedPoint,
     beta_transformation,
     evaluate,
-    iterate,
     symmetric_map,
     validate_map,
 )
@@ -31,7 +29,7 @@ from lorenzmap.limits import (
     omega_decomposition,
 )
 
-from conftest import map_piece_table, word_periodic_points
+from conftest import evaluate_orbit, map_piece_table, word_periodic_points
 from paper_checks import (
     covers,
     hitting_index,
@@ -106,11 +104,7 @@ def test_criterion_04_oracle_equivalence(sample_maps):
         points = word_periodic_points(table, kappa)
         assert len(points) == kappa
         assert set(points.values()) == {kappa}
-        one_orbit, seen = SidedPoint(min(points)), set()
-        for _ in range(kappa):
-            seen.add(one_orbit.x)
-            one_orbit = SidedPoint(evaluate(m, one_orbit), one_orbit.side)
-        assert seen == set(points)
+        assert set(evaluate_orbit(m, min(points), kappa - 1)) == set(points)
     print("ACCEPTANCE 4: PASS - no period below kappa, exactly one kappa-orbit, 50 maps")
 
 
@@ -118,7 +112,7 @@ def test_criterion_05_flanking_and_covering(sample_maps):
     for _family, _p1, _p2, m in sample_maps:
         kappa = minimal_period(m).kappa
         orbit = minimal_periodic_orbit(m, kappa)
-        assert all(p.side is None for p in orbit.points)
+        assert m.c not in orbit.points
         left = hitting_index(m, (orbit.flank_left, m.c))
         right = hitting_index(m, (m.c, orbit.flank_right))
         assert left.n == kappa and right.n == kappa
@@ -151,15 +145,12 @@ def test_criterion_07_roundtrip_exactness(sample_maps):
             steps.append((m, result.step))
     assert steps
     for m, step in steps:
-        assert iterate(m, step.e_minus, step.ell).x == step.e_minus
-        assert iterate(m, step.e_plus, step.r).x == step.e_plus
+        minus_orbit = evaluate_orbit(m, step.e_minus, step.ell)
+        assert minus_orbit[-1] == step.e_minus
+        assert evaluate_orbit(m, step.e_plus, step.r)[-1] == step.e_plus
         assert validate_map(step.inner_map).valid
         if step.periodic:
-            orbit_values, x = set(), step.e_minus
-            for _ in range(step.ell):
-                orbit_values.add(x)
-                x = evaluate(m, SidedPoint(x))
-            assert step.e_plus in orbit_values
+            assert step.e_plus in minus_orbit
     print(f"ACCEPTANCE 7: PASS - {len(steps)} steps with exact repelling fixed points")
 
 
@@ -187,7 +178,7 @@ def test_criterion_09_omega_decomposition():
         (F(2, 5), F(3, 5)),
         (F(22, 25), F(1)),
     ]
-    image = {evaluate(m, SidedPoint(x)) for x in omega.parts[0].points}
+    image = {evaluate(m, x) for x in omega.parts[0].points}
     assert image == set(omega.parts[0].points)
     assert covers(omega.attractor, image_union(m, omega.attractor))
     print("ACCEPTANCE 9: PASS - the periodic part and 3-component attractor are exact and invariant")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -11,19 +12,21 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
-from lorenzmap.maps import (
-    SidedPoint,
-    beta_transformation,
-    iterate,
-    parse_map_text,
-    symmetric_map,
-)
-from lorenzmap.numerics import parse_scalar
+from lorenzmap.maps import beta_transformation, parse_map_text, symmetric_map
+from lorenzmap.numerics import format_scalar, parse_scalar
 
-from conftest import LONG_ORBIT_MAP_TEXT, piece_map
+from conftest import (
+    LONG_ORBIT_MAP_TEXT,
+    evaluate_orbit,
+    moved_to_minus_3_5,
+    multi_piece_maps,
+    piece_map,
+)
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
 
@@ -235,7 +238,7 @@ def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
     assert orbit["period"] == 662 and len(orbit["points"]) == 662
     m = parse_map_text(LONG_ORBIT_MAP_TEXT)
     flank_left = parse_scalar(orbit["flank_left"])
-    assert iterate(m, flank_left, 662) == SidedPoint(flank_left)
+    assert evaluate_orbit(m, flank_left, 662)[-1] == flank_left
 
 
 def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
@@ -576,3 +579,160 @@ def test_main_restores_the_int_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# -- mutated map texts ---------------------------------------------------------
+
+MAP_TEXT_MUTATIONS = (
+    "drop-key",
+    "unbalance",
+    "reorder",
+    "non-positive-slope",
+    "jump",
+    "limit-at-c",
+    "escape",
+    "c-outside",
+    "malformed-scalar",
+)
+BRANCH_SHAPE_ERRORS = (
+    "need one more breakpoint than pieces",
+    "slopes and intercepts must pair up",
+    "branch needs at least one piece",
+)
+MALFORMED_SCALARS = ("1/0", "abc", "1//2", "0x10", "--1", "1/2/3", "3/-", "1e", ".")
+
+
+def _map_fields(m) -> dict:
+    """A ``family = custom`` map text as mutable lists of values, by key."""
+    fields = {"family": ["custom"], "domain": [m.a, m.b], "c": [m.c]}
+    for side, branch in (("left", m.left), ("right", m.right)):
+        for name in ("breakpoints", "slopes", "intercepts"):
+            fields[f"{side}_{name}"] = list(getattr(branch, name))
+    return fields
+
+
+def _split_first_piece(bps: list, slopes: list, intercepts: list) -> None:
+    """Cut the first piece of a branch in two collinear halves: the same map."""
+    bps.insert(1, (bps[0] + bps[1]) / 2)
+    slopes.insert(0, slopes[0])
+    intercepts.insert(0, intercepts[0])
+
+
+def _mutate(fields: dict, mutation: str, data) -> tuple:
+    """Plant one fault in ``fields``; returns ``(kind, expected)``.
+
+    ``kind`` is ``"error"`` for a text that cannot be built into a map,
+    with ``expected`` a tuple of messages one of which the error holds,
+    and ``"violation"`` for a map that validation refuses, with
+    ``expected`` a part of the planted violation.
+    """
+    a, b = fields["domain"]
+    side = data.draw(st.sampled_from(("left", "right")))
+    bps = fields[f"{side}_breakpoints"]
+    slopes, intercepts = fields[f"{side}_slopes"], fields[f"{side}_intercepts"]
+    if mutation == "drop-key":
+        key = data.draw(st.sampled_from(sorted(fields)))
+        del fields[key]
+        if key == "family":
+            return "error", ("unknown family",)
+        return "error", (f"no {key!r} line",)
+    if mutation == "unbalance":
+        name = data.draw(st.sampled_from(("breakpoints", "slopes", "intercepts")))
+        values = fields[f"{side}_{name}"]
+        how = data.draw(st.sampled_from(("append", "pop", "no-pieces")))
+        if how == "append":
+            values.append(values[-1])
+        elif how == "pop":
+            values.pop()
+        else:  # counts that agree, but no piece at all
+            del bps[1:], slopes[:], intercepts[:]
+        return "error", BRANCH_SHAPE_ERRORS
+    if mutation == "reorder":
+        while len(bps) < 4:  # two internal breakpoints at least
+            _split_first_piece(bps, slopes, intercepts)
+        i = data.draw(st.integers(0, len(bps) - 2))
+        bps[i], bps[i + 1] = bps[i + 1], bps[i]
+        if 0 < i < len(bps) - 2:  # both ends kept
+            return "violation", f"{side} branch breakpoints are not strictly increasing"
+        return "violation", f"{side} branch domain does not tile its side of the domain"
+    if mutation == "non-positive-slope":
+        i = data.draw(st.integers(0, len(slopes) - 1))
+        slopes[i] = data.draw(st.sampled_from((F(0), F(-1, 3), -slopes[i])))
+        return "violation", f"{side} branch piece {i} is not strictly increasing"
+    shift = data.draw(st.sampled_from((F(-1, 7), F(1, 100), F(3))))
+    if mutation == "jump":
+        if len(slopes) == 1:
+            _split_first_piece(bps, slopes, intercepts)
+        i = data.draw(st.integers(1, len(slopes) - 1))
+        intercepts[i] += shift
+        at = format_scalar(bps[i])
+        return "violation", f"{side} branch discontinuous at breakpoint {at}"
+    if mutation == "limit-at-c":
+        # the whole branch moves, so it stays continuous but misses its
+        # one-sided value at c
+        intercepts[:] = [t + shift for t in intercepts]
+        if side == "left":
+            return "violation", "left limit at c is"
+        return "violation", "right limit at c is"
+    if mutation == "escape":
+        # the end piece is turned about its inner end until f(a) or f(b)
+        # lies one domain width outside; its slope stays above 1
+        i, end, inner = (0, a, bps[1]) if side == "left" else (-1, b, bps[-2])
+        target = a - (b - a) if side == "left" else b + (b - a)
+        y = slopes[i] * inner + intercepts[i]
+        slopes[i] = (target - y) / (end - inner)
+        intercepts[i] = y - slopes[i] * inner
+        name = "f(a)" if side == "left" else "f(b)"
+        return "violation", f"{name} = {format_scalar(target)} escapes the domain"
+    if mutation == "c-outside":
+        fields["c"] = [data.draw(st.sampled_from((a, b, a - 1, b + F(1, 3))))]
+        return "violation", "domain order violated: need a < c < b"
+    assert mutation == "malformed-scalar"
+    values = fields[data.draw(st.sampled_from(sorted(set(fields) - {"family"})))]
+    bad = data.draw(st.sampled_from(MALFORMED_SCALARS))
+    values[data.draw(st.integers(0, len(values) - 1))] = bad
+    return "error", (repr(bad),)
+
+
+def _map_text(fields: dict) -> str:
+    lines = []
+    for key, values in fields.items():
+        text = (v if isinstance(v, str) else format_scalar(v) for v in values)
+        lines.append(f"{key} = {' '.join(text)}")
+    return "\n".join(lines) + "\n"
+
+
+def _run_mutant(tmp_path_factory, text: str, command: str) -> tuple:
+    """``main`` on a map file holding ``text``: ``(exit code, stdout, stderr)``."""
+    path = tmp_path_factory.getbasetemp() / "mutant.map"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--map-file", str(path)]
+    if command == "classify":
+        argv += ["--x", "1/4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # a traceback would fail the test here
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(multi_piece_maps(), st.booleans(), st.data())
+def test_mutated_map_texts_exit_with_the_planted_fault(
+    tmp_path_factory, m, moved, data
+):
+    # every mutation is planted in its own copy of each drawn map
+    m = moved_to_minus_3_5(m) if moved else m
+    for mutation in MAP_TEXT_MUTATIONS:
+        fields = _map_fields(m)
+        kind, expected = _mutate(fields, mutation, data)
+        command = data.draw(st.sampled_from(("analyze", "classify")))
+        code, out, err = _run_mutant(tmp_path_factory, _map_text(fields), command)
+        assert code == cli.EXIT_INVALID_MAP and err == ""
+        report = json.loads(out)
+        assert report["status"] == "invalid-map"
+        if kind == "error":
+            assert any(message in report["error"] for message in expected), report
+            continue
+        if command == "analyze":
+            report = report["validation"]
+        assert any(expected in v for v in report["violations"]), report

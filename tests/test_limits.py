@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 
 from lorenzmap.cli import build_map, build_parser
 from lorenzmap.maps import (
-    SidedPoint,
-    Side,
+    BranchLabel,
     beta_transformation,
     evaluate,
     parse_map_text,
     symmetric_map,
+    word_orbit,
 )
 from lorenzmap.interval_dynamics import interval_orbit
 from lorenzmap.orbits import critical_pair
@@ -71,11 +71,8 @@ def test_alpha_classify_examples():
     assert alpha_classify(m, tower, F(1, 4)).label() == "E_1"
     assert alpha_classify(m, tower, F(9, 20)).label() == "I"
     assert alpha_classify(m, tower, F(23, 25)).label() == "I"
-    both_sides = {
-        alpha_classify(m, tower, SidedPoint(m.c, side)).kind
-        for side in (Side.MINUS, Side.PLUS)
-    }
-    assert both_sides == {AlphaKind.FULL_INTERVAL}
+    # c, read as c- or as c+, lies in every level interval
+    assert alpha_classify(m, tower, m.c).kind is AlphaKind.FULL_INTERVAL
 
 
 def test_alpha_classify_prime_map_is_all_full():
@@ -238,7 +235,7 @@ def test_omega_parts_are_exactly_invariant():
         m = symmetric_map(a)
         omega = omega_decomposition(m, renorm_tower(m))
         for part in omega.parts:
-            image = {evaluate(m, SidedPoint(x)) for x in part.points}
+            image = {evaluate(m, x) for x in part.points}
             assert image == set(part.points)
 
 
@@ -252,11 +249,17 @@ def test_attractor_absorbs():
         for _ in range(starts):
             x = F(rng.randint(0, 10**6), 10**6)
             for _ in range(transient):
-                x = evaluate(m, SidedPoint(x, Side.MINUS))
+                x = _step_reading_c_as_minus(m, x)
             assert attractor.contains(x)
             for _ in range(50):
-                x = evaluate(m, SidedPoint(x, Side.MINUS))
+                x = _step_reading_c_as_minus(m, x)
                 assert attractor.contains(x)
+
+
+def _step_reading_c_as_minus(m, x):
+    """``f(x)``, with ``c`` walked under ``L``, as ``c-``."""
+    label = BranchLabel.LEFT if x <= m.c else BranchLabel.RIGHT
+    return word_orbit(m, (label,), x)[1]
 
 
 def test_depth_report_all_periodic():
@@ -412,10 +415,10 @@ def _golden_case_maps() -> list:
 
 
 def _evaluate_walk(m, x) -> list:
-    orbit, y = [x], evaluate(m, SidedPoint(x))
+    orbit, y = [x], evaluate(m, x)
     while y != x:
         orbit.append(y)
-        y = evaluate(m, SidedPoint(y))
+        y = evaluate(m, y)
     return orbit
 
 

@@ -13,18 +13,15 @@ from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
     LorenzMap,
-    Side,
-    SidedPoint,
-    SideRequired,
     IntervalDoesNotStraddleC,
     beta_transformation,
     evaluate,
     inverse_images,
-    iterate,
     parse_map_text,
     rescale_to_unit,
     symmetric_map,
     validate_map,
+    word_orbit,
     word_pieces,
 )
 from lorenzmap.orbits import critical_orbit_values
@@ -32,7 +29,9 @@ from lorenzmap.renorm import renorm_tower
 
 from conftest import (
     cylinder_pieces,
+    evaluate_walk,
     interior_cuts,
+    label_word,
     moved_to_minus_3_5,
     multi_piece_maps,
     raw_eval,
@@ -73,9 +72,10 @@ def test_validate_reports_broken_boundary():
 def test_eval_examples():
     m = symmetric_map(F(3, 2))
     assert evaluate(m, F(3, 10)) == F(7, 10)
-    assert evaluate(m, SidedPoint(F(1, 2), Side.MINUS)) == F(1)
-    assert evaluate(m, SidedPoint(F(1, 2), Side.PLUS)) == F(0)
-    with pytest.raises(SideRequired):
+    # at c the label says which one-sided value is meant
+    assert word_orbit(m, (BranchLabel.LEFT,), F(1, 2)) == [F(1, 2), F(1)]
+    assert word_orbit(m, (BranchLabel.RIGHT,), F(1, 2)) == [F(1, 2), F(0)]
+    with pytest.raises(ValueError):
         evaluate(m, F(1, 2))
     with pytest.raises(ValueError):
         evaluate(m, F(3, 2))
@@ -83,35 +83,34 @@ def test_eval_examples():
 
 def test_iterate_examples():
     m = symmetric_map(F(3, 2))
-    assert iterate(m, SidedPoint(F(1, 2), Side.PLUS), 2).x == F(1, 4)
-    assert iterate(m, F(3, 10), 0).x == F(3, 10)
+    _minus, plus = critical_orbit_values(m, 2)
+    assert word_orbit(m, plus.word[:2], m.c)[2] == F(1, 4)
+    assert evaluate(m, m.a) == F(1, 4)  # after f(c+) = a
+    assert word_orbit(m, (), F(3, 10)) == [F(3, 10)]
     t = beta_transformation(F(6, 5), F(1, 10))
-    assert iterate(t, SidedPoint(t.c, Side.MINUS), 1).x == F(1)
+    assert word_orbit(t, (BranchLabel.LEFT,), t.c)[1] == F(1)
 
 
 def test_iterate_carries_side_through_exact_hits():
-    # f(1) = c exactly for this beta map, so the minus orbit continues as c-
+    # f(1) = c exactly for this beta map, so the orbit of c- continues as c-
     m = beta_transformation(F(6, 5), F(19, 55))
     assert evaluate(m, F(1)) == m.c
-    p = iterate(m, SidedPoint(m.c, Side.MINUS), 2)
-    assert p.x == m.c and p.side is Side.MINUS
-    with pytest.raises(SideRequired):
-        iterate(m, F(1), 2)  # unsided orbit cannot pass through c
+    minus, _plus = critical_orbit_values(m, 3)
+    assert minus.word[:3] == (BranchLabel.LEFT, BranchLabel.RIGHT, BranchLabel.LEFT)
+    assert word_orbit(m, minus.word[:3], m.c) == [m.c, F(1), m.c, F(1)]
+    with pytest.raises(ValueError):
+        evaluate(m, evaluate(m, F(1)))  # without a label an orbit cannot pass c
 
 
 def test_inverse_images_examples():
     m = symmetric_map(F(3, 2))
     hits = inverse_images(m, F(1, 2))
-    assert [(p.x, b) for p, b in hits] == [
-        (F(1, 6), BranchLabel.LEFT),
-        (F(5, 6), BranchLabel.RIGHT),
-    ]
+    assert hits == [(F(1, 6), BranchLabel.LEFT), (F(5, 6), BranchLabel.RIGHT)]
     hits = inverse_images(m, F(1, 10))
-    assert [(p.x, b) for p, b in hits] == [(F(17, 30), BranchLabel.RIGHT)]
-    hits = inverse_images(m, m.b)
-    assert len(hits) == 1 and hits[0][0] == SidedPoint(m.c, Side.MINUS)
-    hits = inverse_images(m, m.a)
-    assert hits == [(SidedPoint(m.c, Side.PLUS), BranchLabel.RIGHT)]
+    assert hits == [(F(17, 30), BranchLabel.RIGHT)]
+    # the one-sided preimages: c- of b, c+ of a
+    assert inverse_images(m, m.b) == [(m.c, BranchLabel.LEFT)]
+    assert inverse_images(m, m.a) == [(m.c, BranchLabel.RIGHT)]
     for y in (m.a - F(1, 10), m.b + F(1, 10)):
         with pytest.raises(ValueError, match="outside the domain"):
             inverse_images(m, y)
@@ -135,12 +134,23 @@ def test_branch_monotonicity_random():
 def test_inverse_images_contain_point_random():
     rng = random.Random(2)
     for m in (symmetric_map(F(8, 5)), beta_transformation(F(6, 5), F(1, 10))):
+        with pytest.raises(ValueError):
+            evaluate(m, m.c)
+        ys = [m.a, m.b]
         for _ in range(200):
             x = F(rng.randint(0, 10**6), 10**6)
             if x == m.c:
                 continue
             y = evaluate(m, x)
-            assert x in [p.x for p, _ in inverse_images(m, y)]
+            assert x in [p for p, _ in inverse_images(m, y)]
+            ys.append(y)
+        for y in ys:
+            # each preimage is mapped back to y by the branch its label names
+            for x, label in inverse_images(m, y):
+                branch = m.left if label is BranchLabel.LEFT else m.right
+                assert F(*branch.step(x.numerator, x.denominator)) == y
+        assert (m.c, BranchLabel.LEFT) in inverse_images(m, m.b)
+        assert (m.c, BranchLabel.RIGHT) in inverse_images(m, m.a)
 
 
 def test_sided_orbit_consistency():
@@ -149,8 +159,11 @@ def test_sided_orbit_consistency():
     for _ in range(50):
         x = F(rng.randint(0, 10**4), 10**4)
         j, k = rng.randint(0, 6), rng.randint(0, 6)
-        p = SidedPoint(x, Side.MINUS)
-        assert iterate(m, p, j + k) == iterate(m, iterate(m, p, j), k)
+        word = label_word(m, x, j + k)
+        orbit = word_orbit(m, word, x)
+        assert orbit == evaluate_walk(m, word, x)
+        rest = word_orbit(m, word[j:], orbit[j])
+        assert orbit == word_orbit(m, word[:j], x) + rest[1:]
 
 
 def return_pieces(m, ell, r):
@@ -202,8 +215,9 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
     m = LorenzMap(F(0), F(1), F(1, 2), left, right)
     assert validate_map(m).valid
     u, v = F(81, 200), F(11, 20)  # f^2(c+), f^2(c-)
-    assert iterate(m, SidedPoint(m.c, Side.PLUS), 2).x == u
-    assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == v
+    minus, plus = critical_orbit_values(m, 2)
+    assert word_orbit(m, plus.word[:2], m.c)[2] == u
+    assert word_orbit(m, minus.word[:2], m.c)[2] == v
     inner = rescale_to_unit(m, (u, v), return_pieces(m, 2, 2))
     assert validate_map(inner).valid
     assert inner.right.slopes == (F(121, 100), F(33, 25))
@@ -214,8 +228,8 @@ def test_multi_piece_rescale_splits_and_matches_pointwise():
         if t == inner.c:
             continue
         x = u + t * width
-        side = Side.MINUS if x < m.c else Side.PLUS
-        expect = (iterate(m, SidedPoint(x, side), 2).x - u) / width
+        word = (minus if x < m.c else plus).word[:2]
+        expect = (word_orbit(m, word, x)[2] - u) / width
         assert evaluate(inner, t) == expect
 
 
@@ -249,15 +263,13 @@ def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
         for x0, x1, s, t in pieces:
             x = x0 + (x1 - x0) * data.draw(inside)
             # images of interior points never land on c before the last step
-            orbit = [iterate(m, x, k).x for k in range(steps + 1)]
-            assert s * x + t == orbit[-1]
-            assert word == tuple(
-                BranchLabel.LEFT if y < m.c else BranchLabel.RIGHT for y in orbit[:-1]
-            )
+            assert word == label_word(m, x, steps)
+            assert s * x + t == evaluate_walk(m, word, x)[-1]
             # f^steps is increasing on the piece, so every image of an end
-            # that sits on c is approached from inside: c+ at x0, c- at x1
-            assert s * x0 + t == iterate(m, SidedPoint(x0, Side.PLUS), steps).x
-            assert s * x1 + t == iterate(m, SidedPoint(x1, Side.MINUS), steps).x
+            # that sits on c is approached from inside, and the word's
+            # label there says so: c+ at x0, c- at x1
+            assert s * x0 + t == evaluate_walk(m, word, x0)[-1]
+            assert s * x1 + t == evaluate_walk(m, word, x1)[-1]
     # the words' pieces tile [lo, hi]
     tiles.sort()
     assert tiles[0][0] == lo and tiles[-1][1] == hi
@@ -282,8 +294,10 @@ def _assert_exact_evaluations(m, branch, x):
     # an unreduced pair would make this Fraction unequal to the value
     assert reduced_fraction(n, d) == expected
     assert branch.value(x) == expected
-    side = Side.MINUS if branch is m.left else Side.PLUS
-    assert evaluate(m, SidedPoint(x, side)) == expected
+    label = BranchLabel.LEFT if branch is m.left else BranchLabel.RIGHT
+    assert word_orbit(m, (label,), x)[1] == expected
+    if x != m.c:
+        assert evaluate(m, x) == expected
 
 
 def _assert_left_piece_at_breakpoints(branch):
@@ -337,10 +351,13 @@ def test_integer_step_at_every_breakpoint_of_the_ranking_corpus(ranking_corpus):
 
 
 def _assert_sides_and_domain_errors(m, eps):
-    """``c±`` give ``b`` and ``a``, unsided ``c`` and points past the ends raise."""
-    assert evaluate(m, SidedPoint(m.c, Side.MINUS)) == m.b == reference_value(m.left, m.c)
-    assert evaluate(m, SidedPoint(m.c, Side.PLUS)) == m.a == reference_value(m.right, m.c)
-    with pytest.raises(SideRequired):
+    """``c`` gives ``b`` under ``L`` and ``a`` under ``R``; ``evaluate`` at
+    ``c`` and points past the ends raise."""
+    minus = word_orbit(m, (BranchLabel.LEFT,), m.c)
+    plus = word_orbit(m, (BranchLabel.RIGHT,), m.c)
+    assert minus[1] == m.b == reference_value(m.left, m.c)
+    assert plus[1] == m.a == reference_value(m.right, m.c)
+    with pytest.raises(ValueError):
         evaluate(m, m.c)
     for branch in (m.left, m.right):
         x = branch.lo - eps

@@ -8,12 +8,9 @@ from hypothesis import assume, example, given, settings
 
 from lorenzmap import orbits, periods
 from lorenzmap.maps import (
-    Side,
-    SidedPoint,
-    SideRequired,
+    BranchLabel,
     beta_transformation,
     evaluate,
-    iterate,
     parse_map_text,
     symmetric_map,
 )
@@ -30,6 +27,8 @@ from lorenzmap.renorm import renorm_tower
 from conftest import (
     beta_params,
     cylinder_pieces,
+    evaluate_orbit,
+    evaluate_walk,
     map_piece_table,
     multi_piece_maps,
     piece_fixed_points,
@@ -94,9 +93,9 @@ def test_minimal_orbit_symmetric_closed_form():
         assert orbit.period == 2 and orbit.itinerary == "LR"
         assert len(orbit.points) == 2
     orbit = minimal_periodic_orbit(symmetric_map(F(3, 2)), 2)
-    assert orbit.values() == (F(3, 10), F(7, 10))
+    assert orbit.points == (F(3, 10), F(7, 10))
     orbit = minimal_periodic_orbit(symmetric_map(F(6, 5)), 2)
-    assert orbit.values() == (F(3, 11), F(8, 11))
+    assert orbit.points == (F(3, 11), F(8, 11))
 
 
 def test_minimal_orbit_walks_each_orbit_once(monkeypatch):
@@ -110,7 +109,7 @@ def test_minimal_orbit_walks_each_orbit_once(monkeypatch):
     monkeypatch.setattr(periods, "word_orbit", recording)
     # two candidates, 3/11 and 8/11, on one orbit
     orbit = minimal_periodic_orbit(symmetric_map(F(6, 5)), 2)
-    assert orbit.values() == (F(3, 11), F(8, 11)) and len(walks) == 1
+    assert orbit.points == (F(3, 11), F(8, 11)) and len(walks) == 1
     walks.clear()
     orbit = minimal_periodic_orbit(beta_transformation(F(6, 5), F(1, 10)), 5)
     assert len(orbit.points) == 5 and len(walks) == 1
@@ -119,7 +118,7 @@ def test_minimal_orbit_walks_each_orbit_once(monkeypatch):
 def test_minimal_orbit_beta_five_cycle():
     m = beta_transformation(F(6, 5), F(1, 10))
     orbit = minimal_periodic_orbit(m, 5)
-    assert orbit.values() == (
+    assert orbit.points == (
         F(1599, 9302),
         F(2849, 9302),
         F(4349, 9302),
@@ -128,8 +127,8 @@ def test_minimal_orbit_beta_five_cycle():
     )
     assert orbit.itinerary == "LLLLR"
     assert orbit.flank_left == F(6149, 9302) and orbit.flank_right == F(8309, 9302)
-    for p in orbit.points:
-        assert iterate(m, p, 5).x == p.x
+    for x in orbit.points:
+        assert evaluate_orbit(m, x, 5)[5] == x
 
 
 def test_minimal_orbit_through_discontinuity():
@@ -138,10 +137,10 @@ def test_minimal_orbit_through_discontinuity():
     res = minimal_period(m)
     assert res.kappa == 2 and res.m == 0
     orbit = minimal_periodic_orbit(m, 2)
-    assert orbit.values() == (F(6, 11), F(1))
-    assert orbit.points[0].side is Side.MINUS
+    assert orbit.points == (F(6, 11), F(1)) and orbit.points[0] == m.c
+    # c is walked under L, as c-
     assert orbit.itinerary == "LR"
-    assert iterate(m, SidedPoint(m.c, Side.MINUS), 2).x == m.c
+    assert evaluate(m, m.b) == m.c  # back to c after f(c-) = b
 
 
 def _assert_minimal_orbit_matches_word_oracle(m, table):
@@ -151,9 +150,9 @@ def _assert_minimal_orbit_matches_word_oracle(m, table):
     for n in range(1, kappa):
         assert word_periodic_points(table, n) == {}
     orbit = minimal_periodic_orbit(m, kappa)
-    assert all(p.side is None for p in orbit.points)
+    assert m.c not in orbit.points
     expect = word_periodic_points(table, kappa)
-    assert orbit.values() == tuple(sorted(x for x, n in expect.items() if n == kappa))
+    assert orbit.points == tuple(sorted(x for x, n in expect.items() if n == kappa))
     return orbit
 
 
@@ -161,11 +160,11 @@ def test_periodic_points_examples():
     orbit = _assert_minimal_orbit_matches_word_oracle(
         symmetric_map(F(3, 2)), two_piece_table(sym_params(F(3, 2)))
     )
-    assert orbit.values() == (F(3, 10), F(7, 10))
+    assert orbit.points == (F(3, 10), F(7, 10))
     orbit = _assert_minimal_orbit_matches_word_oracle(
         symmetric_map(F(6, 5)), two_piece_table(sym_params(F(6, 5)))
     )
-    assert orbit.values() == (F(3, 11), F(8, 11))
+    assert orbit.points == (F(3, 11), F(8, 11))
 
 
 def test_periodic_points_against_word_oracle():
@@ -197,42 +196,31 @@ def test_minimal_orbit_rejects_wrong_period():
 def _straight_minimal_orbit(m, kappa):
     """``minimal_periodic_orbit`` step by step, or the exception type it raises.
 
-    Every affine solution of ``f^kappa`` is checked with ``iterate``, its
-    least period is the least divisor ``d`` with ``iterate(m, p, d)`` back
-    at ``p``, and its orbit is walked with ``evaluate``.
+    Every affine solution of ``f^kappa`` on a cylinder is walked with
+    ``evaluate`` along the cylinder's word (``evaluate_walk``: a point at
+    ``c`` is ``c-`` under ``L`` and ``c+`` under ``R``), and its least
+    period is the least divisor ``d`` with the walk back at it after
+    ``d`` steps.  Each orbit is kept as its points with their letters.
     """
-    found = {}
-    for lo, hi, s, t, _word in cylinder_pieces(m, m.a, m.b, kappa):
+    orbits, divisors = set(), [d for d in range(1, kappa + 1) if kappa % d == 0]
+    for lo, hi, s, t, word in cylinder_pieces(m, m.a, m.b, kappa):
         if s == 1 or not lo <= (x := t / (1 - s)) <= hi:
             continue
-        p = SidedPoint(x)
-        try:
-            iterate(m, p, kappa)
-        except SideRequired:
-            assert x in (lo, hi)
-            p = SidedPoint(x, Side.PLUS if x == lo else Side.MINUS)
-        if iterate(m, p, kappa).x != x:
-            continue
-        divisors = [d for d in range(1, kappa + 1) if kappa % d == 0]
-        least = next(d for d in divisors if iterate(m, p, d).x == x)
-        found.setdefault((p.x, p.side), (p, least))
-    if any(least < kappa for _p, least in found.values()):
-        return ValueError
-    orbits = set()
-    for p, _least in found.values():
-        orbit = [p]
-        while len(orbit) < kappa:
-            orbit.append(SidedPoint(evaluate(m, orbit[-1]), p.side))
-        orbits.add(tuple(sorted(orbit, key=lambda q: q.x)))
+        walk = evaluate_walk(m, word, x)
+        assert walk[kappa] == x
+        if next(d for d in divisors if walk[d] == x) < kappa:
+            return ValueError
+        orbits.add(tuple(sorted(zip(walk, word), key=lambda point: point[0])))
     if len(orbits) != 1:
         return UniquenessViolated
-    (points,) = orbits
-    left = [q.x < m.c or (q.x == m.c and q.side is Side.MINUS) for q in points]
+    (labelled,) = orbits
+    points = tuple(x for x, _label in labelled)
+    left = [label is BranchLabel.LEFT for _x, label in labelled]
     if all(left) or not any(left):
         return UniquenessViolated
     itinerary = "".join("L" if is_left else "R" for is_left in left)
-    flank_left = max(q.x for q, is_left in zip(points, left) if is_left)
-    flank_right = min(q.x for q, is_left in zip(points, left) if not is_left)
+    flank_left = max(x for x, is_left in zip(points, left) if is_left)
+    flank_right = min(x for x, is_left in zip(points, left) if not is_left)
     return PeriodicOrbit(points, kappa, itinerary, flank_left, flank_right)
 
 
@@ -255,16 +243,21 @@ def test_minimal_orbit_matches_straight_reference(sample_maps):
     maps.append(beta_transformation(F(6, 5), F(19, 55)))  # 2-orbit through c-
     maps.append(beta_transformation(F(6, 5), F(5, 11)))  # its mirror, through c+
     orbits = []
+    letters_at_c = set()  # the letter of c in each orbit, None when c is no point
     for m in maps:
         kappa = minimal_period(m).kappa
         assert kappa is not None and kappa > 1
-        orbits.append(_assert_minimal_orbit_is_straight(m, kappa))
+        orbit = _assert_minimal_orbit_is_straight(m, kappa)
+        orbits.append(orbit)
+        if isinstance(orbit, PeriodicOrbit):
+            at_c = orbit.points.index(m.c) if m.c in orbit.points else None
+            letters_at_c.add(None if at_c is None else orbit.itinerary[at_c])
         if kappa <= 5:  # any other period is refused
             for n in (kappa + 1, 2 * kappa):
                 with pytest.raises(ValueError):
                     minimal_periodic_orbit(m, n)
     assert all(isinstance(o, PeriodicOrbit) for o in orbits)
-    assert {p.side for o in orbits for p in o.points} == {None, Side.MINUS, Side.PLUS}
+    assert letters_at_c == {None, "L", "R"}
 
 
 def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):

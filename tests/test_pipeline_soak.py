@@ -7,7 +7,7 @@ frozen expected values.
 
 from fractions import Fraction as F
 
-from lorenzmap.maps import SidedPoint, evaluate, validate_map
+from lorenzmap.maps import evaluate, validate_map
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import renorm_tower
 from lorenzmap.limits import (
@@ -17,6 +17,7 @@ from lorenzmap.limits import (
     orbit_unions,
 )
 
+from conftest import evaluate_orbit
 from paper_checks import (
     StructureKind,
     covers,
@@ -51,7 +52,7 @@ def test_full_pipeline_invariants(sample_maps):
         if unions:
             assert omega.attractor.pairs() == unions[-1].pairs()
         for part in omega.parts:
-            image = {evaluate(m, SidedPoint(x)) for x in part.points}
+            image = {evaluate(m, x) for x in part.points}
             assert image == set(part.points)
 
         # these families renormalize periodically or not at all, so every
@@ -86,7 +87,7 @@ def test_pipeline_is_conjugation_equivariant():
     period = minimal_period(m)
     assert period.kappa == 2
     orbit = minimal_periodic_orbit(m, 2)
-    assert orbit.values() == (h(F(3, 11)), h(F(8, 11)))
+    assert orbit.points == (h(F(3, 11)), h(F(8, 11)))
 
     tower = tower_of(m, period=period)
     assert len(tower) == 1
@@ -112,7 +113,7 @@ def test_pipeline_is_conjugation_equivariant():
 def test_asymmetric_two_piece_maps():
     # asymmetric slopes and off-center discontinuities, with larger minimal
     # periods than the symmetric family ever shows
-    from lorenzmap.maps import BranchFn, LorenzMap, iterate
+    from lorenzmap.maps import BranchFn, LorenzMap
     from lorenzmap.renorm import minimal_renormalization
 
     cases = [
@@ -136,5 +137,5 @@ def test_asymmetric_two_piece_maps():
         if result.found:
             step = result.step
             assert step.periodic  # piecewise-linear maps renormalize periodically
-            assert iterate(m, step.e_minus, step.ell).x == step.e_minus
-            assert iterate(m, step.e_plus, step.r).x == step.e_plus
+            assert evaluate_orbit(m, step.e_minus, step.ell)[-1] == step.e_minus
+            assert evaluate_orbit(m, step.e_plus, step.r)[-1] == step.e_plus

@@ -11,10 +11,7 @@ from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
     LorenzMap,
-    Side,
-    SidedPoint,
     beta_transformation,
-    iterate,
     parse_map_text,
     symmetric_map,
     validate_map,
@@ -44,6 +41,7 @@ from lorenzmap.orbits import (
 
 from conftest import (
     LONG_ORBIT_MAP_TEXT,
+    evaluate_orbit,
     multi_piece_maps,
     piece_map,
     reference_value,
@@ -214,13 +212,12 @@ def test_roundtrip_exactness_on_found_steps(sample_maps):
         if not res.found:
             continue
         step = res.step
-        assert iterate(m, step.e_minus, step.ell).x == step.e_minus
-        assert iterate(m, step.e_plus, step.r).x == step.e_plus
+        assert evaluate_orbit(m, step.e_minus, step.ell)[-1] == step.e_minus
+        assert evaluate_orbit(m, step.e_plus, step.r)[-1] == step.e_plus
         assert validate_map(step.inner_map).valid
         assert step.e_minus <= step.u < m.c < step.v <= step.e_plus
         if step.periodic:
-            orbit_values = {p.x for p in orbit.points}
-            assert {step.e_minus, step.e_plus} <= orbit_values
+            assert {step.e_minus, step.e_plus} <= set(orbit.points)
 
 
 def test_beta_family_renormalizes_only_periodically(sample_maps):
@@ -236,13 +233,16 @@ def test_beta_family_renormalizes_only_periodically(sample_maps):
 
 
 class _ExactOrbit:
-    """A critical orbit iterated on reference values, with its branch word."""
+    """A critical orbit iterated on reference values, with its branch word.
 
-    def __init__(self, m, side, length):
+    ``first`` is the orbit's label at ``c``: ``L`` for ``c-``, ``R`` for ``c+``.
+    """
+
+    def __init__(self, m, first, length):
         self.values, word = [m.c], []
         for _ in range(length):
             x = self.values[-1]
-            left = x < m.c or (x == m.c and side is Side.MINUS)
+            left = x < m.c or (x == m.c and first is BranchLabel.LEFT)
             word.append(BranchLabel.LEFT if left else BranchLabel.RIGHT)
             self.values.append(reference_value(m.left if left else m.right, x))
         self.word = tuple(word)
@@ -252,7 +252,7 @@ class _ExactOrbit:
 
 
 def _exact_orbits(m, length):
-    return _ExactOrbit(m, Side.MINUS, length), _ExactOrbit(m, Side.PLUS, length)
+    return tuple(_ExactOrbit(m, first, length) for first in BranchLabel)
 
 
 def _exact_search(m, bound):
@@ -364,8 +364,8 @@ def _assert_kappa_rule_matches_flanks(m):
         assert not res.fast_path
         return None
     orbit = minimal_periodic_orbit(m, kappa)
-    u = iterate(m, SidedPoint(m.c, Side.PLUS), kappa).x
-    v = iterate(m, SidedPoint(m.c, Side.MINUS), kappa).x
+    minus, plus = _exact_orbits(m, kappa)
+    u, v = plus.exact(kappa), minus.exact(kappa)
     flanked = orbit.flank_left <= u and v <= orbit.flank_right
     assert res.fast_path is flanked
     if flanked:

@@ -20,6 +20,7 @@ turns it into that ``Fraction`` without normalising it again.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Scalar = Fraction
@@ -29,12 +30,29 @@ class PrecisionExhausted(Exception):
     """An input is known only to finite precision, so no order is certified."""
 
 
+# CPython's default limit on the digits of an int: an exponent past it
+# would build an integer of more digits than that before any check
+# runs.  It has four digits, so a longer exponent is refused unread.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``p/q`` or a decimal string into an exact rational."""
+    """Parse ``p/q`` or a decimal string into an exact rational.
+
+    ``Fraction`` multiplies a decimal exponent out, so an exponent of
+    absolute value above :data:`MAX_DECIMAL_EXPONENT` is refused first.
+    """
+    token = text.strip()
+    exponent = _EXPONENT.search(token)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent out of range in {token!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(token)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 _new = object.__new__

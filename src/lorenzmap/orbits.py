@@ -88,7 +88,8 @@ class CriticalOrbit:
     ``c-`` and ``R`` for ``c+``, and every visit of ``c`` takes that
     branch: an orbit landing on ``c`` continues as the one-sided limit it
     started from.  :meth:`extend` iterates further at the same precision,
-    up to the ``horizon`` that precision was chosen for.  :meth:`exact`
+    up to the ``horizon`` that precision was chosen for, with the
+    ``(left, right)`` pair of ``branches`` scaled to it.  :meth:`exact`
     computes the exact iterates up to the one asked for, once, along the
     word (:func:`~lorenzmap.maps.word_orbit`; at ``c`` that gives
     ``f(c-) = b`` and ``f(c+) = a``).
@@ -96,7 +97,7 @@ class CriticalOrbit:
 
     def __init__(
         self, m: LorenzMap, first: BranchLabel, precision: int, horizon: int,
-        branches: dict,
+        branches: tuple,
     ):
         self.precision, self.horizon = precision, horizon
         self._m, self._c, self._first, self._branches = m, m.c, first, branches
@@ -113,7 +114,8 @@ class CriticalOrbit:
         """Iterate until ``f^length(c±)`` is enclosed."""
         if length > self.horizon:
             raise AssertionError("past the precision horizon: build a new orbit")
-        bounds, word, branches, c = self.bounds, self._word, self._branches, self._c
+        bounds, word, c = self.bounds, self._word, self._c
+        left_branch, right_branch = self._branches
         c_lo, c_hi = self._c_bounds
         lo, hi = bounds[-1]
         for i in range(len(word), length):
@@ -125,9 +127,12 @@ class CriticalOrbit:
                 x = self.exact(i)
                 lo, hi = bounds[i] = enclose(x, self.precision)
                 left = x < c or (x == c and self._first is BranchLabel.LEFT)
-            label = BranchLabel.LEFT if left else BranchLabel.RIGHT
-            word.append(label)
-            lo, hi = branches[label].image(lo, hi)
+            if left:
+                word.append(BranchLabel.LEFT)
+                lo, hi = left_branch.image(lo, hi)
+            else:
+                word.append(BranchLabel.RIGHT)
+                lo, hi = right_branch.image(lo, hi)
             bounds.append((lo, hi))
 
     def exact(self, i: int) -> Scalar:
@@ -148,10 +153,7 @@ def critical_orbit_values(m: LorenzMap, length: int):
     horizon = 2 * length
     steepest = max(m.left.slopes + m.right.slopes)
     precision = _GUARD_BITS + horizon * (math.ceil(steepest) - 1).bit_length()
-    branches = {
-        BranchLabel.LEFT: _ScaledBranch(m.left, precision),
-        BranchLabel.RIGHT: _ScaledBranch(m.right, precision),
-    }
+    branches = (_ScaledBranch(m.left, precision), _ScaledBranch(m.right, precision))
     pair = tuple(
         CriticalOrbit(m, first, precision, horizon, branches)
         for first in (BranchLabel.LEFT, BranchLabel.RIGHT)

@@ -19,10 +19,15 @@ times: a first return keeps every earlier iterate of ``c±`` off
 ``(u, v)``, so ``r`` must be a time at which the ``c+`` orbit comes at
 least as close to ``c`` from the left as at every earlier time, and
 ``ell`` the same for the ``c-`` orbit from the right
-(:func:`_record_times`).  Every valid pair is such a pair, so the walk
-finds the same first pair, and finding none still proves "prime up to
-bound".  Consecutive minimal renormalizations of the rescaled inner maps
-form the tower.
+(:func:`_record_times`).  And expansion bounds both return times: with
+``λ`` the least slope, ``λ^-ell + λ^-r >= 1``, so no entry of a valid
+pair exceeds ``N(λ) = max{n : λ^-2 + λ^-n >= 1}`` (:func:`_pair_bound`).
+So the search stops at ``min(bound, N(λ))``, and for ``λ^2 > 2`` it
+rules on no pair.  Every valid pair is among those searched, so the
+walk finds the same first pair, and finding none still proves "prime up
+to bound"; the answer keeps that name even where ``N(λ)`` cut the search
+and so proves primality outright.  Consecutive minimal renormalizations
+of the rescaled inner maps form the tower.
 
 Every condition on a pair is an order relation between the points
 ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and ``c``, so the pair search
@@ -210,14 +215,47 @@ def _record_times(c, minus, plus, bound: int) -> tuple:
     return left, right
 
 
+def _pair_bound(m: LorenzMap, bound: int) -> int:
+    """``min(bound, N(λ))`` for the least piece slope ``λ`` of ``m``.
+
+    ``N(λ) = max{n : λ^-2 + λ^-n >= 1}``, and no valid pair has an entry
+    past it.  Let ``(ell, r)`` pass :func:`_pair_failure`.  Then
+    ``f^ell`` is continuous on ``[u, c)``, every slope of it is a
+    product of ``ell`` piece slopes, so at least ``λ^ell``, and it maps
+    ``[u, c)`` into ``[u, v]``; so ``λ^ell·(c - u) <= v - u``.  The
+    mirror statement for ``f^r`` on ``(c, v]`` gives
+    ``λ^r·(v - c) <= v - u``.  Adding the two gives
+    ``λ^-ell + λ^-r >= 1``.  With ``r >= 2``, ``λ^-r <= λ^-2``, so
+    ``λ^-2 + λ^-ell >= 1`` and ``ell <= N(λ)``; the same holds for
+    ``r``.  For ``λ^2 > 2`` even ``(2, 2)`` fails the bound, and the
+    result is below 2: no pair at all.
+
+    With ``λ = p/q`` the test ``λ^-2 + λ^-n >= 1``, that is
+    ``λ^n <= λ^2 / (λ^2 - 1)``, reads ``p^(n-2)·(p^2 - q^2) <= q^n`` on
+    integers, so it is decided exactly.  It holds for every ``n`` when
+    ``λ <= 1`` (no validated map has such a slope), and then the
+    result is ``bound``.
+    """
+    slope = min(m.left.slopes + m.right.slopes)
+    p, q = slope.numerator, slope.denominator
+    n, lhs, rhs = 1, p * p - q * q, q * q  # both sides of the test for n + 1
+    while n < bound and lhs <= rhs:
+        n, lhs, rhs = n + 1, lhs * p, rhs * q
+    return n
+
+
 def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     """The first valid pair of record times in ``[2, bound]``, or None.
 
-    The record times need the first ``bound`` steps of the critical
-    orbits, and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the
-    map's pair is grown to ``bound`` steps and then only to
-    ``max(L) + max(R)``.
+    No valid pair has an entry past ``n = _pair_bound(m, bound)``, so
+    the pairs in ``[2, n]`` are searched, and below ``n = 2`` none is.
+    The record times need the first ``n`` steps of the critical orbits,
+    and a pair ``(ell, r)`` reads them up to ``ell + r``.  So the map's
+    pair is grown to ``n`` steps and then only to ``max(L) + max(R)``.
     """
+    bound = _pair_bound(m, bound)
+    if bound < 2:
+        return None
     critical = critical_pair(m)
     _a, _b, c, minus_rank, plus_rank = critical.ranks(bound)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
@@ -247,10 +285,13 @@ def minimal_renormalization(
     outright.  Otherwise pairs are searched in increasing ``ell + r``
     (ties by ``ell``), and the first valid pair is the minimal one.  Only
     pairs of critical-orbit record times are ruled on: every valid pair
-    is one (see :func:`_record_times`), so skipping the others changes
-    neither the pair found nor the "prime up to bound" answer.  Both
-    rulings read the ranks of the map's pair, grown to ``2·kappa`` steps
-    for the first one.
+    is one (see :func:`_record_times`), and no entry of a valid pair
+    exceeds ``N(λ)`` (see :func:`_pair_bound`), so the search stops at
+    ``min(bound, N(λ))``.  Skipping the other pairs changes neither the
+    pair found nor the "prime up to bound" answer; ``prime_bound`` still
+    reports ``bound``, and it holds, since no valid pair lies past ``N(λ)``.
+    Both rulings read the ranks of the map's pair, grown to ``2·kappa``
+    steps for the first one.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
@@ -379,8 +420,11 @@ def decide_trichotomy(
     the set is the minimal orbit; otherwise it is a Cantor set).  The
     pair search runs exhaustively in increasing ``ell + r``, so a step
     it finds is the minimal one even when the period is undetermined.
-    With nothing found the honest answer is "prime up to the search
-    bound": primality has no finite certificate.
+    With nothing found the answer is "prime up to the search bound".
+    The search stops at ``N(λ)`` where that is below the bound, and no
+    valid pair lies past it (:func:`_pair_bound`), so there the answer
+    is in fact a certificate of primality; it keeps the bounded name
+    until the report says which bound decided.
     """
     if period.kappa == 1:
         return Trichotomy.PRIME

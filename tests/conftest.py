@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from lorenzmap.cli import build_map, build_parser
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -38,7 +40,8 @@ from lorenzmap.maps import (
 )
 from lorenzmap.renorm import renorm_tower
 
-GOLDEN_MAPS = Path(__file__).parent / "golden" / "maps"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MAPS = GOLDEN / "maps"
 
 # params = (c, slope_left, intercept_left, slope_right, intercept_right) on [0, 1]
 
@@ -255,6 +258,19 @@ def raw_cover_steps(params, lo, hi, cap):
         if total == [(F(0), F(1))]:
             return n
     return None
+
+
+def golden_case_maps() -> list:
+    """The map of every golden ``analyze`` or ``classify`` case that exits 0."""
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    maps = []
+    for case in cases:
+        if case["argv"][0] in ("analyze", "classify") and case["exit"] == 0:
+            args = build_parser().parse_args(case["argv"])
+            if args.map_file:
+                args.map_file = str(GOLDEN.parent.parent / args.map_file)
+            maps.append(build_map(args)[0])
+    return maps
 
 
 def piece_map(integer, near_unit=False):

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -21,6 +22,7 @@ from lorenzmap.maps import beta_transformation, parse_map_text, symmetric_map
 from lorenzmap.numerics import format_scalar, parse_scalar
 
 from conftest import (
+    GOLDEN_MAPS,
     LONG_ORBIT_MAP_TEXT,
     evaluate_orbit,
     moved_to_minus_3_5,
@@ -194,6 +196,27 @@ def test_unparseable_map_exit_code(capsys):
     code, out = run_cli(capsys, "analyze", "--family", "symmetric")
     assert code == 2
     assert json.loads(out)["status"] == "invalid-map"
+
+
+@pytest.mark.parametrize("source", ["flag", "map-file"])
+def test_huge_decimal_exponent_is_refused_at_once(capsys, tmp_path, source):
+    # multiplied out, 1.5e100000 alone took 1.4 s and echoed 700 kB
+    if source == "flag":
+        argv = ["analyze", "--family", "symmetric", "--a", "1.5e100000"]
+    else:
+        text = (GOLDEN_MAPS / "custom15.map").read_text()
+        huge = tmp_path / "huge.map"
+        huge.write_text(text.replace("5/16", "3125e-10000000"))
+        argv = ["analyze", "--map-file", str(huge)]
+    start = time.perf_counter()
+    code = main(argv)
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "invalid-map"
+    assert "decimal exponent out of range" in report["error"]
+    assert seconds < 0.5
 
 
 def test_precision_exhausted_exit_code(capsys, tmp_path):

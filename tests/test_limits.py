@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import random
 import weakref
 from fractions import Fraction as F
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from lorenzmap.cli import build_map, build_parser
 from lorenzmap.maps import (
     BranchLabel,
     beta_transformation,
@@ -39,7 +37,12 @@ from lorenzmap.limits import (
     orbit_unions,
 )
 
-from conftest import LONG_ORBIT_MAP_TEXT, multi_piece_maps, piece_map
+from conftest import (
+    LONG_ORBIT_MAP_TEXT,
+    golden_case_maps,
+    multi_piece_maps,
+    piece_map,
+)
 from paper_checks import (
     StructureKind,
     covers,
@@ -401,19 +404,6 @@ def test_membership_requires_rational():
         membership_E(m, tower, 1, 0.25)
 
 
-def _golden_case_maps() -> list:
-    """The map of every golden ``analyze`` or ``classify`` case that exits 0."""
-    cases = json.loads((ROOT / "tests" / "golden" / "cases.json").read_text())
-    maps = []
-    for case in cases:
-        if case["argv"][0] in ("analyze", "classify") and case["exit"] == 0:
-            args = build_parser().parse_args(case["argv"])
-            if args.map_file:
-                args.map_file = str(ROOT / args.map_file)
-            maps.append(build_map(args)[0])
-    return maps
-
-
 def _evaluate_walk(m, x) -> list:
     orbit, y = [x], evaluate(m, x)
     while y != x:
@@ -434,7 +424,7 @@ def test_level_orbit_is_the_sorted_evaluate_walk():
                 count += 1
         return count
 
-    maps = _golden_case_maps() + [symmetric_map(F(198, 197))]
+    maps = golden_case_maps() + [symmetric_map(F(198, 197))]
     assert len(maps) >= 25 and checked_levels(maps) >= 40
     rng = random.Random(34)
     near_unit = [piece_map(rng.randint, near_unit=True) for _ in range(200)]

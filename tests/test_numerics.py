@@ -70,6 +70,11 @@ def test_fixed_precision_decimal_exhausts_inside_its_radius():
 def test_parse_and_format():
     assert parse_scalar("3/5") == F(3, 5)
     assert parse_scalar("1.07") == F(107, 100)
+    assert parse_scalar("1e-4300") == F(1, 10**4300)
+    assert parse_scalar("25E+0_02") == F(2500)
+    for huge in ("1e4301", "1.5E-4301", "1e10000000", "2e0000043010"):
+        with pytest.raises(ValueError, match="decimal exponent out of range"):
+            parse_scalar(huge)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
     assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"

@@ -18,6 +18,7 @@ from lorenzmap.maps import (
 )
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
+    DEFAULT_PAIR_BOUND,
     TowerTerminal,
     Trichotomy,
     classify_trichotomy,
@@ -25,6 +26,7 @@ from lorenzmap.renorm import (
     minimal_renormalization,
     renorm_tower,
     _build_step,
+    _pair_bound,
     _pair_failure,
     _record_times,
     _search_pairs,
@@ -42,6 +44,7 @@ from lorenzmap.orbits import (
 from conftest import (
     LONG_ORBIT_MAP_TEXT,
     evaluate_orbit,
+    golden_case_maps,
     multi_piece_maps,
     piece_map,
     reference_value,
@@ -326,7 +329,7 @@ def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
         m for m in ranking_corpus if len(m.left.slopes) > 1 or len(m.right.slopes) > 1
     ]
     assert len(multi_piece) >= 4
-    valid = 0
+    valid = cut = 0
     for m in ranking_corpus:
         minus, plus = critical_orbit_values(m, 48)
         exact_minus, exact_plus = _exact_orbits(m, 48)
@@ -339,8 +342,11 @@ def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
                 ranked = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
                 assert ranked == exact, (m, ell, r)
                 valid += exact is None
-        assert _search_pairs(m, 24) == _exact_search(m, 24)
-    assert valid > 0
+        # the default bound is where N(λ) cuts the search
+        for bound in (24, DEFAULT_PAIR_BOUND):
+            assert _search_pairs(m, bound) == _exact_search(m, bound)
+        cut += _pair_bound(m, DEFAULT_PAIR_BOUND) < DEFAULT_PAIR_BOUND
+    assert valid > 0 and cut >= 100  # 112 of the 124 maps
 
 
 def test_enclosures_hold_the_exact_orbits(ranking_corpus):
@@ -464,15 +470,17 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
             ["--family", "symmetric", "--a", "198/197"],
             [8, 512],
         ),
-        # fast path fails, the search asks for bound steps: horizon 2·bound
-        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [8, 128]),
-        # minimal period capped: the search finds level 1, and the unions
-        # grow the same pair instead of building another
+        # fast path fails, and slope 3/2 > √2 leaves no pair to search:
+        # N(3/2) = 1, so the search builds nothing
+        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [8]),
+        # minimal period capped: the search finds level 1 within N(23/20) = 10
+        # steps, horizon 2·10, and the unions grow the same pair instead of
+        # building another
         (
             beta_transformation(F(23, 20), F(7, 40)),
             ["--family", "beta", "--beta", "23/20", "--alpha", "7/40"]
             + ["--hit-cap", "1"],
-            [128],
+            [20],
         ),
     ],
 )
@@ -550,18 +558,73 @@ def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):
             step = _search_pairs(fresh, bound)
             assert step == _exact_search(m, bound)
             critical = critical_pair(fresh)
+            # the search reads the orbits only up to N(λ) when that is shorter
+            searched = _pair_bound(m, bound)
+            if searched < 2:
+                assert step is None and critical.minus is None
+                continue
             *_abc, c, minus_rank, plus_rank = ranked_orbits(
-                m, *critical_orbit_values(m, bound)
+                m, *critical_orbit_values(m, searched)
             )
-            left, right = _record_times(c, minus_rank, plus_rank, bound)
+            left, right = _record_times(c, minus_rank, plus_rank, searched)
             need = left[-1] + right[-1] if left and right else 0
-            assert len(critical.minus.bounds) == max(bound, need) + 1
-            assert critical.minus.horizon == 2 * bound
-            if need > bound:
+            assert len(critical.minus.bounds) == max(searched, need) + 1
+            assert critical.minus.horizon == 2 * searched
+            if need > searched:
                 past_bound += 1
-                found_past_bound += step is not None and step.ell + step.r > bound
-    # 378 and 55 on this corpus
-    assert past_bound >= 300 and found_past_bound >= 40
+                found_past_bound += step is not None and step.ell + step.r > searched
+    # 263 and 92 on this corpus
+    assert past_bound >= 200 and found_past_bound >= 60
+
+
+def _least_slope(m):
+    return min(m.left.slopes + m.right.slopes)
+
+
+def _lemma_maps():
+    """The golden maps and 200 seeded near-unit draws."""
+    rng = random.Random(22)
+    draws = [piece_map(rng.randint, near_unit=True) for _ in range(200)]
+    return golden_case_maps() + draws
+
+
+def _covers(slope, n):
+    """``λ^-2 + λ^-n >= 1``, in ``Fraction`` arithmetic."""
+    return slope**-2 + slope**-n >= 1
+
+
+def test_pair_bound_is_the_largest_n_of_the_lemma():
+    maps = _lemma_maps()
+    cut = below_two = 0
+    for m in maps:
+        slope, bound = _least_slope(m), 4096
+        n = _pair_bound(m, bound)
+        if slope**2 > 2:
+            assert n < 2
+            below_two += 1
+            continue
+        assert 2 <= n <= bound and _covers(slope, n)
+        if n < bound:
+            assert not _covers(slope, n + 1)
+            cut += 1
+        assert _pair_bound(m, n) == n and _pair_bound(m, n - 1) == n - 1
+    # the golden maps of slope 3/2 and 2 have no pair, and most near-unit
+    # draws stop before the default bound
+    assert below_two >= 3 and cut >= 150
+    assert sum(_pair_bound(m, 64) < 64 for m in maps) >= 100  # 106 of 226
+
+
+def test_every_level_lies_within_the_expansion_bound():
+    levels = 0
+    for m in _lemma_maps() + [symmetric_map(F(198, 197))]:
+        g = m
+        for level in renorm_tower(m).levels:
+            slope, ell, r = _least_slope(g), level.step.ell, level.step.r
+            assert slope**-ell + slope**-r >= 1
+            assert max(ell, r) <= _pair_bound(g, max(ell, r) + 1)
+            g = level.step.inner_map
+            levels += 1
+    assert levels >= 100
 
 
 def test_near_unit_draws_often_renormalize():

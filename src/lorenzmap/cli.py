@@ -2,7 +2,11 @@
 
 Single-map reports are JSON (nested), sweeps are CSV (tabular); every
 scalar is emitted as an exact ``p/q`` string, so identical inputs and
-configuration reproduce reports byte for byte.  Exit codes: 0 success,
+configuration reproduce reports byte for byte.  The sections of an
+``analyze`` report hold the analysis's ``Fraction`` values themselves;
+:func:`write_json` formats each of them once, as it streams the report
+to stdout with the bytes of ``json.dumps(report, indent=2)``, so the
+report is never held as one string.  Exit codes: 0 success,
 2 invalid map or input, 3 precision exhausted, 4 cap exceeded; partial
 reports carry a ``status`` field.  :func:`main` maps the exceptions of
 every command to exit codes through :data:`EXIT_FOR_ERROR`, in one
@@ -18,6 +22,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from .numerics import PrecisionExhausted, format_scalar, parse_scalar
 from .maps import (
@@ -29,7 +34,6 @@ from .maps import (
     symmetric_map,
     validate_map,
 )
-from .interval_dynamics import format_union
 from .periods import DEFAULT_BACKWARD_CAP, minimal_period, minimal_periodic_orbit
 from .renorm import (
     DEFAULT_LEVEL_CAP,
@@ -138,11 +142,11 @@ def build_map(args: argparse.Namespace) -> tuple:
 
 def _orbit_dict(orbit) -> dict:
     return {
-        "points": [format_scalar(x) for x in orbit.points],
+        "points": orbit.points,
         "period": orbit.period,
         "itinerary": orbit.itinerary,
-        "flank_left": format_scalar(orbit.flank_left),
-        "flank_right": format_scalar(orbit.flank_right),
+        "flank_left": orbit.flank_left,
+        "flank_right": orbit.flank_right,
     }
 
 
@@ -155,22 +159,19 @@ def _tower_dict(tower: Tower) -> dict:
                 "index": level.index,
                 "ell": step.ell,
                 "r": step.r,
-                "u": format_scalar(step.u),
-                "v": format_scalar(step.v),
-                "e_minus": format_scalar(step.e_minus),
-                "e_plus": format_scalar(step.e_plus),
+                "u": step.u,
+                "v": step.v,
+                "e_minus": step.e_minus,
+                "e_plus": step.e_plus,
                 "periodic": step.periodic,
-                "interval_base": [
-                    format_scalar(level.interval[0]),
-                    format_scalar(level.interval[1]),
-                ],
-                "e_minus_base": format_scalar(level.e_minus),
-                "e_plus_base": format_scalar(level.e_plus),
+                "interval_base": level.interval,
+                "e_minus_base": level.e_minus,
+                "e_plus_base": level.e_plus,
                 "return_left": level.return_left,
                 "return_right": level.return_right,
                 "inner_slopes": {
-                    "left": [format_scalar(s) for s in step.inner_map.left.slopes],
-                    "right": [format_scalar(s) for s in step.inner_map.right.slopes],
+                    "left": step.inner_map.left.slopes,
+                    "right": step.inner_map.right.slopes,
                 },
             }
         )
@@ -189,11 +190,11 @@ def _omega_dict(omega) -> dict:
                 "level": part.level,
                 "periodic": part.periodic,
                 "exact": part.exact,
-                "points": [format_scalar(x) for x in part.points],
+                "points": part.points,
             }
             for part in omega.parts
         ],
-        "attractor": format_union(omega.attractor),
+        "attractor": omega.attractor.components,
         "flags": list(omega.flags),
     }
 
@@ -217,7 +218,7 @@ def _fill_report(report: dict, m: LorenzMap, config: Config, full: bool) -> int:
     period = minimal_period(m, config.hit_cap)
     report["kappa"] = period.kappa
     report["backward_steps"] = period.m
-    report["backward_chain"] = [format_scalar(x) for x in period.backward_chain]
+    report["backward_chain"] = period.backward_chain
     report["orbit"] = None  # keeps its slot in the key order; filled below
 
     tower = renorm_tower(m, config.level_cap, config.l_max, period)
@@ -241,7 +242,11 @@ def _fill_report(report: dict, m: LorenzMap, config: Config, full: bool) -> int:
 
 
 def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
-    """The report, or only its summary stages; returns (report, exit_code)."""
+    """The report, or only its summary stages; returns (report, exit_code).
+
+    The analysis sections hold ``Fraction``s, which :func:`write_json`
+    writes as ``p/q`` strings; the map echo holds those strings already.
+    """
     report: dict = {"status": "ok", "map": echo}
     try:
         exit_code = _fill_report(report, m, config, full)
@@ -270,6 +275,79 @@ def summary_row(report: dict) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+# pieces of text gathered before one call of ``write``
+_CHUNK_PIECES = 1024
+
+
+def write_json(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline, chunk by chunk.
+
+    ``obj`` is a tree of dicts with ``str`` keys, lists, tuples, ``str``,
+    ``int``, ``bool``, ``None`` and ``Fraction``, of exactly these types
+    (any other type raises ``TypeError``).  A ``Fraction`` is written as
+    the string ``"p/q"`` of :func:`format_scalar`: digits, ``-`` and
+    ``/`` need no escaping, so it skips the escaping pass that every
+    other string and key takes.  Each ``Fraction`` object is formatted
+    once however often the tree holds it (the attractor is printed
+    twice); the memo is keyed by ``id()``, which is safe because ``obj``
+    keeps every value alive while it is written.  The pieces go to
+    ``write`` in chunks, so the whole text is never held as one string.
+    """
+    memo: dict = {}
+    pieces: list = []
+    put = pieces.append
+
+    def emit(value, indent: str) -> None:
+        kind = type(value)
+        if kind is Fraction:
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = f'"{format_scalar(value)}"'
+            put(text)
+        elif kind is list or kind is tuple:
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            opening = "[\n" + inner
+            separator = ",\n" + inner
+            for item in value:
+                put(opening)
+                opening = separator
+                emit(item, inner)
+            put("\n" + indent + "]")
+        elif kind is dict:
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            opening = "{\n" + inner
+            separator = ",\n" + inner
+            for key, item in value.items():
+                put(opening + _escape(key) + ": ")
+                opening = separator
+                emit(item, inner)
+            put("\n" + indent + "}")
+        elif kind is str:
+            put(_escape(value))
+        elif kind is bool:
+            put("true" if value else "false")
+        elif value is None:
+            put("null")
+        elif kind is int:
+            put(int.__repr__(value))
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if len(pieces) >= _CHUNK_PIECES:
+            write("".join(pieces))
+            pieces.clear()
+
+    emit(obj, "")
+    put("\n")
+    write("".join(pieces))
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     # no local keeps the map, so its critical orbits are freed before printing
@@ -279,7 +357,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         writer.writeheader()
         writer.writerow(summary_row(report))
     else:
-        print(json.dumps(report, indent=2))
+        write_json(report, sys.stdout.write)
     return code
 
 

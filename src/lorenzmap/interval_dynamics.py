@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .numerics import Scalar, format_interval, format_scalar
+from .numerics import Scalar, format_interval
 from .maps import IntervalDoesNotStraddleC, LorenzMap
 
 
@@ -107,7 +107,3 @@ def interval_orbit(m: LorenzMap, J: tuple, return_times) -> IntervalUnion:
             lo, hi = images[0]
             parts.append((lo, hi))
     return IntervalUnion.from_pairs(parts)
-
-
-def format_union(union: IntervalUnion) -> list:
-    return [[format_scalar(lo), format_scalar(hi)] for lo, hi in union.components]

@@ -393,19 +393,19 @@ def test_analyze_frees_the_map_before_printing(capsys, monkeypatch):
     # the map holds its critical orbits, which would otherwise stay alive
     # while a deep report is encoded
     maps, alive = [], []
-    build, dumps = cli.build_map, json.dumps
+    build, write_json = cli.build_map, cli.write_json
 
     def recording(args):
         m, echo = build(args)
         maps.append(weakref.ref(m))
         return m, echo
 
-    def checking(obj, **kwargs):
+    def checking(obj, write):
         alive.append(maps[0]() is not None)
-        return dumps(obj, **kwargs)
+        return write_json(obj, write)
 
     monkeypatch.setattr(cli, "build_map", recording)
-    monkeypatch.setattr(json, "dumps", checking)
+    monkeypatch.setattr(cli, "write_json", checking)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -414,6 +414,72 @@ def test_analyze_frees_the_map_before_printing(capsys, monkeypatch):
         if enabled:
             gc.enable()
     assert code == 0 and alive == [False]
+
+
+def _formatted(tree):
+    """``tree`` with every ``Fraction`` replaced by its ``p/q`` string."""
+    if isinstance(tree, F):
+        return format_scalar(tree)
+    if isinstance(tree, dict):
+        return {key: _formatted(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_formatted(value) for value in tree]
+    return tree
+
+
+def _written(tree) -> list:
+    chunks: list = []
+    cli.write_json(tree, chunks.append)
+    return chunks
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII and astral
+# characters, beside whatever else hypothesis draws
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f\xe9 \U0001f600'), st.characters())
+)
+JSON_FRACTIONS = st.one_of(
+    st.fractions(),
+    st.integers(-(10**60), 10**60).map(F),  # integer-valued: "2/1"
+    st.builds(F, st.integers(-(10**300), 10**300), st.integers(1, 10**300)),
+)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**1000), 10**1000),
+    JSON_TEXT,
+    JSON_FRACTIONS,
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(JSON_TREES, JSON_FRACTIONS)
+def test_write_json_prints_what_json_dumps_prints(tree, shared):
+    # one Fraction object in two places, the way the attractor is printed
+    for tree in (tree, {"attractor": [shared, tree], "omega": {"attractor": [shared]}}):
+        expected = json.dumps(_formatted(tree), indent=2) + "\n"
+        assert "".join(_written(tree)) == expected
+
+
+def test_write_json_streams_in_chunks_and_refuses_other_types():
+    tree = {"attractor": [(F(k, 7), F(-k, 3)) for k in range(2_000)], "empty": [{}, [], ()]}
+    chunks = _written(tree)
+    text = "".join(chunks)
+    assert text == json.dumps(_formatted(tree), indent=2) + "\n"
+    assert len(chunks) > 1 and max(map(len, chunks)) < len(text) / 2
+    for value in (1.5, {1: "x"}, {"x"}, b"x"):
+        with pytest.raises(TypeError):
+            _written({"value": value})
 
 
 def test_sweep_reports_per_row_status(capsys):
@@ -616,7 +682,11 @@ MAP_TEXT_MUTATIONS = (
     "escape",
     "c-outside",
     "malformed-scalar",
+    "precision",
+    "no-equals",
 )
+# the exit code of a mutation that is not an invalid map
+EXIT_FOR_MUTATION = {"precision": cli.EXIT_PRECISION}
 BRANCH_SHAPE_ERRORS = (
     "need one more breakpoint than pieces",
     "slopes and intercepts must pair up",
@@ -647,7 +717,8 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
     ``kind`` is ``"error"`` for a text that cannot be built into a map,
     with ``expected`` a tuple of messages one of which the error holds,
     and ``"violation"`` for a map that validation refuses, with
-    ``expected`` a part of the planted violation.
+    ``expected`` a part of the planted violation.  A ``precision`` line
+    is an error with its own exit code (:data:`EXIT_FOR_MUTATION`).
     """
     a, b = fields["domain"]
     side = data.draw(st.sampled_from(("left", "right")))
@@ -710,6 +781,14 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
     if mutation == "c-outside":
         fields["c"] = [data.draw(st.sampled_from((a, b, a - 1, b + F(1, 3))))]
         return "violation", "domain order violated: need a < c < b"
+    if mutation == "precision":
+        digits = data.draw(st.integers(1, 40))
+        fields["precision"] = [str(digits)]
+        return "error", (f"known to {digits} significant digits only",)
+    if mutation == "no-equals":
+        key = data.draw(st.sampled_from(sorted(fields)))
+        fields[key] = " ".join([key, *_value_texts(fields[key])])
+        return "error", ("expected 'key = value'",)
     assert mutation == "malformed-scalar"
     values = fields[data.draw(st.sampled_from(sorted(set(fields) - {"family"})))]
     bad = data.draw(st.sampled_from(MALFORMED_SCALARS))
@@ -717,11 +796,16 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
     return "error", (repr(bad),)
 
 
+def _value_texts(values) -> list:
+    return [v if isinstance(v, str) else format_scalar(v) for v in values]
+
+
 def _map_text(fields: dict) -> str:
-    lines = []
-    for key, values in fields.items():
-        text = (v if isinstance(v, str) else format_scalar(v) for v in values)
-        lines.append(f"{key} = {' '.join(text)}")
+    # a field that is already one string is a whole line, planted as it is
+    lines = [
+        values if isinstance(values, str) else f"{key} = {' '.join(_value_texts(values))}"
+        for key, values in fields.items()
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -750,9 +834,10 @@ def test_mutated_map_texts_exit_with_the_planted_fault(
         kind, expected = _mutate(fields, mutation, data)
         command = data.draw(st.sampled_from(("analyze", "classify")))
         code, out, err = _run_mutant(tmp_path_factory, _map_text(fields), command)
-        assert code == cli.EXIT_INVALID_MAP and err == ""
+        expected_code = EXIT_FOR_MUTATION.get(mutation, cli.EXIT_INVALID_MAP)
+        assert code == expected_code and err == ""
         report = json.loads(out)
-        assert report["status"] == "invalid-map"
+        assert report["status"] == cli.STATUS_FOR_EXIT[expected_code]
         if kind == "error":
             assert any(message in report["error"] for message in expected), report
             continue

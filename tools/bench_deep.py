@@ -3,11 +3,13 @@
 Runs ``analyze --family symmetric --a A`` for ``A`` in 501/500,
 1001/1000 and 2001/2000 (8, 9 and 10 tower levels) ``REPEATS`` times,
 each repeat in a fresh Python process that imports ``lorenzmap`` from
-the ``src/`` of a checkout.  The child times ``cli.main`` with stdout captured in memory,
-so interpreter start-up and pipe writes are not counted.  The result
-goes to ``BENCH_deep_<label>.json``: the Python version, the git
-revision of the checkout, and per slope the exit code, the report bytes
-and sha256, every repeat's seconds, their min and median, and the
+the ``src/`` of a checkout.  The child times ``cli.main`` with stdout
+redirected to a sink that hashes the text as it is written and keeps
+none of it, so interpreter start-up and pipe writes are not counted and
+the child's peak RSS is the program's own, not a copy of its output.
+The result goes to ``BENCH_deep_<label>.json``: the Python version, the
+git revision of the checkout, and per slope the exit code, the report
+bytes and sha256, every repeat's seconds, their min and median, and the
 largest peak RSS of the child processes.
 
 Given ``--parent``, a checkout of the parent commit, it times that
@@ -40,20 +42,35 @@ SLOPES = ("501/500", "1001/1000", "2001/2000")
 REPEATS = 4
 
 CHILD = r"""
-import contextlib, hashlib, io, json, resource, sys, time
+import contextlib, hashlib, json, resource, sys, time
 from lorenzmap.cli import main
+
+
+class HashingSink:
+    # a text stdout that keeps only the sha256 and the byte count of the
+    # UTF-8 text written to it, so the child's peak RSS is the program's
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.digest.update(data)
+        self.size += len(data)
+        return len(text)
+
+
 argv = json.loads(sys.argv[1])
-buffer = io.StringIO()
+sink = HashingSink()
 start = time.perf_counter()
-with contextlib.redirect_stdout(buffer):
+with contextlib.redirect_stdout(sink):
     code = main(argv)
 seconds = time.perf_counter() - start
-out = buffer.getvalue().encode("utf-8")
 print(json.dumps({
     "exit": code,
     "seconds": seconds,
-    "report_bytes": len(out),
-    "sha256": hashlib.sha256(out).hexdigest(),
+    "report_bytes": sink.size,
+    "sha256": sink.digest.hexdigest(),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
@@ -75,8 +92,6 @@ def git(checkout: Path, *args: str):
 
 def run_once(checkout: Path, argv: list) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for key in ("L_MAX", "LEVEL_CAP", "HIT_CAP", "PRECISION_BITS"):
-        env.pop(f"LORENZ_{key}", None)
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(argv)],
         capture_output=True,

@@ -20,16 +20,21 @@ of :mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
 word of ``c-`` or ``c+``.
 
 Every scalar is an exact :class:`fractions.Fraction` and every order
-decision is exact.  Every exact point evaluation is one integer step on
-a reduced pair (:meth:`BranchFn.step`): :meth:`BranchFn.value`,
-:func:`evaluate` and :func:`word_orbit`.  Every exact orbit the
+decision is exact, but neither the evaluation nor the composition runs
+on ``Fraction`` arithmetic.  Every exact point evaluation is one integer
+step on a reduced pair (:meth:`BranchFn.step`): :meth:`BranchFn.value`,
+:func:`evaluate` and :func:`word_orbit`.  Every iterate on an interval
+is composed from integer affine maps ``(A·x + B)/E`` on reduced end
+pairs (:func:`word_pieces`), and :func:`rescale_to_unit` and the
+fixed-point solve of :mod:`~lorenzmap.periods` turn only the values
+they return into ``Fraction`` values.  Every exact orbit the
 analysis walks (the critical orbits of :mod:`~lorenzmap.orbits`, the
 minimal periodic orbit, the orbit of ``e-`` and the periodic ω-orbits
 of :mod:`~lorenzmap.limits`) has a known branch word, and
 :func:`word_orbit` walks it along that word, so no walk compares with
 ``c``.  Each branch holds one integer piece table
-(:meth:`BranchFn.integer_pieces`), which the dyadic enclosures of the
-critical orbits read too.
+(:meth:`BranchFn.integer_pieces`), which the composition and the dyadic
+enclosures of the critical orbits read too.
 :func:`parse_map_text` is where finite-precision input is refused: a
 map file with a ``precision`` line raises
 :class:`~lorenzmap.numerics.PrecisionExhausted` once the file has parsed.
@@ -37,7 +42,6 @@ map file with a ``precision`` line raises
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -124,7 +128,8 @@ class BranchFn:
         ``cuts`` are the internal breakpoints as ``(numerator,
         denominator)``; piece ``s·x + t`` is ``(A, B, E, E·A)`` with
         ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.  Every
-        exact evaluation (:meth:`step`) and every dyadic enclosure of
+        exact evaluation (:meth:`step`), every composition
+        (:func:`word_pieces`) and every dyadic enclosure of
         :mod:`~lorenzmap.orbits` reads this one table.
         """
         if self._integer_pieces is None:
@@ -365,11 +370,13 @@ def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
     domain of branch ``word[k]`` for every ``k``: ``[a, c]`` for
     :attr:`BranchLabel.LEFT`, read with ``c-``, and ``[c, b]`` for
     :attr:`BranchLabel.RIGHT`, read with ``c+``.  Each piece is
-    ``(x0, x1, s, t)`` with ``f^len(word)(x) = s*x + t`` on ``[x0, x1]``;
-    the pieces are ascending and tile those points, and an unrealized
-    word gives ``[]``.  A word followed by a single point only counts as
-    unrealized, so every piece has ``x0 < x1``.  Needs ``lo < hi`` and a
-    valid map.
+    ``(n0, d0, n1, d1, A, B, E)``: ``f^len(word)(x) = (A·x + B)/E`` on
+    ``[n0/d0, n1/d1]``, with ``E > 0``, ``gcd(A, B, E) == 1`` and both
+    ends reduced pairs with positive denominators.  The pieces are
+    ascending and tile those points, and an unrealized word gives
+    ``[]``.  A word followed by a single point only counts as
+    unrealized, so every piece has ``n0/d0 < n1/d1``.  Needs
+    ``lo < hi`` and a valid map.
 
     The points that follow a word form one closed interval: each step
     keeps the part of an interval whose image lies in one branch domain,
@@ -379,28 +386,76 @@ def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
     > 1, so no image of a non-degenerate piece is a single point, and
     ``f^n`` has at most ``1 + n·(k - 1)`` pieces, with ``k`` the larger
     piece count of the two branches.
+
+    The arithmetic is on integers, in the form of
+    :meth:`BranchFn.integer_pieces`, whose pieces ``(a, b, e)`` are
+    composed pieces of length one: ``gcd(a, b, e) == 1``, because
+    ``e / g`` would be a common denominator of ``a/e`` and ``b/e`` for
+    any common factor ``g``.  The image of ``n/d`` is
+    ``(A·n + B·d) / (E·d)``, a pair with a positive denominator, so
+    every order decision is one cross-multiplication.  The preimage of
+    a breakpoint ``cn/cd`` is ``(E·cn - B·cd) / (A·cd)`` (``A > 0``),
+    divided by its gcd.  Applying ``(a, b, e)`` after ``(A, B, E)``
+    gives ``(a·A, a·B + b·E, e·E)``, divided by the gcd of the three.
+    A reduced pair with a positive denominator is the unique lowest-terms
+    form of its value, and so is a reduced triple with ``E > 0`` of its
+    affine map, so each end and each map is the one the ``Fraction``
+    arithmetic gives; :func:`rescale_to_unit` and the fixed-point solve
+    of :mod:`~lorenzmap.periods` turn the values that leave the
+    composition into ``Fraction`` values, one gcd each.
     """
-    pieces = [(lo, hi, ONE, ZERO)]
+    left_label = BranchLabel.LEFT
+    pieces = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, 1, 0, 1)]
     for label in word:
-        branch = m.left if label is BranchLabel.LEFT else m.right
-        bps, slopes, intercepts = branch.breakpoints, branch.slopes, branch.intercepts
+        branch = m.left if label is left_label else m.right
+        cuts, branch_pieces = branch._integer_pieces or branch.integer_pieces()
+        first, last = branch.breakpoints[0], branch.breakpoints[-1]
+        lo_n, lo_d, hi_n, hi_d = (
+            first.numerator, first.denominator, last.numerator, last.denominator
+        )
         out = []
-        for x0, x1, s, t in pieces:
-            y0, y1 = s * x0 + t, s * x1 + t
-            if y0 < bps[0]:
-                y0, x0 = bps[0], (bps[0] - t) / s
-            if y1 > bps[-1]:
-                y1, x1 = bps[-1], (bps[-1] - t) / s
-            if y0 >= y1:
+        for n0, d0, n1, d1, A, B, E in pieces:
+            # the images of the ends, unreduced, with positive denominators
+            y0n, y0d = A * n0 + B * d0, E * d0
+            y1n, y1d = A * n1 + B * d1, E * d1
+            if y0n * hi_d >= hi_n * y0d or y1n * lo_d <= lo_n * y1d:
                 continue
-            # bps[first:last] lie strictly inside (y0, y1); y0 is on piece first - 1
-            first, last = bisect.bisect_right(bps, y0), bisect.bisect_left(bps, y1)
-            xs = [x0] + [(y - t) / s for y in bps[first:last]] + [x1]
-            for k in range(len(xs) - 1):
-                bs, bt = slopes[first - 1 + k], intercepts[first - 1 + k]
-                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt))
+            if y0n * lo_d < lo_n * y0d:
+                n0, d0 = _preimage(A, B, E, lo_n, lo_d)
+            if y1n * hi_d > hi_n * y1d:
+                n1, d1 = _preimage(A, B, E, hi_n, hi_d)
+            # the image from y0 on starts on branch piece i, and the cuts
+            # from there up to y1 split it
+            i = 0
+            for cut_n, cut_d in cuts:
+                if cut_n * y0d > y0n * cut_d:
+                    break
+                i += 1
+            for cut_n, cut_d in cuts[i:]:
+                if cut_n * y1d >= y1n * cut_d:
+                    break
+                xn, xd = _preimage(A, B, E, cut_n, cut_d)
+                out.append((n0, d0, xn, xd) + _then(branch_pieces[i], A, B, E))
+                n0, d0 = xn, xd
+                i += 1
+            out.append((n0, d0, n1, d1) + _then(branch_pieces[i], A, B, E))
         pieces = out
     return pieces
+
+
+def _preimage(A: int, B: int, E: int, n: int, d: int) -> tuple:
+    """The reduced pair of ``x`` with ``(A·x + B)/E = n/d``, for ``A, d > 0``."""
+    n, d = E * n - B * d, A * d
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _then(piece: tuple, A: int, B: int, E: int) -> tuple:
+    """The branch piece ``(a, b, e, e·a)`` applied after ``(A·x + B)/E``, reduced."""
+    a, b, e, _ea = piece
+    A, B, E = a * A, a * B + b * E, e * E
+    g = math.gcd(A, B, E)
+    return A // g, B // g, E // g
 
 
 def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
@@ -413,6 +468,15 @@ def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
     composed piece slopes.  Pieces that do not cover ``[u, c]`` or
     ``[c, v]`` (an image of it crosses ``c`` before its return time, or
     the word is not that side's) raise :class:`IntervalDoesNotStraddleC`.
+
+    The clip and the conjugation stay on integers.  With
+    ``W = vn·ud - un·vd > 0`` for ``u = un/ud`` and ``v = vn/vd``, a point
+    ``n/d`` goes to ``(n·ud - un·d)·vd / (d·W)``, and the piece
+    ``(A·x + B)/E`` to slope ``A/E`` and intercept
+    ``((A - E)·un + B·ud)·vd / (E·W)``; each becomes a ``Fraction``
+    after one gcd.  Adjacent pieces with equal triples ``(A, B, E)`` are
+    one affine map (the triples are reduced with ``E > 0``), and are
+    merged before they are rescaled, as :meth:`BranchFn.canonical` would.
     """
     u, v = J
     if not (u < m.c < v):
@@ -420,23 +484,43 @@ def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
     if u < m.a or v > m.b:
         raise ValueError(f"{format_interval(u, v)} is not inside the domain")
     left_pieces, right_pieces = pieces
+    un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+    w = vn * ud - un * vd
 
-    width = v - u
+    def lowest(n, d):
+        g = math.gcd(n, d)
+        return reduced_fraction(n // g, d // g)
 
-    def compose(pieces, lo, hi):
-        if not pieces or pieces[0][0] > lo or pieces[-1][1] < hi:
+    def unit(n, d):
+        return lowest((n * ud - un * d) * vd, d * w)
+
+    def compose(pieces, lo, hi, lo_unit, hi_unit):
+        lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if (
+            not pieces
+            or pieces[0][0] * lo_d > lo_n * pieces[0][1]
+            or pieces[-1][2] * hi_d < hi_n * pieces[-1][3]
+        ):
             raise IntervalDoesNotStraddleC(
                 f"{format_interval(lo, hi)} does not follow its return word"
             )
-        pieces = [p for p in pieces if p[1] > lo and p[0] < hi]
-        bps = [(max(p[0], lo) - u) / width for p in pieces] + [(hi - u) / width]
-        slopes = tuple(p[2] for p in pieces)
-        intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
-        return BranchFn(tuple(bps), slopes, intercepts).canonical()
+        bps, maps = [lo_unit], []
+        for n0, d0, n1, d1, A, B, E in pieces:
+            if n1 * lo_d <= lo_n * d1 or n0 * hi_d >= hi_n * d0:
+                continue  # the piece lies outside [lo, hi]
+            if maps:
+                if maps[-1] == (A, B, E):
+                    continue
+                bps.append(unit(n0, d0))
+            maps.append((A, B, E))
+        bps.append(hi_unit)
+        slopes = tuple(lowest(A, E) for A, B, E in maps)
+        intercepts = tuple(lowest(((A - E) * un + B * ud) * vd, E * w) for A, B, E in maps)
+        return BranchFn(tuple(bps), slopes, intercepts)
 
-    left = compose(left_pieces, u, m.c)
-    right = compose(right_pieces, m.c, v)
-    c_new = (m.c - u) / width
+    c_new = unit(m.c.numerator, m.c.denominator)
+    left = compose(left_pieces, u, m.c, ZERO, c_new)
+    right = compose(right_pieces, m.c, v, c_new, ONE)
     return LorenzMap(ZERO, ONE, c_new, left, right)
 
 

@@ -10,9 +10,11 @@ are loaded (:func:`lorenzmap.maps.parse_map_text`) by raising
 certified for them.  An interval is a closed ``(lo, hi)`` pair of
 scalars with ``lo <= hi``.
 
-Every exact point evaluation steps on integer pairs instead of using
-``Fraction`` arithmetic (:meth:`lorenzmap.maps.BranchFn.step`, which
-also proves that its pairs stay reduced): a pair ``(n, d)`` with
+Every exact point evaluation and every composition steps on integer
+pairs instead of using ``Fraction`` arithmetic
+(:meth:`lorenzmap.maps.BranchFn.step` and
+:func:`lorenzmap.maps.word_pieces`, which also prove that their pairs
+stay reduced): a pair ``(n, d)`` with
 ``gcd(n, d) == 1`` and ``d > 0`` is the scalar ``n/d`` in lowest terms,
 so it stands for exactly one ``Fraction``, and :func:`reduced_fraction`
 turns it into that ``Fraction`` without normalising it again.
@@ -30,24 +32,36 @@ class PrecisionExhausted(Exception):
     """An input is known only to finite precision, so no order is certified."""
 
 
-# CPython's default limit on the digits of an int: an exponent past it
-# would build an integer of more digits than that before any check
-# runs.  It has four digits, so a longer exponent is refused unread.
-MAX_DECIMAL_EXPONENT = 4300
+# CPython's default limit on the digits of an int.  ``Fraction`` turns
+# each digit run of a scalar into an int in time quadratic in its
+# length, and multiplies a decimal exponent out, so a longer run, or an
+# exponent above it, is refused unread.  An exponent within it has at
+# most four digits.
+MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
+_DIGIT_RUN = re.compile(r"[0-9]+")
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or a decimal string into an exact rational.
 
-    ``Fraction`` multiplies a decimal exponent out, so an exponent of
-    absolute value above :data:`MAX_DECIMAL_EXPONENT` is refused first.
+    A run of more than :data:`MAX_DIGITS` digits (underscores between
+    digits do not end a run) and a decimal exponent of absolute value
+    above it are refused before ``Fraction`` reads the token.  The
+    refusal gives the token's length, not the token.
     """
     token = text.strip()
+    if len(token) > MAX_DIGITS and max(
+        map(len, _DIGIT_RUN.findall(token.replace("_", ""))), default=0
+    ) > MAX_DIGITS:
+        raise ValueError(
+            f"a scalar of {len(token)} characters has a run of more than "
+            f"{MAX_DIGITS} digits"
+        )
     exponent = _EXPONENT.search(token)
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        if len(digits) > 4 or int(digits or 0) > MAX_DIGITS:
             raise ValueError(f"decimal exponent out of range in {token!r}")
     try:
         return Fraction(token)

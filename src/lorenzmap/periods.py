@@ -8,19 +8,21 @@ the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
 unique.  Its largest point left of ``c`` follows the branch word of
 ``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), read
 off the map's own critical-orbit pair, so it is found by solving
-``f^kappa(x) = x`` exactly on the pieces of
-:func:`~lorenzmap.maps.word_pieces` along that one word, and its orbit
-is walked once along the same word (:func:`~lorenzmap.maps.word_orbit`).
-The same solve, on the words of the return branches, gives the
-repelling fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
+``f^kappa(x) = x`` exactly on the integer pieces ``(A·x + B)/E`` of
+:func:`~lorenzmap.maps.word_pieces` along that one word, as
+``x = B/(E - A)`` on the piece that holds it, and its orbit is walked
+once along the same word (:func:`~lorenzmap.maps.word_orbit`).  The
+same solve, on the words of the return branches, gives the repelling
+fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import Scalar
+from .numerics import Scalar, reduced_fraction
 from .maps import (
     BranchLabel,
     LorenzMap,
@@ -125,15 +127,24 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
 def _fixed_point(pieces: list, lo: Scalar, hi: Scalar) -> Scalar:
     """The fixed point in ``[lo, hi]`` of a composition given by its pieces.
 
-    The pieces follow one branch word, so the composition is continuous
-    and increasing with slope > 1; minus the identity it crosses zero at
-    most once, and the solution of ``s·x + t = x`` on the piece that
-    contains it is exact.
+    The pieces (:func:`~lorenzmap.maps.word_pieces`) follow one branch
+    word, so the composition is continuous and increasing with slope
+    > 1; minus the identity it crosses zero at most once.  On the piece
+    ``(A·x + B)/E`` that contains it, the solution is ``x = B/(E - A)``,
+    held as ``-B / (A - E)`` with ``A - E > 0``, so it is placed by
+    cross-multiplying and becomes a ``Fraction`` after one gcd.
     """
-    for x0, x1, s, t in pieces:
-        x = t / (1 - s)
-        if max(x0, lo) <= x <= min(x1, hi):
-            return x
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    for n0, d0, n1, d1, A, B, E in pieces:
+        n, d = -B, A - E
+        if (
+            n * d0 >= n0 * d
+            and n * d1 <= n1 * d
+            and n * lo_d >= lo_n * d
+            and n * hi_d <= hi_n * d
+        ):
+            g = math.gcd(n, d)
+            return reduced_fraction(n // g, d // g)
     raise AssertionError("no repelling fixed point in the word-domain bracket")
 
 
@@ -169,7 +180,7 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     minus, _plus = critical_pair(m).grow(kappa)
     word = minus.word[:kappa]
     pieces = word_pieces(m, word, m.a, m.c)
-    x = _fixed_point(pieces, pieces[0][0], pieces[-1][1])
+    x = _fixed_point(pieces, m.a, m.c)
     values = word_orbit(m, word, x)
     if values[kappa] != x:
         raise AssertionError("the word-domain solution is not fixed by f^kappa")

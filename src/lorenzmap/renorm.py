@@ -7,8 +7,12 @@ subinterval ``[u, v]`` around ``c``.  Each renormalization comes with a
 repelling set whose gap around ``c`` is bounded by two periodic points
 ``e- <= u`` and ``e+ >= v`` with ``f^ell(e-) = e-`` and ``f^r(e+) = e+``
 exactly; the renormalization is periodic when ``e-`` and ``e+`` lie on
-one orbit.  ``e-`` is solved on the pieces of the left return word, so
-it follows that word, and its orbit is walked along it
+one orbit.  ``e-`` and ``e+`` are solved on the integer pieces of the
+return words (:func:`~lorenzmap.maps.word_pieces`), as ``x = B/(E - A)``
+on the piece ``(A·x + B)/E`` that holds them, and the same pieces,
+clipped at ``u`` and ``v``, give the inner map
+(:func:`~lorenzmap.maps.rescale_to_unit`).  So ``e-`` follows the left
+return word, and its orbit is walked along it
 (:func:`~lorenzmap.maps.word_orbit`).
 
 The minimal renormalization is ``(kappa, kappa)``, with ``kappa`` the

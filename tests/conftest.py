@@ -4,7 +4,10 @@ The oracles here deliberately avoid the library's branch/piece
 machinery: maps are evaluated from explicit affine formulas, periodic
 points are found by composing words over the affine pieces, interval
 images are iterated endpoint by endpoint, and ``cylinder_pieces``
-enumerates every cylinder of ``f^n`` on an interval.  Expected values
+enumerates every cylinder of ``f^n`` on an interval.
+``reference_word_pieces``, ``reference_fixed_point`` and
+``reference_rescale`` compose along one word in ``Fraction``
+arithmetic, the reference of the library's integer composition.  Expected values
 frozen in the tests were computed with these.  ``reference_value``
 evaluates a branch in ``Fraction`` arithmetic, the oracle of the
 library's integer step.  ``piece_map`` builds
@@ -218,6 +221,79 @@ def cylinder_pieces(m, lo, hi, steps):
                 out.append((xs[k], xs[k + 1], bs * s, bs * t + bt, word + (label,)))
         pieces = out
     return pieces
+
+
+def reference_word_pieces(m, word, lo, hi):
+    """:func:`~lorenzmap.maps.word_pieces` in ``Fraction`` arithmetic.
+
+    The straight-line reference of the integer composition: each piece
+    is ``(x0, x1, s, t)`` with ``f^len(word)(x) = s*x + t`` on
+    ``[x0, x1]``, clipped at each branch domain and cut at its internal
+    breakpoints with ``Fraction`` operators.
+    """
+    pieces = [(lo, hi, F(1), F(0))]
+    for label in word:
+        branch = m.left if label is BranchLabel.LEFT else m.right
+        bps, slopes, intercepts = branch.breakpoints, branch.slopes, branch.intercepts
+        out = []
+        for x0, x1, s, t in pieces:
+            y0, y1 = s * x0 + t, s * x1 + t
+            if y0 < bps[0]:
+                y0, x0 = bps[0], (bps[0] - t) / s
+            if y1 > bps[-1]:
+                y1, x1 = bps[-1], (bps[-1] - t) / s
+            if y0 >= y1:
+                continue
+            # bps[first:last] lie strictly inside (y0, y1); y0 is on piece first - 1
+            first, last = bisect.bisect_right(bps, y0), bisect.bisect_left(bps, y1)
+            xs = [x0] + [(y - t) / s for y in bps[first:last]] + [x1]
+            for k in range(len(xs) - 1):
+                bs, bt = slopes[first - 1 + k], intercepts[first - 1 + k]
+                out.append((xs[k], xs[k + 1], bs * s, bs * t + bt))
+        pieces = out
+    return pieces
+
+
+def fraction_pieces(pieces):
+    """Integer :func:`~lorenzmap.maps.word_pieces` as ``Fraction`` ``(x0, x1, s, t)``."""
+    return [
+        (F(n0, d0), F(n1, d1), F(a, e), F(b, e))
+        for n0, d0, n1, d1, a, b, e in pieces
+    ]
+
+
+def reference_fixed_point(pieces, lo, hi):
+    """The solution of ``s*x + t = x`` in ``[lo, hi]`` on ``(x0, x1, s, t)`` pieces, or None."""
+    for x0, x1, s, t in pieces:
+        x = t / (1 - s)
+        if max(x0, lo) <= x <= min(x1, hi):
+            return x
+    return None
+
+
+def reference_rescale(m, J, pieces):
+    """:func:`~lorenzmap.maps.rescale_to_unit` on :func:`reference_word_pieces`.
+
+    Clips the ``(x0, x1, s, t)`` pieces at ``u`` and ``v`` and conjugates
+    them onto ``[0, 1]`` with ``Fraction`` operators; the pieces must
+    cover ``[u, c]`` and ``[c, v]``.
+    """
+    u, v = J
+    width = v - u
+
+    def compose(pieces, lo, hi):
+        assert pieces and pieces[0][0] <= lo and pieces[-1][1] >= hi
+        pieces = [p for p in pieces if p[1] > lo and p[0] < hi]
+        bps = [(max(p[0], lo) - u) / width for p in pieces] + [(hi - u) / width]
+        slopes = tuple(p[2] for p in pieces)
+        intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
+        return BranchFn(tuple(bps), slopes, intercepts).canonical()
+
+    left_pieces, right_pieces = pieces
+    return LorenzMap(
+        F(0), F(1), (m.c - u) / width,
+        compose(left_pieces, u, m.c), compose(right_pieces, m.c, v),
+    )
 
 
 def raw_closed_image(params, lo, hi):

@@ -219,6 +219,31 @@ def test_huge_decimal_exponent_is_refused_at_once(capsys, tmp_path, source):
     assert seconds < 0.5
 
 
+@pytest.mark.parametrize("source", ["flag", "map-file"])
+def test_long_digit_run_is_refused_at_once(capsys, tmp_path, source):
+    # read under the lifted int-digit limit, a 400,000-digit numerator
+    # took 1.6 s, and an 800 kB map file spelling 3/2 2.25 s
+    numerator = "15" + "0" * 99_998
+    if source == "flag":
+        argv = ["analyze", "--family", "symmetric", "--a", f"{numerator}/10"]
+    else:
+        text = (GOLDEN_MAPS / "custom15.map").read_text()
+        huge = tmp_path / "huge.map"
+        huge.write_text(text.replace("5/16", f"{numerator}/16"))
+        argv = ["analyze", "--map-file", str(huge)]
+    start = time.perf_counter()
+    code = main(argv)
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "invalid-map"
+    assert report["error"] == (
+        "a scalar of 100003 characters has a run of more than 4300 digits"
+    )
+    assert seconds < 0.5
+
+
 def test_precision_exhausted_exit_code(capsys, tmp_path):
     fuzzy = tmp_path / "fuzzy.map"
     fuzzy.write_text("family = symmetric\na = 1.4142135624\nprecision = 10\n")

@@ -1,13 +1,16 @@
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorenzmap import maps, periods
 from lorenzmap.numerics import PrecisionExhausted, format_scalar, reduced_fraction
 from lorenzmap.maps import (
     BranchFn,
@@ -25,17 +28,23 @@ from lorenzmap.maps import (
     word_pieces,
 )
 from lorenzmap.orbits import critical_orbit_values
+from lorenzmap.periods import _fixed_point
 from lorenzmap.renorm import renorm_tower
 
 from conftest import (
     cylinder_pieces,
     evaluate_walk,
+    fraction_pieces,
     interior_cuts,
     label_word,
     moved_to_minus_3_5,
     multi_piece_maps,
+    piece_map,
     raw_eval,
+    reference_fixed_point,
+    reference_rescale,
     reference_value,
+    reference_word_pieces,
     sym_params,
 )
 
@@ -253,7 +262,7 @@ def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
     )
     tiles = []
     for word in itertools.product(BranchLabel, repeat=steps):
-        pieces = word_pieces(m, word, lo, hi)
+        pieces = fraction_pieces(word_pieces(m, word, lo, hi))
         if word not in realized:
             assert pieces == []
             continue
@@ -275,6 +284,96 @@ def test_word_pieces_are_the_cylinders_of_their_word(m, steps, data):
     assert tiles[0][0] == lo and tiles[-1][1] == hi
     assert all(x0 < x1 for x0, x1, *_ in tiles)
     assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
+
+
+def _checked_fraction(n, d):
+    assert d > 0 and math.gcd(n, d) == 1, (n, d)
+    return reduced_fraction(n, d)
+
+
+@contextlib.contextmanager
+def reduced_pairs_checked():
+    """Every pair that ``maps`` and ``periods`` hand to ``reduced_fraction`` is reduced."""
+    with mock.patch.object(maps, "reduced_fraction", _checked_fraction):
+        with mock.patch.object(periods, "reduced_fraction", _checked_fraction):
+            yield
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_piece_maps(), st.integers(0, 6), st.data())
+def test_integer_composition_matches_the_fraction_reference(m, steps, data):
+    ends = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=1000),
+        st.sampled_from((m.a, m.b) + interior_cuts(m)),
+    )
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    if lo == hi:
+        lo, hi = m.a, m.b
+    # half the words are followed by a point of [lo, hi], so realized
+    word = tuple(data.draw(st.lists(st.sampled_from(BranchLabel), min_size=steps,
+                                    max_size=steps)))
+    inside = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    x = lo + (hi - lo) * inside
+    if data.draw(st.booleans()):
+        try:
+            word = label_word(m, x, steps)
+        except ValueError:  # the orbit of x meets c
+            pass
+    pieces = word_pieces(m, word, lo, hi)
+    reference = reference_word_pieces(m, word, lo, hi)
+    assert fraction_pieces(pieces) == reference
+    for n0, d0, n1, d1, a, b, e in pieces:
+        assert d0 > 0 and math.gcd(n0, d0) == 1
+        assert d1 > 0 and math.gcd(n1, d1) == 1
+        assert e > 0 and math.gcd(a, b, e) == 1
+    if word and pieces:
+        with reduced_pairs_checked():
+            try:
+                fixed = _fixed_point(pieces, lo, hi)
+            except AssertionError:
+                fixed = None
+        assert fixed == reference_fixed_point(reference, lo, hi)
+
+
+def _assert_levels_match_reference(m):
+    """Rebuild each level of ``m``'s tower with the integer and the ``Fraction``
+    composition; returns the number of levels."""
+    with reduced_pairs_checked():
+        levels = renorm_tower(m, level_cap=4, bound=24).levels
+    g = m
+    for level in levels:
+        step = level.step
+        J = (step.u, step.v)
+        words = ((step.left_word, g.a, g.c), (step.right_word, g.c, g.b))
+        with reduced_pairs_checked():
+            pieces = tuple(word_pieces(g, *word) for word in words)
+            inner = rescale_to_unit(g, J, pieces)
+            e_minus = _fixed_point(pieces[0], g.a, step.u)
+            e_plus = _fixed_point(pieces[1], step.v, g.b)
+        reference = tuple(reference_word_pieces(g, *word) for word in words)
+        assert inner == reference_rescale(g, J, reference) == step.inner_map
+        assert e_minus == reference_fixed_point(reference[0], g.a, step.u) == step.e_minus
+        assert e_plus == reference_fixed_point(reference[1], step.v, g.b) == step.e_plus
+        g = step.inner_map
+    return len(levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_piece_maps(near_unit=True))
+def test_rescale_matches_the_fraction_reference_on_random_towers(m):
+    _assert_levels_match_reference(m)
+
+
+def test_rescale_matches_the_fraction_reference_on_seeded_towers(sample_maps):
+    rng = random.Random(24)
+    bases = [piece_map(rng.randint, near_unit=True) for _ in range(30)]
+    bases += [m for _family, _p1, _p2, m in sample_maps]
+    bases += [
+        parse_map_text(path.read_text())
+        for path in sorted((Path(__file__).parent / "golden" / "maps").glob("custom*.map"))
+    ]
+    # 11 levels of the piece maps, 33 of the samples and 11 of the custom maps
+    assert sum(_assert_levels_match_reference(m) for m in bases) == 55
 
 
 def _branch_points(branch):

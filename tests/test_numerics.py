@@ -75,6 +75,13 @@ def test_parse_and_format():
     for huge in ("1e4301", "1.5E-4301", "1e10000000", "2e0000043010"):
         with pytest.raises(ValueError, match="decimal exponent out of range"):
             parse_scalar(huge)
+    # a run of MAX_DIGITS digits parses; one more digit is refused unread
+    assert parse_scalar("7" * 4300 + "/3") == F(int("7" * 4300), 3)
+    assert parse_scalar("1_" * 4299 + "1") == F(int("1" * 4300))
+    for long in ("7" * 4301 + "/3", "1/" + "3" * 4301, "0." + "5" * 4301, "1_" * 4300 + "1"):
+        with pytest.raises(ValueError, match="run of more than 4300 digits") as refused:
+            parse_scalar(long)
+        assert long not in str(refused.value)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
     assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"

@@ -10,9 +10,13 @@ alike.  Each side runs in its own checkout, so the two runs never share
 
 For every end-to-end metric of this checkout's ``BENCHMARK.json`` it
 prints the parent's median with its quartiles ``[q1, q3]``, the
-change's median, the change in percent, the pairs the change won, and
-whether the change's median is inside the metric's bound.  Then one
-line per pair gives each side's ``correct`` flag and metrics.
+change's median, the change in percent, the pairs the change won,
+whether the change's median is inside the metric's bound, and whether
+a claimed gain on the metric would hold: the change wins at least 9 of
+every 10 pairs (a tie counts for neither side), and its median is
+better than the parent's by more than the parent's ``q3 - q1``.  Then
+one line per pair gives each side's ``correct`` flag and metrics.  It
+exits 1 when any run reads ``correct: false``.
 
     python tools/ab_perfbench.py --parent ../parent --workload sweep \\
         --pairs 10 --seconds 20 --seed-base 4000
@@ -62,7 +66,7 @@ def quartiles(values: list) -> tuple:
 
 
 def summary(metric: dict, parent: list, change: list) -> str:
-    """One table row: parent median [q1, q3] → change median, Δ %, wins, bound."""
+    """One table row: parent median [q1, q3] → change median, Δ %, wins, bound, claim."""
     q1, p_median, q3 = quartiles(parent)
     c_median = statistics.median(change)
     higher = metric["better"] == "higher"
@@ -72,10 +76,13 @@ def summary(metric: dict, parent: list, change: list) -> str:
         inside = c_median >= p_median * (1 - metric["bound"])
     else:
         inside = c_median <= p_median * (1 + metric["bound"])
+    gain = c_median - p_median if higher else p_median - c_median
+    claim = 10 * wins >= 9 * len(parent) and gain > q3 - q1
     return (
         f"| {metric['name']} | {p_median:.4g} [{q1:.4g}, {q3:.4g}] | {c_median:.4g} "
         f"| {delta:+.1f} % | {wins}/{len(parent)} "
-        f"| {'inside' if inside else 'OUTSIDE'} {metric['bound']:.0%} |"
+        f"| {'inside' if inside else 'OUTSIDE'} {metric['bound']:.0%} "
+        f"| {'holds' if claim else 'fails'} |"
     )
 
 
@@ -108,8 +115,9 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
-    print("| metric | parent median [q1, q3] | change median | Δ | change won | bound |")
-    print("|---|---|---|---|---|---|")
+    print("| metric | parent median [q1, q3] | change median | Δ | change won | bound "
+          "| claim |")
+    print("|---|---|---|---|---|---|---|")
     for metric in end_to_end:
         values = {side: [run["metrics"][metric["name"]] for run in runs[side]]
                   for side in sides}
@@ -121,6 +129,9 @@ def main(argv=None) -> int:
             f"{p['metrics'][n]:.4g}/{c['metrics'][n]:.4g}" for n in names
         )
         print(f"seed {args.seed_base + i}: {p['correct']}/{c['correct']} {cells}")
+    if not all(run["correct"] for side in sides for run in runs[side]):
+        print("error: a run read correct: false", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -24,7 +24,13 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .numerics import PrecisionExhausted, format_scalar, parse_scalar
+from .numerics import (
+    MAX_DIGITS,
+    PrecisionExhausted,
+    format_scalar,
+    parse_int,
+    parse_scalar,
+)
 from .maps import (
     CapExceeded,
     LorenzMap,
@@ -443,22 +449,43 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--map-file", help="plain-text map description")
 
 
+def _int_flag(text: str) -> int:
+    """The ``type`` of the integer flags: :func:`~lorenzmap.numerics.parse_int`.
+
+    argparse echoes the text of a ``ValueError``, so the refusal of more
+    than ``MAX_DIGITS`` digits, which gives the length only, is raised
+    as an ``ArgumentTypeError`` (exit 2).
+    """
+    if len(text) <= MAX_DIGITS:
+        return int(text)
+    try:
+        return parse_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+# argparse names the type in its "invalid int value" message
+_int_flag.__name__ = "int"
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l-max", dest="l_max", type=int, default=DEFAULTS["l_max"])
     parser.add_argument(
-        "--level-cap", dest="level_cap", type=int, default=DEFAULTS["level_cap"]
+        "--l-max", dest="l_max", type=_int_flag, default=DEFAULTS["l_max"]
+    )
+    parser.add_argument(
+        "--level-cap", dest="level_cap", type=_int_flag, default=DEFAULTS["level_cap"]
     )
     parser.add_argument(
         "--hit-cap",
         dest="hit_cap",
-        type=int,
+        type=_int_flag,
         default=DEFAULTS["hit_cap"],
         help="backward steps of c that the base map's minimal period may take",
     )
     parser.add_argument(
         "--precision-bits",
         dest="precision_bits",
-        type=int,
+        type=_int_flag,
         default=DEFAULTS["precision_bits"],
         help="echoed in the report only: every scalar is exact",
     )

@@ -53,6 +53,7 @@ from .numerics import (
     Scalar,
     format_interval,
     format_scalar,
+    parse_int,
     parse_scalar,
     reduced_fraction,
 )
@@ -616,7 +617,7 @@ def parse_map_text(text: str) -> LorenzMap:
     else:
         raise ValueError(f"unknown family {family!r}")
     if "precision" in entries:
-        digits = int(entries["precision"])
+        digits = parse_int(entries["precision"])
         raise PrecisionExhausted(
             f"map values are known to {digits} significant digits only; "
             "the analysis needs exact rationals to certify its order relations"

@@ -69,6 +69,20 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {token!r}") from None
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``, with more than :data:`MAX_DIGITS` digits refused unread.
+
+    ``int`` reads a digit string in time quadratic in its length once
+    the int-digit limit is lifted, so a text with more digits than that
+    is refused with a ``ValueError`` that gives its length, not the text.
+    """
+    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise ValueError(
+            f"an integer of {len(text)} characters has more than {MAX_DIGITS} digits"
+        )
+    return int(text)
+
+
 _new = object.__new__
 
 

@@ -4,11 +4,14 @@ Every order question the analysis asks about a renormalization, from
 the pair search to the orbit unions of the tower levels, is an order
 relation between the points ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and
 ``c``.  So these values are ranked once per map, and the callers decide
-on the integer ranks.  Each map owns one :class:`CriticalOrbitPair`,
-which :func:`critical_pair` builds on first use and every caller reads:
-the ``(kappa, kappa)`` rule, the pair search, the validity check, the
-minimal orbit and the orbit unions.  It grows the orbits to the longest
-prefix asked for so far, so no caller iterates them again.
+on the integer ranks.  On a valid map the first two values of each
+orbit are ``c`` and ``b`` or ``a`` by construction, so they take those
+ranks without being ranked (:func:`ranked_orbits`).  Each map owns one
+:class:`CriticalOrbitPair`, which :func:`critical_pair` builds on first
+use and every caller reads: the ``(kappa, kappa)`` rule, the pair
+search, the validity check, the minimal orbit and the orbit unions.  It
+grows the orbits to the longest prefix asked for so far, so no caller
+iterates them again.
 
 The critical orbits are iterated as dyadic enclosures: integers
 ``lo <= f^i(c±)·2^P <= hi``, at a precision ``P`` fixed by the map and
@@ -16,9 +19,11 @@ twice the length the orbits are built for (their horizon).  Each branch is
 increasing and continuous, so evaluating it at ``lo`` rounded down and
 at ``hi`` rounded up encloses the next iterate.  Disjoint enclosures
 order their values outright.  Exact ``Fraction`` iterates are computed
-only on demand: where an enclosure meets ``c`` (the branch is then
-decided exactly), where enclosures overlap while the values are ranked,
-and where a caller asks for a value.  So every decision is still exact.
+only on demand: where an enclosure after step 0 meets ``c`` (the branch
+is then decided exactly; step 0 is ``c`` itself, and the orbit's own
+side picks its branch), where enclosures overlap while the values are
+ranked, and where a caller asks for a value.  So every decision is
+still exact.
 The exact iterates are walked along the orbit's own word
 (:func:`~lorenzmap.maps.word_orbit`), one integer step on the reduced
 pair of the one before, so no ``Fraction`` arithmetic runs along the
@@ -87,12 +92,14 @@ class CriticalOrbit:
     ``i`` applies.  The orbit is keyed by its first label, ``L`` for
     ``c-`` and ``R`` for ``c+``, and every visit of ``c`` takes that
     branch: an orbit landing on ``c`` continues as the one-sided limit it
-    started from.  :meth:`extend` iterates further at the same precision,
-    up to the ``horizon`` that precision was chosen for, with the
-    ``(left, right)`` pair of ``branches`` scaled to it.  :meth:`exact`
-    computes the exact iterates up to the one asked for, once, along the
-    word (:func:`~lorenzmap.maps.word_orbit`; at ``c`` that gives
-    ``f(c-) = b`` and ``f(c+) = a``).
+    started from.  Step 0 takes it outright; a later step takes the
+    branch its enclosure gives, or, where the enclosure meets ``c``, the
+    one its exact value gives.  :meth:`extend` iterates further at the
+    same precision, up to the ``horizon`` that precision was chosen for,
+    with the ``(left, right)`` pair of ``branches`` scaled to it.
+    :meth:`exact` computes the exact iterates up to the one asked for,
+    once, along the word (:func:`~lorenzmap.maps.word_orbit`; at ``c``
+    that gives ``f(c-) = b`` and ``f(c+) = a``).
     """
 
     def __init__(
@@ -119,7 +126,9 @@ class CriticalOrbit:
         c_lo, c_hi = self._c_bounds
         lo, hi = bounds[-1]
         for i in range(len(word), length):
-            if hi < c_hi:
+            if i == 0:  # c itself: the orbit starts as the side it is keyed by
+                left = self._first is BranchLabel.LEFT
+            elif hi < c_hi:
                 left = True
             elif lo > c_lo:
                 left = False
@@ -244,17 +253,29 @@ def rank_values(bounds, exact) -> list:
 
 
 def ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
-    """``(a, b, c, minus, plus)`` replaced by their joint ranks."""
+    """``(a, b, c, minus, plus)`` replaced by their joint ranks.
+
+    ``m`` must be a valid map (:func:`~lorenzmap.maps.validate_map`; the
+    inner maps of :func:`~lorenzmap.maps.rescale_to_unit` are), and the
+    orbits at least one step long (every caller asks for four or more).
+    Then ``minus[0] = plus[0] = c``, ``minus[1] = f(c-) = b`` and
+    ``plus[1] = f(c+) = a`` hold by construction, so only ``a``, ``b``,
+    ``c``, ``minus[2:]`` and ``plus[2:]`` are ranked, and the other four
+    copy their ranks.
+    """
     fixed = (m.a, m.b, m.c)
-    bounds = [enclose(x, minus.precision) for x in fixed] + minus.bounds + plus.bounds
-    split = 3 + len(minus.bounds)
+    bounds = (
+        [enclose(x, minus.precision) for x in fixed] + minus.bounds[2:] + plus.bounds[2:]
+    )
+    split = 1 + len(minus.bounds)  # 3 fixed values, then minus[2:]
 
     def exact(i: int) -> Scalar:
         if i < 3:
             return fixed[i]
         if i < split:
-            return minus.exact(i - 3)
-        return plus.exact(i - split)
+            return minus.exact(i - 1)
+        return plus.exact(i - split + 2)
 
     ranks = rank_values(bounds, exact)
-    return ranks[0], ranks[1], ranks[2], ranks[3:split], ranks[split:]
+    a, b, c = ranks[:3]
+    return a, b, c, [c, b, *ranks[3:split]], [c, a, *ranks[split:]]

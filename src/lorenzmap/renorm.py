@@ -27,7 +27,8 @@ least as close to ``c`` from the left as at every earlier time, and
 ``λ`` the least slope, ``λ^-ell + λ^-r >= 1``, so no entry of a valid
 pair exceeds ``N(λ) = max{n : λ^-2 + λ^-n >= 1}`` (:func:`_pair_bound`).
 So the search stops at ``min(bound, N(λ))``, and for ``λ^2 > 2`` it
-rules on no pair.  Every valid pair is among those searched, so the
+rules on no pair; ``(kappa, kappa)`` is ruled on only for
+``kappa <= N(λ)``.  Every valid pair is among those searched, so the
 walk finds the same first pair, and finding none still proves "prime up
 to bound"; the answer keeps that name even where ``N(λ)`` cut the search
 and so proves primality outright.  Consecutive minimal renormalizations
@@ -286,7 +287,11 @@ def minimal_renormalization(
     on first, whatever the bound: ``e-`` is fixed by ``f^ell``, so its
     least period divides ``ell`` and is at least ``kappa``, and the same
     holds for ``e+`` and ``r``; a valid ``(kappa, kappa)`` is minimal
-    outright.  Otherwise pairs are searched in increasing ``ell + r``
+    outright.  It is ruled on only when ``kappa <= N(λ)``: no entry of a
+    valid pair exceeds ``N(λ)`` (:func:`_pair_bound`), so past it
+    ``(kappa, kappa)`` is invalid, and skipping the ruling changes no
+    answer.  The test is ``_pair_bound(m, kappa) >= kappa``, exact on
+    integers, which follows ``N(λ)`` only as far as ``kappa``.  Otherwise pairs are searched in increasing ``ell + r``
     (ties by ``ell``), and the first valid pair is the minimal one.  Only
     pairs of critical-orbit record times are ruled on: every valid pair
     is one (see :func:`_record_times`), and no entry of a valid pair
@@ -295,14 +300,15 @@ def minimal_renormalization(
     pair found nor the "prime up to bound" answer; ``prime_bound`` still
     reports ``bound``, and it holds, since no valid pair lies past ``N(λ)``.
     Both rulings read the ranks of the map's pair, grown to ``2·kappa``
-    steps for the first one.
+    steps for the first one, so a map with ``kappa > N(λ)`` grows it
+    only as far as the search needs, and not at all when ``N(λ) < 2``.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
         return MinimalRenormResult(None, None, True, False, period)
-    critical = critical_pair(m)
     kappa = period.kappa
-    if kappa is not None:
+    if kappa is not None and _pair_bound(m, kappa) >= kappa:
+        critical = critical_pair(m)
         a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
         if _pair_failure(a, b, c, kappa, kappa, minus_rank, plus_rank) is None:
             step = _build_step(m, kappa, kappa, critical.minus, critical.plus)

@@ -244,6 +244,59 @@ def test_long_digit_run_is_refused_at_once(capsys, tmp_path, source):
     assert seconds < 0.5
 
 
+@pytest.mark.parametrize(
+    "flag", ["--l-max", "--level-cap", "--hit-cap", "--precision-bits", "precision"]
+)
+def test_long_integer_is_refused_at_once(capsys, tmp_path, flag):
+    # read under the lifted int-digit limit, 100,000 digits of --l-max
+    # exited 0 and echoed a 201 kB l_max, and 400,000 digits took 8 s
+    digits = "1" + "0" * 99_999
+    if flag == "precision":
+        text = (GOLDEN_MAPS / "custom15.map").read_text()
+        huge = tmp_path / "huge.map"
+        huge.write_text(f"{text}precision = {digits}\n")
+        argv = ["analyze", "--map-file", str(huge)]
+    else:
+        argv = ["analyze", "--family", "symmetric", "--a", "3/2", flag, digits]
+    message = "an integer of 100000 characters has more than 4300 digits"
+    start = time.perf_counter()
+    if flag == "precision":
+        code = main(argv)
+    else:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        code = exited.value.code
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    if flag == "precision":
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"status": "invalid-map", "error": message}
+    else:
+        # argparse's usage and the length, not the digits
+        assert captured.out == "" and len(captured.err) < 1000
+        assert captured.err.endswith(f"argument {flag}: {message}\n")
+    assert seconds < 0.5
+
+
+def test_integer_flags_keep_their_messages(capsys):
+    # a long value with few digits is read by int as before, and a
+    # malformed short one keeps argparse's own message
+    for value, expected in (
+        ("abc", "argument --l-max: invalid int value: 'abc'"),
+        (" " * 4300 + "12", None),
+    ):
+        argv = ["analyze", "--family", "symmetric", "--a", "3/2", "--l-max", value]
+        if expected is None:
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["l_max"] == 12
+            continue
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(expected + "\n")
+
+
 def test_precision_exhausted_exit_code(capsys, tmp_path):
     fuzzy = tmp_path / "fuzzy.map"
     fuzzy.write_text("family = symmetric\na = 1.4142135624\nprecision = 10\n")

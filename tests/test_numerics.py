@@ -9,6 +9,7 @@ from lorenzmap.numerics import (
     PrecisionExhausted,
     format_interval,
     format_scalar,
+    parse_int,
     parse_scalar,
 )
 
@@ -81,6 +82,13 @@ def test_parse_and_format():
     for long in ("7" * 4301 + "/3", "1/" + "3" * 4301, "0." + "5" * 4301, "1_" * 4300 + "1"):
         with pytest.raises(ValueError, match="run of more than 4300 digits") as refused:
             parse_scalar(long)
+        assert long not in str(refused.value)
+    # an integer of MAX_DIGITS digits parses; one more digit is refused unread
+    assert parse_int("-" + "0" * 4299 + "7") == -7
+    assert parse_int("1_" * 2150 + "1") == int("1" * 2151)  # 4,301 characters
+    for long in ("7" * 4301, "-" + "7" * 4301, "1_" * 4300 + "1"):
+        with pytest.raises(ValueError, match="more than 4300 digits") as refused:
+            parse_int(long)
         assert long not in str(refused.value)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"

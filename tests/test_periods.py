@@ -22,7 +22,7 @@ from lorenzmap.periods import (
     minimal_periodic_orbit,
 )
 from lorenzmap.orbits import critical_pair
-from lorenzmap.renorm import renorm_tower
+from lorenzmap.renorm import _pair_bound, renorm_tower
 
 from conftest import (
     beta_params,
@@ -269,18 +269,29 @@ def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
         return original(m, length)
 
     monkeypatch.setattr(orbits, "critical_orbit_values", recording)
+    ruled = 0
     for _family, _p1, _p2, shared in sample_maps:
         # copies with empty pair slots: the fixture's maps are shared
         m, alone_map, short_map = (dataclasses.replace(shared) for _ in range(3))
         kappa = minimal_period(m).kappa
         alone = minimal_periodic_orbit(alone_map, kappa)
-        # the (kappa, kappa) rule grew the map's pair to 2·kappa steps
         renorm_tower(m, level_cap=1, bound=4)
         critical = critical_pair(m)
         held = critical.minus
         built.clear()
         assert minimal_periodic_orbit(m, kappa) == alone
-        assert critical.minus is held and built == []
+        if _pair_bound(m, kappa) >= kappa:
+            # the (kappa, kappa) rule grew the map's pair to 2·kappa steps
+            assert len(held.bounds) > 2 * kappa
+            assert critical.minus is held and built == []
+            ruled += 1
+        else:
+            # past N(λ) the rule grows nothing, and the search at most to
+            # a horizon it chose: the minimal orbit grows that pair in
+            # place if the horizon covers kappa steps, and builds once if not
+            grows = held is not None and held.horizon >= kappa
+            assert built == ([] if grows else [kappa])
+            assert (critical.minus is held) is grows
         # a shorter pair is grown to kappa steps in place
         short = critical_pair(short_map)
         held, _plus = short.grow((kappa + 1) // 2)
@@ -288,6 +299,7 @@ def test_minimal_orbit_reads_a_shared_critical_pair(sample_maps, monkeypatch):
         assert minimal_periodic_orbit(short_map, kappa) == alone
         assert short.minus is held and len(held.bounds) == kappa + 1
         assert built == []
+    assert 0 < ruled < len(sample_maps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,6 +19,7 @@ from lorenzmap.maps import (
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
     DEFAULT_PAIR_BOUND,
+    MinimalRenormResult,
     TowerTerminal,
     Trichotomy,
     classify_trichotomy,
@@ -42,6 +43,7 @@ from lorenzmap.orbits import (
 )
 
 from conftest import (
+    GOLDEN_MAPS,
     LONG_ORBIT_MAP_TEXT,
     evaluate_orbit,
     golden_case_maps,
@@ -470,9 +472,10 @@ def _base_orbit_builds(monkeypatch, capsys, base, argv):
             ["--family", "symmetric", "--a", "198/197"],
             [8, 512],
         ),
-        # fast path fails, and slope 3/2 > √2 leaves no pair to search:
-        # N(3/2) = 1, so the search builds nothing
-        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [8]),
+        # slope 3/2 > √2 leaves no pair: N(3/2) = 1 < kappa = 2, so neither
+        # the (kappa, kappa) rule nor the search builds, and only the
+        # minimal orbit does, for kappa steps
+        (symmetric_map(F(3, 2)), ["--family", "symmetric", "--a", "3/2"], [4]),
         # minimal period capped: the search finds level 1 within N(23/20) = 10
         # steps, horizon 2·10, and the unions grow the same pair instead of
         # building another
@@ -746,6 +749,105 @@ def test_ranked_orbits_share_ranks_with_a_b_and_c():
     assert minus_rank[0] == plus_rank[0] == c
     assert plus_rank[1:] == [a] * 4
     assert minus_rank[1:] == [b] * 4
+
+
+def _straight_ranked_orbits(m, minus, plus):
+    """``ranked_orbits`` as ``rank_values`` over all ``2L + 5`` values."""
+    fixed = (m.a, m.b, m.c)
+    split = 3 + len(minus.bounds)
+    bounds = [enclose(x, minus.precision) for x in fixed] + minus.bounds + plus.bounds
+
+    def exact(i):
+        if i < 3:
+            return fixed[i]
+        return minus.exact(i - 3) if i < split else plus.exact(i - split)
+
+    ranks = rank_values(bounds, exact)
+    return ranks[0], ranks[1], ranks[2], ranks[3:split], ranks[split:]
+
+
+def _assert_copied_ranks_are_straight(m, lengths):
+    for length in lengths:
+        minus, plus = critical_orbit_values(m, length)
+        assert ranked_orbits(m, minus, plus) == _straight_ranked_orbits(m, minus, plus)
+
+
+def test_copied_ranks_match_ranking_every_value(ranking_corpus):
+    # f(0) = c: the c+ orbit is c, a, c, a, ...; f(1) = c: the c- orbit is
+    # c, b, c, b, ...; at slope 2, f(c-) = b and f(c+) = a are fixed, so
+    # the orbits land on b and a at every step
+    landing = [
+        beta_transformation(F(3, 2), F(2, 5)),
+        beta_transformation(F(3, 2), F(1, 10)),
+        symmetric_map(F(2)),
+    ]
+    plus = critical_orbit_values(landing[0], 8)[1]
+    assert [plus.exact(i) for i in (2, 3, 5)] == [F(2, 5), F(0), F(0)]
+    minus = critical_orbit_values(landing[1], 8)[0]
+    assert [minus.exact(i) for i in (2, 3, 4)] == [F(3, 5), F(1), F(3, 5)]
+    minus = critical_orbit_values(landing[2], 8)[0]
+    assert [minus.exact(i) for i in (2, 8)] == [F(1)] * 2
+    for m in landing + ranking_corpus:
+        _assert_copied_ranks_are_straight(m, (1, 2, 3, 48))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(multi_piece_maps(), multi_piece_maps(near_unit=True)))
+def test_copied_ranks_match_ranking_every_value_on_random_maps(m):
+    _assert_copied_ranks_are_straight(m, (1, 5, 32))
+
+
+def _straight_minimal_renormalization(m, bound=DEFAULT_PAIR_BOUND):
+    """``minimal_renormalization`` ruling on ``(kappa, kappa)`` whatever ``N(λ)``.
+
+    Returns the result and whether ``(kappa, kappa)`` was valid."""
+    period = minimal_period(m)
+    kappa = period.kappa
+    if kappa == 1:
+        return MinimalRenormResult(None, None, True, False, period), False
+    if kappa is not None:
+        check = is_valid_renormalization(m, kappa, kappa)
+        if check.valid:
+            return MinimalRenormResult(check.step, None, False, True, period), True
+    step = _search_pairs(m, bound)
+    prime_bound = None if step is not None else bound
+    return MinimalRenormResult(step, prime_bound, False, False, period), False
+
+
+def _assert_gate_is_straight(m):
+    """The gated decision equals the straight one; returns ``(gated, valid)``:
+    whether ``kappa > N(λ)`` skipped the ruling, and whether ``(kappa, kappa)``
+    was valid."""
+    # copies with empty pair slots, so that neither side reads the other's pair
+    gated = minimal_renormalization(dataclasses.replace(m))
+    straight, valid = _straight_minimal_renormalization(dataclasses.replace(m))
+    assert gated == straight
+    kappa = gated.period.kappa
+    skipped = kappa is not None and kappa > 1 and _pair_bound(m, kappa) < kappa
+    if valid:
+        # the expansion lemma: a valid (kappa, kappa) has kappa <= N(λ)
+        assert _pair_bound(m, kappa) == kappa and not skipped
+    return skipped, valid
+
+
+def test_kappa_gate_matches_the_straight_decision(ranking_corpus):
+    golden = [
+        parse_map_text(path.read_text()) for path in sorted(GOLDEN_MAPS.glob("custom*.map"))
+    ]
+    maps = list(ranking_corpus)
+    for m in golden:
+        maps += [level.step.inner_map for level in renorm_tower(m).levels]
+    outcomes = [_assert_gate_is_straight(m) for m in maps]
+    skipped = sum(gated for gated, _valid in outcomes)
+    valid = sum(valid for _gated, valid in outcomes)
+    # 57 and 60 of these 135 maps
+    assert skipped >= 50 and valid >= 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps(near_unit=True))
+def test_kappa_gate_matches_the_straight_decision_on_random_maps(m):
+    _assert_gate_is_straight(m)
 
 
 _near_ties = st.builds(

@@ -1,0 +1,100 @@
+"""Unit tests of ``tools/ab_perfbench.py``'s summary row, on synthetic numbers.
+
+No perfbench run is made: :func:`summary` is fed parent and change
+values chosen so that each verdict sits on one side of its edge.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_perfbench.py"
+_SPEC = importlib.util.spec_from_file_location("ab_perfbench", _PATH)
+ab_perfbench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_perfbench)
+
+HIGHER = {"name": "items_per_s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "item_p50_ms", "better": "lower", "bound": 0.25}
+
+# median 100, quartiles 98.25 and 101.75: an interquartile range of 3.5
+PARENT = [96, 97, 98, 99, 100, 100, 101, 102, 103, 104]
+
+
+def _cells(metric, parent, change) -> dict:
+    """The row of :func:`summary`, split into its named cells."""
+    row = ab_perfbench.summary(metric, parent, change)
+    assert row.startswith("| ") and row.endswith(" |")
+    name, parent_cell, change_cell, delta, won, bound, claim = row[2:-2].split(" | ")
+    assert name == metric["name"]
+    return {
+        "parent": parent_cell,
+        "change": change_cell,
+        "delta": delta,
+        "won": won,
+        "bound": bound,
+        "claim": claim,
+    }
+
+
+def _better(metric, values, by):
+    sign = 1 if metric["better"] == "higher" else -1
+    return [x + sign * by for x in values]
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER])
+def test_claim_needs_a_gain_beyond_the_interquartile_range(metric):
+    # printed to four significant digits
+    assert _cells(metric, PARENT, PARENT)["parent"] == "100 [98.25, 101.8]"
+    # every pair won, but a median gain of exactly q3 - q1 is not beyond it
+    at_edge = _cells(metric, PARENT, _better(metric, PARENT, 3.5))
+    assert (at_edge["won"], at_edge["claim"]) == ("10/10", "fails")
+    past_edge = _cells(metric, PARENT, _better(metric, PARENT, 3.75))
+    assert (past_edge["won"], past_edge["claim"]) == ("10/10", "holds")
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER])
+def test_claim_needs_nine_of_every_ten_pairs(metric):
+    change = _better(metric, PARENT, 5)
+    # one pair lost: 9 of 10 won, and the median gain is still 5 > 3.5
+    one_lost = [*_better(metric, PARENT[:1], -1), *change[1:]]
+    cells = _cells(metric, PARENT, one_lost)
+    assert (cells["won"], cells["claim"]) == ("9/10", "holds")
+    two_lost = [*_better(metric, PARENT[:2], -1), *change[2:]]
+    cells = _cells(metric, PARENT, two_lost)
+    assert (cells["won"], cells["claim"]) == ("8/10", "fails")
+    # with five pairs, 9 of every 10 means all five
+    cells = _cells(metric, PARENT[:5], [*_better(metric, PARENT[:1], -1), *change[1:5]])
+    assert (cells["won"], cells["claim"]) == ("4/5", "fails")
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER])
+def test_ties_count_for_neither_side(metric):
+    change = _better(metric, PARENT, 5)
+    one_tie = [PARENT[0], *change[1:]]
+    cells = _cells(metric, PARENT, one_tie)
+    assert (cells["won"], cells["claim"]) == ("9/10", "holds")
+    two_ties = [*PARENT[:2], *change[2:]]
+    cells = _cells(metric, PARENT, two_ties)
+    assert (cells["won"], cells["claim"]) == ("8/10", "fails")
+    # all ties: no pair won by either side, and nothing moved
+    cells = _cells(metric, PARENT, PARENT)
+    assert (cells["won"], cells["delta"], cells["claim"]) == ("0/10", "+0.0 %", "fails")
+    # pairs the parent wins do not count for the change
+    assert _cells(metric, PARENT, _better(metric, PARENT, -1))["won"] == "0/10"
+
+
+def test_bound_where_higher_is_better():
+    # the bound is 25 % of the parent's median, 100
+    assert _cells(HIGHER, [100], [75])["bound"] == "inside 25%"
+    assert _cells(HIGHER, [100], [74.9])["bound"] == "OUTSIDE 25%"
+    assert _cells(HIGHER, [100], [1000])["bound"] == "inside 25%"
+    cells = _cells(HIGHER, [100], [74.9])
+    assert (cells["change"], cells["delta"]) == ("74.9", "-25.1 %")
+
+
+def test_bound_where_lower_is_better():
+    assert _cells(LOWER, [100], [125])["bound"] == "inside 25%"
+    assert _cells(LOWER, [100], [125.1])["bound"] == "OUTSIDE 25%"
+    assert _cells(LOWER, [100], [1])["bound"] == "inside 25%"
+    assert _cells({**LOWER, "bound": 0.1}, [20], [22.5])["bound"] == "OUTSIDE 10%"

@@ -17,7 +17,6 @@ from .numerics import (
 from .maps import (
     BranchFn,
     BranchLabel,
-    CapExceeded,
     IntervalDoesNotStraddleC,
     LorenzMap,
     ValidationReport,
@@ -31,10 +30,8 @@ from .maps import (
 )
 from .interval_dynamics import IntervalUnion, interval_orbit
 from .periods import (
-    AmbiguousPreimage,
     MinimalPeriodResult,
     PeriodicOrbit,
-    UniquenessViolated,
     fixed_points,
     minimal_period,
     minimal_periodic_orbit,

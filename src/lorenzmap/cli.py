@@ -7,10 +7,11 @@ configuration reproduce reports byte for byte.  The sections of an
 :func:`write_json` formats each of them once, as it streams the report
 to stdout with the bytes of ``json.dumps(report, indent=2)``, so the
 report is never held as one string.  Exit codes: 0 success,
-2 invalid map or input, 3 precision exhausted, 4 cap exceeded; partial
-reports carry a ``status`` field.  :func:`main` maps the exceptions of
-every command to exit codes through :data:`EXIT_FOR_ERROR`, in one
-place.  ``precision_bits`` is only
+2 invalid map or input, 3 precision exhausted, 4 cap exceeded (a
+minimal period undetermined at its cap, a result and not an
+exception); partial reports carry a ``status`` field.
+:func:`main` maps the exceptions of every command to exit codes through
+:data:`EXIT_FOR_ERROR`, in one place.  ``precision_bits`` is only
 echoed in the configuration: every scalar is exact.
 """
 
@@ -32,7 +33,6 @@ from .numerics import (
     parse_scalar,
 )
 from .maps import (
-    CapExceeded,
     LorenzMap,
     beta_transformation,
     describe_map,
@@ -86,7 +86,6 @@ STATUS_FOR_EXIT = {
 # Exceptions that end a command with a status instead of a traceback.
 EXIT_FOR_ERROR = {
     PrecisionExhausted: EXIT_PRECISION,
-    CapExceeded: EXIT_CAP,
     ValueError: EXIT_INVALID_MAP,
     OSError: EXIT_INVALID_MAP,
 }

@@ -62,12 +62,15 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
 
     Level ``i`` with return times ``(RL, RR)`` has ``a_i = plus[RR]`` and
     ``b_i = minus[RL]``, where ``minus[k] = f^k(c-)`` and
-    ``plus[k] = f^k(c+)`` are the base critical orbits.  So the iterates
+    ``plus[k] = f^k(c+)`` are the base critical orbits: by the claim of
+    :func:`_level_orbit`, the level's return branches are ``f^RL`` and
+    ``f^RR`` along the base words of ``c-`` and ``c+``.  So the iterates
     of ``[a_i, c]`` and ``[c, b_i]`` that
     :func:`~lorenzmap.interval_dynamics.interval_orbit` unites are
     ``[plus[RR + j], minus[j]]`` for ``j < RL`` and
-    ``[plus[j], minus[RL + j]]`` for ``j < RR``.  One critical orbit of
-    length ``max(RL + RR)``, ranked once, serves every level: each
+    ``[plus[j], minus[RL + j]]`` for ``j < RR``, and by the same claim
+    each lies in one branch domain, so none crosses ``c``.  One critical
+    orbit of length ``max(RL + RR)``, ranked once, serves every level: each
     level's rank pairs ``(plus_rank[p], minus_rank[q])`` are merged by
     :meth:`~lorenzmap.interval_dynamics.IntervalUnion.from_pairs`, and
     each merged end is mapped back through its rank to an iterate, whose
@@ -86,17 +89,8 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     unions = []
     for level in tower.levels:
         ell, r = level.return_left, level.return_right
-        if level.interval != (plus.exact(r), minus.exact(ell)):
-            raise AssertionError("level interval is not (f^RR(c+), f^RL(c-))")
         # (plus index, minus index) of the iterates of [a_i, c], then [c, b_i]
         windows = [(r + j, j) for j in range(ell)] + [(j, ell + j) for j in range(r)]
-        # the iterates whose images are taken, as in interval_orbit
-        for p, q in windows[: ell - 1] + windows[ell : ell + r - 1]:
-            if plus_rank[p] < c < minus_rank[q]:
-                raise ValueError(
-                    "interval image crossed the discontinuity: return times "
-                    "do not match the first-return structure"
-                )
         ranked = IntervalUnion.from_pairs(
             (plus_rank[p], minus_rank[q]) for p, q in windows
         )
@@ -159,23 +153,20 @@ def _level_orbit(m: LorenzMap, level: TowerLevel) -> list:
     points of the left domain follow ``w``, which proves the claim, and
     so does ``e-``, the fixed point on ``w``'s pieces.  So ``e-``
     follows ``minus.word[:RL_i]``, :func:`~lorenzmap.maps.word_orbit`
-    walks it, and ``f^RL_i(e-) = e-``.
+    walks it exactly, and ``f^RL_i(e-) = e-`` holds with no check.
 
     ``RL_i`` is the least period of ``e-``, so the orbit is the walk's
-    first ``RL_i`` points.  Write ``[u, v]`` for the level interval in base
-    coordinates.  ``f^j`` is continuous and increasing on ``[u, c)`` for
-    ``j <= RL_i`` (the claim), and by the first-return property
-    ``f^j([u, c)) = [f^j(u), f^j(c-))`` misses ``(u, v)`` for
-    ``0 < j < RL_i``.  ``e-`` lies in ``[u, c)``, so ``f^j(e-) = e-``
-    would force ``e- = u`` and then ``f^j(u) = u``: the non-degenerate
-    interval ``[u, f^j(c-))`` would meet ``(u, v)``.
+    first ``RL_i`` points.  ``e-`` lies left of ``c`` and follows the
+    word of ``c-``.  If ``f^p(e-) = e-`` with ``0 < p < RL_i``, then
+    ``e-``'s letter at step ``p`` is ``L``, and so is ``c-``'s, so
+    ``f^p(c-) <= c``.  So ``f^p``, continuous and increasing on
+    ``[e-, c)``, would map ``[e-, c)`` into ``[e-, c]`` with every slope
+    above 1, which is impossible.
     """
     ell = level.return_left
     minus, _plus = critical_pair(m).grow(ell)
-    values = word_orbit(m, minus.word[:ell], level.e_minus)
-    if values[ell] != level.e_minus:
-        raise AssertionError("e- is not fixed by its level's left return branch")
-    return sorted(values[:ell], key=order_key)
+    values = word_orbit(m, minus.word[:ell - 1], level.e_minus)
+    return sorted(values, key=order_key)
 
 
 def alpha_limit_approx(
@@ -188,15 +179,21 @@ def alpha_limit_approx(
     only points outside the open level interval: a preimage of a kept
     point then has its whole forward orbit off the interval, which is
     the membership criterion for ``E_i``.
+
+    The orbit of ``e-`` is off the interval: the proof of
+    :func:`~lorenzmap.renorm._build_step` holds in base coordinates.
+    There level ``i``'s return branches are ``f^RL_i`` and ``f^RR_i``
+    along the words of ``c-`` and ``c+`` (the claim of
+    :func:`_level_orbit`), and their windows stay off the open level
+    interval ``J_i``, by induction: between returns to ``J_{i-1}`` a
+    point stays off its interior, which holds ``J_i``, and at those
+    returns level ``i``'s own windows keep it off ``J_i``.
     """
     if not (1 <= i <= len(tower.levels)):
         raise ValueError("level index outside the tower")
     level = tower.levels[i - 1]
     gap_lo, gap_hi = level.interval
     points = set(_level_orbit(m, level))
-    for x in points:
-        if gap_lo < x < gap_hi:
-            raise AssertionError("repelling orbit enters its own level interval")
     frontier = set(points)
     for _ in range(depth):
         new = set()

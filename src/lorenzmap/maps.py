@@ -67,10 +67,6 @@ class IntervalDoesNotStraddleC(Exception):
     """The interval must contain the discontinuity in its interior."""
 
 
-class CapExceeded(Exception):
-    """An iteration guard was hit before the sought event occurred."""
-
-
 class BranchLabel(enum.Enum):
     LEFT = "L"
     RIGHT = "R"

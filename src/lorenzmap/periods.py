@@ -3,17 +3,18 @@
 A fixed point can only be a domain end, ``f(a) = a`` or ``f(b) = b``.
 For an expanding Lorenz map without fixed point the least period over
 all periodic points is ``m + 2``, where ``m`` counts backward steps of
-the discontinuity through its unique preimages until the chain enters
-the two-preimage interval ``[f(a), f(b)]``.  The minimal-period orbit is
-unique.  Its largest point left of ``c`` follows the branch word of
-``c-`` for ``kappa`` steps (see :func:`minimal_periodic_orbit`), read
-off the map's own critical-orbit pair, so it is found by solving
-``f^kappa(x) = x`` exactly on the integer pieces ``(A·x + B)/E`` of
-:func:`~lorenzmap.maps.word_pieces` along that one word, as
-``x = B/(E - A)`` on the piece that holds it, and its orbit is walked
-once along the same word (:func:`~lorenzmap.maps.word_orbit`).  The
-same solve, on the words of the return branches, gives the repelling
-fixed points ``e±`` of :mod:`~lorenzmap.renorm`.
+the discontinuity through its unique preimages, one branch solve each,
+until the chain enters the two-preimage interval ``[f(a), f(b)]``.  The
+minimal-period orbit is unique.  Its largest point left of ``c``
+follows the branch word of ``c-`` for ``kappa`` steps (see
+:func:`minimal_periodic_orbit`), read off the map's own critical-orbit
+pair, so it is found by solving ``f^kappa(x) = x`` exactly on the
+integer pieces ``(A·x + B)/E`` of :func:`~lorenzmap.maps.word_pieces`
+along that one word, as ``x = B/(E - A)`` on the piece that holds it,
+and its orbit is walked once along the same word
+(:func:`~lorenzmap.maps.word_orbit`).  The same solve, on the words of
+the return branches, gives the repelling fixed points ``e±`` of
+:mod:`~lorenzmap.renorm`.
 """
 
 from __future__ import annotations
@@ -23,25 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numerics import Scalar, reduced_fraction
-from .maps import (
-    BranchLabel,
-    LorenzMap,
-    evaluate,
-    inverse_images,
-    word_orbit,
-    word_pieces,
-)
+from .maps import BranchLabel, LorenzMap, evaluate, word_orbit, word_pieces
 from .orbits import critical_pair
 
 DEFAULT_BACKWARD_CAP = 10_000
-
-
-class AmbiguousPreimage(Exception):
-    """A backward-chain point had two preimages before entering [f(a), f(b)]."""
-
-
-class UniquenessViolated(Exception):
-    """The minimal-period orbit has the wrong size or misses one side of ``c``."""
 
 
 @dataclass(frozen=True)
@@ -94,16 +80,17 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     Exceeding the cap leaves the period undetermined (an infinite
     minimal period is suspected but never asserted).
 
-    No valid map reaches the :class:`AmbiguousPreimage` raise.
+    Each backward step solves the one branch that holds the preimage.
     The left branch takes ``[a, c)`` onto ``[f(a), b)`` with every slope
     above 1, so ``b - f(a) > c - a``; the right branch likewise gives
     ``f(b) - a > b - c``.  Hence ``f(a) < a + b - c < f(b)``.  A point
     below ``f(a)`` lies only in the right image ``[a, f(b)]`` and a
     point above ``f(b)`` only in the left image ``[f(a), b]``, so every
-    point outside ``[f(a), f(b)]`` has exactly one preimage.  The chain
-    never returns to ``c``, the one-sided preimage of ``b`` and ``a``
-    alone: it would hold ``b`` only after ``f(b)`` and ``a`` only after
-    ``f(a)``, and both lie in ``[f(a), f(b)]``, where the chain stops.
+    point outside ``[f(a), f(b)]`` has exactly one preimage, on that
+    branch.  The chain never returns to ``c``, the one-sided preimage of
+    ``b`` and ``a`` alone: it would hold ``b`` only after ``f(b)`` and
+    ``a`` only after ``f(a)``, and both lie in ``[f(a), f(b)]``, where
+    the chain stops.
     """
     fa = evaluate(m, m.a)
     fb = evaluate(m, m.b)
@@ -114,12 +101,7 @@ def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeri
     for i in range(cap + 1):
         if fa <= x <= fb:
             return MinimalPeriodResult(i + 2, i, tuple(chain))
-        preimages = inverse_images(m, x)
-        if len(preimages) != 1:
-            raise AmbiguousPreimage(
-                f"chain point {x} outside [f(a), f(b)] has {len(preimages)} preimages"
-            )
-        x = preimages[0][0]
+        x = (m.right if x < fa else m.left).solve(x)
         chain.append(x)
     return MinimalPeriodResult(None, None, tuple(chain))
 
@@ -172,6 +154,20 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     (:func:`~lorenzmap.orbits.critical_pair`), grown to ``kappa`` steps
     if shorter: after a tower, the orbits its first level was searched
     on.
+
+    The orbit needs no check.  ``p`` solves ``(A·x + B)/E = x`` on a
+    piece of :func:`~lorenzmap.maps.word_pieces`, whose branch pieces
+    :func:`~lorenzmap.maps.word_orbit` applies exactly along the same
+    word, so ``f^kappa(p) = p``.  As sided points the ``kappa`` values
+    are distinct: ``p``'s least period divides ``kappa`` and is at least
+    ``kappa``.  So two of them could be equal only as ``c-`` and ``c+``,
+    on an orbit ``c- → b → ... → c+ → a → ... → c-``.  Reversed from
+    ``c``, each arc follows the backward chain of :func:`minimal_period`
+    and holds ``b`` or ``a`` only after ``f(b)`` or ``f(a)``, where the
+    chain ends, so ``kappa >= 2(m + 1) + 2 > m + 2``.  Both letters
+    occur: ``f - id`` is increasing on each branch, and with no fixed
+    point (``kappa > 1``) it is positive on ``[a, c-]`` and negative on
+    ``[c+, b]``, so an orbit on one branch is monotone.
     """
     if kappa <= 1:
         raise ValueError("the minimal orbit is defined for kappa > 1")
@@ -180,17 +176,10 @@ def minimal_periodic_orbit(m: LorenzMap, kappa: int) -> PeriodicOrbit:
     minus, _plus = critical_pair(m).grow(kappa)
     word = minus.word[:kappa]
     pieces = word_pieces(m, word, m.a, m.c)
-    x = _fixed_point(pieces, m.a, m.c)
-    values = word_orbit(m, word, x)
-    if values[kappa] != x:
-        raise AssertionError("the word-domain solution is not fixed by f^kappa")
+    values = word_orbit(m, word[:-1], _fixed_point(pieces, m.a, m.c))
     order = sorted(range(kappa), key=values.__getitem__)
-    if any(values[i] == values[j] for i, j in zip(order, order[1:])):
-        raise UniquenessViolated("orbit size does not match the period")
     points = tuple(values[i] for i in order)
     itinerary = "".join(word[i].value for i in order)
     lefts = [values[i] for i in order if word[i] is BranchLabel.LEFT]
     rights = [values[i] for i in order if word[i] is BranchLabel.RIGHT]
-    if not lefts or not rights:
-        raise UniquenessViolated("orbit does not flank the discontinuity")
     return PeriodicOrbit(points, kappa, itinerary, lefts[-1], rights[0])

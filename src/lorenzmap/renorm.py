@@ -95,6 +95,24 @@ class RenormCheck:
 
 
 def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
+    """The step of a pair that passes :func:`_pair_failure`.
+
+    ``e-`` and ``e+`` are solved in ``[a, u]`` and ``[v, b]``, and the
+    orbit ``O`` of ``e-`` stays off ``(u, v)``.  ``[e-, c)`` follows the
+    left return word ``w``, as its ends do, and on ``w``'s domain
+    ``f^ell`` fixes ``e-`` alone; likewise ``f^r`` fixes only ``e+`` on
+    the right word's domain, which holds ``(c, v]``.  ``c`` is not in
+    ``O``: for the least ``j`` with ``f^j(e-) = c`` (``0 < j < ell``),
+    ``f^j`` maps ``[e-, c)`` onto ``[c, minus[j])``, so ``c+`` walks the
+    rest of ``w`` and then ``e-``'s walk to ``c``, and ``plus[ell] = c``.
+    That is ``u = c`` if ``r = ell``; else the right window at step
+    ``ell`` (``r > ell``) or the left one at step ``ell - r``
+    (``r < ell``) starts at ``c``.  So ``f^ell(z) = z`` for each ``z`` in
+    ``O``, and a ``z`` in ``[u, c)`` follows ``w``, so it is
+    ``e- <= u``.  Then ``f^r``, increasing on ``(c, v]`` with
+    ``f^r(c+) = u``, maps the finite set ``O ∩ (c, v]`` into itself and
+    fixes each of its points, which are ``e+ >= v``.
+    """
     u, v = plus.exact(r), minus.exact(ell)
     left_word, right_word = minus.word[:ell], plus.word[:r]
 
@@ -103,12 +121,7 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     e_minus = _fixed_point(left_pieces, m.a, u)
     e_plus = _fixed_point(right_pieces, v, m.b)
 
-    if not (e_minus <= u and v <= e_plus):
-        raise AssertionError("repelling fixed points do not bound the interval")
     orbit_of_e_minus = word_orbit(m, left_word[:-1], e_minus)
-    for value in orbit_of_e_minus:
-        if u < value < v:
-            raise AssertionError("repelling orbit enters the return window")
     periodic = e_plus in orbit_of_e_minus  # list equality: nothing is hashed
     inner = rescale_to_unit(m, (u, v), (left_pieces, right_pieces))
     return RenormStep(
@@ -116,10 +129,10 @@ def _build_step(m: LorenzMap, ell: int, r: int, minus, plus) -> RenormStep:
     )
 
 
-def _pair_failure(a, b, c, ell: int, r: int, minus, plus) -> Optional[str]:
+def _pair_failure(c, ell: int, r: int, minus, plus) -> Optional[str]:
     """First-return renormalization conditions for ``(ell, r)``; None if all hold.
 
-    Only the order of ``a``, ``b``, ``c`` and the critical orbits
+    Only the order of ``c`` and the critical orbits
     ``minus[i] = f^i(c-)``, ``plus[i] = f^i(c+)`` enters, so any totally
     ordered stand-ins give the same answer: the search passes the ranks
     of :func:`~lorenzmap.orbits.ranked_orbits`, which order the values exactly.
@@ -131,13 +144,14 @@ def _pair_failure(a, b, c, ell: int, r: int, minus, plus) -> Optional[str]:
     means ``(f^ell, f^r)`` is not the first return map, and no repelling
     periodic points exist for it.  (Avoiding ``(u, v)`` implies avoiding
     ``c``, so the return branches are continuous.)  Boundary touching is
-    allowed; it is the degenerate periodic case.
+    allowed; it is the degenerate periodic case.  The subinterval is
+    proper with no test of its own: for ``u = a`` and ``v = b`` the left
+    window at step 1, ``[f(a), b)``, meets ``(a, b)``, since
+    ``f(a) < b`` on a valid map and ``ell >= 2``.
     """
     u, v = plus[r], minus[ell]
     if not (u < c < v):
         return "return images of c+ and c- do not straddle c"
-    if u == a and v == b:
-        return "return interval is the whole domain"
     for i in range(1, ell):
         if not (minus[i] <= u or plus[r + i] >= v):
             return f"left window meets the return interval after {i} steps"
@@ -164,8 +178,8 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
     critical = critical_pair(m)
-    a, b, c, minus_rank, plus_rank = critical.ranks(ell + r)
-    reason = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
+    _a, _b, c, minus_rank, plus_rank = critical.ranks(ell + r)
+    reason = _pair_failure(c, ell, r, minus_rank, plus_rank)
     if reason is not None:
         return RenormCheck(None, reason)
     return RenormCheck(_build_step(m, ell, r, critical.minus, critical.plus))
@@ -266,12 +280,12 @@ def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     if not (left and right):
         return None
-    a, b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
+    _a, _b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
     # increasing ell + r, ties by ell: the order of the full walk
     for ell, r in sorted(
         ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
     ):
-        if _pair_failure(a, b, c, ell, r, minus_rank, plus_rank) is None:
+        if _pair_failure(c, ell, r, minus_rank, plus_rank) is None:
             return _build_step(m, ell, r, critical.minus, critical.plus)
     return None
 
@@ -287,18 +301,16 @@ def minimal_renormalization(
     on first, whatever the bound: ``e-`` is fixed by ``f^ell``, so its
     least period divides ``ell`` and is at least ``kappa``, and the same
     holds for ``e+`` and ``r``; a valid ``(kappa, kappa)`` is minimal
-    outright.  It is ruled on only when ``kappa <= N(λ)``: no entry of a
-    valid pair exceeds ``N(λ)`` (:func:`_pair_bound`), so past it
-    ``(kappa, kappa)`` is invalid, and skipping the ruling changes no
-    answer.  The test is ``_pair_bound(m, kappa) >= kappa``, exact on
-    integers, which follows ``N(λ)`` only as far as ``kappa``.  Otherwise pairs are searched in increasing ``ell + r``
-    (ties by ``ell``), and the first valid pair is the minimal one.  Only
-    pairs of critical-orbit record times are ruled on: every valid pair
-    is one (see :func:`_record_times`), and no entry of a valid pair
-    exceeds ``N(λ)`` (see :func:`_pair_bound`), so the search stops at
-    ``min(bound, N(λ))``.  Skipping the other pairs changes neither the
-    pair found nor the "prime up to bound" answer; ``prime_bound`` still
-    reports ``bound``, and it holds, since no valid pair lies past ``N(λ)``.
+    outright.  Otherwise pairs are searched in increasing ``ell + r``
+    (ties by ``ell``), and the first valid pair is the minimal one.  No
+    entry of a valid pair exceeds ``N(λ)`` (:func:`_pair_bound`), so
+    ``(kappa, kappa)`` is ruled on only when
+    ``_pair_bound(m, kappa) >= kappa``, an exact integer test that
+    follows ``N(λ)`` only as far as ``kappa``, and the search stops at
+    ``min(bound, N(λ))``.  The search rules only on pairs of
+    critical-orbit record times, as every valid pair is one
+    (:func:`_record_times`).  Neither cut changes the pair found or the
+    "prime up to bound" answer, and ``prime_bound`` reports ``bound``.
     Both rulings read the ranks of the map's pair, grown to ``2·kappa``
     steps for the first one, so a map with ``kappa > N(λ)`` grows it
     only as far as the search needs, and not at all when ``N(λ) < 2``.
@@ -309,8 +321,8 @@ def minimal_renormalization(
     kappa = period.kappa
     if kappa is not None and _pair_bound(m, kappa) >= kappa:
         critical = critical_pair(m)
-        a, b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
-        if _pair_failure(a, b, c, kappa, kappa, minus_rank, plus_rank) is None:
+        _a, _b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
+        if _pair_failure(c, kappa, kappa, minus_rank, plus_rank) is None:
             step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
             return MinimalRenormResult(step, None, False, True, period)
     step = _search_pairs(m, bound)

@@ -19,12 +19,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from lorenzmap.interval_dynamics import IntervalUnion, closed_image_pairs
-from lorenzmap.maps import CapExceeded, LorenzMap
+from lorenzmap.maps import LorenzMap
 from lorenzmap.numerics import Scalar, format_scalar
 from lorenzmap.renorm import Tower
 
 DEFAULT_HIT_CAP = 10_000
 DEFAULT_COVER_CAP = 1_000
+
+
+class CapExceeded(Exception):
+    """A checker's iteration cap was hit before the sought event occurred."""
 
 
 def union(first: IntervalUnion, second: IntervalUnion) -> IntervalUnion:

@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import csv
 import gc
+import importlib
 import io
 import json
+import pkgutil
 import random
 import sys
 import time
@@ -16,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lorenzmap
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
 from lorenzmap.maps import beta_transformation, parse_map_text, symmetric_map
-from lorenzmap.numerics import format_scalar, parse_scalar
+from lorenzmap.numerics import PrecisionExhausted, format_scalar, parse_scalar
 
 from conftest import (
     GOLDEN_MAPS,
@@ -345,14 +349,14 @@ def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
 def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
     # an exception past the tower keeps the sections already filled in
     def exhausted(*_args, **_kwargs):
-        raise cli.CapExceeded("omega cap reached")
+        raise PrecisionExhausted("omega precision exhausted")
 
     monkeypatch.setattr(cli, "omega_decomposition", exhausted)
     code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
-    assert code == 4
+    assert code == 3
     report = json.loads(out)
-    assert report["status"] == "cap-exceeded"
-    assert report["error"] == "omega cap reached"
+    assert report["status"] == "precision-exhausted"
+    assert report["error"] == "omega precision exhausted"
     assert list(report) == [
         "status",
         "map",
@@ -375,7 +379,7 @@ def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     before = [run_cli(capsys, *sweep), run_cli(capsys, *analyze, "--format", "csv")]
 
     def exhausted(*_args, **_kwargs):
-        raise cli.CapExceeded("report stage reached")
+        raise PrecisionExhausted("report stage reached")
 
     for stage in ("minimal_periodic_orbit", "orbit_unions", "omega_decomposition"):
         monkeypatch.setattr(cli, stage, exhausted)
@@ -387,7 +391,7 @@ def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     code, out = run_cli(capsys, *analyze)
     report = json.loads(out)
     assert (code, report["status"], report["error"]) == (
-        4, "cap-exceeded", "report stage reached"
+        3, "precision-exhausted", "report stage reached"
     )
     assert report["orbit"] is None and len(report["tower"]["levels"]) == 1
     assert "omega" not in report
@@ -671,6 +675,40 @@ def test_input_boundary_exit_codes(capsys, tmp_path, argv, map_text, code, statu
     payload = json.loads(out)
     assert payload["status"] == status
     assert payload["error"]
+
+
+def _raised_names() -> set:
+    """The names that a ``raise`` statement of the package raises, read
+    from the source with ``ast``: ``X`` of ``raise X``, ``raise X(...)``
+    and ``raise module.X(...)``."""
+    names = set()
+    for path in Path(lorenzmap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(exc.attr if isinstance(exc, ast.Attribute) else exc.id)
+    return names
+
+
+def test_every_exception_class_of_the_package_is_raised():
+    defined = set()
+    for info in pkgutil.iter_modules(lorenzmap.__path__):
+        module = importlib.import_module(f"lorenzmap.{info.name}")
+        defined |= {
+            name
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+    assert defined and defined <= _raised_names()
+
+
+def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
+    # ValueError and OSError also come from int(), Fraction() and open()
+    raised = _raised_names()
+    for kind in cli.EXIT_FOR_ERROR:
+        assert kind.__name__ in raised or kind in (ValueError, OSError), kind
 
 
 def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):

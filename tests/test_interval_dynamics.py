@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lorenzmap
-from lorenzmap import cli, maps
-from lorenzmap.maps import CapExceeded, beta_transformation, symmetric_map
+from lorenzmap.maps import IntervalDoesNotStraddleC, beta_transformation, symmetric_map
 from lorenzmap.interval_dynamics import IntervalUnion, interval_orbit
 
 from conftest import evaluate_orbit, raw_cover_steps, sym_params
-from paper_checks import covers, hitting_index, image_union, leo_evidence
+from paper_checks import CapExceeded, covers, hitting_index, image_union, leo_evidence
 
 
 # values on a coarse grid, so that drawn pairs often touch or share ends
@@ -76,12 +74,6 @@ def test_hitting_index_cap():
         hitting_index(m, (F(1, 100), F(2, 100)), cap=3)
 
 
-def test_internal_iteration_caps_raise_cap_exceeded():
-    # one class, defined in maps and exported by the package
-    assert CapExceeded is maps.CapExceeded is lorenzmap.CapExceeded
-    assert cli.exit_code_for(CapExceeded("cap")) == cli.EXIT_CAP
-
-
 def test_hitting_index_decrements_under_image():
     rng = random.Random(11)
     m = symmetric_map(F(7, 5))
@@ -134,6 +126,19 @@ def test_interval_orbit_examples():
         (F(9, 20), F(11, 20)),
         (F(189, 200), F(1)),
     ]
+
+
+def test_interval_orbit_refuses_bad_arguments():
+    m = symmetric_map(F(6, 5))
+    with pytest.raises(IntervalDoesNotStraddleC):
+        interval_orbit(m, (F(1, 5), F(2, 5)), (2, 2))
+    with pytest.raises(ValueError, match="return times must be positive"):
+        interval_orbit(m, (F(2, 5), F(3, 5)), (0, 2))
+    # [2/5, 3/5] returns after (2, 2) steps; the third image of [2/5, 1/2]
+    # and of [1/2, 3/5] straddles c
+    for times in ((4, 2), (2, 4)):
+        with pytest.raises(ValueError, match="crossed the discontinuity"):
+            interval_orbit(m, (F(2, 5), F(3, 5)), times)
 
 
 def test_interval_orbit_forward_invariant():

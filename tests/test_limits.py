@@ -405,6 +405,34 @@ def test_membership_requires_rational():
         membership_E(m, tower, 1, 0.25)
 
 
+def test_level_index_outside_the_tower_is_refused():
+    m = symmetric_map(F(6, 5))
+    tower = renorm_tower(m)
+    for i in (0, len(tower.levels) + 1):
+        with pytest.raises(ValueError, match="level index outside the tower"):
+            alpha_limit_approx(m, tower, i, 1)
+        with pytest.raises(ValueError, match="level index outside the tower"):
+            membership_E(m, tower, i, F(1, 4))
+
+
+def test_alpha_limit_approx_skips_c_when_a_critical_value_is_kept():
+    # beta 6/5 with alpha 139/330 has the (2, 2) level with e+ = v, the
+    # degenerate periodic case: b = f(c-) reaches e+ in one step without
+    # entering the gap, so b lies in E_1, and its one-sided preimage c lies
+    # in the gap and is left out
+    m = beta_transformation(F(6, 5), F(139, 330))
+    tower = renorm_tower(m)
+    level = tower.levels[0]
+    step = level.step
+    assert (step.ell, step.r, step.periodic) == (2, 2, True)
+    assert step.e_plus == step.v == evaluate(m, m.b)
+    points = alpha_limit_approx(m, tower, 1, 2)
+    assert m.b in points and m.c not in points
+    gap_lo, gap_hi = level.interval
+    assert all(not gap_lo < x < gap_hi for x in points)
+    assert all(membership_E(m, tower, 1, x).status is Membership.IN for x in points)
+
+
 def _evaluate_walk(m, x) -> list:
     orbit, y = [x], evaluate(m, x)
     while y != x:
@@ -430,6 +458,33 @@ def test_level_orbit_is_the_sorted_evaluate_walk():
     rng = random.Random(34)
     near_unit = [piece_map(rng.randint, near_unit=True) for _ in range(200)]
     assert checked_levels(near_unit) >= 40
+
+
+def test_repelling_orbits_avoid_their_level_intervals():
+    # in the coordinates of the map each step was cut from and in base
+    # coordinates, the orbit of e-, walked with evaluate (which refuses c),
+    # stays off the open return interval; the beta maps touch its boundary
+    # (e+ = v), the degenerate periodic case
+    maps = golden_case_maps() + [symmetric_map(F(198, 197))]
+    maps += [
+        beta_transformation(F(6, 5), F(139, 330)),
+        beta_transformation(F(27, 20), F(8497, 25380)),
+        beta_transformation(F(11, 10), F(22769, 36410)),
+    ]
+    rng = random.Random(35)
+    maps += [piece_map(rng.randint, near_unit=True) for _ in range(100)]
+    levels = touching = 0
+    for m in maps:
+        g = m
+        for level in renorm_tower(m).levels:
+            step = level.step
+            assert not any(step.u < y < step.v for y in _evaluate_walk(g, step.e_minus))
+            gap_lo, gap_hi = level.interval
+            assert not any(gap_lo < y < gap_hi for y in _evaluate_walk(m, level.e_minus))
+            touching += step.e_minus == step.u or step.e_plus == step.v
+            levels += 1
+            g = step.inner_map
+    assert levels >= 60 and touching >= 3
 
 
 def test_alpha_limit_approx_on_real_cantor_levels_is_ascending():

@@ -214,6 +214,12 @@ def test_rescale_requires_straddling():
         rescale_to_unit(m, J, (right_pieces, left_pieces))
 
 
+def test_rescale_refuses_an_interval_outside_the_domain():
+    m = symmetric_map(F(6, 5))
+    with pytest.raises(ValueError, match="is not inside the domain"):
+        rescale_to_unit(m, (F(-1, 10), F(3, 5)), return_pieces(m, 2, 2))
+
+
 def test_multi_piece_rescale_splits_and_matches_pointwise():
     # the right return window crosses the internal breakpoint at 1/20,
     # so the composed inner branch must split into two affine pieces

@@ -11,12 +11,12 @@ from lorenzmap.maps import (
     BranchLabel,
     beta_transformation,
     evaluate,
+    inverse_images,
     parse_map_text,
     symmetric_map,
 )
 from lorenzmap.periods import (
     PeriodicOrbit,
-    UniquenessViolated,
     fixed_points,
     minimal_period,
     minimal_periodic_orbit,
@@ -58,6 +58,19 @@ def test_fixed_points_match_the_per_piece_solve(m):
     assert fixed == piece_fixed_points(m)
     assert set(fixed) <= {m.a, m.b}
     assert (minimal_period(m, 50).kappa == 1) == bool(fixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps())
+@example(beta_transformation(F(6, 5), F(1, 10)))
+@example(symmetric_map(F(101, 100)))
+def test_backward_chain_steps_to_the_one_preimage(m):
+    # outside [f(a), f(b)] a chain point has exactly one preimage, the next
+    fa, fb = evaluate(m, m.a), evaluate(m, m.b)
+    chain = minimal_period(m, 300).backward_chain
+    for x, preimage in zip(chain, chain[1:]):
+        assert not fa <= x <= fb
+        assert [y for y, _label in inverse_images(m, x)] == [preimage]
 
 
 def test_minimal_period_symmetric_family():
@@ -193,8 +206,15 @@ def test_minimal_orbit_rejects_wrong_period():
         minimal_periodic_orbit(symmetric_map(F(2)), 1)  # fixed points: no orbit
 
 
+# what the straight reference finds when the solutions of least period
+# kappa are not one orbit of kappa distinct values on both sides of c; the
+# docstring of minimal_periodic_orbit proves that this never happens
+NOT_ONE_ORBIT = "not one orbit of distinct values on both sides of c"
+
+
 def _straight_minimal_orbit(m, kappa):
-    """``minimal_periodic_orbit`` step by step, or the exception type it raises.
+    """``minimal_periodic_orbit`` step by step, the exception type it
+    raises, or ``NOT_ONE_ORBIT``.
 
     Every affine solution of ``f^kappa`` on a cylinder is walked with
     ``evaluate`` along the cylinder's word (``evaluate_walk``: a point at
@@ -212,12 +232,12 @@ def _straight_minimal_orbit(m, kappa):
             return ValueError
         orbits.add(tuple(sorted(zip(walk, word), key=lambda point: point[0])))
     if len(orbits) != 1:
-        return UniquenessViolated
+        return NOT_ONE_ORBIT
     (labelled,) = orbits
     points = tuple(x for x, _label in labelled)
     left = [label is BranchLabel.LEFT for _x, label in labelled]
-    if all(left) or not any(left):
-        return UniquenessViolated
+    if len(set(points)) < kappa or all(left) or not any(left):
+        return NOT_ONE_ORBIT
     itinerary = "".join("L" if is_left else "R" for is_left in left)
     flank_left = max(x for x, is_left in zip(points, left) if is_left)
     flank_right = min(x for x, is_left in zip(points, left) if not is_left)
@@ -226,6 +246,7 @@ def _straight_minimal_orbit(m, kappa):
 
 def _assert_minimal_orbit_is_straight(m, kappa):
     expected = _straight_minimal_orbit(m, kappa)
+    assert expected is not NOT_ONE_ORBIT, m
     if isinstance(expected, PeriodicOrbit):
         assert minimal_periodic_orbit(m, kappa) == expected
     else:

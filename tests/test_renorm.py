@@ -75,6 +75,16 @@ def test_invalid_renormalizations():
         is_valid_renormalization(symmetric_map(F(6, 5)), 1, 2)
 
 
+def test_whole_domain_pair_is_refused_by_the_first_left_window():
+    # slope 2 fixes a and b, so every pair returns to u = a, v = b; the left
+    # window at step 1, [f(a), b), meets (a, b)
+    m = symmetric_map(F(2))
+    for ell, r in ((2, 2), (2, 5), (4, 3)):
+        check = is_valid_renormalization(m, ell, r)
+        assert not check.valid
+        assert check.reason == "left window meets the return interval after 1 steps"
+
+
 def test_rejects_pair_that_is_not_first_return():
     # this pair satisfies the straddle/containment conditions but its right
     # window passes through [u, v] at step 4: no repelling points exist
@@ -266,7 +276,7 @@ def _exact_search(m, bound):
     for total in range(4, 2 * bound + 1):
         for ell in range(max(2, total - bound), min(bound, total - 2) + 1):
             r = total - ell
-            if _pair_failure(m.a, m.b, m.c, ell, r, minus.values, plus.values) is None:
+            if _pair_failure(m.c, ell, r, minus.values, plus.values) is None:
                 return _build_step(m, ell, r, minus, plus)
     return None
 
@@ -335,13 +345,11 @@ def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
     for m in ranking_corpus:
         minus, plus = critical_orbit_values(m, 48)
         exact_minus, exact_plus = _exact_orbits(m, 48)
-        a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+        _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
         for ell in range(2, 25):
             for r in range(2, 25):
-                exact = _pair_failure(
-                    m.a, m.b, m.c, ell, r, exact_minus.values, exact_plus.values
-                )
-                ranked = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
+                exact = _pair_failure(m.c, ell, r, exact_minus.values, exact_plus.values)
+                ranked = _pair_failure(c, ell, r, minus_rank, plus_rank)
                 assert ranked == exact, (m, ell, r)
                 valid += exact is None
         # the default bound is where N(λ) cuts the search
@@ -673,13 +681,13 @@ def _assert_valid_pairs_are_record_times(m, bound):
     """Every pair up to ``bound`` that passes the straddle and window tests
     of ``_pair_failure`` is in L × R; returns the number of valid pairs."""
     minus, plus = critical_orbit_values(m, 2 * bound)
-    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     assert (left, right) == _straight_record_times(c, minus_rank, plus_rank, bound)
     valid = 0
     for ell in range(2, bound + 1):
         for r in range(2, bound + 1):
-            reason = _pair_failure(a, b, c, ell, r, minus_rank, plus_rank)
+            reason = _pair_failure(c, ell, r, minus_rank, plus_rank)
             # only the two containment tests ("f^ell/f^r does not map ...")
             # come after the window tests
             if reason is None or reason.startswith("f^"):

@@ -63,6 +63,7 @@ CASES = [
     _analyze_file("custom_cantor"),
     _analyze_file("custom_periodic_cantor"),
     _analyze_file("invalid_slope"),
+    _analyze_file("structural_faults"),
     ("classify_symmetric_6_5_quarter",
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4"]),
     ("classify_symmetric_6_5_near_c",

@@ -84,7 +84,7 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
         return []
     length = max(level.return_left + level.return_right for level in tower.levels)
     critical = critical_pair(m)
-    _a, _b, c, minus_rank, plus_rank = critical.ranks(length)
+    c, minus_rank, plus_rank = critical.ranks(length)
     minus, plus = critical.minus, critical.plus
     unions = []
     for level in tower.levels:

@@ -253,7 +253,7 @@ def rank_values(bounds, exact) -> list:
 
 
 def ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
-    """``(a, b, c, minus, plus)`` replaced by their joint ranks.
+    """``(c, minus, plus)`` replaced by their ranks, joint with ``a`` and ``b``.
 
     ``m`` must be a valid map (:func:`~lorenzmap.maps.validate_map`; the
     inner maps of :func:`~lorenzmap.maps.rescale_to_unit` are), and the
@@ -261,7 +261,8 @@ def ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
     Then ``minus[0] = plus[0] = c``, ``minus[1] = f(c-) = b`` and
     ``plus[1] = f(c+) = a`` hold by construction, so only ``a``, ``b``,
     ``c``, ``minus[2:]`` and ``plus[2:]`` are ranked, and the other four
-    copy their ranks.
+    copy their ranks.  The ranks of ``a`` and ``b`` are read only there,
+    so they are not returned.
     """
     fixed = (m.a, m.b, m.c)
     bounds = (
@@ -278,4 +279,4 @@ def ranked_orbits(m: LorenzMap, minus, plus) -> tuple:
 
     ranks = rank_values(bounds, exact)
     a, b, c = ranks[:3]
-    return a, b, c, [c, b, *ranks[3:split]], [c, a, *ranks[split:]]
+    return c, [c, b, *ranks[3:split]], [c, a, *ranks[split:]]

@@ -178,7 +178,7 @@ def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
     critical = critical_pair(m)
-    _a, _b, c, minus_rank, plus_rank = critical.ranks(ell + r)
+    c, minus_rank, plus_rank = critical.ranks(ell + r)
     reason = _pair_failure(c, ell, r, minus_rank, plus_rank)
     if reason is not None:
         return RenormCheck(None, reason)
@@ -190,7 +190,6 @@ class MinimalRenormResult:
     """Outcome of the minimal-renormalization decision for one map."""
 
     step: Optional[RenormStep]
-    prime_bound: Optional[int]  # searched exhaustively up to this pair bound
     certainly_prime: bool  # fixed-point maps are prime outright
     fast_path: bool  # found by the (kappa, kappa) rule, before any search
     period: MinimalPeriodResult
@@ -276,11 +275,11 @@ def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     if bound < 2:
         return None
     critical = critical_pair(m)
-    _a, _b, c, minus_rank, plus_rank = critical.ranks(bound)
+    c, minus_rank, plus_rank = critical.ranks(bound)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     if not (left and right):
         return None
-    _a, _b, c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
+    c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
     # increasing ell + r, ties by ell: the order of the full walk
     for ell, r in sorted(
         ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
@@ -310,25 +309,22 @@ def minimal_renormalization(
     ``min(bound, N(λ))``.  The search rules only on pairs of
     critical-orbit record times, as every valid pair is one
     (:func:`_record_times`).  Neither cut changes the pair found or the
-    "prime up to bound" answer, and ``prime_bound`` reports ``bound``.
+    "prime up to bound" answer.
     Both rulings read the ranks of the map's pair, grown to ``2·kappa``
     steps for the first one, so a map with ``kappa > N(λ)`` grows it
     only as far as the search needs, and not at all when ``N(λ) < 2``.
     """
     period = period if period is not None else minimal_period(m)
     if period.kappa == 1:
-        return MinimalRenormResult(None, None, True, False, period)
+        return MinimalRenormResult(None, True, False, period)
     kappa = period.kappa
     if kappa is not None and _pair_bound(m, kappa) >= kappa:
         critical = critical_pair(m)
-        _a, _b, c, minus_rank, plus_rank = critical.ranks(2 * kappa)
+        c, minus_rank, plus_rank = critical.ranks(2 * kappa)
         if _pair_failure(c, kappa, kappa, minus_rank, plus_rank) is None:
             step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
-            return MinimalRenormResult(step, None, False, True, period)
-    step = _search_pairs(m, bound)
-    if step is not None:
-        return MinimalRenormResult(step, None, False, False, period)
-    return MinimalRenormResult(None, bound, False, False, period)
+            return MinimalRenormResult(step, False, True, period)
+    return MinimalRenormResult(_search_pairs(m, bound), False, False, period)
 
 
 class TowerTerminal(enum.Enum):
@@ -365,9 +361,6 @@ class Tower:
     terminal: TowerTerminal
     bound: int
     level_cap: int
-
-    def __len__(self) -> int:
-        return len(self.levels)
 
 
 def renorm_tower(

@@ -14,6 +14,8 @@ library's integer step.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
 points, for the per-piece oracle ``piece_fixed_points``.
+``same_map`` compares two maps exactly after ``canonical_map`` merges
+the adjacent pieces that share an affine map.
 ``ranking_corpus`` holds 119 maps, from shallow families to the deep
 inner maps of their towers, for the checks of the ordered critical
 orbit and the exact integer step.
@@ -95,6 +97,32 @@ def map_piece_table(m):
         bps = branch.breakpoints
         pieces += zip(bps, bps[1:], branch.slopes, branch.intercepts)
     return m.c, pieces
+
+
+def canonical_branch(branch):
+    """Merge adjacent pieces that share the same affine map."""
+    bps = [branch.breakpoints[0]]
+    slopes: list = []
+    intercepts: list = []
+    for i, (s, t) in enumerate(zip(branch.slopes, branch.intercepts)):
+        if slopes and s == slopes[-1] and t == intercepts[-1]:
+            bps[-1] = branch.breakpoints[i + 1]
+            continue
+        slopes.append(s)
+        intercepts.append(t)
+        bps.append(branch.breakpoints[i + 1])
+    return BranchFn(tuple(bps), tuple(slopes), tuple(intercepts))
+
+
+def canonical_map(m):
+    """``m`` with the pieces of each branch merged by :func:`canonical_branch`."""
+    return LorenzMap(m.a, m.b, m.c, canonical_branch(m.left), canonical_branch(m.right))
+
+
+def same_map(m, other):
+    """Exact semantic equality (after merging collinear pieces)."""
+    s, o = canonical_map(m), canonical_map(other)
+    return (s.a, s.b, s.c) == (o.a, o.b, o.c) and s.left == o.left and s.right == o.right
 
 
 def reference_value(branch, x):
@@ -287,7 +315,7 @@ def reference_rescale(m, J, pieces):
         bps = [(max(p[0], lo) - u) / width for p in pieces] + [(hi - u) / width]
         slopes = tuple(p[2] for p in pieces)
         intercepts = tuple((p[2] * u + p[3] - u) / width for p in pieces)
-        return BranchFn(tuple(bps), slopes, intercepts).canonical()
+        return canonical_branch(BranchFn(tuple(bps), slopes, intercepts))
 
     left_pieces, right_pieces = pieces
     return LorenzMap(

@@ -18,6 +18,7 @@ from lorenzmap.maps import (
 )
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
+    TowerTerminal,
     Trichotomy,
     classify_trichotomy,
     minimal_renormalization,
@@ -29,7 +30,7 @@ from lorenzmap.limits import (
     omega_decomposition,
 )
 
-from conftest import evaluate_orbit, map_piece_table, word_periodic_points
+from conftest import evaluate_orbit, map_piece_table, same_map, word_periodic_points
 from paper_checks import (
     covers,
     hitting_index,
@@ -61,7 +62,7 @@ def test_criterion_01_parry_band_tower_lengths():
         start = time.perf_counter()
         _, _, _, tower, _ = full_analysis(symmetric_map(a))
         elapsed = time.perf_counter() - start
-        assert len(tower) == length, f"a={a}: tower {len(tower)} != {length}"
+        assert len(tower.levels) == length, f"a={a}: tower {len(tower.levels)} != {length}"
         assert elapsed < 1.0, f"a={a}: analysis took {elapsed:.3f}s"
     print("ACCEPTANCE 1: PASS - tower lengths 0,1,2,3 across the bands, <1s each")
 
@@ -90,8 +91,9 @@ def test_criterion_03_periodic_threshold():
     assert result.fast_path and result.step.periodic
 
     above = symmetric_map(F(142, 100))
-    result = minimal_renormalization(above, 64)
-    assert not result.found and result.prime_bound == 64
+    assert not minimal_renormalization(above, 64).found
+    tower = renorm_tower(above, bound=64)
+    assert tower.terminal is TowerTerminal.PRIME_UP_TO_BOUND and tower.bound == 64
     print("ACCEPTANCE 3: PASS - a=141/100 periodic, a=142/100 prime up to 64")
 
 
@@ -124,9 +126,9 @@ def test_criterion_05_flanking_and_covering(sample_maps):
 def test_criterion_06_slope_law():
     for a in (F(6, 5), F(11, 10), F(107, 100)):
         tower = renorm_tower(symmetric_map(a))
-        assert len(tower) >= 1
+        assert len(tower.levels) >= 1
         for k, level in enumerate(tower.levels, start=1):
-            assert level.step.inner_map.same_map(symmetric_map(a ** (2**k)))
+            assert same_map(level.step.inner_map, symmetric_map(a ** (2**k)))
     print("ACCEPTANCE 6: PASS - inner maps equal the slope-a^(2^k) family exactly")
 
 

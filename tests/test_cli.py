@@ -7,6 +7,7 @@ import io
 import json
 import pkgutil
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -709,6 +710,65 @@ def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
     raised = _raised_names()
     for kind in cli.EXIT_FOR_ERROR:
         assert kind.__name__ in raised or kind in (ValueError, OSError), kind
+
+
+def _definitions(tree) -> list:
+    """``(name, node)`` of every function and class at module level, and
+    of every non-dunder method and class defined in a class body."""
+    found, bodies = [], [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+    return found
+
+
+def _identifiers(tree) -> list:
+    """``(name, line)`` of every name, attribute and import in code, the
+    re-exports of ``__init__`` included; docstrings and other strings do
+    not count."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(alias.name.rpartition(".")[2], node.lineno) for alias in node.names]
+    return found
+
+
+def test_every_definition_of_the_package_is_named_outside_the_tests():
+    # a name used only by tests/ belongs in tests/: each function, class
+    # and method of src/ must be named outside its own definition, in the
+    # code of src/ or perfbench/, or as a word of README.md
+    root = Path(__file__).resolve().parents[1]
+    sources = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(lorenzmap.__file__).parent.glob("*.py"))
+    }
+    named = {
+        name
+        for path in (root / "perfbench").glob("*.py")
+        for name, _line in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    named |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    uses = {path: _identifiers(tree) for path, tree in sources.items()}
+    unnamed = []
+    for path, tree in sources.items():
+        for name, node in _definitions(tree):
+            if name in named:
+                continue
+            if not any(
+                use == name and (other is not path or not node.lineno <= line <= node.end_lineno)
+                for other, found in uses.items()
+                for use, line in found
+            ):
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert unnamed == []
 
 
 def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):

@@ -45,6 +45,7 @@ from conftest import (
     reference_rescale,
     reference_value,
     reference_word_pieces,
+    same_map,
     sym_params,
 )
 
@@ -188,13 +189,13 @@ def return_pieces(m, ell, r):
 def test_rescale_first_return_to_unit():
     m = symmetric_map(F(6, 5))
     inner = rescale_to_unit(m, (F(2, 5), F(3, 5)), return_pieces(m, 2, 2))
-    assert inner.same_map(symmetric_map(F(36, 25)))
+    assert same_map(inner, symmetric_map(F(36, 25)))
 
 
 def test_rescale_whole_domain_is_identity_copy():
     m = symmetric_map(F(3, 2))
     # every point of [0, 1] is back in [0, 1] after one step
-    assert rescale_to_unit(m, (F(0), F(1)), return_pieces(m, 1, 1)).same_map(m)
+    assert same_map(rescale_to_unit(m, (F(0), F(1)), return_pieces(m, 1, 1)), m)
 
 
 def test_rescale_requires_straddling():
@@ -522,7 +523,7 @@ def test_rescale_level_two_in_base_coordinates():
     m = symmetric_map(F(11, 10))
     J = (F(979, 2000), F(1021, 2000))
     inner = rescale_to_unit(m, J, return_pieces(m, 4, 4))
-    assert inner.same_map(symmetric_map(F(11, 10) ** 4))
+    assert same_map(inner, symmetric_map(F(11, 10) ** 4))
 
 
 def test_eval_matches_raw_formula():
@@ -539,9 +540,9 @@ def test_eval_matches_raw_formula():
 
 def test_parse_map_text_families(tmp_path):
     m = parse_map_text("family = symmetric\na = 6/5\n")
-    assert m.same_map(symmetric_map(F(6, 5)))
+    assert same_map(m, symmetric_map(F(6, 5)))
     m = parse_map_text("family = beta\nbeta = 6/5\nalpha = 0.1\n")
-    assert m.same_map(beta_transformation(F(6, 5), F(1, 10)))
+    assert same_map(m, beta_transformation(F(6, 5), F(1, 10)))
     text = """
     family = custom
     domain = 0 1
@@ -553,7 +554,7 @@ def test_parse_map_text_families(tmp_path):
     right_slopes = 3/2
     right_intercepts = -3/4
     """
-    assert parse_map_text(text).same_map(symmetric_map(F(3, 2)))
+    assert same_map(parse_map_text(text), symmetric_map(F(3, 2)))
     with pytest.raises(ValueError):
         parse_map_text("family = nosuch\n")
 

@@ -26,6 +26,7 @@ from lorenzmap.renorm import _pair_bound, renorm_tower
 
 from conftest import (
     beta_params,
+    canonical_map,
     cylinder_pieces,
     evaluate_orbit,
     evaluate_walk,
@@ -196,7 +197,7 @@ def test_multi_piece_periodic_points_against_word_oracle(stem):
     m = parse_map_text((GOLDEN_MAPS / f"{stem}.map").read_text(encoding="utf-8"))
     # custom33 cuts each branch of a beta map into three collinear pieces;
     # merged, the oracle composes 2^7 words for its period 7, not 6^7
-    _assert_minimal_orbit_matches_word_oracle(m, map_piece_table(m.canonical()))
+    _assert_minimal_orbit_matches_word_oracle(m, map_piece_table(canonical_map(m)))
 
 
 def test_minimal_orbit_rejects_wrong_period():

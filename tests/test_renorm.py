@@ -50,6 +50,7 @@ from conftest import (
     multi_piece_maps,
     piece_map,
     reference_value,
+    same_map,
 )
 
 
@@ -61,7 +62,7 @@ def test_valid_renormalization_basic():
     assert (step.u, step.v) == (F(2, 5), F(3, 5))
     assert (step.e_minus, step.e_plus) == (F(3, 11), F(8, 11))
     assert step.periodic
-    assert step.inner_map.same_map(symmetric_map(F(36, 25)))
+    assert same_map(step.inner_map, symmetric_map(F(36, 25)))
     # the check grew the map's own pair, and the (kappa, kappa) rule reads it
     minus = critical_pair(m).minus
     assert len(minus.bounds) == 5
@@ -118,8 +119,10 @@ def test_minimal_renormalization_fast_path():
 
 
 def test_minimal_renormalization_prime_band():
-    res = minimal_renormalization(symmetric_map(F(3, 2)))
-    assert not res.found and res.prime_bound == 64
+    m = symmetric_map(F(3, 2))
+    assert not minimal_renormalization(m).found
+    tower = renorm_tower(m)
+    assert tower.terminal is TowerTerminal.PRIME_UP_TO_BOUND and tower.bound == 64
 
 
 def test_minimal_renormalization_low_slope():
@@ -161,7 +164,7 @@ def test_trichotomy_examples():
 def test_tower_lengths_follow_slope_bands():
     for a, length in ((F(3, 2), 0), (F(6, 5), 1), (F(11, 10), 2), (F(107, 100), 3)):
         tower = renorm_tower(symmetric_map(a))
-        assert len(tower) == length
+        assert len(tower.levels) == length
         assert tower.terminal is TowerTerminal.PRIME_UP_TO_BOUND
 
 
@@ -170,7 +173,7 @@ def test_tower_slope_law_and_nesting():
         m = symmetric_map(a)
         tower = renorm_tower(m)
         for k, level in enumerate(tower.levels, start=1):
-            assert level.step.inner_map.same_map(symmetric_map(a ** (2**k)))
+            assert same_map(level.step.inner_map, symmetric_map(a ** (2**k)))
         intervals = [level.interval for level in tower.levels]
         for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
             assert lo1 < lo2 < m.c < hi2 < hi1
@@ -188,7 +191,7 @@ def test_second_level_agrees_with_direct_deep_pair():
     assert (step.u, step.v) == level2.interval
     assert (step.e_minus, step.e_plus) == (level2.e_minus, level2.e_plus)
     assert step.periodic
-    assert step.inner_map.same_map(symmetric_map(F(11, 10) ** 4))
+    assert same_map(step.inner_map, symmetric_map(F(11, 10) ** 4))
 
 
 def test_tower_total_return_times_compound():
@@ -204,19 +207,19 @@ def test_tower_period_cap_terminal():
     m = beta_transformation(F(6, 5), F(1, 10))
     tower = renorm_tower(m, period=minimal_period(m, cap=1))
     assert tower.terminal is TowerTerminal.PERIOD_CAP_REACHED
-    assert len(tower) == 0
+    assert len(tower.levels) == 0
 
 
 def test_tower_of_a_fixed_point_map_ends_prime():
     # nothing is searched, so the tower does not claim the pair bound
     tower = renorm_tower(symmetric_map(F(2)))
-    assert tower.terminal is TowerTerminal.PRIME and len(tower) == 0
+    assert tower.terminal is TowerTerminal.PRIME and len(tower.levels) == 0
 
 
 def test_tower_level_cap_terminal():
     tower = renorm_tower(symmetric_map(F(107, 100)), level_cap=2)
     assert tower.terminal is TowerTerminal.LEVEL_CAP_REACHED
-    assert len(tower) == 2
+    assert len(tower.levels) == 2
 
 
 def test_roundtrip_exactness_on_found_steps(sample_maps):
@@ -295,9 +298,9 @@ def _assert_enclosures_are_exact(m, length):
         assert len(orbit.bounds) == len(exact.values) == length + 1
         for (lo, hi), x in zip(orbit.bounds, exact.values):
             assert lo <= x * 2**orbit.precision <= hi
-    ranks = ranked_orbits(m, minus, plus)
+    c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     expected = _dense_ranks([m.a, m.b, m.c, *exact_minus.values, *exact_plus.values])
-    assert [*ranks[:3], *ranks[3], *ranks[4]] == expected
+    assert [c, *minus_rank, *plus_rank] == expected[2:]
     assert [minus.exact(i) for i in range(length + 1)] == exact_minus.values
     assert [plus.exact(i) for i in range(length + 1)] == exact_plus.values
 
@@ -345,7 +348,7 @@ def test_ranked_pair_failure_matches_exact_values(ranking_corpus):
     for m in ranking_corpus:
         minus, plus = critical_orbit_values(m, 48)
         exact_minus, exact_plus = _exact_orbits(m, 48)
-        _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+        c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
         for ell in range(2, 25):
             for r in range(2, 25):
                 exact = _pair_failure(m.c, ell, r, exact_minus.values, exact_plus.values)
@@ -574,7 +577,7 @@ def test_search_grows_orbits_only_as_far_as_record_times_need(ranking_corpus):
             if searched < 2:
                 assert step is None and critical.minus is None
                 continue
-            *_abc, c, minus_rank, plus_rank = ranked_orbits(
+            c, minus_rank, plus_rank = ranked_orbits(
                 m, *critical_orbit_values(m, searched)
             )
             left, right = _record_times(c, minus_rank, plus_rank, searched)
@@ -681,7 +684,7 @@ def _assert_valid_pairs_are_record_times(m, bound):
     """Every pair up to ``bound`` that passes the straddle and window tests
     of ``_pair_failure`` is in L × R; returns the number of valid pairs."""
     minus, plus = critical_orbit_values(m, 2 * bound)
-    _a, _b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     assert (left, right) == _straight_record_times(c, minus_rank, plus_rank, bound)
     valid = 0
@@ -752,7 +755,10 @@ def test_ranked_orbits_share_ranks_with_a_b_and_c():
     # sit on a, b and c exactly
     m = symmetric_map(F(2))
     minus, plus = critical_orbit_values(m, 4)
-    a, b, c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    c, minus_rank, plus_rank = ranked_orbits(m, minus, plus)
+    # a is the least value and b the greatest: f(c+) = a and f(c-) = b
+    a, b = plus_rank[1], minus_rank[1]
+    assert a == 0 and b == max(minus_rank + plus_rank)
     assert a < c < b
     assert minus_rank[0] == plus_rank[0] == c
     assert plus_rank[1:] == [a] * 4
@@ -771,7 +777,7 @@ def _straight_ranked_orbits(m, minus, plus):
         return minus.exact(i - 3) if i < split else plus.exact(i - split)
 
     ranks = rank_values(bounds, exact)
-    return ranks[0], ranks[1], ranks[2], ranks[3:split], ranks[split:]
+    return ranks[2], ranks[3:split], ranks[split:]
 
 
 def _assert_copied_ranks_are_straight(m, lengths):
@@ -812,14 +818,12 @@ def _straight_minimal_renormalization(m, bound=DEFAULT_PAIR_BOUND):
     period = minimal_period(m)
     kappa = period.kappa
     if kappa == 1:
-        return MinimalRenormResult(None, None, True, False, period), False
+        return MinimalRenormResult(None, True, False, period), False
     if kappa is not None:
         check = is_valid_renormalization(m, kappa, kappa)
         if check.valid:
-            return MinimalRenormResult(check.step, None, False, True, period), True
-    step = _search_pairs(m, bound)
-    prime_bound = None if step is not None else bound
-    return MinimalRenormResult(step, prime_bound, False, False, period), False
+            return MinimalRenormResult(check.step, False, True, period), True
+    return MinimalRenormResult(_search_pairs(m, bound), False, False, period), False
 
 
 def _assert_gate_is_straight(m):

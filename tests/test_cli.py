@@ -7,7 +7,6 @@ import io
 import json
 import pkgutil
 import random
-import re
 import sys
 import time
 import tracemalloc
@@ -727,24 +726,37 @@ def _definitions(tree) -> list:
 
 
 def _identifiers(tree) -> list:
-    """``(name, line)`` of every name, attribute and import in code, the
-    re-exports of ``__init__`` included; docstrings and other strings do
-    not count."""
+    """``(name, line)`` of every name and attribute in code. Imports do
+    not count, so a re-export of ``__init__`` is no use; nor do strings
+    and docstrings."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, node.lineno))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [(alias.name.rpartition(".")[2], node.lineno) for alias in node.names]
     return found
+
+
+# the public functions that only the tests call; each one is listed so
+# that no new one joins them unseen, and one that gains a caller must
+# leave the list
+_CALLED_ONLY_BY_TESTS = {
+    # the tracer names it; it moves to tests/ once the tracer reads
+    # counters from the program (ROADMAP item 7)
+    "interval_orbit",
+    # documented in README as the check of a single renormalization
+    "is_valid_renormalization",
+    # public, but neither documented nor called outside the tests
+    "fixed_points",
+    "classify_trichotomy",
+}
 
 
 def test_every_definition_of_the_package_is_named_outside_the_tests():
     # a name used only by tests/ belongs in tests/: each function, class
     # and method of src/ must be named outside its own definition, in the
-    # code of src/ or perfbench/, or as a word of README.md
+    # code of src/ or perfbench/
     root = Path(__file__).resolve().parents[1]
     sources = {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -755,7 +767,6 @@ def test_every_definition_of_the_package_is_named_outside_the_tests():
         for path in (root / "perfbench").glob("*.py")
         for name, _line in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
     }
-    named |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
     uses = {path: _identifiers(tree) for path, tree in sources.items()}
     unnamed = []
     for path, tree in sources.items():
@@ -767,8 +778,8 @@ def test_every_definition_of_the_package_is_named_outside_the_tests():
                 for other, found in uses.items()
                 for use, line in found
             ):
-                unnamed.append(f"{path.name}:{node.lineno} {name}")
-    assert unnamed == []
+                unnamed.append((name, f"{path.name}:{node.lineno}"))
+    assert sorted(name for name, _where in unnamed) == sorted(_CALLED_ONLY_BY_TESTS), unnamed
 
 
 def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):

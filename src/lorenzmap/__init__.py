@@ -2,13 +2,15 @@
 
 Minimal periods and their unique periodic orbits, renormalization
 checking and towers, backward-limit classification, and the
-nonwandering decomposition.  Every scalar is a
-:class:`fractions.Fraction` and every order decision is an exact
-comparison; map files that declare a finite ``precision`` are refused
-when they are loaded (:class:`PrecisionExhausted`).
+nonwandering decomposition.  Every scalar is a :class:`fractions.Fraction`
+and every order decision is an exact comparison; map files that declare
+a finite ``precision`` are refused when they are loaded
+(:class:`PrecisionExhausted`), and other malformed input with
+:class:`InvalidInput`.
 """
 
 from .numerics import (
+    InvalidInput,
     PrecisionExhausted,
     Scalar,
     parse_scalar,
@@ -17,7 +19,6 @@ from .numerics import (
 from .maps import (
     BranchFn,
     BranchLabel,
-    IntervalDoesNotStraddleC,
     LorenzMap,
     ValidationReport,
     beta_transformation,
@@ -32,7 +33,6 @@ from .interval_dynamics import IntervalUnion, interval_orbit
 from .periods import (
     MinimalPeriodResult,
     PeriodicOrbit,
-    fixed_points,
     minimal_period,
     minimal_periodic_orbit,
 )
@@ -44,7 +44,6 @@ from .renorm import (
     TowerLevel,
     TowerTerminal,
     Trichotomy,
-    classify_trichotomy,
     is_valid_renormalization,
     minimal_renormalization,
     renorm_tower,

@@ -7,12 +7,12 @@ configuration reproduce reports byte for byte.  The sections of an
 :func:`write_json` formats each of them once, as it streams the report
 to stdout with the bytes of ``json.dumps(report, indent=2)``, so the
 report is never held as one string.  Exit codes: 0 success,
-2 invalid map or input, 3 precision exhausted, 4 cap exceeded (a
-minimal period undetermined at its cap, a result and not an
-exception); partial reports carry a ``status`` field.
-:func:`main` maps the exceptions of every command to exit codes through
-:data:`EXIT_FOR_ERROR`, in one place.  ``precision_bits`` is only
-echoed in the configuration: every scalar is exact.
+2 invalid map or input, 3 precision exhausted, 4 cap exceeded.  A
+failed validation or a period cap is a result, whose report carries
+the ``status``; :func:`main` maps the input errors of every command to
+exit codes through :data:`EXIT_FOR_ERROR`, in one place, and any other
+exception is a traceback.  ``precision_bits`` is only echoed in the
+configuration: every scalar is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .numerics import (
     MAX_DIGITS,
+    InvalidInput,
     PrecisionExhausted,
     format_scalar,
     parse_int,
@@ -83,17 +84,12 @@ STATUS_FOR_EXIT = {
     EXIT_CAP: "cap-exceeded",
 }
 
-# Exceptions that end a command with a status instead of a traceback.
+# the errors main maps: the package's two types and an unreadable map file
 EXIT_FOR_ERROR = {
     PrecisionExhausted: EXIT_PRECISION,
-    ValueError: EXIT_INVALID_MAP,
+    InvalidInput: EXIT_INVALID_MAP,
     OSError: EXIT_INVALID_MAP,
 }
-HANDLED_ERRORS = tuple(EXIT_FOR_ERROR)
-
-
-def exit_code_for(err: Exception) -> int:
-    return next(code for kind, code in EXIT_FOR_ERROR.items() if isinstance(err, kind))
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def resolve_config(args: argparse.Namespace) -> Config:
     for key, least in MINIMA.items():
         value = getattr(config, key)
         if value < least:
-            raise ValueError(f"{key} must be at least {least}, got {value}")
+            raise InvalidInput(f"{key} must be at least {least}, got {value}")
     return config
 
 
@@ -121,19 +117,22 @@ def build_map(args: argparse.Namespace) -> tuple:
     """Construct the map from flags or a map file; returns (map, echo)."""
     if getattr(args, "map_file", None):
         with open(args.map_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as err:  # a file that is not UTF-8
+                raise InvalidInput(str(err)) from None
         m = parse_map_text(text)
         return m, {"source": args.map_file, **describe_map(m)}
     family = getattr(args, "family", None)
     if family == "symmetric":
         if args.a is None:
-            raise ValueError("--family symmetric needs --a")
+            raise InvalidInput("--family symmetric needs --a")
         a = parse_scalar(args.a)
         m = symmetric_map(a)
         return m, {"family": "symmetric", "a": format_scalar(a), **describe_map(m)}
     if family == "beta":
         if args.beta is None or args.alpha is None:
-            raise ValueError("--family beta needs --beta and --alpha")
+            raise InvalidInput("--family beta needs --beta and --alpha")
         beta, alpha = parse_scalar(args.beta), parse_scalar(args.alpha)
         m = beta_transformation(beta, alpha)
         return m, {
@@ -142,7 +141,7 @@ def build_map(args: argparse.Namespace) -> tuple:
             "alpha": format_scalar(alpha),
             **describe_map(m),
         }
-    raise ValueError("need --family symmetric|beta with parameters, or --map-file")
+    raise InvalidInput("need --family symmetric|beta with parameters, or --map-file")
 
 
 def _orbit_dict(orbit) -> dict:
@@ -204,60 +203,48 @@ def _omega_dict(omega) -> dict:
     }
 
 
-def _fill_report(report: dict, m: LorenzMap, config: Config, full: bool) -> int:
-    """Add the analysis sections to ``report``; returns the exit code.
+def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
+    """The report, or only its summary stages; returns (report, exit_code).
 
     The summary stages (validation, minimal period, tower, trichotomy)
     decide every column of a CSV row.  Only a ``full`` report runs the
-    report stages: the minimal orbit, the orbit unions and the
-    ω-decomposition.
+    report stages, the minimal orbit, the orbit unions and the
+    ω-decomposition, and echoes the configuration.  The analysis
+    sections hold ``Fraction``s, which :func:`write_json` writes as
+    ``p/q`` strings; the map echo holds those strings already.
     """
+    report: dict = {"status": "ok", "map": echo}
     validation = validate_map(m)
     report["validation"] = {
         "valid": validation.valid,
         "violations": list(validation.violations),
     }
-    if not validation.valid:
-        return EXIT_INVALID_MAP
+    exit_code = EXIT_INVALID_MAP
+    if validation.valid:
+        period = minimal_period(m, config.hit_cap)
+        report["kappa"] = period.kappa
+        report["backward_steps"] = period.m
+        report["backward_chain"] = period.backward_chain
+        report["orbit"] = None  # keeps its slot in the key order; filled below
 
-    period = minimal_period(m, config.hit_cap)
-    report["kappa"] = period.kappa
-    report["backward_steps"] = period.m
-    report["backward_chain"] = period.backward_chain
-    report["orbit"] = None  # keeps its slot in the key order; filled below
+        tower = renorm_tower(m, config.level_cap, config.l_max, period)
+        # the tower's first level is the map's minimal renormalization
+        minimal = tower.levels[0].step if tower.levels else None
+        report["trichotomy"] = decide_trichotomy(period, minimal).value
+        report["tower"] = _tower_dict(tower)
 
-    tower = renorm_tower(m, config.level_cap, config.l_max, period)
-    # the tower's first level is the map's minimal renormalization
-    minimal = tower.levels[0].step if tower.levels else None
-    report["trichotomy"] = decide_trichotomy(period, minimal).value
-    report["tower"] = _tower_dict(tower)
+        if full:
+            if period.kappa is not None and period.kappa > 1:
+                orbit = minimal_periodic_orbit(m, period.kappa)
+                report["orbit"] = _orbit_dict(orbit)
+            unions = orbit_unions(m, tower)
+            omega = omega_decomposition(m, tower, unions)
+            report["omega"] = _omega_dict(omega)
+            report["attractor"] = report["omega"]["attractor"]
 
-    if full:
-        if period.kappa is not None and period.kappa > 1:
-            orbit = minimal_periodic_orbit(m, period.kappa)
-            report["orbit"] = _orbit_dict(orbit)
-        unions = orbit_unions(m, tower)
-        omega = omega_decomposition(m, tower, unions)
-        report["omega"] = _omega_dict(omega)
-        report["attractor"] = report["omega"]["attractor"]
-
-    if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
-        return EXIT_CAP
-    return EXIT_OK
-
-
-def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
-    """The report, or only its summary stages; returns (report, exit_code).
-
-    The analysis sections hold ``Fraction``s, which :func:`write_json`
-    writes as ``p/q`` strings; the map echo holds those strings already.
-    """
-    report: dict = {"status": "ok", "map": echo}
-    try:
-        exit_code = _fill_report(report, m, config, full)
-    except HANDLED_ERRORS as err:
-        report["error"] = str(err)
-        exit_code = exit_code_for(err)
+        exit_code = EXIT_OK
+        if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
+            exit_code = EXIT_CAP
     report["status"] = STATUS_FOR_EXIT[exit_code]
     if full:
         report["config"] = config.echo()
@@ -403,7 +390,7 @@ def sweep_rows(args: argparse.Namespace, config: Config):
     end = parse_scalar(args.end)
     step = parse_scalar(args.step)
     if step <= 0:
-        raise ValueError("--step must be positive")
+        raise InvalidInput("--step must be positive")
     # the parser allows only symmetric and beta
     alpha = parse_scalar(args.alpha) if args.family == "beta" else None
     param = start
@@ -413,10 +400,9 @@ def sweep_rows(args: argparse.Namespace, config: Config):
                 m = symmetric_map(param)
             else:
                 m = beta_transformation(param, alpha)
-        except HANDLED_ERRORS as err:
-            row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row["tower_length"] = 0
-            row["status"] = STATUS_FOR_EXIT[exit_code_for(err)]
+        except InvalidInput:
+            # the row of a map that fails validation: no kappa, no tower
+            row = summary_row({"status": STATUS_FOR_EXIT[EXIT_INVALID_MAP]})
         else:
             # the row's parameter is set below, so the report needs no map echo
             row = summary_row(analyze_map(m, {}, config, full=False)[0])
@@ -428,7 +414,7 @@ def sweep_rows(args: argparse.Namespace, config: Config):
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.family == "beta" and not args.alpha:
-        raise ValueError("beta sweeps need --alpha")
+        raise InvalidInput("beta sweeps need --alpha")
     rows = list(sweep_rows(args, config))
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -459,7 +445,7 @@ def _int_flag(text: str) -> int:
         return int(text)
     try:
         return parse_int(text)
-    except ValueError as err:
+    except InvalidInput as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
@@ -539,8 +525,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
         return command[args.command](args)
-    except HANDLED_ERRORS as err:
-        code = exit_code_for(err)
+    except tuple(EXIT_FOR_ERROR) as err:
+        code = next(c for kind, c in EXIT_FOR_ERROR.items() if isinstance(err, kind))
         print(json.dumps({"status": STATUS_FOR_EXIT[code], "error": str(err)}))
         return code
     finally:

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .numerics import Scalar, format_interval
-from .maps import IntervalDoesNotStraddleC, LorenzMap
+from .maps import LorenzMap
 
 
 _lower_end = itemgetter(0)
@@ -89,7 +89,7 @@ def interval_orbit(m: LorenzMap, J: tuple, return_times) -> IntervalUnion:
     """
     u, v = J
     if not (u < m.c < v):
-        raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
+        raise ValueError(f"{format_interval(u, v)} does not straddle c")
     ell, r = return_times
     if ell < 1 or r < 1:
         raise ValueError("return times must be positive")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import Scalar
+from .numerics import InvalidInput, Scalar
 from .maps import LorenzMap, evaluate, inverse_images, word_orbit
 from .interval_dynamics import IntervalUnion
 from .orbits import critical_pair, order_key
@@ -124,10 +124,10 @@ def alpha_classify(
     first one the point falls out of; points inside every level's union
     (the attractor) have full-interval backward limits.  ``c`` (either
     side of it) classifies as full interval, since it lies in every
-    level interval.
+    level interval.  A point outside ``[a, b]`` raises ``InvalidInput``.
     """
     if not (m.a <= x <= m.b):
-        raise ValueError("point outside the domain")
+        raise InvalidInput("point outside the domain")
     if unions is None:
         unions = orbit_unions(m, tower)
     for i, union in enumerate(unions, start=1):

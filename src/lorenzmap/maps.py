@@ -49,6 +49,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .numerics import (
+    InvalidInput,
     PrecisionExhausted,
     Scalar,
     format_interval,
@@ -61,10 +62,6 @@ from .numerics import (
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 ZERO = Fraction(0)
-
-
-class IntervalDoesNotStraddleC(Exception):
-    """The interval must contain the discontinuity in its interior."""
 
 
 class BranchLabel(enum.Enum):
@@ -90,11 +87,11 @@ class BranchFn:
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.slopes) + 1:
-            raise ValueError("need one more breakpoint than pieces")
+            raise InvalidInput("need one more breakpoint than pieces")
         if len(self.slopes) != len(self.intercepts):
-            raise ValueError("slopes and intercepts must pair up")
+            raise InvalidInput("slopes and intercepts must pair up")
         if not self.slopes:
-            raise ValueError("branch needs at least one piece")
+            raise InvalidInput("branch needs at least one piece")
         # set here, not on first use, so that every branch holds the same
         # attributes in the same order and attribute loads stay fast
         object.__setattr__(self, "_integer_pieces", None)
@@ -285,8 +282,7 @@ def evaluate(m: LorenzMap, x: Scalar) -> Scalar:
     one-sided values, and which one is meant is a branch label's to say
     (:func:`word_orbit`), so ``c`` raises :class:`ValueError`, as a
     point outside the domain does.  No analysis path evaluates at ``c``:
-    :func:`~lorenzmap.periods.minimal_period` and
-    :func:`~lorenzmap.periods.fixed_points` evaluate only at ``a`` and
+    :func:`~lorenzmap.periods.minimal_period` evaluates only at ``a`` and
     ``b``, and :func:`~lorenzmap.limits.membership_E` returns OUT at
     ``y = c`` before it evaluates, because ``c`` lies inside every level
     interval.
@@ -443,7 +439,7 @@ def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
     the conjugation, so each rescaled piece slope is the product of the
     composed piece slopes.  Pieces that do not cover ``[u, c]`` or
     ``[c, v]`` (an image of it crosses ``c`` before its return time, or
-    the word is not that side's) raise :class:`IntervalDoesNotStraddleC`.
+    the word is not that side's) raise :class:`ValueError`.
 
     The clip and the conjugation stay on integers.  With
     ``W = vn·ud - un·vd > 0`` for ``u = un/ud`` and ``v = vn/vd``, a point
@@ -457,7 +453,7 @@ def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
     """
     u, v = J
     if not (u < m.c < v):
-        raise IntervalDoesNotStraddleC(f"{format_interval(u, v)} does not straddle c")
+        raise ValueError(f"{format_interval(u, v)} does not straddle c")
     if u < m.a or v > m.b:
         raise ValueError(f"{format_interval(u, v)} is not inside the domain")
     left_pieces, right_pieces = pieces
@@ -478,7 +474,7 @@ def rescale_to_unit(m: LorenzMap, J: tuple, pieces: tuple) -> LorenzMap:
             or pieces[0][0] * lo_d > lo_n * pieces[0][1]
             or pieces[-1][2] * hi_d < hi_n * pieces[-1][3]
         ):
-            raise IntervalDoesNotStraddleC(
+            raise ValueError(
                 f"{format_interval(lo, hi)} does not follow its return word"
             )
         bps, maps = [lo_unit], []
@@ -525,7 +521,7 @@ def beta_transformation(beta: Scalar, alpha: Scalar) -> LorenzMap:
     """
     c = (1 - alpha) / beta if beta else ZERO  # beta = 0 has no discontinuity
     if not (ZERO < c < ONE):
-        raise ValueError("beta/alpha give no discontinuity inside (0, 1)")
+        raise InvalidInput("beta/alpha give no discontinuity inside (0, 1)")
     left = BranchFn.affine(ZERO, c, beta, alpha)
     right = BranchFn.affine(c, ONE, beta, alpha - 1)
     return LorenzMap(ZERO, ONE, c, left, right)
@@ -541,8 +537,8 @@ def parse_map_text(text: str) -> LorenzMap:
     ``beta``/``alpha`` for beta; for custom: ``domain`` (two endpoints),
     ``c``, and per-branch ``<side>_breakpoints``, ``<side>_slopes``,
     ``<side>_intercepts`` lists.  Scalars are ``p/q`` or decimal strings,
-    read as exact rationals; a missing key or a malformed value (``p/0``
-    included) raises :class:`ValueError`.
+    read as exact rationals; a missing key, a malformed value (``p/0``
+    included) or a ``domain`` without two values raises ``InvalidInput``.
 
     A ``precision = N`` line says the values are known only to ``N``
     significant digits.  No order relation of the analysis can be
@@ -556,13 +552,13 @@ def parse_map_text(text: str) -> LorenzMap:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected 'key = value', got {line!r}")
+            raise InvalidInput(f"expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
         entries[key.strip().lower()] = value.strip()
 
     def entry(key: str) -> str:
         if key not in entries:
-            raise ValueError(f"map file has no {key!r} line")
+            raise InvalidInput(f"map file has no {key!r} line")
         return entries[key]
 
     def scalar(key: str) -> Scalar:
@@ -577,7 +573,10 @@ def parse_map_text(text: str) -> LorenzMap:
     elif family == "beta":
         m = beta_transformation(scalar("beta"), scalar("alpha"))
     elif family == "custom":
-        lo, hi = scalar_list("domain")
+        domain = scalar_list("domain")
+        if len(domain) != 2:
+            raise InvalidInput(f"'domain' needs two values, got {len(domain)}")
+        lo, hi = domain
         c = scalar("c")
         left = BranchFn(
             scalar_list("left_breakpoints"),
@@ -591,7 +590,7 @@ def parse_map_text(text: str) -> LorenzMap:
         )
         m = LorenzMap(lo, hi, c, left, right)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise InvalidInput(f"unknown family {family!r}")
     if "precision" in entries:
         digits = parse_int(entries["precision"])
         raise PrecisionExhausted(

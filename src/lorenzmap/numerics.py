@@ -4,11 +4,11 @@ Every scalar in the analysis pipeline is a stdlib
 :class:`fractions.Fraction`, always in lowest terms with positive
 denominator, so every ordering decision is an exact comparison: with the
 plain operators, or by cross-multiplying the integer pairs below.
-Inputs that are known only to finite precision are refused where maps
-are loaded (:func:`lorenzmap.maps.parse_map_text`) by raising
-:class:`PrecisionExhausted`: no order relation of the analysis can be
-certified for them.  An interval is a closed ``(lo, hi)`` pair of
-scalars with ``lo <= hi``.
+Inputs known only to finite precision are refused where maps are
+loaded (:func:`lorenzmap.maps.parse_map_text`) with
+:class:`PrecisionExhausted`, as no order of the analysis can be
+certified for them, and other malformed input with :class:`InvalidInput`.
+An interval is a closed ``(lo, hi)`` pair of scalars with ``lo <= hi``.
 
 Every exact point evaluation and every composition steps on integer
 pairs instead of using ``Fraction`` arithmetic
@@ -32,6 +32,10 @@ class PrecisionExhausted(Exception):
     """An input is known only to finite precision, so no order is certified."""
 
 
+class InvalidInput(ValueError):
+    """Input from outside the program (a flag, a map file, a point), refused."""
+
+
 # CPython's default limit on the digits of an int.  ``Fraction`` turns
 # each digit run of a scalar into an int in time quadratic in its
 # length, and multiplies a decimal exponent out, so a longer run, or an
@@ -48,13 +52,14 @@ def parse_scalar(text: str) -> Fraction:
     A run of more than :data:`MAX_DIGITS` digits (underscores between
     digits do not end a run) and a decimal exponent of absolute value
     above it are refused before ``Fraction`` reads the token.  The
-    refusal gives the token's length, not the token.
+    refusal gives the token's length, not the token.  Every refusal is
+    an :class:`InvalidInput`.
     """
     token = text.strip()
     if len(token) > MAX_DIGITS and max(
         map(len, _DIGIT_RUN.findall(token.replace("_", ""))), default=0
     ) > MAX_DIGITS:
-        raise ValueError(
+        raise InvalidInput(
             f"a scalar of {len(token)} characters has a run of more than "
             f"{MAX_DIGITS} digits"
         )
@@ -62,11 +67,13 @@ def parse_scalar(text: str) -> Fraction:
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > 4 or int(digits or 0) > MAX_DIGITS:
-            raise ValueError(f"decimal exponent out of range in {token!r}")
+            raise InvalidInput(f"decimal exponent out of range in {token!r}")
     try:
         return Fraction(token)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
+        raise InvalidInput(f"zero denominator in {token!r}") from None
+    except ValueError as err:
+        raise InvalidInput(str(err)) from None
 
 
 def parse_int(text: str) -> int:
@@ -74,13 +81,16 @@ def parse_int(text: str) -> int:
 
     ``int`` reads a digit string in time quadratic in its length once
     the int-digit limit is lifted, so a text with more digits than that
-    is refused with a ``ValueError`` that gives its length, not the text.
+    is refused with an :class:`InvalidInput` that gives its length, not the text.
     """
     if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
-        raise ValueError(
+        raise InvalidInput(
             f"an integer of {len(text)} characters has more than {MAX_DIGITS} digits"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as err:
+        raise InvalidInput(str(err)) from None
 
 
 _new = object.__new__

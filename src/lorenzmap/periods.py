@@ -57,23 +57,16 @@ class PeriodicOrbit:
     flank_right: Scalar  # smallest orbit value right of c
 
 
-def fixed_points(m: LorenzMap) -> list:
-    """All solutions of ``f(x) = x`` on a valid map: ``a`` and ``b`` at most.
-
-    On ``[a, c)`` the function ``f(x) - x`` is continuous and strictly
-    increasing (every slope is above 1), and it tends to ``b - c > 0`` at
-    ``c``.  So a fixed point there needs ``f(a) <= a``, and as
-    ``f(a)`` lies in ``[a, b]`` that means ``f(a) = a``: the only
-    candidate is ``a``.  The right branch mirrors this with ``f(b) = b``.
-    """
-    return [x for x in (m.a, m.b) if evaluate(m, x) == x]
-
-
 def minimal_period(m: LorenzMap, cap: int = DEFAULT_BACKWARD_CAP) -> MinimalPeriodResult:
     """Minimal period via the backward chain of the discontinuity.
 
-    Fixed points, which only ``a`` and ``b`` can be (see
-    :func:`fixed_points`), short-circuit to ``kappa = 1``.  Otherwise
+    Fixed points short-circuit to ``kappa = 1``, and only ``a`` and
+    ``b`` can be one.  On ``[a, c)`` the function ``f(x) - x`` is
+    continuous and strictly increasing (every slope is above 1), and it
+    tends to ``b - c > 0`` at ``c``.  So a fixed point there needs
+    ``f(a) <= a``, and as ``f(a)`` lies in ``[a, b]`` that means
+    ``f(a) = a``: the only candidate is ``a``.  The right branch mirrors
+    this with ``f(b) = b``.  Otherwise
     ``c`` is pulled back through its unique preimages; the first entry
     of the chain into ``[f(a), f(b)]`` at step ``m`` gives
     ``kappa = m + 2``.

@@ -448,13 +448,3 @@ def decide_trichotomy(
     if step.periodic:
         return Trichotomy.PERIODIC_MINIMAL_RENORM
     return Trichotomy.CANTOR_MINIMAL_RENORM
-
-
-def classify_trichotomy(
-    m: LorenzMap,
-    bound: int = DEFAULT_PAIR_BOUND,
-    period: Optional[MinimalPeriodResult] = None,
-) -> tuple:
-    """Structure of the minimal completely invariant set (see :func:`decide_trichotomy`)."""
-    result = minimal_renormalization(m, bound, period)
-    return decide_trichotomy(result.period, result.step), result

@@ -13,7 +13,9 @@ evaluates a branch in ``Fraction`` arithmetic, the oracle of the
 library's integer step.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
-points, for the per-piece oracle ``piece_fixed_points``.
+points, for ``fixed_points`` and its per-piece oracle
+``piece_fixed_points``.  ``classify_trichotomy`` runs the library's
+minimal renormalization and trichotomy decision on one map.
 ``same_map`` compares two maps exactly after ``canonical_map`` merges
 the adjacent pieces that share an affine map.
 ``ranking_corpus`` holds 119 maps, from shallow families to the deep
@@ -43,7 +45,12 @@ from lorenzmap.maps import (
     symmetric_map,
     validate_map,
 )
-from lorenzmap.renorm import renorm_tower
+from lorenzmap.renorm import (
+    DEFAULT_PAIR_BOUND,
+    decide_trichotomy,
+    minimal_renormalization,
+    renorm_tower,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MAPS = GOLDEN / "maps"
@@ -444,6 +451,18 @@ right_intercepts = -1133/2500
 def multi_piece_maps(draw, near_unit=False):
     """``hypothesis`` strategy of :func:`piece_map` draws."""
     return piece_map(lambda lo, hi: draw(st.integers(lo, hi)), near_unit)
+
+
+def fixed_points(m):
+    """All solutions of ``f(x) = x`` on a valid map: ``a`` and ``b`` at
+    most (see :func:`lorenzmap.periods.minimal_period`)."""
+    return [x for x in (m.a, m.b) if evaluate(m, x) == x]
+
+
+def classify_trichotomy(m, bound=DEFAULT_PAIR_BOUND, period=None):
+    """``(trichotomy, minimal renormalization result)`` of ``m``."""
+    result = minimal_renormalization(m, bound, period)
+    return decide_trichotomy(result.period, result.step), result
 
 
 def piece_fixed_points(m):

@@ -20,7 +20,6 @@ from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
     TowerTerminal,
     Trichotomy,
-    classify_trichotomy,
     minimal_renormalization,
     renorm_tower,
 )
@@ -30,7 +29,13 @@ from lorenzmap.limits import (
     omega_decomposition,
 )
 
-from conftest import evaluate_orbit, map_piece_table, same_map, word_periodic_points
+from conftest import (
+    classify_trichotomy,
+    evaluate_orbit,
+    map_piece_table,
+    same_map,
+    word_periodic_points,
+)
 from paper_checks import (
     covers,
     hitting_index,

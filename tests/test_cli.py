@@ -346,30 +346,55 @@ def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
     assert evaluate_orbit(m, flank_left, 662)[-1] == flank_left
 
 
-def test_partial_report_when_an_analysis_stage_raises(capsys, monkeypatch):
-    # an exception past the tower keeps the sections already filled in
+def test_partial_reports_come_from_results_only(monkeypatch):
+    config = cli.Config(**cli.DEFAULTS)
+    # a map that fails validation is a result: its report stops there
+    report, code = cli.analyze_map(symmetric_map(F(1)), {}, config)
+    assert (code, list(report)) == (2, ["status", "map", "validation", "config"])
+
+    # an error raised by a stage is not made into a report
     def exhausted(*_args, **_kwargs):
         raise PrecisionExhausted("omega precision exhausted")
 
     monkeypatch.setattr(cli, "omega_decomposition", exhausted)
-    code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
-    assert code == 3
-    report = json.loads(out)
-    assert report["status"] == "precision-exhausted"
-    assert report["error"] == "omega precision exhausted"
-    assert list(report) == [
-        "status",
-        "map",
-        "validation",
-        "kappa",
-        "backward_steps",
-        "backward_chain",
-        "orbit",
-        "trichotomy",
-        "tower",
-        "error",
-        "config",
-    ]
+    with pytest.raises(PrecisionExhausted, match="^omega precision exhausted$"):
+        cli.analyze_map(symmetric_map(F(6, 5)), {}, config)
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "sweep"])
+def test_a_value_error_of_the_analysis_is_not_an_invalid_map(
+    capsys, monkeypatch, command
+):
+    # only InvalidInput, raised where input is read, maps to exit 2: a
+    # plain ValueError from the analysis is an internal fault
+    def broken(*_args, **_kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "renorm_tower", broken)
+    argv = {
+        "analyze": ["analyze", "--family", "symmetric", "--a", "6/5"],
+        "classify": ["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4"],
+        "sweep": ["sweep", "--family", "symmetric", "--start", "6/5", "--end", "6/5",
+                  "--step", "1/10"],
+    }[command]
+    with pytest.raises(ValueError, match="^internal fault$"):
+        main(argv)
+    assert capsys.readouterr().out == ""  # no invalid-map status line
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_map_file_that_is_not_utf8_is_an_invalid_map(capsys, tmp_path, command):
+    data = b"family = symmetric\na = 6/5 \xff\n"
+    with pytest.raises(UnicodeDecodeError) as codec:
+        data.decode("utf-8")
+    path = tmp_path / "latin.map"
+    path.write_bytes(data)
+    argv = [command, "--map-file", str(path)]
+    if command == "classify":
+        argv += ["--x", "1/4"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"status": "invalid-map", "error": str(codec.value)}
 
 
 def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
@@ -387,14 +412,13 @@ def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     assert after == before
     assert [code for code, _out in after] == [0, 0]
     assert len(after[0][1].splitlines()) == 11
-    # the JSON report still runs them, and keeps what the summary stages filled in
+    # the JSON report still runs them: the error reaches main, which
+    # prints its status line in place of the report
     code, out = run_cli(capsys, *analyze)
-    report = json.loads(out)
-    assert (code, report["status"], report["error"]) == (
-        3, "precision-exhausted", "report stage reached"
-    )
-    assert report["orbit"] is None and len(report["tower"]["levels"]) == 1
-    assert "omega" not in report
+    assert code == 3
+    assert json.loads(out) == {
+        "status": "precision-exhausted", "error": "report stage reached"
+    }
 
 
 def test_summary_stages_give_the_rows_of_full_reports():
@@ -623,6 +647,7 @@ def test_sweep_is_deterministic(capsys):
 
 PRECISION_MAP = "family = symmetric\na = 1.4142135624\nprecision = 10\n"
 MISSING_KEY_MAP = "family = custom\ndomain = 0 1\nc = 1/2\nleft_breakpoints = 0 1/2\n"
+MALFORMED_PRECISION_MAP = "family = symmetric\na = 3/2\nprecision = ten\n"
 CUSTOM_PRECISION_MAP = (
     "family = custom\ndomain = 0 1\nc = 1/2\n"
     "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
@@ -637,6 +662,7 @@ CUSTOM_PRECISION_MAP = (
         (["classify", "--x", "1/3"], PRECISION_MAP, 3, "precision-exhausted"),
         (["analyze"], CUSTOM_PRECISION_MAP, 3, "precision-exhausted"),
         (["analyze"], MISSING_KEY_MAP, 2, "invalid-map"),
+        (["analyze"], MALFORMED_PRECISION_MAP, 2, "invalid-map"),
         (["analyze", "--family", "symmetric", "--a", "1/0"], None, 2, "invalid-map"),
         (["analyze", "--family", "beta", "--beta", "0", "--alpha", "1/10"], None, 2,
          "invalid-map"),
@@ -655,6 +681,7 @@ CUSTOM_PRECISION_MAP = (
         "classify-precision-map",
         "custom-precision-map",
         "missing-key",
+        "malformed-precision",
         "zero-denominator",
         "beta-zero",
         "l-max-below-2",
@@ -702,13 +729,33 @@ def test_every_exception_class_of_the_package_is_raised():
             and obj.__module__ == module.__name__
         }
     assert defined and defined <= _raised_names()
+    # the package's exception types are exactly those the CLI maps
+    assert defined == {kind.__name__ for kind in cli.EXIT_FOR_ERROR} - {"OSError"}
 
 
 def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
-    # ValueError and OSError also come from int(), Fraction() and open()
+    # OSError comes from open(); a plain ValueError, which the analysis
+    # raises too, is not mapped, so it ends in a traceback
     raised = _raised_names()
+    assert ValueError not in cli.EXIT_FOR_ERROR
     for kind in cli.EXIT_FOR_ERROR:
-        assert kind.__name__ in raised or kind in (ValueError, OSError), kind
+        assert kind.__name__ in raised or kind is OSError, kind
+
+
+def test_only_main_and_sweep_rows_turn_an_error_into_a_status():
+    # every other handler of the package raises again, so an error that
+    # main does not map ends in a traceback
+    for path in Path(lorenzmap.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            if path.name == "cli.py" and function.name in ("main", "sweep_rows"):
+                continue
+            for handler in ast.walk(function):
+                if isinstance(handler, ast.ExceptHandler):
+                    where = f"{path.name}:{handler.lineno}"
+                    assert isinstance(handler.body[-1], ast.Raise), where
 
 
 def _definitions(tree) -> list:
@@ -747,9 +794,6 @@ _CALLED_ONLY_BY_TESTS = {
     "interval_orbit",
     # documented in README as the check of a single renormalization
     "is_valid_renormalization",
-    # public, but neither documented nor called outside the tests
-    "fixed_points",
-    "classify_trichotomy",
 }
 
 
@@ -871,6 +915,7 @@ MAP_TEXT_MUTATIONS = (
     "malformed-scalar",
     "precision",
     "no-equals",
+    "domain-arity",
 )
 # the exit code of a mutation that is not an invalid map
 EXIT_FOR_MUTATION = {"precision": cli.EXIT_PRECISION}
@@ -972,6 +1017,10 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
         digits = data.draw(st.integers(1, 40))
         fields["precision"] = [str(digits)]
         return "error", (f"known to {digits} significant digits only",)
+    if mutation == "domain-arity":
+        count = data.draw(st.sampled_from((0, 1, 3)))
+        fields["domain"] = [a, b, a][:count]
+        return "error", (f"'domain' needs two values, got {count}",)
     if mutation == "no-equals":
         key = data.draw(st.sampled_from(sorted(fields)))
         fields[key] = " ".join([key, *_value_texts(fields[key])])

@@ -16,7 +16,6 @@ from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
     LorenzMap,
-    IntervalDoesNotStraddleC,
     beta_transformation,
     evaluate,
     inverse_images,
@@ -200,18 +199,18 @@ def test_rescale_whole_domain_is_identity_copy():
 
 def test_rescale_requires_straddling():
     m = symmetric_map(F(3, 2))
-    with pytest.raises(IntervalDoesNotStraddleC):
+    with pytest.raises(ValueError, match=r"^\[0/1, 2/5\] does not straddle c$"):
         rescale_to_unit(m, (F(0), F(2, 5)), return_pieces(m, 1, 1))
     # [2/5, 3/5] returns after (2, 2) steps; along the longer words of c-
     # and c+ an image of a branch crosses c before the last step
     m = symmetric_map(F(6, 5))
     J = (F(2, 5), F(3, 5))
     for ell, r in ((3, 3), (2, 3), (4, 4)):
-        with pytest.raises(IntervalDoesNotStraddleC):
+        with pytest.raises(ValueError, match="does not follow its return word"):
             rescale_to_unit(m, J, return_pieces(m, ell, r))
     # the right lengths with the sides swapped: [u, c] cannot start right
     left_pieces, right_pieces = return_pieces(m, 2, 2)
-    with pytest.raises(IntervalDoesNotStraddleC):
+    with pytest.raises(ValueError, match="does not follow its return word"):
         rescale_to_unit(m, J, (right_pieces, left_pieces))
 
 

@@ -6,6 +6,7 @@ import pytest
 from lorenzmap.interval_dynamics import IntervalUnion
 from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
+    InvalidInput,
     PrecisionExhausted,
     format_interval,
     format_scalar,
@@ -92,4 +93,22 @@ def test_parse_and_format():
         assert long not in str(refused.value)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
+
+
+def test_malformed_input_is_refused_with_the_reader_s_own_message():
+    # every refusal is an InvalidInput; a malformed text keeps the text
+    # that Fraction or int gives for it
+    for parse, reader, text in (
+        (parse_scalar, F, "1//2"),
+        (parse_scalar, F, "abc"),
+        (parse_int, int, "ten"),
+        (parse_int, int, "1.5"),
+    ):
+        with pytest.raises(ValueError) as native:
+            reader(text)
+        with pytest.raises(InvalidInput) as refused:
+            parse(text)
+        assert str(refused.value) == str(native.value)
+    with pytest.raises(InvalidInput, match=r"^zero denominator in '1/0'$"):
+        parse_scalar("1/0")
     assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"

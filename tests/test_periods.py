@@ -17,7 +17,6 @@ from lorenzmap.maps import (
 )
 from lorenzmap.periods import (
     PeriodicOrbit,
-    fixed_points,
     minimal_period,
     minimal_periodic_orbit,
 )
@@ -30,6 +29,7 @@ from conftest import (
     cylinder_pieces,
     evaluate_orbit,
     evaluate_walk,
+    fixed_points,
     map_piece_table,
     multi_piece_maps,
     piece_fixed_points,

@@ -22,7 +22,6 @@ from lorenzmap.renorm import (
     MinimalRenormResult,
     TowerTerminal,
     Trichotomy,
-    classify_trichotomy,
     is_valid_renormalization,
     minimal_renormalization,
     renorm_tower,
@@ -45,6 +44,7 @@ from lorenzmap.orbits import (
 from conftest import (
     GOLDEN_MAPS,
     LONG_ORBIT_MAP_TEXT,
+    classify_trichotomy,
     evaluate_orbit,
     golden_case_maps,
     multi_piece_maps,

@@ -17,8 +17,9 @@ it prints the statement lines run by neither and the lines run only by
 the tests, as ranges with the source of their first line: candidates
 for dead code and for code that only tests keep alive.  A line counts
 as a statement line when the compiled module maps bytecode to it.
+The report goes to stdout and pytest's own output to stderr:
 
-    python tools/traffic_lines.py
+    python tools/traffic_lines.py > traffic.txt
 
 Tracing makes the code several times slower; a full run takes a few
 minutes.  It is a review aid, not a check, and is not part of tier-1.
@@ -90,9 +91,11 @@ def run_golden_cases() -> None:
 def run_tests() -> None:
     import pytest
 
-    code = pytest.main(
-        ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
-    )
+    # pytest's progress goes to stderr, so stdout holds the report alone
+    with contextlib.redirect_stdout(sys.stderr):
+        code = pytest.main(
+            ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
+        )
     if code != 0:
         raise RuntimeError(f"the test suite exited {code}")
 

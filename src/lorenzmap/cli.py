@@ -47,7 +47,6 @@ from .renorm import (
     DEFAULT_PAIR_BOUND,
     Tower,
     TowerTerminal,
-    decide_trichotomy,
     renorm_tower,
 )
 from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
@@ -84,12 +83,8 @@ STATUS_FOR_EXIT = {
     EXIT_CAP: "cap-exceeded",
 }
 
-# the errors main maps: the package's two types and an unreadable map file
-EXIT_FOR_ERROR = {
-    PrecisionExhausted: EXIT_PRECISION,
-    InvalidInput: EXIT_INVALID_MAP,
-    OSError: EXIT_INVALID_MAP,
-}
+# the errors main maps: the package's two types
+EXIT_FOR_ERROR = {PrecisionExhausted: EXIT_PRECISION, InvalidInput: EXIT_INVALID_MAP}
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,11 @@ def resolve_config(args: argparse.Namespace) -> Config:
 def build_map(args: argparse.Namespace) -> tuple:
     """Construct the map from flags or a map file; returns (map, echo)."""
     if getattr(args, "map_file", None):
-        with open(args.map_file, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(args.map_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-            except UnicodeDecodeError as err:  # a file that is not UTF-8
-                raise InvalidInput(str(err)) from None
+        except (OSError, UnicodeDecodeError) as err:  # unreadable, or not UTF-8
+            raise InvalidInput(str(err)) from None
         m = parse_map_text(text)
         return m, {"source": args.map_file, **describe_map(m)}
     family = getattr(args, "family", None)
@@ -203,6 +198,15 @@ def _omega_dict(omega) -> dict:
     }
 
 
+def _period_and_tower(m: LorenzMap, config: Config) -> tuple:
+    """``(period, tower, exit_code)``: 4 when a minimal period is undetermined
+    at its cap, the map's at ``hit_cap`` or an inner map's, which ends the tower."""
+    period = minimal_period(m, config.hit_cap)
+    tower = renorm_tower(m, config.level_cap, config.l_max, period)
+    capped = period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED
+    return period, tower, EXIT_CAP if capped else EXIT_OK
+
+
 def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
     """The report, or only its summary stages; returns (report, exit_code).
 
@@ -221,16 +225,12 @@ def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> 
     }
     exit_code = EXIT_INVALID_MAP
     if validation.valid:
-        period = minimal_period(m, config.hit_cap)
+        period, tower, exit_code = _period_and_tower(m, config)
         report["kappa"] = period.kappa
         report["backward_steps"] = period.m
         report["backward_chain"] = period.backward_chain
         report["orbit"] = None  # keeps its slot in the key order; filled below
-
-        tower = renorm_tower(m, config.level_cap, config.l_max, period)
-        # the tower's first level is the map's minimal renormalization
-        minimal = tower.levels[0].step if tower.levels else None
-        report["trichotomy"] = decide_trichotomy(period, minimal).value
+        report["trichotomy"] = tower.trichotomy.value
         report["tower"] = _tower_dict(tower)
 
         if full:
@@ -241,10 +241,6 @@ def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> 
             omega = omega_decomposition(m, tower, unions)
             report["omega"] = _omega_dict(omega)
             report["attractor"] = report["omega"]["attractor"]
-
-        exit_code = EXIT_OK
-        if period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED:
-            exit_code = EXIT_CAP
     report["status"] = STATUS_FOR_EXIT[exit_code]
     if full:
         report["config"] = config.echo()

@@ -270,10 +270,7 @@ class OmegaDecomposition:
 
 
 def omega_decomposition(
-    m: LorenzMap,
-    tower: Tower,
-    unions: Optional[list] = None,
-    approx_depth: int = DEFAULT_APPROX_DEPTH,
+    m: LorenzMap, tower: Tower, unions: Optional[list] = None
 ) -> OmegaDecomposition:
     """Split the nonwandering set into per-level pieces plus the attractor.
 
@@ -291,7 +288,7 @@ def omega_decomposition(
             points = tuple(_level_orbit(m, level))
             parts.append(OmegaPart(level.index, True, points, True))
         else:
-            approx = alpha_limit_approx(m, tower, level.index, approx_depth)
+            approx = alpha_limit_approx(m, tower, level.index, DEFAULT_APPROX_DEPTH)
             outer = outer_union(m, unions, level.index)
             points = tuple(x for x in approx if outer.contains(x))
             parts.append(OmegaPart(level.index, False, points, False))

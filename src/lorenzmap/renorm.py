@@ -17,22 +17,23 @@ return word, and its orbit is walked along it
 
 The minimal renormalization is ``(kappa, kappa)``, with ``kappa`` the
 minimal period, when that pair is valid; otherwise it is the first valid
-pair found by searching in increasing ``ell + r``.  Either way it is
-coordinatewise minimal.  The search rules only on pairs of record
-times: a first return keeps every earlier iterate of ``c±`` off
-``(u, v)``, so ``r`` must be a time at which the ``c+`` orbit comes at
-least as close to ``c`` from the left as at every earlier time, and
-``ell`` the same for the ``c-`` orbit from the right
-(:func:`_record_times`).  And expansion bounds both return times: with
-``λ`` the least slope, ``λ^-ell + λ^-r >= 1``, so no entry of a valid
-pair exceeds ``N(λ) = max{n : λ^-2 + λ^-n >= 1}`` (:func:`_pair_bound`).
-So the search stops at ``min(bound, N(λ))``, and for ``λ^2 > 2`` it
-rules on no pair; ``(kappa, kappa)`` is ruled on only for
-``kappa <= N(λ)``.  Every valid pair is among those searched, so the
-walk finds the same first pair, and finding none still proves "prime up
-to bound"; the answer keeps that name even where ``N(λ)`` cut the search
-and so proves primality outright.  Consecutive minimal renormalizations
-of the rescaled inner maps form the tower.
+pair found by searching in increasing ``ell + r``; either way it is
+coordinatewise minimal and ruled on by :func:`is_valid_renormalization`.
+The search rules only on pairs of record times: a first return
+keeps every earlier iterate of ``c±`` off ``(u, v)``, so ``r`` must be
+a time at which the ``c+`` orbit comes at least as close to ``c`` from
+the left as at every earlier time, and ``ell`` the same for the ``c-``
+orbit from the right (:func:`_record_times`).  And expansion bounds
+both return times: with ``λ`` the least slope,
+``λ^-ell + λ^-r >= 1``, so no entry of a valid pair exceeds
+``N(λ) = max{n : λ^-2 + λ^-n >= 1}`` (:func:`_pair_bound`).  So the
+search stops at ``min(bound, N(λ))``, and for ``λ^2 > 2`` it rules on
+no pair; ``(kappa, kappa)`` is ruled on only for ``kappa <= N(λ)``.
+Every valid pair is among those searched, so the walk finds the same
+first pair, and finding none still proves "prime up to bound"; the
+answer keeps that name even where ``N(λ)`` cut the search and so
+proves primality outright.  Consecutive minimal renormalizations of the
+rescaled inner maps form the tower, which decides the trichotomy.
 
 Every condition on a pair is an order relation between the points
 ``f^i(c-)``, ``f^i(c+)``, ``a``, ``b`` and ``c``, so the pair search
@@ -166,14 +167,15 @@ def _pair_failure(c, ell: int, r: int, minus, plus) -> Optional[str]:
 
 
 def is_valid_renormalization(m: LorenzMap, ell: int, r: int) -> RenormCheck:
-    """Decide whether ``(ell, r)`` renormalizes the map.
+    """Decide whether ``(ell, r)`` renormalizes the map; every ruling runs here.
 
     Checks, in order: the return images straddle ``c`` on a proper
     subinterval; the two return windows stay off ``c`` strictly inside
     their first ``ell``/``r`` steps (continuity of the return branches);
     and the return branches map back into ``[u, v]``.  On success the
     repelling fixed points, periodicity flag, and rescaled inner map are
-    extracted.  The conditions read the ranks of the map's own pair.
+    extracted.  The conditions read the ranks of the map's own pair,
+    grown to ``ell + r`` steps if it is shorter.
     """
     if ell <= 1 or r <= 1:
         raise ValueError("renormalization needs ell > 1 and r > 1")
@@ -190,13 +192,28 @@ class MinimalRenormResult:
     """Outcome of the minimal-renormalization decision for one map."""
 
     step: Optional[RenormStep]
-    certainly_prime: bool  # fixed-point maps are prime outright
-    fast_path: bool  # found by the (kappa, kappa) rule, before any search
     period: MinimalPeriodResult
 
     @property
     def found(self) -> bool:
         return self.step is not None
+
+    @property
+    def certainly_prime(self) -> bool:
+        """A fixed-point map, prime outright."""
+        return self.period.kappa == 1
+
+    @property
+    def fast_path(self) -> bool:
+        """Whether the ``(kappa, kappa)`` rule found the step, before any search.
+
+        The search never returns ``(kappa, kappa)``: where the rule
+        refused it, the search rules with the same predicate on ranks
+        that order the same values, and the rule skips it only where
+        ``kappa > N(λ)``, past which no valid pair has an entry (:func:`_pair_bound`).
+        """
+        step = self.step
+        return step is not None and step.ell == step.r == self.period.kappa
 
 
 def _record_times(c, minus, plus, bound: int) -> tuple:
@@ -279,13 +296,14 @@ def _search_pairs(m: LorenzMap, bound: int) -> Optional[RenormStep]:
     left, right = _record_times(c, minus_rank, plus_rank, bound)
     if not (left and right):
         return None
-    c, minus_rank, plus_rank = critical.ranks(left[-1] + right[-1])
+    critical.ranks(left[-1] + right[-1])  # every pair below reads these ranks
     # increasing ell + r, ties by ell: the order of the full walk
     for ell, r in sorted(
         ((ell, r) for ell in left for r in right), key=lambda p: (p[0] + p[1], p[0])
     ):
-        if _pair_failure(c, ell, r, minus_rank, plus_rank) is None:
-            return _build_step(m, ell, r, critical.minus, critical.plus)
+        check = is_valid_renormalization(m, ell, r)
+        if check.valid:
+            return check.step
     return None
 
 
@@ -315,16 +333,21 @@ def minimal_renormalization(
     only as far as the search needs, and not at all when ``N(λ) < 2``.
     """
     period = period if period is not None else minimal_period(m)
-    if period.kappa == 1:
-        return MinimalRenormResult(None, True, False, period)
     kappa = period.kappa
+    if kappa == 1:
+        return MinimalRenormResult(None, period)
     if kappa is not None and _pair_bound(m, kappa) >= kappa:
-        critical = critical_pair(m)
-        c, minus_rank, plus_rank = critical.ranks(2 * kappa)
-        if _pair_failure(c, kappa, kappa, minus_rank, plus_rank) is None:
-            step = _build_step(m, kappa, kappa, critical.minus, critical.plus)
-            return MinimalRenormResult(step, False, True, period)
-    return MinimalRenormResult(_search_pairs(m, bound), False, False, period)
+        check = is_valid_renormalization(m, kappa, kappa)
+        if check.valid:
+            return MinimalRenormResult(check.step, period)
+    return MinimalRenormResult(_search_pairs(m, bound), period)
+
+
+class Trichotomy(enum.Enum):
+    PRIME = "prime"
+    PERIODIC_MINIMAL_RENORM = "periodic-minimal-renorm"
+    CANTOR_MINIMAL_RENORM = "cantor-minimal-renorm"
+    UNKNOWN = "prime-up-to-bound"
 
 
 class TowerTerminal(enum.Enum):
@@ -362,6 +385,19 @@ class Tower:
     bound: int
     level_cap: int
 
+    @property
+    def trichotomy(self) -> Trichotomy:
+        """The base map's trichotomy: its first level, periodic or Cantor;
+        with none, prime for a fixed-point map and otherwise "prime up to
+        bound", a name kept where ``N(λ)`` proved primality (:func:`_pair_bound`)."""
+        if self.levels:
+            if self.levels[0].step.periodic:
+                return Trichotomy.PERIODIC_MINIMAL_RENORM
+            return Trichotomy.CANTOR_MINIMAL_RENORM
+        if self.terminal is TowerTerminal.PRIME:
+            return Trichotomy.PRIME
+        return Trichotomy.UNKNOWN
+
 
 def renorm_tower(
     m: LorenzMap,
@@ -375,8 +411,10 @@ def renorm_tower(
     coordinates.  The tower ends when the current inner map has a fixed
     point (prime), shows no renormalization up to the pair bound (prime
     up to bound), when its minimal period is undetermined at the cap, or
-    at the level cap.  ``period``, when given, is the base map's.
+    at the level cap, at least 1.  ``period``, when given, is the base map's.
     """
+    if level_cap < 1:
+        raise ValueError(f"level_cap must be at least 1, got {level_cap}")
     levels = []
     g = m
     scale, shift = Fraction(1), Fraction(0)
@@ -416,35 +454,3 @@ def renorm_tower(
         cost_left, cost_right = return_left, return_right
         g = step.inner_map
     return Tower(tuple(levels), TowerTerminal.LEVEL_CAP_REACHED, bound, level_cap)
-
-
-class Trichotomy(enum.Enum):
-    PRIME = "prime"
-    PERIODIC_MINIMAL_RENORM = "periodic-minimal-renorm"
-    CANTOR_MINIMAL_RENORM = "cantor-minimal-renorm"
-    UNKNOWN = "prime-up-to-bound"
-
-
-def decide_trichotomy(
-    period: MinimalPeriodResult, step: Optional[RenormStep]
-) -> Trichotomy:
-    """The trichotomy from the minimal period and the minimal renormalization.
-
-    Fixed-point maps are prime outright.  A found minimal
-    renormalization is classified by its periodicity flag (periodic:
-    the set is the minimal orbit; otherwise it is a Cantor set).  The
-    pair search runs exhaustively in increasing ``ell + r``, so a step
-    it finds is the minimal one even when the period is undetermined.
-    With nothing found the answer is "prime up to the search bound".
-    The search stops at ``N(λ)`` where that is below the bound, and no
-    valid pair lies past it (:func:`_pair_bound`), so there the answer
-    is in fact a certificate of primality; it keeps the bounded name
-    until the report says which bound decided.
-    """
-    if period.kappa == 1:
-        return Trichotomy.PRIME
-    if step is None:
-        return Trichotomy.UNKNOWN
-    if step.periodic:
-        return Trichotomy.PERIODIC_MINIMAL_RENORM
-    return Trichotomy.CANTOR_MINIMAL_RENORM

@@ -15,7 +15,8 @@ random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
 points, for ``fixed_points`` and its per-piece oracle
 ``piece_fixed_points``.  ``classify_trichotomy`` runs the library's
-minimal renormalization and trichotomy decision on one map.
+minimal renormalization on one map and decides its trichotomy with
+``decide_trichotomy``, the straight reference of ``Tower.trichotomy``.
 ``same_map`` compares two maps exactly after ``canonical_map`` merges
 the adjacent pieces that share an affine map.
 ``ranking_corpus`` holds 119 maps, from shallow families to the deep
@@ -47,7 +48,7 @@ from lorenzmap.maps import (
 )
 from lorenzmap.renorm import (
     DEFAULT_PAIR_BOUND,
-    decide_trichotomy,
+    Trichotomy,
     minimal_renormalization,
     renorm_tower,
 )
@@ -459,8 +460,26 @@ def fixed_points(m):
     return [x for x in (m.a, m.b) if evaluate(m, x) == x]
 
 
+def decide_trichotomy(period, step):
+    """The trichotomy from the minimal period and the minimal renormalization.
+
+    The straight reference of ``Tower.trichotomy``: fixed-point maps are
+    prime outright, a found minimal renormalization is classified by its
+    periodicity flag, and with nothing found the answer is "prime up to
+    the search bound".
+    """
+    if period.kappa == 1:
+        return Trichotomy.PRIME
+    if step is None:
+        return Trichotomy.UNKNOWN
+    if step.periodic:
+        return Trichotomy.PERIODIC_MINIMAL_RENORM
+    return Trichotomy.CANTOR_MINIMAL_RENORM
+
+
 def classify_trichotomy(m, bound=DEFAULT_PAIR_BOUND, period=None):
-    """``(trichotomy, minimal renormalization result)`` of ``m``."""
+    """``(trichotomy, minimal renormalization result)`` of ``m``, decided
+    straight from the period and the step by :func:`decide_trichotomy`."""
     result = minimal_renormalization(m, bound, period)
     return decide_trichotomy(result.period, result.step), result
 

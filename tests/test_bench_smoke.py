@@ -8,18 +8,19 @@ against the package too, so that a rename shows here and not as a
 counter that silently reads 0.
 """
 
-import dataclasses
 import importlib
 import inspect
 import json
 import subprocess
 import sys
 import types
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from lorenzmap.renorm import MinimalRenormResult, minimal_renormalization
+from lorenzmap.maps import symmetric_map
+from lorenzmap.renorm import minimal_renormalization
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,7 +68,14 @@ def test_traced_names_resolve_in_the_package():
     # the exact comparison helper was removed long ago; the counter that
     # still names it waits for the next change to the benchmark
     assert unresolved == [("numerics", "cmp_certified")]
-    # tracer.exact and tracer.pairs_examined read these off the results
-    fields = {field.name for field in dataclasses.fields(MinimalRenormResult)}
-    assert {"certainly_prime", "fast_path", "step"} <= fields
+    # tracer.pairs_examined reads certainly_prime, fast_path and step off
+    # real results: a fixed-point map and the (kappa, kappa) rule examine
+    # no pair, and a search that finds none counts every pair
+    fixed, rule, searched = (
+        minimal_renormalization(symmetric_map(a)) for a in (F(2), F(6, 5), F(3, 2))
+    )
+    assert (fixed.certainly_prime, rule.fast_path, searched.step) == (True, True, None)
+    assert tracer.pairs_examined(fixed, 64) == 0
+    assert tracer.pairs_examined(rule, 64) == 0
+    assert tracer.pairs_examined(searched, 64) == tracer.pairs_before(64, 64, 64)
     assert "bound" in inspect.signature(minimal_renormalization).parameters

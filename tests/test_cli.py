@@ -397,6 +397,58 @@ def test_map_file_that_is_not_utf8_is_an_invalid_map(capsys, tmp_path, command):
     assert json.loads(out) == {"status": "invalid-map", "error": str(codec.value)}
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_missing_map_file_is_an_invalid_map(capsys, tmp_path, command):
+    path = tmp_path / "absent.map"
+    argv = [command, "--map-file", str(path)]
+    if command == "classify":
+        argv += ["--x", "1/4"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    error = f"[Errno 2] No such file or directory: '{path}'"
+    assert out == json.dumps({"status": "invalid-map", "error": error}) + "\n"
+
+
+class _ClosedPipe:
+    """A stdout whose first write raises ``BrokenPipeError``, as a pipe
+    closed by its reader does; every later write is recorded."""
+
+    def __init__(self):
+        self.writes = 0
+        self.recorded = []
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.recorded.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "symmetric", "--a", "101/100"],
+        ["analyze", "--family", "symmetric", "--a", "6/5", "--format", "csv"],
+        ["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4"],
+        ["sweep", "--family", "symmetric", "--start", "6/5", "--end", "6/5",
+         "--step", "1/10"],
+    ],
+    ids=["analyze", "analyze-csv", "classify", "sweep"],
+)
+def test_a_closed_stdout_is_not_an_invalid_map(monkeypatch, argv):
+    # `lorenzmap analyze ... | head -c 20`: the reader is gone, so no
+    # status line can reach it, and the error is not the map's fault
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    with pytest.raises(BrokenPipeError):
+        main(argv)
+    assert not any("invalid-map" in text for text in pipe.recorded)
+
+
 def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     sweep = ["sweep", "--family", "symmetric", "--start", "11/10", "--end", "2",
              "--step", "1/10"]
@@ -730,16 +782,17 @@ def test_every_exception_class_of_the_package_is_raised():
         }
     assert defined and defined <= _raised_names()
     # the package's exception types are exactly those the CLI maps
-    assert defined == {kind.__name__ for kind in cli.EXIT_FOR_ERROR} - {"OSError"}
+    assert defined == {kind.__name__ for kind in cli.EXIT_FOR_ERROR}
 
 
 def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
-    # OSError comes from open(); a plain ValueError, which the analysis
-    # raises too, is not mapped, so it ends in a traceback
+    # an unreadable map file is an InvalidInput of build_map; a plain
+    # ValueError, which the analysis raises too, and an OSError, such as
+    # a closed stdout, are not mapped, so they end in a traceback
     raised = _raised_names()
-    assert ValueError not in cli.EXIT_FOR_ERROR
+    assert ValueError not in cli.EXIT_FOR_ERROR and OSError not in cli.EXIT_FOR_ERROR
     for kind in cli.EXIT_FOR_ERROR:
-        assert kind.__name__ in raised or kind is OSError, kind
+        assert kind.__name__ in raised, kind
 
 
 def test_only_main_and_sweep_rows_turn_an_error_into_a_status():
@@ -792,8 +845,6 @@ _CALLED_ONLY_BY_TESTS = {
     # the tracer names it; it moves to tests/ once the tracer reads
     # counters from the program (ROADMAP item 7)
     "interval_orbit",
-    # documented in README as the check of a single renormalization
-    "is_valid_renormalization",
 }
 
 

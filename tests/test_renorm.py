@@ -152,6 +152,16 @@ def test_fast_path_agrees_with_exhaustive_search():
         assert searched.periodic
 
 
+def test_a_searched_kappa_pair_is_not_the_fast_path():
+    # the period is undetermined at cap 0, so the rule does not run, and
+    # the search finds (3, 3), the pair the rule finds with kappa = 3
+    m = beta_transformation(F(103, 100), F(1261, 4000))
+    res = minimal_renormalization(m, period=minimal_period(m, cap=0))
+    assert res.period.kappa is None and (res.step.ell, res.step.r) == (3, 3)
+    assert not res.fast_path and not res.certainly_prime
+    assert minimal_renormalization(m).fast_path
+
+
 def test_trichotomy_examples():
     assert classify_trichotomy(symmetric_map(F(6, 5)))[0] is (
         Trichotomy.PERIODIC_MINIMAL_RENORM
@@ -818,12 +828,12 @@ def _straight_minimal_renormalization(m, bound=DEFAULT_PAIR_BOUND):
     period = minimal_period(m)
     kappa = period.kappa
     if kappa == 1:
-        return MinimalRenormResult(None, True, False, period), False
+        return MinimalRenormResult(None, period), False
     if kappa is not None:
         check = is_valid_renormalization(m, kappa, kappa)
         if check.valid:
-            return MinimalRenormResult(check.step, False, True, period), True
-    return MinimalRenormResult(_search_pairs(m, bound), False, False, period), False
+            return MinimalRenormResult(check.step, period), True
+    return MinimalRenormResult(_search_pairs(m, bound), period), False
 
 
 def _assert_gate_is_straight(m):
@@ -835,6 +845,10 @@ def _assert_gate_is_straight(m):
     straight, valid = _straight_minimal_renormalization(dataclasses.replace(m))
     assert gated == straight
     kappa = gated.period.kappa
+    # the derived flags: fast_path is a (kappa, kappa) step, which the
+    # search never returns, and certainly_prime a fixed-point map
+    assert gated.fast_path == valid
+    assert gated.certainly_prime == (kappa == 1)
     skipped = kappa is not None and kappa > 1 and _pair_bound(m, kappa) < kappa
     if valid:
         # the expansion lemma: a valid (kappa, kappa) has kappa <= N(λ)
@@ -860,6 +874,21 @@ def test_kappa_gate_matches_the_straight_decision(ranking_corpus):
 @given(multi_piece_maps(near_unit=True))
 def test_kappa_gate_matches_the_straight_decision_on_random_maps(m):
     _assert_gate_is_straight(m)
+
+
+def test_tower_trichotomy_matches_the_straight_decision(ranking_corpus):
+    maps = golden_case_maps() + list(ranking_corpus)
+    decided = [renorm_tower(m).trichotomy for m in maps]
+    assert decided == [classify_trichotomy(m)[0] for m in maps]
+    # 72 periodic, 72 prime up to bound, 4 Cantor and 2 prime of these 150
+    assert set(decided) == set(Trichotomy)
+
+
+def test_tower_refuses_a_level_cap_below_one():
+    # a fixed-point map's tower that ruled on nothing would read prime-up-to-bound
+    for level_cap in (0, -1):
+        with pytest.raises(ValueError, match="level_cap must be at least 1"):
+            renorm_tower(symmetric_map(F(2)), level_cap=level_cap)
 
 
 _near_ties = st.builds(

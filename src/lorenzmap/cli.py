@@ -361,8 +361,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             )
         )
         return EXIT_INVALID_MAP
-    period = minimal_period(m, config.hit_cap)
-    tower = renorm_tower(m, config.level_cap, config.l_max, period)
+    _period, tower, code = _period_and_tower(m, config)
     unions = orbit_unions(m, tower)
     klass = alpha_classify(m, tower, x, unions)
     # class E_i: first union missed is i, so x lies in union i - 1 (the
@@ -371,14 +370,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     outer = outer_union(m, unions, klass.index or len(unions) + 1)
     witness = outer.component_containing(x)
     result = {
-        "status": "ok",
+        "status": STATUS_FOR_EXIT[code],
         "x": format_scalar(x),
         "class": klass.label(),
         "witness_component": [format_scalar(end) for end in witness],
         "config": config.echo(),
     }
     print(json.dumps(result))
-    return EXIT_OK
+    return code
 
 
 def sweep_rows(args: argparse.Namespace, config: Config):

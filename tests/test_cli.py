@@ -328,6 +328,17 @@ def test_cap_exceeded_exit_code(capsys):
     assert report["kappa"] is None
 
 
+def test_classify_reports_a_capped_tower_as_analyze_does(capsys):
+    argv = ["--family", "beta", "--beta", "105/100", "--alpha", "1/40", "--hit-cap", "0"]
+    code, out = run_cli(capsys, "analyze", *argv)
+    assert code == 4 and json.loads(out)["status"] == "cap-exceeded"
+    code, out = run_cli(capsys, "classify", *argv, "--x", "1/2")
+    assert code == 4
+    result = json.loads(out)
+    assert list(result) == ["status", "x", "class", "witness_component", "config"]
+    assert result["status"] == "cap-exceeded" and result["class"] == "I"
+
+
 def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
     path = tmp_path / "long_orbit.map"
     path.write_text(LONG_ORBIT_MAP_TEXT)

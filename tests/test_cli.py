@@ -910,6 +910,128 @@ def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
 
 
 
+# -- the command-line surface -------------------------------------------------
+
+_HELP_ACTION = (("-h", "--help"), "help", "==SUPPRESS==", None, None, False)
+_MAP_ACTIONS = [
+    (("--family",), "family", None, ["symmetric", "beta"], None, False),
+    (("--a",), "a", None, None, None, False),
+    (("--beta",), "beta", None, None, None, False),
+    (("--alpha",), "alpha", None, None, None, False),
+    (("--map-file",), "map_file", None, None, None, False),
+]
+_CONFIG_ACTIONS = [
+    (("--l-max",), "l_max", 64, None, "int", False),
+    (("--level-cap",), "level_cap", 16, None, "int", False),
+    (("--hit-cap",), "hit_cap", 10000, None, "int", False),
+    (("--precision-bits",), "precision_bits", 4096, None, "int", False),
+]
+# (option strings, dest, default, choices, type name, required) per action
+_ACTIONS = {
+    "analyze": [
+        _HELP_ACTION,
+        *_MAP_ACTIONS,
+        *_CONFIG_ACTIONS,
+        (("--format",), "format", "json", ["json", "csv"], None, False),
+    ],
+    "classify": [
+        _HELP_ACTION,
+        *_MAP_ACTIONS,
+        *_CONFIG_ACTIONS,
+        (("--x",), "x", None, None, None, True),
+        (("--format",), "format", "json", ["json"], None, False),
+    ],
+    "sweep": [
+        _HELP_ACTION,
+        (("--family",), "family", None, ["symmetric", "beta"], None, True),
+        (("--alpha",), "alpha", None, None, None, False),
+        (("--start",), "start", None, None, None, True),
+        (("--end",), "end", None, None, None, True),
+        (("--step",), "step", None, None, None, True),
+        *_CONFIG_ACTIONS,
+        (("--format",), "format", "csv", ["csv", "json"], None, False),
+    ],
+}
+_MAP_HELP = """\
+  --family {symmetric,beta}
+  --a A                 slope for the symmetric family, p/q
+  --beta BETA           slope for the beta family, p/q
+  --alpha ALPHA         offset for the beta family, p/q
+  --map-file MAP_FILE   plain-text map description
+"""
+_CONFIG_HELP = """\
+  --l-max L_MAX
+  --level-cap LEVEL_CAP
+  --hit-cap HIT_CAP     backward steps of c that the base map's minimal period
+                        may take
+  --precision-bits PRECISION_BITS
+                        echoed in the report only: every scalar is exact
+"""
+_OPTIONS_HEAD = """
+options:
+  -h, --help            show this help message and exit
+"""
+# format_help() of each command at 80 columns
+_HELP = {
+    "analyze": """\
+usage: lorenzmap analyze [-h] [--family {symmetric,beta}] [--a A]
+                         [--beta BETA] [--alpha ALPHA] [--map-file MAP_FILE]
+                         [--l-max L_MAX] [--level-cap LEVEL_CAP]
+                         [--hit-cap HIT_CAP] [--precision-bits PRECISION_BITS]
+                         [--format {json,csv}]
+""" + _OPTIONS_HEAD + _MAP_HELP + _CONFIG_HELP + "  --format {json,csv}\n",
+    "classify": """\
+usage: lorenzmap classify [-h] [--family {symmetric,beta}] [--a A]
+                          [--beta BETA] [--alpha ALPHA] [--map-file MAP_FILE]
+                          [--l-max L_MAX] [--level-cap LEVEL_CAP]
+                          [--hit-cap HIT_CAP]
+                          [--precision-bits PRECISION_BITS] --x X
+                          [--format {json}]
+""" + _OPTIONS_HEAD + _MAP_HELP + _CONFIG_HELP + """\
+  --x X                 point to classify, p/q
+  --format {json}
+""",
+    "sweep": """\
+usage: lorenzmap sweep [-h] --family {symmetric,beta} [--alpha ALPHA] --start
+                       START --end END --step STEP [--l-max L_MAX]
+                       [--level-cap LEVEL_CAP] [--hit-cap HIT_CAP]
+                       [--precision-bits PRECISION_BITS] [--format {csv,json}]
+""" + _OPTIONS_HEAD + """\
+  --family {symmetric,beta}
+  --alpha ALPHA         fixed offset for beta sweeps, p/q
+  --start START
+  --end END
+  --step STEP
+""" + _CONFIG_HELP + "  --format {csv,json}\n",
+}
+
+
+def _command_parsers() -> dict:
+    (commands,) = (
+        action for action in build_parser()._actions if action.choices is not None
+    )
+    return commands.choices
+
+
+@pytest.mark.parametrize("command", sorted(_ACTIONS))
+def test_each_command_has_its_options_and_help(monkeypatch, command):
+    parser = _command_parsers()[command]
+    actions = [
+        (
+            tuple(action.option_strings),
+            action.dest,
+            action.default,
+            action.choices,
+            getattr(action.type, "__name__", None),
+            action.required,
+        )
+        for action in parser._actions
+    ]
+    assert actions == _ACTIONS[command]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parser.format_help() == _HELP[command]
+
+
 def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
     map_flags = ["analyze", "--family", "symmetric", "--a", "3/2"]

@@ -1,4 +1,5 @@
-"""Unit tests of ``tools/ab_perfbench.py``'s summary row, on synthetic numbers.
+"""Unit tests of ``tools/ab_perfbench.py``'s summary row, on synthetic
+numbers, and a smoke test of ``tools/src_lines.py``.
 
 No perfbench run is made: :func:`summary` is fed parent and change
 values chosen so that each verdict sits on one side of its edge.
@@ -9,10 +10,18 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_perfbench.py"
-_SPEC = importlib.util.spec_from_file_location("ab_perfbench", _PATH)
-ab_perfbench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab_perfbench)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_perfbench = _load("ab_perfbench")
+src_lines = _load("src_lines")
 
 HIGHER = {"name": "items_per_s", "better": "higher", "bound": 0.25}
 LOWER = {"name": "item_p50_ms", "better": "lower", "bound": 0.25}
@@ -98,3 +107,33 @@ def test_bound_where_lower_is_better():
     assert _cells(LOWER, [100], [125.1])["bound"] == "OUTSIDE 25%"
     assert _cells(LOWER, [100], [1])["bound"] == "inside 25%"
     assert _cells({**LOWER, "bound": 0.1}, [20], [22.5])["bound"] == "OUTSIDE 10%"
+
+
+def test_src_lines_parts_sum_to_each_module():
+    modules = sorted(src_lines.PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        counts = src_lines.line_parts(text)
+        assert counts["total"] == len(text.splitlines()), path.name
+        assert sum(counts[part] for part in src_lines.PARTS) == counts["total"]
+        assert min(counts.values()) >= 0 and counts["code"] > 0
+
+
+def test_src_lines_splits_each_kind_of_line():
+    source = '''"""Module docstring,
+over two lines."""
+
+# a comment
+x = 1  # code with a trailing comment
+
+
+def f():
+    """One line."""
+    return (
+        x
+    )
+'''
+    assert src_lines.line_parts(source) == {
+        "docstring": 3, "comment": 1, "blank": 3, "code": 5, "total": 12
+    }

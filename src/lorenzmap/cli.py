@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -33,14 +33,7 @@ from .numerics import (
     parse_int,
     parse_scalar,
 )
-from .maps import (
-    LorenzMap,
-    beta_transformation,
-    describe_map,
-    parse_map_text,
-    symmetric_map,
-    validate_map,
-)
+from .maps import FAMILIES, LorenzMap, describe_map, parse_map_text, validate_map
 from .periods import DEFAULT_BACKWARD_CAP, minimal_period, minimal_periodic_orbit
 from .renorm import (
     DEFAULT_LEVEL_CAP,
@@ -51,16 +44,20 @@ from .renorm import (
 )
 from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
 
-DEFAULTS = {
-    "l_max": DEFAULT_PAIR_BOUND,
-    "level_cap": DEFAULT_LEVEL_CAP,
-    "hit_cap": DEFAULT_BACKWARD_CAP,
-    "precision_bits": 4096,
+# each configuration flag: (default, least value, help); below its least
+# value the pair search or the tower searches nothing and would still
+# report "prime-up-to-bound", or the backward chain checks no point;
+# precision_bits is only echoed and has none
+CONFIG_FLAGS = {
+    "l_max": (DEFAULT_PAIR_BOUND, 2, None),
+    "level_cap": (DEFAULT_LEVEL_CAP, 1, None),
+    "hit_cap": (
+        DEFAULT_BACKWARD_CAP,
+        0,
+        "backward steps of c that the base map's minimal period may take",
+    ),
+    "precision_bits": (4096, None, "echoed in the report only: every scalar is exact"),
 }
-
-# below these, the pair search or the tower searches nothing and would
-# still report "prime-up-to-bound", and the backward chain checks no point
-MINIMA = {"l_max": 2, "level_cap": 1, "hit_cap": 0}
 
 SWEEP_COLUMNS = [
     "parameter",
@@ -87,30 +84,18 @@ STATUS_FOR_EXIT = {
 EXIT_FOR_ERROR = {PrecisionExhausted: EXIT_PRECISION, InvalidInput: EXIT_INVALID_MAP}
 
 
-@dataclass(frozen=True)
-class Config:
-    l_max: int
-    level_cap: int
-    hit_cap: int
-    precision_bits: int
-
-    def echo(self) -> dict:
-        return asdict(self)
-
-
-def resolve_config(args: argparse.Namespace) -> Config:
-    """The settings of the flags (their defaults are :data:`DEFAULTS`), checked."""
-    config = Config(**{key: getattr(args, key) for key in DEFAULTS})
-    for key, least in MINIMA.items():
-        value = getattr(config, key)
-        if value < least:
-            raise InvalidInput(f"{key} must be at least {least}, got {value}")
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The settings of the :data:`CONFIG_FLAGS`, checked against their least values."""
+    config = {key: getattr(args, key) for key in CONFIG_FLAGS}
+    for key, (_default, least, _help) in CONFIG_FLAGS.items():
+        if least is not None and config[key] < least:
+            raise InvalidInput(f"{key} must be at least {least}, got {config[key]}")
     return config
 
 
 def build_map(args: argparse.Namespace) -> tuple:
     """Construct the map from flags or a map file; returns (map, echo)."""
-    if getattr(args, "map_file", None):
+    if args.map_file:
         try:
             with open(args.map_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -118,35 +103,19 @@ def build_map(args: argparse.Namespace) -> tuple:
             raise InvalidInput(str(err)) from None
         m = parse_map_text(text)
         return m, {"source": args.map_file, **describe_map(m)}
-    family = getattr(args, "family", None)
-    if family == "symmetric":
-        if args.a is None:
-            raise InvalidInput("--family symmetric needs --a")
-        a = parse_scalar(args.a)
-        m = symmetric_map(a)
-        return m, {"family": "symmetric", "a": format_scalar(a), **describe_map(m)}
-    if family == "beta":
-        if args.beta is None or args.alpha is None:
-            raise InvalidInput("--family beta needs --beta and --alpha")
-        beta, alpha = parse_scalar(args.beta), parse_scalar(args.alpha)
-        m = beta_transformation(beta, alpha)
-        return m, {
-            "family": "beta",
-            "beta": format_scalar(beta),
-            "alpha": format_scalar(alpha),
-            **describe_map(m),
-        }
-    raise InvalidInput("need --family symmetric|beta with parameters, or --map-file")
-
-
-def _orbit_dict(orbit) -> dict:
-    return {
-        "points": orbit.points,
-        "period": orbit.period,
-        "itinerary": orbit.itinerary,
-        "flank_left": orbit.flank_left,
-        "flank_right": orbit.flank_right,
-    }
+    if args.family is None:
+        raise InvalidInput(
+            f"need --family {'|'.join(FAMILIES)} with parameters, or --map-file"
+        )
+    make, names = FAMILIES[args.family]
+    texts = [getattr(args, name) for name in names]
+    if None in texts:
+        flags = " and ".join(f"--{name}" for name in names)
+        raise InvalidInput(f"--family {args.family} needs {flags}")
+    values = [parse_scalar(text) for text in texts]
+    m = make(*values)
+    echo = {"family": args.family, **dict(zip(names, map(format_scalar, values)))}
+    return m, {**echo, **describe_map(m)}
 
 
 def _tower_dict(tower: Tower) -> dict:
@@ -198,16 +167,16 @@ def _omega_dict(omega) -> dict:
     }
 
 
-def _period_and_tower(m: LorenzMap, config: Config) -> tuple:
+def _period_and_tower(m: LorenzMap, config: dict) -> tuple:
     """``(period, tower, exit_code)``: 4 when a minimal period is undetermined
     at its cap, the map's at ``hit_cap`` or an inner map's, which ends the tower."""
-    period = minimal_period(m, config.hit_cap)
-    tower = renorm_tower(m, config.level_cap, config.l_max, period)
+    period = minimal_period(m, config["hit_cap"])
+    tower = renorm_tower(m, config["level_cap"], config["l_max"], period)
     capped = period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED
     return period, tower, EXIT_CAP if capped else EXIT_OK
 
 
-def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> tuple:
+def analyze_map(m: LorenzMap, echo: dict, config: dict, full: bool = True) -> tuple:
     """The report, or only its summary stages; returns (report, exit_code).
 
     The summary stages (validation, minimal period, tower, trichotomy)
@@ -236,14 +205,14 @@ def analyze_map(m: LorenzMap, echo: dict, config: Config, full: bool = True) -> 
         if full:
             if period.kappa is not None and period.kappa > 1:
                 orbit = minimal_periodic_orbit(m, period.kappa)
-                report["orbit"] = _orbit_dict(orbit)
+                report["orbit"] = dataclasses.asdict(orbit)
             unions = orbit_unions(m, tower)
             omega = omega_decomposition(m, tower, unions)
             report["omega"] = _omega_dict(omega)
             report["attractor"] = report["omega"]["attractor"]
     report["status"] = STATUS_FOR_EXIT[exit_code]
     if full:
-        report["config"] = config.echo()
+        report["config"] = config
     return report, exit_code
 
 
@@ -252,9 +221,10 @@ def summary_row(report: dict) -> dict:
     flags = ";".join(
         "P" if level["periodic"] else "C" for level in tower.get("levels", [])
     )
-    parameter = report.get("map", {}).get("a") or report.get("map", {}).get("beta", "")
+    echo = report.get("map", {})
+    family = FAMILIES.get(echo.get("family"))
     return {
-        "parameter": parameter,
+        "parameter": echo[family[1][0]] if family else "",
         "kappa": "" if report.get("kappa") is None else report["kappa"],
         "tower_length": len(tower.get("levels", [])),
         "periodic_flags": flags,
@@ -336,14 +306,22 @@ def write_json(obj, write) -> None:
     write("".join(pieces))
 
 
+def _write_rows(rows: list, fmt: str) -> None:
+    """Print summary rows as CSV with a header, or as one indented JSON list."""
+    if fmt == "json":
+        print(json.dumps(rows, indent=2))
+    else:
+        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     # no local keeps the map, so its critical orbits are freed before printing
     report, code = analyze_map(*build_map(args), config, full=args.format != "csv")
     if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerow(summary_row(report))
+        _write_rows([summary_row(report)], "csv")
     else:
         write_json(report, sys.stdout.write)
     return code
@@ -374,27 +352,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "x": format_scalar(x),
         "class": klass.label(),
         "witness_component": [format_scalar(end) for end in witness],
-        "config": config.echo(),
+        "config": config,
     }
     print(json.dumps(result))
     return code
 
 
-def sweep_rows(args: argparse.Namespace, config: Config):
+def sweep_rows(args: argparse.Namespace, config: dict):
+    """The summary row of each map of the family as its first parameter
+    steps from ``--start`` to ``--end``; the others are fixed by flags."""
+    make, names = FAMILIES[args.family]
+    if not all(getattr(args, name) for name in names[1:]):
+        flags = " and ".join(f"--{name}" for name in names[1:])
+        raise InvalidInput(f"{args.family} sweeps need {flags}")
     start = parse_scalar(args.start)
     end = parse_scalar(args.end)
     step = parse_scalar(args.step)
     if step <= 0:
         raise InvalidInput("--step must be positive")
-    # the parser allows only symmetric and beta
-    alpha = parse_scalar(args.alpha) if args.family == "beta" else None
+    fixed = [parse_scalar(getattr(args, name)) for name in names[1:]]
     param = start
     while param <= end:
         try:
-            if alpha is None:
-                m = symmetric_map(param)
-            else:
-                m = beta_transformation(param, alpha)
+            m = make(param, *fixed)
         except InvalidInput:
             # the row of a map that fails validation: no kappa, no tower
             row = summary_row({"status": STATUS_FOR_EXIT[EXIT_INVALID_MAP]})
@@ -407,22 +387,12 @@ def sweep_rows(args: argparse.Namespace, config: Config):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    if args.family == "beta" and not args.alpha:
-        raise InvalidInput("beta sweeps need --alpha")
-    rows = list(sweep_rows(args, config))
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_rows(list(sweep_rows(args, resolve_config(args))), args.format)
     return EXIT_OK
 
 
 def _add_map_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=["symmetric", "beta"])
+    parser.add_argument("--family", choices=list(FAMILIES))
     parser.add_argument("--a", help="slope for the symmetric family, p/q")
     parser.add_argument("--beta", help="slope for the beta family, p/q")
     parser.add_argument("--alpha", help="offset for the beta family, p/q")
@@ -449,26 +419,9 @@ _int_flag.__name__ = "int"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--l-max", dest="l_max", type=_int_flag, default=DEFAULTS["l_max"]
-    )
-    parser.add_argument(
-        "--level-cap", dest="level_cap", type=_int_flag, default=DEFAULTS["level_cap"]
-    )
-    parser.add_argument(
-        "--hit-cap",
-        dest="hit_cap",
-        type=_int_flag,
-        default=DEFAULTS["hit_cap"],
-        help="backward steps of c that the base map's minimal period may take",
-    )
-    parser.add_argument(
-        "--precision-bits",
-        dest="precision_bits",
-        type=_int_flag,
-        default=DEFAULTS["precision_bits"],
-        help="echoed in the report only: every scalar is exact",
-    )
+    for key, (default, _least, text) in CONFIG_FLAGS.items():
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, type=_int_flag, default=default, help=text)
 
 
 @functools.cache
@@ -497,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--format", choices=["json"], default="json")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep (CSV)")
-    p_sweep.add_argument("--family", choices=["symmetric", "beta"], required=True)
+    p_sweep.add_argument("--family", choices=list(FAMILIES), required=True)
     p_sweep.add_argument("--alpha", help="fixed offset for beta sweeps, p/q")
     p_sweep.add_argument("--start", required=True)
     p_sweep.add_argument("--end", required=True)

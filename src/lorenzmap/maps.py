@@ -527,18 +527,27 @@ def beta_transformation(beta: Scalar, alpha: Scalar) -> LorenzMap:
     return LorenzMap(ZERO, ONE, c, left, right)
 
 
+# each family's constructor and its parameters, in the order it takes
+# them: the keys of its map files and its flags; a sweep varies the first
+FAMILIES = {
+    "symmetric": (symmetric_map, ("a",)),
+    "beta": (beta_transformation, ("beta", "alpha")),
+}
+
+
 # --- plain-text map descriptions --------------------------------------------
 
 
 def parse_map_text(text: str) -> LorenzMap:
     """Build a map from a key-value description.
 
-    Keys: ``family`` (symmetric | beta | custom); ``a`` for symmetric;
-    ``beta``/``alpha`` for beta; for custom: ``domain`` (two endpoints),
-    ``c``, and per-branch ``<side>_breakpoints``, ``<side>_slopes``,
-    ``<side>_intercepts`` lists.  Scalars are ``p/q`` or decimal strings,
-    read as exact rationals; a missing key, a malformed value (``p/0``
-    included) or a ``domain`` without two values raises ``InvalidInput``.
+    Keys: ``family`` (symmetric | beta | custom); for symmetric and
+    beta, the parameters :data:`FAMILIES` names; for custom: ``domain``
+    (two endpoints), ``c``, and per-branch ``<side>_breakpoints``,
+    ``<side>_slopes``, ``<side>_intercepts`` lists.  Scalars are ``p/q``
+    or decimal strings, read as exact rationals; a missing key, a
+    malformed value (``p/0`` included) or a ``domain`` without two
+    values raises ``InvalidInput``.
 
     A ``precision = N`` line says the values are known only to ``N``
     significant digits.  No order relation of the analysis can be
@@ -568,10 +577,9 @@ def parse_map_text(text: str) -> LorenzMap:
         return tuple(parse_scalar(tok) for tok in entry(key).replace(",", " ").split())
 
     family = entries.get("family", "").lower()
-    if family == "symmetric":
-        m = symmetric_map(scalar("a"))
-    elif family == "beta":
-        m = beta_transformation(scalar("beta"), scalar("alpha"))
+    if family in FAMILIES:
+        make, names = FAMILIES[family]
+        m = make(*map(scalar, names))
     elif family == "custom":
         domain = scalar_list("domain")
         if len(domain) != 2:

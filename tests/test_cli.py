@@ -11,7 +11,6 @@ import sys
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,6 +34,8 @@ from conftest import (
 )
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
+# the configuration that the default flags give
+DEFAULT_CONFIG = {key: flag[0] for key, flag in cli.CONFIG_FLAGS.items()}
 
 
 def run_cli(capsys, *argv):
@@ -358,7 +359,7 @@ def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
 
 
 def test_partial_reports_come_from_results_only(monkeypatch):
-    config = cli.Config(**cli.DEFAULTS)
+    config = DEFAULT_CONFIG
     # a map that fails validation is a result: its report stops there
     report, code = cli.analyze_map(symmetric_map(F(1)), {}, config)
     assert (code, list(report)) == (2, ["status", "map", "validation", "config"])
@@ -496,8 +497,8 @@ def test_summary_stages_give_the_rows_of_full_reports():
         for alpha in (1, 5, 9, 15)
     ]
     maps += [piece_map(rng.randint, near_unit=i % 2 == 1) for i in range(100)]
-    default = cli.Config(**cli.DEFAULTS)
-    configs = [default, replace(default, l_max=8, level_cap=2, hit_cap=1)]
+    default = DEFAULT_CONFIG
+    configs = [default, {**default, "l_max": 8, "level_cap": 2, "hit_cap": 1}]
     statuses = set()
     for m in maps:
         for config in configs:
@@ -528,7 +529,7 @@ def test_summary_stages_give_the_rows_of_full_reports():
 def test_analyze_map_keeps_no_reference_to_its_map():
     # per-map data, such as the integer pieces of the exact orbit step, is
     # held by the map's own objects, not by a table that outlives them
-    default = cli.Config(**cli.DEFAULTS)
+    default = DEFAULT_CONFIG
     cantor = Path(__file__).parent / "golden" / "maps" / "custom_periodic_cantor.map"
     for make in (lambda: symmetric_map(F(41, 40)), lambda: parse_map_text(cantor.read_text())):
         m = make()

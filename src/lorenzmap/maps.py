@@ -544,10 +544,12 @@ def parse_map_text(text: str) -> LorenzMap:
     Keys: ``family`` (symmetric | beta | custom); for symmetric and
     beta, the parameters :data:`FAMILIES` names; for custom: ``domain``
     (two endpoints), ``c``, and per-branch ``<side>_breakpoints``,
-    ``<side>_slopes``, ``<side>_intercepts`` lists.  Scalars are ``p/q``
-    or decimal strings, read as exact rationals; a missing key, a
-    malformed value (``p/0`` included) or a ``domain`` without two
-    values raises ``InvalidInput``.
+    ``<side>_slopes``, ``<side>_intercepts`` lists.  Keys are read in
+    lower case.  Scalars are ``p/q`` or decimal strings, read as exact
+    rationals; a missing key, a malformed value (``p/0`` included) or a
+    ``domain`` without two values raises ``InvalidInput``, and so does a
+    repeated key or a key the family does not read, before the
+    ``precision`` line is looked at.
 
     A ``precision = N`` line says the values are known only to ``N``
     significant digits.  No order relation of the analysis can be
@@ -563,9 +565,14 @@ def parse_map_text(text: str) -> LorenzMap:
         if "=" not in line:
             raise InvalidInput(f"expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in entries:
+            raise InvalidInput(f"map file repeats the {key!r} line")
+        entries[key] = value.strip()
+    read = {"family", "precision"}
 
     def entry(key: str) -> str:
+        read.add(key)
         if key not in entries:
             raise InvalidInput(f"map file has no {key!r} line")
         return entries[key]
@@ -599,6 +606,9 @@ def parse_map_text(text: str) -> LorenzMap:
         m = LorenzMap(lo, hi, c, left, right)
     else:
         raise InvalidInput(f"unknown family {family!r}")
+    unread = sorted(entries.keys() - read)
+    if unread:
+        raise InvalidInput(f"family {family!r} reads no {unread[0]!r} line")
     if "precision" in entries:
         digits = parse_int(entries["precision"])
         raise PrecisionExhausted(

@@ -1101,6 +1101,8 @@ MAP_TEXT_MUTATIONS = (
     "precision",
     "no-equals",
     "domain-arity",
+    "repeat-key",
+    "unread-key",
 )
 # the exit code of a mutation that is not an invalid map
 EXIT_FOR_MUTATION = {"precision": cli.EXIT_PRECISION}
@@ -1206,6 +1208,18 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
         count = data.draw(st.sampled_from((0, 1, 3)))
         fields["domain"] = [a, b, a][:count]
         return "error", (f"'domain' needs two values, got {count}",)
+    if mutation == "repeat-key":
+        # the repeated line comes last, with the key in upper case
+        key = data.draw(st.sampled_from(sorted(fields)))
+        values = " ".join(_value_texts(fields[key]))
+        fields["repeated"] = f"{key.upper()} = {values}"
+        return "error", (f"map file repeats the {key!r} line",)
+    if mutation == "unread-key":
+        # a key of another family, or a misspelt one; before a precision line
+        key = data.draw(st.sampled_from(("a", "beta", "alpha", "precison", "left_slope")))
+        fields[key] = ["10"]
+        fields["precision"] = ["10"]
+        return "error", (f"family 'custom' reads no {key!r} line",)
     if mutation == "no-equals":
         key = data.draw(st.sampled_from(sorted(fields)))
         fields[key] = " ".join([key, *_value_texts(fields[key])])

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzmap import maps, periods
-from lorenzmap.numerics import PrecisionExhausted, format_scalar, reduced_fraction
+from lorenzmap.numerics import (
+    InvalidInput,
+    PrecisionExhausted,
+    format_scalar,
+    reduced_fraction,
+)
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -562,3 +567,33 @@ def test_certified_parameters_cannot_be_validated():
     # a precision line is refused where the map is loaded: no map comes back
     with pytest.raises(PrecisionExhausted):
         parse_map_text("family = symmetric\na = 1.4142135624\nprecision = 10\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a repeated key, compared in lower case, whatever the two values
+        ("family = symmetric\na = 6/5\nA = 7/5\n", "map file repeats the 'a' line"),
+        (
+            "family = beta\nbeta = 6/5\nalpha = 1/10\nFamily = beta\n",
+            "map file repeats the 'family' line",
+        ),
+        # a key the family does not read: another family's, or a misspelling
+        ("family = symmetric\na = 6/5\nbeta = 6/5\n", "family 'symmetric' reads no 'beta' line"),
+        ("family = beta\nbeta = 6/5\nalpha = 1/10\na = 6/5\n", "family 'beta' reads no 'a' line"),
+        ("family = symmetric\na = 1.4\nprecison = 10\n", "family 'symmetric' reads no 'precison' line"),
+        # both are refused before the precision line
+        (
+            "family = symmetric\na = 1.4\nprecision = 10\nprecison = 10\n",
+            "family 'symmetric' reads no 'precison' line",
+        ),
+        (
+            "family = symmetric\na = 1.4\nprecision = 10\nPRECISION = 12\n",
+            "map file repeats the 'precision' line",
+        ),
+    ],
+)
+def test_parse_map_text_refuses_repeated_and_unread_keys(text, message):
+    with pytest.raises(InvalidInput) as refused:
+        parse_map_text(text)
+    assert str(refused.value) == message

@@ -64,6 +64,8 @@ CASES = [
     _analyze_file("custom_periodic_cantor"),
     _analyze_file("invalid_slope"),
     _analyze_file("structural_faults"),
+    _analyze_file("repeated_key"),
+    _analyze_file("misspelt_key"),
     ("classify_symmetric_6_5_quarter",
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "1/4"]),
     ("classify_symmetric_6_5_near_c",

@@ -115,9 +115,7 @@ def outer_union(m: LorenzMap, unions: list, i: int) -> IntervalUnion:
     return IntervalUnion.from_pairs([(m.a, m.b)])
 
 
-def alpha_classify(
-    m: LorenzMap, tower: Tower, x: Scalar, unions: Optional[list] = None
-) -> AlphaClass:
+def alpha_classify(m: LorenzMap, tower: Tower, x: Scalar, unions: list) -> AlphaClass:
     """Backward-limit class of a point: some level's ``E_i`` or the full interval.
 
     The class is ``E_i`` for the unique level whose orbit union is the
@@ -125,11 +123,10 @@ def alpha_classify(
     (the attractor) have full-interval backward limits.  ``c`` (either
     side of it) classifies as full interval, since it lies in every
     level interval.  A point outside ``[a, b]`` raises ``InvalidInput``.
+    ``unions`` is ``orbit_unions(m, tower)``, which callers compute once.
     """
     if not (m.a <= x <= m.b):
         raise InvalidInput("point outside the domain")
-    if unions is None:
-        unions = orbit_unions(m, tower)
     for i, union in enumerate(unions, start=1):
         if not union.contains(x):
             return AlphaClass(AlphaKind.PROPER_LIMIT_SET, i)
@@ -269,9 +266,7 @@ class OmegaDecomposition:
     flags: tuple  # per-level periodicity
 
 
-def omega_decomposition(
-    m: LorenzMap, tower: Tower, unions: Optional[list] = None
-) -> OmegaDecomposition:
+def omega_decomposition(m: LorenzMap, tower: Tower, unions: list) -> OmegaDecomposition:
     """Split the nonwandering set into per-level pieces plus the attractor.
 
     The level-``i`` piece is the full forward orbit of the previous
@@ -279,9 +274,8 @@ def omega_decomposition(
     forward orbit of the level's repelling point.  Cantor levels get a
     flag and a depth-bounded point approximation.  The attractor is the
     whole domain for an empty tower, otherwise the deepest orbit union.
+    ``unions`` is ``orbit_unions(m, tower)``.
     """
-    if unions is None:
-        unions = orbit_unions(m, tower)
     parts = []
     for level in tower.levels:
         if level.step.periodic:

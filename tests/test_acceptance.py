@@ -27,6 +27,7 @@ from lorenzmap.limits import (
     alpha_classify,
     alpha_limit_approx,
     omega_decomposition,
+    orbit_unions,
 )
 
 from conftest import (
@@ -57,7 +58,7 @@ def full_analysis(m):
     )
     trichotomy, _ = classify_trichotomy(m, period=period)
     tower = renorm_tower(m, period=period)
-    omega = omega_decomposition(m, tower)
+    omega = omega_decomposition(m, tower, orbit_unions(m, tower))
     return period, orbit, trichotomy, tower, omega
 
 
@@ -164,21 +165,24 @@ def test_criterion_07_roundtrip_exactness(sample_maps):
 def test_criterion_08_alpha_classification():
     m = symmetric_map(F(6, 5))
     tower = renorm_tower(m)
-    assert alpha_classify(m, tower, F(1, 4)).label() == "E_1"
-    assert alpha_classify(m, tower, F(9, 20)).label() == "I"
-    assert alpha_classify(m, tower, F(23, 25)).label() == "I"
+    unions = orbit_unions(m, tower)
+    assert alpha_classify(m, tower, F(1, 4), unions).label() == "E_1"
+    assert alpha_classify(m, tower, F(9, 20), unions).label() == "I"
+    assert alpha_classify(m, tower, F(23, 25), unions).label() == "I"
     m = symmetric_map(F(3, 2))
     tower = renorm_tower(m)
+    unions = orbit_unions(m, tower)
     rng = random.Random(8)
     for _ in range(10):
         x = F(rng.randint(0, 10**6), 10**6)
-        assert alpha_classify(m, tower, x).label() == "I"
+        assert alpha_classify(m, tower, x, unions).label() == "I"
     print("ACCEPTANCE 8: PASS - backward-limit classes match on all pinned points")
 
 
 def test_criterion_09_omega_decomposition():
     m = symmetric_map(F(6, 5))
-    omega = omega_decomposition(m, renorm_tower(m))
+    tower = renorm_tower(m)
+    omega = omega_decomposition(m, tower, orbit_unions(m, tower))
     assert omega.parts[0].points == (F(3, 11), F(8, 11))
     assert omega.attractor.pairs() == [
         (F(0), F(3, 25)),

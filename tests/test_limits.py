@@ -71,20 +71,27 @@ OMEGA2_11_10 = (F(11, 442), F(211, 442), F(231, 442), F(431, 442))
 def test_alpha_classify_examples():
     m = symmetric_map(F(6, 5))
     tower = renorm_tower(m)
-    assert alpha_classify(m, tower, F(1, 4)).label() == "E_1"
-    assert alpha_classify(m, tower, F(9, 20)).label() == "I"
-    assert alpha_classify(m, tower, F(23, 25)).label() == "I"
+    unions = orbit_unions(m, tower)
+    assert alpha_classify(m, tower, F(1, 4), unions).label() == "E_1"
+    assert alpha_classify(m, tower, F(9, 20), unions).label() == "I"
+    assert alpha_classify(m, tower, F(23, 25), unions).label() == "I"
     # c, read as c- or as c+, lies in every level interval
-    assert alpha_classify(m, tower, m.c).kind is AlphaKind.FULL_INTERVAL
+    assert alpha_classify(m, tower, m.c, unions).kind is AlphaKind.FULL_INTERVAL
 
 
 def test_alpha_classify_prime_map_is_all_full():
     m = symmetric_map(F(3, 2))
     tower = renorm_tower(m)
+    unions = orbit_unions(m, tower)
     rng = random.Random(31)
     for _ in range(10):
         x = F(rng.randint(0, 10**6), 10**6)
-        assert alpha_classify(m, tower, x).kind is AlphaKind.FULL_INTERVAL
+        assert alpha_classify(m, tower, x, unions).kind is AlphaKind.FULL_INTERVAL
+
+
+def _tower_and_unions(m) -> tuple:
+    tower = renorm_tower(m)
+    return tower, orbit_unions(m, tower)
 
 
 def _assert_unions_match_interval_orbit(m, tower):
@@ -208,7 +215,7 @@ def test_membership_examples():
 
 def test_omega_decomposition_slope_6_5():
     m = symmetric_map(F(6, 5))
-    omega = omega_decomposition(m, renorm_tower(m))
+    omega = omega_decomposition(m, *_tower_and_unions(m))
     assert len(omega.parts) == 1
     part = omega.parts[0]
     assert part.periodic and part.exact
@@ -219,14 +226,14 @@ def test_omega_decomposition_slope_6_5():
 
 def test_omega_decomposition_prime_map():
     m = symmetric_map(F(3, 2))
-    omega = omega_decomposition(m, renorm_tower(m))
+    omega = omega_decomposition(m, *_tower_and_unions(m))
     assert omega.parts == ()
     assert omega.attractor.pairs() == [(F(0), F(1))]
 
 
 def test_omega_decomposition_slope_11_10():
     m = symmetric_map(F(11, 10))
-    omega = omega_decomposition(m, renorm_tower(m))
+    omega = omega_decomposition(m, *_tower_and_unions(m))
     assert [part.points for part in omega.parts] == [
         (F(11, 42), F(31, 42)),
         OMEGA2_11_10,
@@ -237,7 +244,7 @@ def test_omega_decomposition_slope_11_10():
 def test_omega_parts_are_exactly_invariant():
     for a in (F(6, 5), F(11, 10)):
         m = symmetric_map(a)
-        omega = omega_decomposition(m, renorm_tower(m))
+        omega = omega_decomposition(m, *_tower_and_unions(m))
         for part in omega.parts:
             image = {evaluate(m, x) for x in part.points}
             assert image == set(part.points)
@@ -246,7 +253,7 @@ def test_omega_parts_are_exactly_invariant():
 def test_attractor_absorbs():
     for a, starts, transient in ((F(6, 5), 100, 1000), (F(11, 10), 20, 200)):
         m = symmetric_map(a)
-        omega = omega_decomposition(m, renorm_tower(m))
+        omega = omega_decomposition(m, *_tower_and_unions(m))
         attractor = omega.attractor
         assert covers(attractor, image_union(m, attractor))
         rng = random.Random(33)
@@ -362,8 +369,9 @@ def test_real_cantor_levels_agree_across_omega_alpha_and_membership(
 
 def test_omega_cantor_part_reports_approximation():
     m, tower = _synthetic_tower_with_nonperiodic_level()
-    omega = omega_decomposition(m, renorm_tower(m))  # real tower for unions
-    fake = omega_decomposition(m, Tower(tower.levels[:2], tower.terminal, 64, 16))
+    omega = omega_decomposition(m, *_tower_and_unions(m))  # the real tower
+    fake_tower = Tower(tower.levels[:2], tower.terminal, 64, 16)
+    fake = omega_decomposition(m, fake_tower, orbit_unions(m, fake_tower))
     part = fake.parts[1]
     assert not part.periodic and not part.exact
     assert set(OMEGA2_11_10) <= set(part.points)
@@ -386,7 +394,7 @@ def test_membership_agrees_with_classification():
     m = symmetric_map(F(11, 10))
     tower = renorm_tower(m)
     unions = orbit_unions(m, tower)
-    omega = omega_decomposition(m, tower)
+    omega = omega_decomposition(m, tower, unions)
     for part in omega.parts:
         i = part.level
         for x in part.points:

@@ -97,14 +97,15 @@ def test_pipeline_is_conjugation_equivariant():
 
     assert same_map(tower.levels[0].step.inner_map, symmetric_map(F(36, 25)))
 
-    omega = omega_decomposition(m, tower)
+    unions = orbit_unions(m, tower)
+    omega = omega_decomposition(m, tower, unions)
     assert omega.attractor.pairs() == [
         (h(F(0)), h(F(3, 25))),
         (h(F(2, 5)), h(F(3, 5))),
         (h(F(22, 25)), h(F(1))),
     ]
-    assert alpha_classify(m, tower, h(F(1, 4))).label() == "E_1"
-    assert alpha_classify(m, tower, h(F(9, 20))).label() == "I"
+    assert alpha_classify(m, tower, h(F(1, 4)), unions).label() == "E_1"
+    assert alpha_classify(m, tower, h(F(9, 20)), unions).label() == "I"
     assert hitting_index(m, (orbit.flank_left, m.c)).n == 2
     flanked = (orbit.flank_left, orbit.flank_right)
     assert leo_evidence(m, flanked, 1).covered

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import lorenzmap
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
-from lorenzmap.maps import beta_transformation, parse_map_text, symmetric_map
+from lorenzmap.maps import FAMILIES, beta_transformation, parse_map_text, symmetric_map
 from lorenzmap.numerics import PrecisionExhausted, format_scalar, parse_scalar
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     moved_to_minus_3_5,
     multi_piece_maps,
     piece_map,
+    same_map,
 )
 
 PRIME_BAND_LOW = F(2) ** F(1, 2)  # tower length drops to 0 past sqrt(2)
@@ -1031,6 +1032,82 @@ def test_each_command_has_its_options_and_help(monkeypatch, command):
     assert actions == _ACTIONS[command]
     monkeypatch.setenv("COLUMNS", "80")
     assert parser.format_help() == _HELP[command]
+
+
+# -- the family and flag tables -----------------------------------------------
+
+# one valid map of each family: its parameter values, in table order
+_FAMILY_VALUES = {"symmetric": ["1.2"], "beta": ["23/20", "0.175"]}
+
+
+def _family_flags(pairs) -> list:
+    return [text for name, value in pairs for text in (f"--{name}", value)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_flags_and_map_file_build_the_same_family_map(family):
+    _make, names = FAMILIES[family]
+    values = _FAMILY_VALUES[family]
+    pairs = list(zip(names, values))
+    for order in (1, -1):  # flags and lines in table order, then reversed
+        argv = ["analyze", "--family", family, *_family_flags(pairs[::order])]
+        m, echo = cli.build_map(build_parser().parse_args(argv))
+        lines = [f"{name} = {value}" for name, value in pairs[::order]]
+        assert same_map(m, parse_map_text("\n".join([f"family = {family}", *lines])))
+        # the echo: the family, its parameters in table order, then the map
+        assert list(echo) == ["family", *names, "domain", "c", "left", "right"]
+        assert [echo[name] for name in names] == [
+            format_scalar(parse_scalar(value)) for value in values
+        ]
+    # a missing parameter gives one message that names all of them
+    needs = " and ".join(f"--{name}" for name in names)
+    for dropped in range(len(pairs)):
+        kept = pairs[:dropped] + pairs[dropped + 1:]
+        argv = ["analyze", "--family", family, *_family_flags(kept)]
+        with pytest.raises(cli.InvalidInput) as refused:
+            cli.build_map(build_parser().parse_args(argv))
+        assert str(refused.value) == f"--family {family} needs {needs}"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_sweep_varies_the_first_parameter(capsys, family):
+    _make, names = FAMILIES[family]
+    pairs = list(zip(names, _FAMILY_VALUES[family]))
+    code, out = run_cli(
+        capsys, "analyze", "--family", family, *_family_flags(pairs), "--format", "csv"
+    )
+    assert code == 0
+    first = pairs[0][1]
+    code, swept = run_cli(
+        capsys, "sweep", "--family", family, *_family_flags(pairs[1:]),
+        "--start", first, "--end", first, "--step", "1",
+    )
+    assert code == 0 and swept == out and out.count("\n") == 2
+
+
+# the least value of each configuration flag, and the refusal of one less
+_LEAST = {
+    "l_max": (2, "l_max must be at least 2, got 1"),
+    "level_cap": (1, "level_cap must be at least 1, got 0"),
+    "hit_cap": (0, "hit_cap must be at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.CONFIG_FLAGS))
+def test_resolve_config_refuses_a_value_below_its_least(key):
+    flag = "--" + key.replace("_", "-")
+    map_flags = ["analyze", "--family", "symmetric", "--a", "6/5"]
+    if key not in _LEAST:  # precision_bits is only echoed: any value goes
+        args = build_parser().parse_args([*map_flags, flag, "-5"])
+        assert cli.resolve_config(args)[key] == -5
+        return
+    least, message = _LEAST[key]
+    args = build_parser().parse_args([*map_flags, flag, str(least)])
+    assert cli.resolve_config(args) == {**DEFAULT_CONFIG, key: least}
+    args = build_parser().parse_args([*map_flags, flag, str(least - 1)])
+    with pytest.raises(cli.InvalidInput) as refused:
+        cli.resolve_config(args)
+    assert str(refused.value) == message
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

@@ -204,8 +204,7 @@ def analyze_map(m: LorenzMap, echo: dict, config: dict, full: bool = True) -> tu
         if full:
             if period.kappa is not None and period.kappa > 1:
                 orbit = minimal_periodic_orbit(m, period.kappa)
-                # its fields, in order, are the report keys; a shallow copy,
-                # as dataclasses.asdict would deep-copy every point
+                # shallow: dataclasses.asdict would deep-copy every point
                 report["orbit"] = dict(vars(orbit))
             unions = orbit_unions(m, tower)
             omega = omega_decomposition(m, tower, unions)

@@ -3,15 +3,12 @@
 Minimal periods and their unique periodic orbits, renormalization
 checking and towers, backward-limit classification, and the
 nonwandering decomposition.  Every scalar is a :class:`fractions.Fraction`
-and every order decision is an exact comparison; map files that declare
-a finite ``precision`` are refused when they are loaded
-(:class:`PrecisionExhausted`), and other malformed input with
-:class:`InvalidInput`.
+and every order decision is an exact comparison; malformed input is
+refused with :class:`InvalidInput`.
 """
 
 from .numerics import (
     InvalidInput,
-    PrecisionExhausted,
     Scalar,
     parse_scalar,
     format_scalar,
@@ -29,7 +26,7 @@ from .maps import (
     symmetric_map,
     validate_map,
 )
-from .interval_dynamics import IntervalUnion, interval_orbit
+from .interval_dynamics import IntervalUnion
 from .periods import (
     MinimalPeriodResult,
     PeriodicOrbit,

@@ -7,12 +7,12 @@ configuration reproduce reports byte for byte.  The sections of an
 :func:`write_json` formats each of them once, as it streams the report
 to stdout with the bytes of ``json.dumps(report, indent=2)``, so the
 report is never held as one string.  Exit codes: 0 success,
-2 invalid map or input, 3 precision exhausted, 4 cap exceeded.  A
+2 invalid map or input, 4 cap exceeded (:data:`STATUS_FOR_EXIT`).  A
 failed validation or a period cap is a result, whose report carries
-the ``status``; :func:`main` maps the input errors of every command to
-exit codes through :data:`EXIT_FOR_ERROR`, in one place, and any other
-exception is a traceback.  ``precision_bits`` is only echoed in the
-configuration: every scalar is exact.
+the ``status``; :func:`main` turns the refused input of every command
+(:class:`~lorenzmap.numerics.InvalidInput`) into exit 2, in one place,
+and any other exception is a traceback.  ``precision_bits`` is only
+echoed in the configuration: every scalar is exact.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .numerics import (
-    MAX_DIGITS,
-    InvalidInput,
-    PrecisionExhausted,
-    format_scalar,
-    parse_int,
-    parse_scalar,
-)
+from .numerics import MAX_DIGITS, InvalidInput, format_scalar, parse_scalar
 from .maps import FAMILIES, LorenzMap, describe_map, parse_map_text, validate_map
 from .periods import DEFAULT_BACKWARD_CAP, minimal_period, minimal_periodic_orbit
 from .renorm import (
@@ -69,18 +62,16 @@ SWEEP_COLUMNS = [
 
 EXIT_OK = 0
 EXIT_INVALID_MAP = 2
-EXIT_PRECISION = 3
 EXIT_CAP = 4
 
 STATUS_FOR_EXIT = {
     EXIT_OK: "ok",
     EXIT_INVALID_MAP: "invalid-map",
-    EXIT_PRECISION: "precision-exhausted",
     EXIT_CAP: "cap-exceeded",
 }
 
-# the errors main maps: the package's two types
-EXIT_FOR_ERROR = {PrecisionExhausted: EXIT_PRECISION, InvalidInput: EXIT_INVALID_MAP}
+# the flags that choose a family or set a family's parameter
+MAP_FLAGS = ["family", *(name for _, names in FAMILIES.values() for name in names)]
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -92,9 +83,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _refuse_unread_flags(args: argparse.Namespace, read: tuple, reader: str) -> None:
+    """Refuse each of the :data:`MAP_FLAGS` given that is not in ``read``."""
+    for name in MAP_FLAGS:
+        if name not in read and getattr(args, name, None) is not None:
+            raise InvalidInput(f"{reader} reads no --{name} flag")
+
+
 def build_map(args: argparse.Namespace) -> tuple:
     """Construct the map from flags or a map file; returns (map, echo)."""
     if args.map_file:
+        _refuse_unread_flags(args, (), "--map-file")
         try:
             with open(args.map_file, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -107,6 +106,7 @@ def build_map(args: argparse.Namespace) -> tuple:
             f"need --family {'|'.join(FAMILIES)} with parameters, or --map-file"
         )
     make, names = FAMILIES[args.family]
+    _refuse_unread_flags(args, ("family", *names), f"--family {args.family}")
     texts = [getattr(args, name) for name in names]
     if None in texts:
         flags = " and ".join(f"--{name}" for name in names)
@@ -362,6 +362,7 @@ def sweep_rows(args: argparse.Namespace, config: dict):
     """The summary row of each map of the family as its first parameter
     steps from ``--start`` to ``--end``; the others are fixed by flags."""
     make, names = FAMILIES[args.family]
+    _refuse_unread_flags(args, ("family", *names[1:]), f"a {args.family} sweep")
     if not all(getattr(args, name) for name in names[1:]):
         flags = " and ".join(f"--{name}" for name in names[1:])
         raise InvalidInput(f"{args.family} sweeps need {flags}")
@@ -400,18 +401,19 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _int_flag(text: str) -> int:
-    """The ``type`` of the integer flags: :func:`~lorenzmap.numerics.parse_int`.
+    """The ``type`` of the integer flags: ``int(text)``, with more than
+    :data:`~lorenzmap.numerics.MAX_DIGITS` digits refused unread.
 
-    argparse echoes the text of a ``ValueError``, so the refusal of more
-    than ``MAX_DIGITS`` digits, which gives the length only, is raised
-    as an ``ArgumentTypeError`` (exit 2).
+    ``int`` reads a digit string in time quadratic in its length once
+    the int-digit limit is lifted.  argparse would echo the text of a
+    ``ValueError``, so a longer one is refused with an
+    ``ArgumentTypeError`` (exit 2) that gives its length, not the text.
     """
-    if len(text) <= MAX_DIGITS:
-        return int(text)
-    try:
-        return parse_int(text)
-    except InvalidInput as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"an integer of {len(text)} characters has more than {MAX_DIGITS} digits"
+        )
+    return int(text)
 
 
 # argparse names the type in its "invalid int value" message
@@ -447,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flags(p_classify)
     _add_config_flags(p_classify)
     p_classify.add_argument("--x", required=True, help="point to classify, p/q")
-    p_classify.add_argument("--format", choices=["json"], default="json")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep (CSV)")
     p_sweep.add_argument("--family", choices=list(FAMILIES), required=True)
@@ -473,10 +474,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
         return command[args.command](args)
-    except tuple(EXIT_FOR_ERROR) as err:
-        code = next(c for kind, c in EXIT_FOR_ERROR.items() if isinstance(err, kind))
-        print(json.dumps({"status": STATUS_FOR_EXIT[code], "error": str(err)}))
-        return code
+    except InvalidInput as err:
+        status = STATUS_FOR_EXIT[EXIT_INVALID_MAP]
+        print(json.dumps({"status": status, "error": str(err)}))
+        return EXIT_INVALID_MAP
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -65,9 +65,8 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     ``plus[k] = f^k(c+)`` are the base critical orbits: by the claim of
     :func:`_level_orbit`, the level's return branches are ``f^RL`` and
     ``f^RR`` along the base words of ``c-`` and ``c+``.  So the iterates
-    of ``[a_i, c]`` and ``[c, b_i]`` that
-    :func:`~lorenzmap.interval_dynamics.interval_orbit` unites are
-    ``[plus[RR + j], minus[j]]`` for ``j < RL`` and
+    of ``[a_i, c]`` and ``[c, b_i]`` that the level's interval orbit
+    unites are ``[plus[RR + j], minus[j]]`` for ``j < RL`` and
     ``[plus[j], minus[RL + j]]`` for ``j < RR``, and by the same claim
     each lies in one branch domain, so none crosses ``c``.  One critical
     orbit of length ``max(RL + RR)``, ranked once, serves every level: each

@@ -35,9 +35,6 @@ of :mod:`~lorenzmap.limits`) has a known branch word, and
 ``c``.  Each branch holds one integer piece table
 (:meth:`BranchFn.integer_pieces`), which the composition and the dyadic
 enclosures of the critical orbits read too.
-:func:`parse_map_text` is where finite-precision input is refused: a
-map file with a ``precision`` line raises
-:class:`~lorenzmap.numerics.PrecisionExhausted` once the file has parsed.
 """
 
 from __future__ import annotations
@@ -50,11 +47,9 @@ from typing import Optional
 
 from .numerics import (
     InvalidInput,
-    PrecisionExhausted,
     Scalar,
     format_interval,
     format_scalar,
-    parse_int,
     parse_scalar,
     reduced_fraction,
 )
@@ -548,14 +543,7 @@ def parse_map_text(text: str) -> LorenzMap:
     lower case.  Scalars are ``p/q`` or decimal strings, read as exact
     rationals; a missing key, a malformed value (``p/0`` included) or a
     ``domain`` without two values raises ``InvalidInput``, and so does a
-    repeated key or a key the family does not read, before the
-    ``precision`` line is looked at.
-
-    A ``precision = N`` line says the values are known only to ``N``
-    significant digits.  No order relation of the analysis can be
-    certified for such a map, so once the file has parsed
-    :class:`~lorenzmap.numerics.PrecisionExhausted` is raised instead of
-    returning it, whatever the family.
+    repeated key or a key the family does not read.
     """
     entries: dict[str, str] = {}
     for raw in text.splitlines():
@@ -569,7 +557,7 @@ def parse_map_text(text: str) -> LorenzMap:
         if key in entries:
             raise InvalidInput(f"map file repeats the {key!r} line")
         entries[key] = value.strip()
-    read = {"family", "precision"}
+    read = {"family"}
 
     def entry(key: str) -> str:
         read.add(key)
@@ -609,12 +597,6 @@ def parse_map_text(text: str) -> LorenzMap:
     unread = sorted(entries.keys() - read)
     if unread:
         raise InvalidInput(f"family {family!r} reads no {unread[0]!r} line")
-    if "precision" in entries:
-        digits = parse_int(entries["precision"])
-        raise PrecisionExhausted(
-            f"map values are known to {digits} significant digits only; "
-            "the analysis needs exact rationals to certify its order relations"
-        )
     return m
 
 

@@ -4,10 +4,6 @@ Every scalar in the analysis pipeline is a stdlib
 :class:`fractions.Fraction`, always in lowest terms with positive
 denominator, so every ordering decision is an exact comparison: with the
 plain operators, or by cross-multiplying the integer pairs below.
-Inputs known only to finite precision are refused where maps are
-loaded (:func:`lorenzmap.maps.parse_map_text`) with
-:class:`PrecisionExhausted`, as no order of the analysis can be
-certified for them, and other malformed input with :class:`InvalidInput`.
 An interval is a closed ``(lo, hi)`` pair of scalars with ``lo <= hi``.
 
 Every exact point evaluation and every composition steps on integer
@@ -26,10 +22,6 @@ import re
 from fractions import Fraction
 
 Scalar = Fraction
-
-
-class PrecisionExhausted(Exception):
-    """An input is known only to finite precision, so no order is certified."""
 
 
 class InvalidInput(ValueError):
@@ -72,23 +64,6 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise InvalidInput(f"zero denominator in {token!r}") from None
-    except ValueError as err:
-        raise InvalidInput(str(err)) from None
-
-
-def parse_int(text: str) -> int:
-    """``int(text)``, with more than :data:`MAX_DIGITS` digits refused unread.
-
-    ``int`` reads a digit string in time quadratic in its length once
-    the int-digit limit is lifted, so a text with more digits than that
-    is refused with an :class:`InvalidInput` that gives its length, not the text.
-    """
-    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
-        raise InvalidInput(
-            f"an integer of {len(text)} characters has more than {MAX_DIGITS} digits"
-        )
-    try:
-        return int(text)
     except ValueError as err:
         raise InvalidInput(str(err)) from None
 

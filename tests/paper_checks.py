@@ -4,12 +4,15 @@ The continuity index and the covering of the minimal orbit's window
 (:func:`hitting_index`, :func:`leo_evidence`), the structural depth
 tags of the repelling sets ``E_i`` (:func:`depth_report`) and the
 preimages of a level's gap (:func:`preimage_open_intervals`) check what
-the paper proves about the analyzer's answers.  No command of the
-analyzer needs them, so they live with the tests that assert those
-statements.  Intervals follow the library's conventions: open windows
-and closed components are ``(lo, hi)`` pairs, and closed intervals are
-iterated with :func:`~lorenzmap.interval_dynamics.closed_image_pairs`
-in the doubled-point convention.
+the paper proves about the analyzer's answers, and
+:func:`interval_orbit`, which iterates a level interval step by step,
+is the reference that the ranked unions of
+:func:`~lorenzmap.limits.orbit_unions` are checked against.  No command
+of the analyzer needs them, so they live with the tests that assert
+those statements.  Intervals follow the library's conventions: open
+windows and closed components are ``(lo, hi)`` pairs, and closed
+intervals are iterated with :func:`closed_image_pairs` in the
+doubled-point convention.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from lorenzmap.interval_dynamics import IntervalUnion, closed_image_pairs
+from lorenzmap.interval_dynamics import IntervalUnion
 from lorenzmap.maps import LorenzMap
-from lorenzmap.numerics import Scalar, format_scalar
+from lorenzmap.numerics import Scalar, format_interval, format_scalar
 from lorenzmap.renorm import Tower
 
 DEFAULT_HIT_CAP = 10_000
@@ -52,6 +55,50 @@ class HittingResult:
 
     n: int
     z: Scalar
+
+
+def closed_image_pairs(m: LorenzMap, lo: Scalar, hi: Scalar) -> list:
+    """Image of a closed interval, split at the discontinuity.
+
+    Endpoints equal to ``c`` take the one-sided limit determined by the
+    interval they bound (``[x, c]`` uses ``c-``, ``[c, y]`` uses ``c+``).
+    """
+    c = m.c
+    if lo < c < hi:
+        return [(m.left.value(lo), m.b), (m.a, m.right.value(hi))]
+    if hi <= c:
+        return [(m.left.value(lo), m.left.value(hi))]
+    return [(m.right.value(lo), m.right.value(hi))]
+
+
+def interval_orbit(m: LorenzMap, J: tuple, return_times) -> IntervalUnion:
+    """The forward orbit of ``J = [u, v]`` as a finite closed union.
+
+    With ``(ell, r)`` the return times of the renormalization on ``J``,
+    the orbit is the union of the first ``ell`` iterates of ``[u, c]``
+    and the first ``r`` iterates of ``[c, v]`` (sided images at ``c``);
+    the result is forward invariant.
+    """
+    u, v = J
+    if not (u < m.c < v):
+        raise ValueError(f"{format_interval(u, v)} does not straddle c")
+    ell, r = return_times
+    if ell < 1 or r < 1:
+        raise ValueError("return times must be positive")
+    parts = []
+    for start, steps in (((u, m.c), ell), ((m.c, v), r)):
+        lo, hi = start
+        parts.append((lo, hi))
+        for _ in range(steps - 1):
+            images = closed_image_pairs(m, lo, hi)
+            if len(images) != 1:
+                raise ValueError(
+                    "interval image crossed the discontinuity: return times "
+                    "do not match the first-return structure"
+                )
+            lo, hi = images[0]
+            parts.append((lo, hi))
+    return IntervalUnion.from_pairs(parts)
 
 
 def image_union(m: LorenzMap, u: IntervalUnion) -> IntervalUnion:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import gc
 import importlib
+import inspect
 import io
 import json
 import pkgutil
@@ -22,7 +23,7 @@ import lorenzmap
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
 from lorenzmap.maps import FAMILIES, beta_transformation, parse_map_text, symmetric_map
-from lorenzmap.numerics import PrecisionExhausted, format_scalar, parse_scalar
+from lorenzmap.numerics import InvalidInput, format_scalar, parse_scalar
 
 from conftest import (
     GOLDEN_MAPS,
@@ -265,6 +266,8 @@ def test_long_integer_is_refused_at_once(capsys, tmp_path, flag):
     else:
         argv = ["analyze", "--family", "symmetric", "--a", "3/2", flag, digits]
     message = "an integer of 100000 characters has more than 4300 digits"
+    if flag == "precision":  # unread, so its digits are never counted
+        message = "family 'custom' reads no 'precision' line"
     start = time.perf_counter()
     if flag == "precision":
         code = main(argv)
@@ -286,29 +289,45 @@ def test_long_integer_is_refused_at_once(capsys, tmp_path, flag):
 
 
 def test_integer_flags_keep_their_messages(capsys):
-    # a long value with few digits is read by int as before, and a
-    # malformed short one keeps argparse's own message
+    # a long value with few digits, or with MAX_DIGITS digits, is read by
+    # int as before, and a malformed short one keeps argparse's own
+    # message; one digit more is refused unread, by its length
     for value, expected in (
         ("abc", "argument --l-max: invalid int value: 'abc'"),
-        (" " * 4300 + "12", None),
+        (" " * 4300 + "12", 12),
+        ("+" + "0" * 4299 + "7", 7),
+        ("1_" * 2150 + "1", int("1" * 2151)),
+        ("7" * 4301, None),
+        ("-" + "7" * 4301, None),
+        ("1_" * 4300 + "1", None),
     ):
         argv = ["analyze", "--family", "symmetric", "--a", "3/2", "--l-max", value]
-        if expected is None:
+        if isinstance(expected, int):
             assert main(argv) == 0
-            assert json.loads(capsys.readouterr().out)["config"]["l_max"] == 12
+            assert json.loads(capsys.readouterr().out)["config"]["l_max"] == expected
             continue
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
-        assert capsys.readouterr().err.endswith(expected + "\n")
+        err = capsys.readouterr().err
+        if expected is None:
+            assert value not in err
+            expected = (
+                f"argument --l-max: an integer of {len(value)} characters "
+                "has more than 4300 digits"
+            )
+        assert err.endswith(expected + "\n")
 
 
-def test_precision_exhausted_exit_code(capsys, tmp_path):
+def test_precision_line_exit_code(capsys, tmp_path):
+    # no family reads a precision line, so it is refused as any unread key
     fuzzy = tmp_path / "fuzzy.map"
     fuzzy.write_text("family = symmetric\na = 1.4142135624\nprecision = 10\n")
     code, out = run_cli(capsys, "analyze", "--map-file", str(fuzzy))
-    assert code == 3
-    assert json.loads(out)["status"] == "precision-exhausted"
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "invalid-map", "error": "family 'symmetric' reads no 'precision' line"
+    }
 
 
 def test_cap_exceeded_exit_code(capsys):
@@ -366,11 +385,11 @@ def test_partial_reports_come_from_results_only(monkeypatch):
     assert (code, list(report)) == (2, ["status", "map", "validation", "config"])
 
     # an error raised by a stage is not made into a report
-    def exhausted(*_args, **_kwargs):
-        raise PrecisionExhausted("omega precision exhausted")
+    def reached(*_args, **_kwargs):
+        raise InvalidInput("omega stage reached")
 
-    monkeypatch.setattr(cli, "omega_decomposition", exhausted)
-    with pytest.raises(PrecisionExhausted, match="^omega precision exhausted$"):
+    monkeypatch.setattr(cli, "omega_decomposition", reached)
+    with pytest.raises(InvalidInput, match="^omega stage reached$"):
         cli.analyze_map(symmetric_map(F(6, 5)), {}, config)
 
 
@@ -468,11 +487,11 @@ def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     analyze = ["analyze", "--family", "symmetric", "--a", "6/5"]
     before = [run_cli(capsys, *sweep), run_cli(capsys, *analyze, "--format", "csv")]
 
-    def exhausted(*_args, **_kwargs):
-        raise PrecisionExhausted("report stage reached")
+    def reached(*_args, **_kwargs):
+        raise InvalidInput("report stage reached")
 
     for stage in ("minimal_periodic_orbit", "orbit_unions", "omega_decomposition"):
-        monkeypatch.setattr(cli, stage, exhausted)
+        monkeypatch.setattr(cli, stage, reached)
     after = [run_cli(capsys, *sweep), run_cli(capsys, *analyze, "--format", "csv")]
     assert after == before
     assert [code for code, _out in after] == [0, 0]
@@ -480,10 +499,8 @@ def test_csv_output_runs_no_report_stage(capsys, monkeypatch):
     # the JSON report still runs them: the error reaches main, which
     # prints its status line in place of the report
     code, out = run_cli(capsys, *analyze)
-    assert code == 3
-    assert json.loads(out) == {
-        "status": "precision-exhausted", "error": "report stage reached"
-    }
+    assert code == 2
+    assert json.loads(out) == {"status": "invalid-map", "error": "report stage reached"}
 
 
 def test_summary_stages_give_the_rows_of_full_reports():
@@ -724,8 +741,8 @@ CUSTOM_PRECISION_MAP = (
 @pytest.mark.parametrize(
     "argv, map_text, code, status",
     [
-        (["classify", "--x", "1/3"], PRECISION_MAP, 3, "precision-exhausted"),
-        (["analyze"], CUSTOM_PRECISION_MAP, 3, "precision-exhausted"),
+        (["classify", "--x", "1/3"], PRECISION_MAP, 2, "invalid-map"),
+        (["analyze"], CUSTOM_PRECISION_MAP, 2, "invalid-map"),
         (["analyze"], MISSING_KEY_MAP, 2, "invalid-map"),
         (["analyze"], MALFORMED_PRECISION_MAP, 2, "invalid-map"),
         (["analyze", "--family", "symmetric", "--a", "1/0"], None, 2, "invalid-map"),
@@ -794,18 +811,31 @@ def test_every_exception_class_of_the_package_is_raised():
             and obj.__module__ == module.__name__
         }
     assert defined and defined <= _raised_names()
-    # the package's exception types are exactly those the CLI maps
-    assert defined == {kind.__name__ for kind in cli.EXIT_FOR_ERROR}
+    # the package's one exception type, the one the CLI catches
+    assert defined == {"InvalidInput"}
 
 
 def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
-    # an unreadable map file is an InvalidInput of build_map; a plain
-    # ValueError, which the analysis raises too, and an OSError, such as
-    # a closed stdout, are not mapped, so they end in a traceback
-    raised = _raised_names()
-    assert ValueError not in cli.EXIT_FOR_ERROR and OSError not in cli.EXIT_FOR_ERROR
-    for kind in cli.EXIT_FOR_ERROR:
-        assert kind.__name__ in raised, kind
+    # main has one handler, for InvalidInput, which build_map raises for
+    # an unreadable map file too; a plain ValueError, which the analysis
+    # raises too, and an OSError, such as a closed stdout, are not
+    # caught, so they end in a traceback
+    tree = ast.parse(inspect.getsource(cli.main))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(handler.type) for handler in handlers] == ["InvalidInput"]
+    assert "InvalidInput" in _raised_names()
+
+
+def test_readme_exit_status_table_is_the_cli_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    table = {}
+    for row in lines[lines.index("| exit | status |") + 2:]:
+        if not row.startswith("|"):
+            break
+        code, status = row.strip("|").split("|")
+        table[int(code)] = status.strip().strip("`")
+    assert table == cli.STATUS_FOR_EXIT
 
 
 def test_only_main_and_sweep_rows_turn_an_error_into_a_status():
@@ -851,16 +881,6 @@ def _identifiers(tree) -> list:
     return found
 
 
-# the public functions that only the tests call; each one is listed so
-# that no new one joins them unseen, and one that gains a caller must
-# leave the list
-_CALLED_ONLY_BY_TESTS = {
-    # the tracer names it; it moves to tests/ once the tracer reads
-    # counters from the program (ROADMAP item 7)
-    "interval_orbit",
-}
-
-
 def test_every_definition_of_the_package_is_named_outside_the_tests():
     # a name used only by tests/ belongs in tests/: each function, class
     # and method of src/ must be named outside its own definition, in the
@@ -887,7 +907,7 @@ def test_every_definition_of_the_package_is_named_outside_the_tests():
                 for use, line in found
             ):
                 unnamed.append((name, f"{path.name}:{node.lineno}"))
-    assert sorted(name for name, _where in unnamed) == sorted(_CALLED_ONLY_BY_TESTS), unnamed
+    assert unnamed == []
 
 
 def test_sweep_row_with_zero_beta_does_not_stop_the_sweep(capsys):
@@ -941,7 +961,6 @@ _ACTIONS = {
         *_MAP_ACTIONS,
         *_CONFIG_ACTIONS,
         (("--x",), "x", None, None, None, True),
-        (("--format",), "format", "json", ["json"], None, False),
     ],
     "sweep": [
         _HELP_ACTION,
@@ -988,10 +1007,8 @@ usage: lorenzmap classify [-h] [--family {symmetric,beta}] [--a A]
                           [--l-max L_MAX] [--level-cap LEVEL_CAP]
                           [--hit-cap HIT_CAP]
                           [--precision-bits PRECISION_BITS] --x X
-                          [--format {json}]
 """ + _OPTIONS_HEAD + _MAP_HELP + _CONFIG_HELP + """\
   --x X                 point to classify, p/q
-  --format {json}
 """,
     "sweep": """\
 usage: lorenzmap sweep [-h] --family {symmetric,beta} [--alpha ALPHA] --start
@@ -1083,6 +1100,30 @@ def test_a_sweep_varies_the_first_parameter(capsys, family):
         "--start", first, "--end", first, "--step", "1",
     )
     assert code == 0 and swept == out and out.count("\n") == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_map_flags_a_run_does_not_read_are_refused(capsys, command):
+    # a map file reads none of the map flags, and a family only its own
+    point = ["--x", "1/4"] if command == "classify" else []
+    custom = (GOLDEN_MAPS / "custom16.map").as_posix()
+    runs = [
+        (["--map-file", custom, f"--{name}", "beta" if name == "family" else "1/10"],
+         f"--map-file reads no --{name} flag")
+        for name in cli.MAP_FLAGS
+    ]
+    for family, (_make, names) in FAMILIES.items():
+        given = ["--family", family, *_family_flags(zip(names, _FAMILY_VALUES[family]))]
+        runs += [
+            ([*given, f"--{name}", "1/10"], f"--family {family} reads no --{name} flag")
+            for name in cli.MAP_FLAGS
+            if name not in ("family", *names)
+        ]
+    assert len(runs) == 4 + 3
+    for flags, message in runs:
+        code, out = run_cli(capsys, command, *flags, *point)
+        assert code == 2
+        assert json.loads(out) == {"status": "invalid-map", "error": message}
 
 
 # the least value of each configuration flag, and the refusal of one less
@@ -1181,8 +1222,6 @@ MAP_TEXT_MUTATIONS = (
     "repeat-key",
     "unread-key",
 )
-# the exit code of a mutation that is not an invalid map
-EXIT_FOR_MUTATION = {"precision": cli.EXIT_PRECISION}
 BRANCH_SHAPE_ERRORS = (
     "need one more breakpoint than pieces",
     "slopes and intercepts must pair up",
@@ -1213,8 +1252,8 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
     ``kind`` is ``"error"`` for a text that cannot be built into a map,
     with ``expected`` a tuple of messages one of which the error holds,
     and ``"violation"`` for a map that validation refuses, with
-    ``expected`` a part of the planted violation.  A ``precision`` line
-    is an error with its own exit code (:data:`EXIT_FOR_MUTATION`).
+    ``expected`` a part of the planted violation.  Every mutant is an
+    invalid map.
     """
     a, b = fields["domain"]
     side = data.draw(st.sampled_from(("left", "right")))
@@ -1280,7 +1319,7 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
     if mutation == "precision":
         digits = data.draw(st.integers(1, 40))
         fields["precision"] = [str(digits)]
-        return "error", (f"known to {digits} significant digits only",)
+        return "error", ("family 'custom' reads no 'precision' line",)
     if mutation == "domain-arity":
         count = data.draw(st.sampled_from((0, 1, 3)))
         fields["domain"] = [a, b, a][:count]
@@ -1292,10 +1331,9 @@ def _mutate(fields: dict, mutation: str, data) -> tuple:
         fields["repeated"] = f"{key.upper()} = {values}"
         return "error", (f"map file repeats the {key!r} line",)
     if mutation == "unread-key":
-        # a key of another family, or a misspelt one; before a precision line
+        # a key of another family, or a misspelt one
         key = data.draw(st.sampled_from(("a", "beta", "alpha", "precison", "left_slope")))
         fields[key] = ["10"]
-        fields["precision"] = ["10"]
         return "error", (f"family 'custom' reads no {key!r} line",)
     if mutation == "no-equals":
         key = data.draw(st.sampled_from(sorted(fields)))
@@ -1346,10 +1384,9 @@ def test_mutated_map_texts_exit_with_the_planted_fault(
         kind, expected = _mutate(fields, mutation, data)
         command = data.draw(st.sampled_from(("analyze", "classify")))
         code, out, err = _run_mutant(tmp_path_factory, _map_text(fields), command)
-        expected_code = EXIT_FOR_MUTATION.get(mutation, cli.EXIT_INVALID_MAP)
-        assert code == expected_code and err == ""
+        assert code == cli.EXIT_INVALID_MAP and err == ""
         report = json.loads(out)
-        assert report["status"] == cli.STATUS_FOR_EXIT[expected_code]
+        assert report["status"] == "invalid-map"
         if kind == "error":
             assert any(message in report["error"] for message in expected), report
             continue

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorenzmap.maps import beta_transformation, symmetric_map
-from lorenzmap.interval_dynamics import IntervalUnion, interval_orbit
+from lorenzmap.interval_dynamics import IntervalUnion
 
 from conftest import evaluate_orbit, raw_cover_steps, sym_params
-from paper_checks import CapExceeded, covers, hitting_index, image_union, leo_evidence
+from paper_checks import (
+    CapExceeded,
+    covers,
+    hitting_index,
+    image_union,
+    interval_orbit,
+    leo_evidence,
+)
 
 
 # values on a coarse grid, so that drawn pairs often touch or share ends

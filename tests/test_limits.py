@@ -16,7 +16,6 @@ from lorenzmap.maps import (
     symmetric_map,
     word_orbit,
 )
-from lorenzmap.interval_dynamics import interval_orbit
 from lorenzmap.orbits import critical_pair
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
 from lorenzmap.renorm import (
@@ -48,6 +47,7 @@ from paper_checks import (
     covers,
     depth_report,
     image_union,
+    interval_orbit,
     preimage_open_intervals,
 )
 

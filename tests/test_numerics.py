@@ -4,13 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from lorenzmap.interval_dynamics import IntervalUnion
-from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
     InvalidInput,
-    PrecisionExhausted,
     format_interval,
     format_scalar,
-    parse_int,
     parse_scalar,
 )
 
@@ -51,24 +48,6 @@ def test_interval_validation():
     assert IntervalUnion.from_pairs([(F(1, 2), F(1, 2))]).pairs() == [(F(1, 2), F(1, 2))]
 
 
-def test_fixed_precision_decimal_exhausts_inside_its_radius():
-    # a map file that gives its values to finite precision is refused when
-    # it is loaded, for every family, even where the decimals are exact
-    custom = (
-        "family = custom\ndomain = 0 1\nc = 1/2\n"
-        "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
-        "right_breakpoints = 1/2 1\nright_slopes = 3/2\nright_intercepts = -3/4\n"
-    )
-    for text in (
-        "family = symmetric\na = 1.4142135624\n",
-        "family = beta\nbeta = 1.2\nalpha = 0.1\n",
-        custom,
-    ):
-        parse_map_text(text)  # exact without the precision line
-        with pytest.raises(PrecisionExhausted):
-            parse_map_text(text + "precision = 10\n")
-
-
 def test_parse_and_format():
     assert parse_scalar("3/5") == F(3, 5)
     assert parse_scalar("1.07") == F(107, 100)
@@ -84,30 +63,18 @@ def test_parse_and_format():
         with pytest.raises(ValueError, match="run of more than 4300 digits") as refused:
             parse_scalar(long)
         assert long not in str(refused.value)
-    # an integer of MAX_DIGITS digits parses; one more digit is refused unread
-    assert parse_int("-" + "0" * 4299 + "7") == -7
-    assert parse_int("1_" * 2150 + "1") == int("1" * 2151)  # 4,301 characters
-    for long in ("7" * 4301, "-" + "7" * 4301, "1_" * 4300 + "1"):
-        with pytest.raises(ValueError, match="more than 4300 digits") as refused:
-            parse_int(long)
-        assert long not in str(refused.value)
     assert format_scalar(F(3, 5)) == "3/5"
     assert format_scalar(F(2)) == "2/1"
 
 
 def test_malformed_input_is_refused_with_the_reader_s_own_message():
     # every refusal is an InvalidInput; a malformed text keeps the text
-    # that Fraction or int gives for it
-    for parse, reader, text in (
-        (parse_scalar, F, "1//2"),
-        (parse_scalar, F, "abc"),
-        (parse_int, int, "ten"),
-        (parse_int, int, "1.5"),
-    ):
+    # that Fraction gives for it
+    for text in ("1//2", "abc"):
         with pytest.raises(ValueError) as native:
-            reader(text)
+            F(text)
         with pytest.raises(InvalidInput) as refused:
-            parse(text)
+            parse_scalar(text)
         assert str(refused.value) == str(native.value)
     with pytest.raises(InvalidInput, match=r"^zero denominator in '1/0'$"):
         parse_scalar("1/0")

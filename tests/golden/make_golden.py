@@ -87,6 +87,21 @@ CASES = [
      ["classify", "--family", "symmetric", "--a", "6/5", "--x", "3/2"]),
     ("classify_invalid_slope",
      ["classify", "--map-file", (MAPS / "invalid_slope.map").as_posix(), "--x", "1/2"]),
+    # map flags the run does not read
+    _analyze_family("analyze_beta_refuses_a", "--family", "beta", "--beta", "6/5",
+                    "--alpha", "1/10", "--a", "6/5"),
+    _analyze_family("analyze_symmetric_refuses_beta", "--family", "symmetric", "--a",
+                    "6/5", "--beta", "6/5"),
+    _analyze_family("analyze_symmetric_refuses_alpha", "--family", "symmetric", "--a",
+                    "6/5", "--alpha", "1/10"),
+    _analyze_family("analyze_map_file_refuses_family", "--family", "symmetric", "--a",
+                    "3/2", "--map-file", (MAPS / "custom16.map").as_posix()),
+    ("classify_map_file_refuses_a",
+     ["classify", "--map-file", (MAPS / "custom16.map").as_posix(), "--a", "3/2",
+      "--x", "2/7"]),
+    ("sweep_symmetric_refuses_alpha",
+     ["sweep", "--family", "symmetric", "--alpha", "1/10", "--start", "105/100",
+      "--end", "113/100", "--step", "4/100"]),
     ("sweep_symmetric",
      ["sweep", "--family", "symmetric", "--start", "105/100", "--end", "199/100",
       "--step", "4/100"]),

@@ -543,7 +543,9 @@ def parse_map_text(text: str) -> LorenzMap:
     lower case.  Scalars are ``p/q`` or decimal strings, read as exact
     rationals; a missing key, a malformed value (``p/0`` included) or a
     ``domain`` without two values raises ``InvalidInput``, and so does a
-    repeated key or a key the family does not read.
+    repeated key or a key the family does not read.  No family reads a
+    ``precision`` line: a value known only to finite precision decides
+    no order of the analysis.
     """
     entries: dict[str, str] = {}
     for raw in text.splitlines():

@@ -405,9 +405,10 @@ def _int_flag(text: str) -> int:
     :data:`~lorenzmap.numerics.MAX_DIGITS` digits refused unread.
 
     ``int`` reads a digit string in time quadratic in its length once
-    the int-digit limit is lifted.  argparse would echo the text of a
-    ``ValueError``, so a longer one is refused with an
-    ``ArgumentTypeError`` (exit 2) that gives its length, not the text.
+    the int-digit limit is lifted, and argparse's message for a
+    ``ValueError`` echoes the whole text.  So a text with more digits is
+    refused with an ``ArgumentTypeError`` (exit 2) that gives its
+    length, not the text.
     """
     if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(

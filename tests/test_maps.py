@@ -563,23 +563,9 @@ def test_parse_map_text_families(tmp_path):
 
 
 def test_certified_parameters_cannot_be_validated():
-    # a map file that gives its values to finite precision is refused when
-    # it is loaded, for every family, even where the decimals are exact:
-    # no family reads a precision line
-    custom = (
-        "family = custom\ndomain = 0 1\nc = 1/2\n"
-        "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
-        "right_breakpoints = 1/2 1\nright_slopes = 3/2\nright_intercepts = -3/4\n"
-    )
-    for family, text in (
-        ("symmetric", "family = symmetric\na = 1.4142135624\n"),
-        ("beta", "family = beta\nbeta = 1.2\nalpha = 0.1\n"),
-        ("custom", custom),
-    ):
-        parse_map_text(text)  # exact without the precision line
-        with pytest.raises(InvalidInput) as refused:
-            parse_map_text(text + "precision = 10\n")
-        assert str(refused.value) == f"family {family!r} reads no 'precision' line"
+    # a precision line is refused where the map is loaded: no map comes back
+    with pytest.raises(InvalidInput, match=r"^family 'symmetric' reads no 'precision' line$"):
+        parse_map_text("family = symmetric\na = 1.4142135624\nprecision = 10\n")
 
 
 @pytest.mark.parametrize(

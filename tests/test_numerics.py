@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from lorenzmap.interval_dynamics import IntervalUnion
+from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
     InvalidInput,
     format_interval,
@@ -46,6 +47,26 @@ def test_interval_validation():
         IntervalUnion.from_pairs([(F(0), F(2)), (F(1), F(1, 2))])
     # a degenerate closed point is fine
     assert IntervalUnion.from_pairs([(F(1, 2), F(1, 2))]).pairs() == [(F(1, 2), F(1, 2))]
+
+
+def test_fixed_precision_decimal_exhausts_inside_its_radius():
+    # a map file that gives its values to finite precision is refused when
+    # it is loaded, for every family, even where the decimals are exact:
+    # no family reads a precision line
+    custom = (
+        "family = custom\ndomain = 0 1\nc = 1/2\n"
+        "left_breakpoints = 0 1/2\nleft_slopes = 3/2\nleft_intercepts = 1/4\n"
+        "right_breakpoints = 1/2 1\nright_slopes = 3/2\nright_intercepts = -3/4\n"
+    )
+    for family, text in (
+        ("symmetric", "family = symmetric\na = 1.4142135624\n"),
+        ("beta", "family = beta\nbeta = 1.2\nalpha = 0.1\n"),
+        ("custom", custom),
+    ):
+        parse_map_text(text)  # exact without the precision line
+        with pytest.raises(InvalidInput) as refused:
+            parse_map_text(text + "precision = 10\n")
+        assert str(refused.value) == f"family {family!r} reads no 'precision' line"
 
 
 def test_parse_and_format():

@@ -166,70 +166,71 @@ def _omega_dict(omega) -> dict:
     }
 
 
-def _period_and_tower(m: LorenzMap, config: dict) -> tuple:
-    """``(period, tower, exit_code)``: 4 when a minimal period is undetermined
-    at its cap, the map's at ``hit_cap`` or an inner map's, which ends the tower."""
+def analyze_map(m: LorenzMap, config: dict) -> tuple:
+    """The summary stages: ``(validation, period, tower, exit_code)``.
+
+    Validation, the minimal period and the tower decide every column of
+    a summary row and the status of every command.  An invalid map has
+    no period and no tower (exit 2); the exit code is 4 when a minimal
+    period is undetermined at its cap, the map's at ``hit_cap`` or an
+    inner map's, which ends the tower.
+    """
+    validation = validate_map(m)
+    if not validation.valid:
+        return validation, None, None, EXIT_INVALID_MAP
     period = minimal_period(m, config["hit_cap"])
     tower = renorm_tower(m, config["level_cap"], config["l_max"], period)
     capped = period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED
-    return period, tower, EXIT_CAP if capped else EXIT_OK
+    return validation, period, tower, EXIT_CAP if capped else EXIT_OK
 
 
-def analyze_map(m: LorenzMap, echo: dict, config: dict, full: bool = True) -> tuple:
-    """The report, or only its summary stages; returns (report, exit_code).
+def json_report(m: LorenzMap, echo: dict, config: dict) -> tuple:
+    """The ``analyze`` report: the summary stages' results, then the
+    report stages (the minimal orbit, the orbit unions and the
+    ω-decomposition) on a valid map; returns (report, exit_code).
 
-    The summary stages (validation, minimal period, tower, trichotomy)
-    decide every column of a CSV row.  Only a ``full`` report runs the
-    report stages, the minimal orbit, the orbit unions and the
-    ω-decomposition, and echoes the configuration.  The analysis
-    sections hold ``Fraction``s, which :func:`write_json` writes as
-    ``p/q`` strings; the map echo holds those strings already.
+    The analysis sections hold ``Fraction``s, which :func:`write_json`
+    writes as ``p/q`` strings; the map echo holds those strings already.
     """
-    report: dict = {"status": "ok", "map": echo}
-    validation = validate_map(m)
-    report["validation"] = {
-        "valid": validation.valid,
-        "violations": list(validation.violations),
+    validation, period, tower, exit_code = analyze_map(m, config)
+    violations = list(validation.violations)
+    report = {
+        "status": STATUS_FOR_EXIT[exit_code],
+        "map": echo,
+        "validation": {"valid": validation.valid, "violations": violations},
     }
-    exit_code = EXIT_INVALID_MAP
-    if validation.valid:
-        period, tower, exit_code = _period_and_tower(m, config)
-        report["kappa"] = period.kappa
-        report["backward_steps"] = period.m
-        report["backward_chain"] = period.backward_chain
-        report["orbit"] = None  # keeps its slot in the key order; filled below
-        report["trichotomy"] = tower.trichotomy.value
-        report["tower"] = _tower_dict(tower)
-
-        if full:
-            if period.kappa is not None and period.kappa > 1:
-                orbit = minimal_periodic_orbit(m, period.kappa)
-                # shallow: dataclasses.asdict would deep-copy every point
-                report["orbit"] = dict(vars(orbit))
-            unions = orbit_unions(m, tower)
-            omega = omega_decomposition(m, tower, unions)
-            report["omega"] = _omega_dict(omega)
-            report["attractor"] = report["omega"]["attractor"]
-    report["status"] = STATUS_FOR_EXIT[exit_code]
-    if full:
-        report["config"] = config
+    if tower is not None:
+        orbit = None
+        if period.kappa is not None and period.kappa > 1:
+            # shallow: dataclasses.asdict would deep-copy every point
+            orbit = dict(vars(minimal_periodic_orbit(m, period.kappa)))
+        omega = _omega_dict(omega_decomposition(m, tower, orbit_unions(m, tower)))
+        report.update(
+            kappa=period.kappa,
+            backward_steps=period.m,
+            backward_chain=period.backward_chain,
+            orbit=orbit,
+            trichotomy=tower.trichotomy.value,
+            tower=_tower_dict(tower),
+            omega=omega,
+            attractor=omega["attractor"],
+        )
+    report["config"] = config
     return report, exit_code
 
 
-def summary_row(report: dict) -> dict:
-    tower = report.get("tower", {"levels": []})
-    flags = ";".join(
-        "P" if level["periodic"] else "C" for level in tower.get("levels", [])
-    )
-    echo = report.get("map", {})
-    family = FAMILIES.get(echo.get("family"))
+def summary_row(parameter: str, period, tower, exit_code: int) -> dict:
+    """The CSV row of :func:`analyze_map`'s results; an invalid map has no
+    period and no tower, so no kappa, no levels and no trichotomy."""
+    levels = tower.levels if tower is not None else ()
+    flags = ";".join("P" if level.step.periodic else "C" for level in levels)
     return {
-        "parameter": echo[family[1][0]] if family else "",
-        "kappa": "" if report.get("kappa") is None else report["kappa"],
-        "tower_length": len(tower.get("levels", [])),
+        "parameter": parameter,
+        "kappa": "" if period is None or period.kappa is None else period.kappa,
+        "tower_length": len(levels),
         "periodic_flags": flags,
-        "trichotomy": report.get("trichotomy", ""),
-        "status": report.get("status", ""),
+        "trichotomy": tower.trichotomy.value if tower is not None else "",
+        "status": STATUS_FOR_EXIT[exit_code],
     }
 
 
@@ -309,37 +310,34 @@ def write_json(obj, write) -> None:
 def _write_rows(rows: list, fmt: str) -> None:
     """Print summary rows as CSV with a header, or as one indented JSON list."""
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        write_json(rows, sys.stdout.write)
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    # no local keeps the map, so its critical orbits are freed before printing
-    report, code = analyze_map(*build_map(args), config, full=args.format != "csv")
+def cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     if args.format == "csv":
-        _write_rows([summary_row(report)], "csv")
-    else:
-        write_json(report, sys.stdout.write)
+        m, echo = build_map(args)
+        _validation, period, tower, code = analyze_map(m, config)
+        parameter = echo[FAMILIES[args.family][1][0]] if args.family else ""
+        _write_rows([summary_row(parameter, period, tower, code)], "csv")
+        return code
+    # no local keeps the map, so its critical orbits are freed before printing
+    report, code = json_report(*build_map(args), config)
+    write_json(report, sys.stdout.write)
     return code
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_classify(args: argparse.Namespace, config: dict) -> int:
     m, _echo = build_map(args)
     x = parse_scalar(args.x)
-    validation = validate_map(m)
-    if not validation.valid:
-        print(
-            json.dumps(
-                {"status": "invalid-map", "violations": list(validation.violations)}
-            )
-        )
-        return EXIT_INVALID_MAP
-    _period, tower, code = _period_and_tower(m, config)
+    validation, _period, tower, code = analyze_map(m, config)
+    if tower is None:
+        status = STATUS_FOR_EXIT[code]
+        print(json.dumps({"status": status, "violations": list(validation.violations)}))
+        return code
     unions = orbit_unions(m, tower)
     klass = alpha_classify(m, tower, x, unions)
     # class E_i: first union missed is i, so x lies in union i - 1 (the
@@ -377,18 +375,16 @@ def sweep_rows(args: argparse.Namespace, config: dict):
         try:
             m = make(param, *fixed)
         except InvalidInput:
-            # the row of a map that fails validation: no kappa, no tower
-            row = summary_row({"status": STATUS_FOR_EXIT[EXIT_INVALID_MAP]})
+            # a map that cannot be built gets the row of one that fails validation
+            results = None, None, EXIT_INVALID_MAP
         else:
-            # the row's parameter is set below, so the report needs no map echo
-            row = summary_row(analyze_map(m, {}, config, full=False)[0])
-        row["parameter"] = format_scalar(param)
-        yield row
+            _validation, *results = analyze_map(m, config)
+        yield summary_row(format_scalar(param), *results)
         param += step
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _write_rows(list(sweep_rows(args, resolve_config(args))), args.format)
+def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+    _write_rows(list(sweep_rows(args, config)), args.format)
     return EXIT_OK
 
 
@@ -473,8 +469,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        config = resolve_config(args)
         command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
-        return command[args.command](args)
+        return command[args.command](args, config)
     except InvalidInput as err:
         status = STATUS_FOR_EXIT[EXIT_INVALID_MAP]
         print(json.dumps({"status": status, "error": str(err)}))

@@ -33,7 +33,7 @@ minimal periodic orbit, the orbit of ``e-`` and the periodic ω-orbits
 of :mod:`~lorenzmap.limits`) has a known branch word, and
 :func:`word_orbit` walks it along that word, so no walk compares with
 ``c``.  Each branch holds one integer piece table
-(:meth:`BranchFn.integer_pieces`), which the composition and the dyadic
+(:attr:`BranchFn.integer_pieces`), which the composition and the dyadic
 enclosures of the critical orbits read too.
 """
 
@@ -74,6 +74,15 @@ class BranchFn:
     shared breakpoint, so evaluation anywhere on the closed domain is
     unambiguous; the value at the domain end adjacent to ``c`` is the
     one-sided limit there.
+
+    ``integer_pieces`` is ``(cuts, pieces)``, the branch's pieces on
+    integers, built with the branch, since every branch is evaluated.
+    ``cuts`` are the internal breakpoints as ``(numerator,
+    denominator)``; piece ``s·x + t`` is ``(A, B, E, E·A)`` with
+    ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.  Every exact
+    evaluation (:meth:`step`), every composition (:func:`word_pieces`)
+    and every dyadic enclosure of :mod:`~lorenzmap.orbits` reads this
+    one table.
     """
 
     breakpoints: tuple
@@ -87,9 +96,13 @@ class BranchFn:
             raise InvalidInput("slopes and intercepts must pair up")
         if not self.slopes:
             raise InvalidInput("branch needs at least one piece")
-        # set here, not on first use, so that every branch holds the same
-        # attributes in the same order and attribute loads stay fast
-        object.__setattr__(self, "_integer_pieces", None)
+        cuts = tuple((x.numerator, x.denominator) for x in self.breakpoints[1:-1])
+        pieces = []
+        for s, t in zip(self.slopes, self.intercepts):
+            e = math.lcm(s.denominator, t.denominator)
+            a = s.numerator * (e // s.denominator)
+            pieces.append((a, t.numerator * (e // t.denominator), e, e * a))
+        object.__setattr__(self, "integer_pieces", (cuts, tuple(pieces)))
 
     @classmethod
     def affine(cls, lo: Scalar, hi: Scalar, slope: Scalar, intercept: Scalar):
@@ -111,31 +124,11 @@ class BranchFn:
             raise ValueError(f"{format_scalar(x)} above branch domain")
         return reduced_fraction(*self.step(x.numerator, x.denominator))
 
-    def integer_pieces(self) -> tuple:
-        """``(cuts, pieces)``: the branch's pieces on integers, computed once.
-
-        ``cuts`` are the internal breakpoints as ``(numerator,
-        denominator)``; piece ``s·x + t`` is ``(A, B, E, E·A)`` with
-        ``E = lcm(den s, den t)``, ``A = E·s`` and ``B = E·t``.  Every
-        exact evaluation (:meth:`step`), every composition
-        (:func:`word_pieces`) and every dyadic enclosure of
-        :mod:`~lorenzmap.orbits` reads this one table.
-        """
-        if self._integer_pieces is None:
-            cuts = tuple((x.numerator, x.denominator) for x in self.breakpoints[1:-1])
-            pieces = []
-            for s, t in zip(self.slopes, self.intercepts):
-                e = math.lcm(s.denominator, t.denominator)
-                a = s.numerator * (e // s.denominator)
-                pieces.append((a, t.numerator * (e // t.denominator), e, e * a))
-            object.__setattr__(self, "_integer_pieces", (cuts, tuple(pieces)))
-        return self._integer_pieces
-
     def step(self, n: int, d: int) -> tuple:
         """The branch at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
 
         Piece ``s·x + t`` maps ``n/d`` to ``N / (E·d)`` with
-        ``N = A·n + B·d`` (see :meth:`integer_pieces`).  A common factor
+        ``N = A·n + B·d`` (see :attr:`integer_pieces`).  A common factor
         ``g`` of ``N`` and ``E·d`` divides ``E·N - B·(E·d) = E·A·n``, so it
         divides ``gcd(E·A·n, E·d) = E·gcd(A, d)`` (``n`` and ``d`` are
         coprime), and that divides ``E·A``.  So ``gcd(N, E·d)`` is
@@ -147,7 +140,7 @@ class BranchFn:
         there); past the domain ends the end pieces continue, so callers
         check the domain, as :meth:`value` does.
         """
-        cuts, pieces = self._integer_pieces or self.integer_pieces()
+        cuts, pieces = self.integer_pieces
         i = 0
         for cut_n, cut_d in cuts:
             if n * cut_d <= cut_n * d:
@@ -355,7 +348,7 @@ def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
     piece count of the two branches.
 
     The arithmetic is on integers, in the form of
-    :meth:`BranchFn.integer_pieces`, whose pieces ``(a, b, e)`` are
+    :attr:`BranchFn.integer_pieces`, whose pieces ``(a, b, e)`` are
     composed pieces of length one: ``gcd(a, b, e) == 1``, because
     ``e / g`` would be a common denominator of ``a/e`` and ``b/e`` for
     any common factor ``g``.  The image of ``n/d`` is
@@ -375,7 +368,7 @@ def word_pieces(m: LorenzMap, word, lo: Scalar, hi: Scalar) -> list:
     pieces = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator, 1, 0, 1)]
     for label in word:
         branch = m.left if label is left_label else m.right
-        cuts, branch_pieces = branch._integer_pieces or branch.integer_pieces()
+        cuts, branch_pieces = branch.integer_pieces
         first, last = branch.breakpoints[0], branch.breakpoints[-1]
         lo_n, lo_d, hi_n, hi_d = (
             first.numerator, first.denominator, last.numerator, last.denominator

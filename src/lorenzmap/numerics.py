@@ -31,11 +31,11 @@ class InvalidInput(ValueError):
 # CPython's default limit on the digits of an int.  ``Fraction`` turns
 # each digit run of a scalar into an int in time quadratic in its
 # length, and multiplies a decimal exponent out, so a longer run, or an
-# exponent above it, is refused unread.  An exponent within it has at
-# most four digits.
+# exponent above it, is refused unread.  ``Fraction`` reads every
+# Unicode decimal digit, as ``\d`` matches it, not only ``0-9``.
 MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\Z")
-_DIGIT_RUN = re.compile(r"[0-9]+")
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -56,10 +56,10 @@ def parse_scalar(text: str) -> Fraction:
             f"{MAX_DIGITS} digits"
         )
     exponent = _EXPONENT.search(token)
-    if exponent is not None:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > 4 or int(digits or 0) > MAX_DIGITS:
-            raise InvalidInput(f"decimal exponent out of range in {token!r}")
+    # past the run guard an exponent has at most MAX_DIGITS digits, so its
+    # value is read directly
+    if exponent and int(exponent.group(1).replace("_", "") or 0) > MAX_DIGITS:
+        raise InvalidInput(f"decimal exponent out of range in {token!r}")
     try:
         return Fraction(token)
     except ZeroDivisionError:

@@ -28,7 +28,7 @@ The exact iterates are walked along the orbit's own word
 (:func:`~lorenzmap.maps.word_orbit`), one integer step on the reduced
 pair of the one before, so no ``Fraction`` arithmetic runs along the
 orbit.  The enclosures and the exact steps read the same integer pieces
-of each branch (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`).
+of each branch (:attr:`~lorenzmap.maps.BranchFn.integer_pieces`).
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ class _ScaledBranch:
     """A branch acting on integers ``X`` that stand for ``X·2^-P``.
 
     Read from the branch's integer piece table
-    (:meth:`~lorenzmap.maps.BranchFn.integer_pieces`), the one that
+    (:attr:`~lorenzmap.maps.BranchFn.integer_pieces`), the one that
     :meth:`~lorenzmap.maps.BranchFn.step` reads.  The end pieces are
     continued affinely past the branch domain, so the scaled branch is
     increasing and continuous on all integers.
     """
 
     def __init__(self, branch, precision: int):
-        cuts, pieces = branch.integer_pieces()
+        cuts, pieces = branch.integer_pieces
         # X <= floor(bp·2^P) gives X·2^-P <= bp and X > floor(bp·2^P) gives
         # X·2^-P > bp, so bisecting the floors picks a piece that holds X
         self.cuts = [(n << precision) // d for n, d in cuts]

@@ -252,6 +252,23 @@ def test_long_digit_run_is_refused_at_once(capsys, tmp_path, source):
 
 
 @pytest.mark.parametrize(
+    "value",
+    ["1e٥٠٠٠", "٥" * 200_000, "５" * 200_000, "1" * 2_500 + "١" * 2_500],
+    ids=["exponent", "arabic-indic-run", "fullwidth-run", "mixed-run"],
+)
+def test_non_ascii_digits_are_refused_at_once(capsys, value):
+    # Arabic-Indic and fullwidth digits are digits to Fraction: 1e٥٠٠٠
+    # exited 0, and 200,000 of them took 0.23 s to read
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", value)
+    seconds = time.perf_counter() - start
+    report = json.loads(out)
+    assert (code, report["status"]) == (2, "invalid-map")
+    assert report["error"].startswith(("decimal exponent out of range", "a scalar of"))
+    assert seconds < 0.1
+
+
+@pytest.mark.parametrize(
     "flag", ["--l-max", "--level-cap", "--hit-cap", "--precision-bits", "precision"]
 )
 def test_long_integer_is_refused_at_once(capsys, tmp_path, flag):
@@ -380,8 +397,11 @@ def test_long_minimal_orbit_is_classified_and_reported(capsys, tmp_path):
 
 def test_partial_reports_come_from_results_only(monkeypatch):
     config = DEFAULT_CONFIG
-    # a map that fails validation is a result: its report stops there
-    report, code = cli.analyze_map(symmetric_map(F(1)), {}, config)
+    # a map that fails validation is a result: it has no period and no
+    # tower, and its report stops at the validation
+    validation, period, tower, code = cli.analyze_map(symmetric_map(F(1)), config)
+    assert (validation.valid, period, tower, code) == (False, None, None, 2)
+    report, code = cli.json_report(symmetric_map(F(1)), {}, config)
     assert (code, list(report)) == (2, ["status", "map", "validation", "config"])
 
     # an error raised by a stage is not made into a report
@@ -390,7 +410,7 @@ def test_partial_reports_come_from_results_only(monkeypatch):
 
     monkeypatch.setattr(cli, "omega_decomposition", reached)
     with pytest.raises(InvalidInput, match="^omega stage reached$"):
-        cli.analyze_map(symmetric_map(F(6, 5)), {}, config)
+        cli.json_report(symmetric_map(F(6, 5)), {}, config)
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify", "sweep"])
@@ -520,15 +540,43 @@ def test_summary_stages_give_the_rows_of_full_reports():
     statuses = set()
     for m in maps:
         for config in configs:
-            summary, code = cli.analyze_map(m, {}, config, full=False)
-            report, full_code = cli.analyze_map(m, {}, config)
-            assert (cli.summary_row(summary), code) == (
-                cli.summary_row(report), full_code
+            validation, period, tower, code = cli.analyze_map(m, config)
+            report, full_code = cli.json_report(m, {}, config)
+            # the row of the results is the row that the report's keys give
+            levels = report.get("tower", {"levels": []})["levels"]
+            assert (cli.summary_row("", period, tower, code), code) == (
+                {
+                    "parameter": "",
+                    "kappa": "" if report.get("kappa") is None else report["kappa"],
+                    "tower_length": len(levels),
+                    "periodic_flags": ";".join(
+                        "P" if level["periodic"] else "C" for level in levels
+                    ),
+                    "trichotomy": report.get("trichotomy", ""),
+                    "status": report["status"],
+                },
+                full_code,
             )
-            # the summary is the full report without the report stages' keys
-            # and the config echo, in the same order
-            assert "config" not in summary
-            del report["config"]
+            # the report is the summary stages' results, in the same order,
+            # then the report stages' keys and the config echo
+            summary = {
+                "status": cli.STATUS_FOR_EXIT[code],
+                "map": {},
+                "validation": {
+                    "valid": validation.valid,
+                    "violations": list(validation.violations),
+                },
+            }
+            if tower is not None:
+                summary.update(
+                    kappa=period.kappa,
+                    backward_steps=period.m,
+                    backward_chain=period.backward_chain,
+                    orbit=None,
+                    trichotomy=tower.trichotomy.value,
+                    tower=cli._tower_dict(tower),
+                )
+            assert report.pop("config") == config
             for key in ("omega", "attractor"):
                 report.pop(key, None)
             if "orbit" in report:
@@ -544,6 +592,53 @@ def test_summary_stages_give_the_rows_of_full_reports():
     } <= statuses
 
 
+def test_every_command_gives_a_map_the_same_status_and_exit_code(capsys):
+    # (family, first parameter, alpha): a map that fails validation, one
+    # that cannot be built, a fixed point (kappa 1), a periodic minimal
+    # renormalization, and a map whose period is capped under the tight
+    # configuration
+    maps = [
+        ("symmetric", "1", None),
+        ("beta", "0", "1/10"),
+        ("symmetric", "2", None),
+        ("symmetric", "6/5", None),
+        ("beta", "6/5", "1/10"),
+    ]
+    tight = ["--l-max", "8", "--level-cap", "2", "--hit-cap", "1"]
+    seen = set()
+    for family, first, alpha in maps:
+        fixed = [] if alpha is None else ["--alpha", alpha]
+        for config in ([], tight):
+            flags = ["--family", family, f"--{FAMILIES[family][1][0]}", first, *fixed]
+            code, out = run_cli(capsys, "analyze", *flags, *config)
+            outcomes = [(json.loads(out)["status"], code)]
+            code, csv_out = run_cli(capsys, "analyze", *flags, *config, "--format", "csv")
+            if csv_out.startswith("{"):  # the map was refused before any stage ran
+                outcomes.append((json.loads(csv_out)["status"], code))
+            else:
+                outcomes.append((next(csv.DictReader(io.StringIO(csv_out)))["status"], code))
+            code, out = run_cli(capsys, "classify", *flags, *config, "--x", "1/4")
+            outcomes.append((json.loads(out)["status"], code))
+            code, sweep_out = run_cli(
+                capsys, "sweep", "--family", family, *fixed, "--start", first,
+                "--end", first, "--step", "1", *config,
+            )
+            # a sweep exits 0 and gives each row its own status
+            assert code == 0
+            [row] = csv.DictReader(io.StringIO(sweep_out))
+            status, code = outcomes[0]
+            assert outcomes == [(status, code)] * 3 and row["status"] == status
+            assert cli.STATUS_FOR_EXIT[code] == status
+            if not csv_out.startswith("{"):
+                assert sweep_out == csv_out
+            seen.add((family, first, status))
+    assert {status for _family, _first, status in seen} == {
+        "ok", "invalid-map", "cap-exceeded"
+    }
+    # the capped map is ok under the default configuration
+    assert len(seen) == len(maps) + 1
+
+
 def test_analyze_map_keeps_no_reference_to_its_map():
     # per-map data, such as the integer pieces of the exact orbit step, is
     # held by the map's own objects, not by a table that outlives them
@@ -551,7 +646,7 @@ def test_analyze_map_keeps_no_reference_to_its_map():
     cantor = Path(__file__).parent / "golden" / "maps" / "custom_periodic_cantor.map"
     for make in (lambda: symmetric_map(F(41, 40)), lambda: parse_map_text(cantor.read_text())):
         m = make()
-        report, code = cli.analyze_map(m, {}, default)
+        report, code = cli.json_report(m, {}, default)
         assert code == 0 and report["omega"]["parts"]
         ref = weakref.ref(m)
         del m, report
@@ -560,7 +655,7 @@ def test_analyze_map_keeps_no_reference_to_its_map():
 
     # nor data keyed by it: fresh maps leave the traced memory as it was
     def analyze(k):
-        report, code = cli.analyze_map(symmetric_map(F(41, 40) + F(1, k)), {}, default)
+        report, code = cli.json_report(symmetric_map(F(41, 40) + F(1, k)), {}, default)
         assert code == 0 and len(report["omega"]["parts"]) >= 3
 
     analyze(10**6)
@@ -1170,13 +1265,13 @@ def test_command_is_looked_up_when_main_runs(capsys, monkeypatch):
     run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
     seen = []
 
-    def replacement(args):
-        seen.append((args.command, args.a))
+    def replacement(args, config):
+        seen.append((args.command, args.a, config))
         return 7
 
     monkeypatch.setattr(cli, "cmd_analyze", replacement)
     code, out = run_cli(capsys, "analyze", "--family", "symmetric", "--a", "6/5")
-    assert (code, out, seen) == (7, "", [("analyze", "6/5")])
+    assert (code, out, seen) == (7, "", [("analyze", "6/5", DEFAULT_CONFIG)])
 
 
 @pytest.mark.skipif(

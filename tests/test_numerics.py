@@ -74,13 +74,20 @@ def test_parse_and_format():
     assert parse_scalar("1.07") == F(107, 100)
     assert parse_scalar("1e-4300") == F(1, 10**4300)
     assert parse_scalar("25E+0_02") == F(2500)
-    for huge in ("1e4301", "1.5E-4301", "1e10000000", "2e0000043010"):
+    # Fraction reads every Unicode decimal digit, so the guards count
+    # Arabic-Indic (٠-٩) and fullwidth (０-９) digits as it does
+    assert parse_scalar("٦/٥") == F(6, 5)
+    assert parse_scalar("1e٠٠٠٠٠٠١") == F(10)
+    for huge in ("1e4301", "1.5E-4301", "1e10000000", "2e0000043010", "1e٥٠٠٠"):
         with pytest.raises(ValueError, match="decimal exponent out of range"):
             parse_scalar(huge)
     # a run of MAX_DIGITS digits parses; one more digit is refused unread
     assert parse_scalar("7" * 4300 + "/3") == F(int("7" * 4300), 3)
     assert parse_scalar("1_" * 4299 + "1") == F(int("1" * 4300))
-    for long in ("7" * 4301 + "/3", "1/" + "3" * 4301, "0." + "5" * 4301, "1_" * 4300 + "1"):
+    for long in (
+        "7" * 4301 + "/3", "1/" + "3" * 4301, "0." + "5" * 4301, "1_" * 4300 + "1",
+        "٧" * 5000, "７" * 5000, "7" * 2500 + "٧" * 2500,
+    ):
         with pytest.raises(ValueError, match="run of more than 4300 digits") as refused:
             parse_scalar(long)
         assert long not in str(refused.value)

@@ -47,7 +47,6 @@ from .renorm import (
 )
 from .limits import (
     AlphaClass,
-    AlphaKind,
     Membership,
     MembershipResult,
     OmegaDecomposition,

@@ -34,7 +34,7 @@ from .renorm import (
     TowerTerminal,
     renorm_tower,
 )
-from .limits import alpha_classify, omega_decomposition, orbit_unions, outer_union
+from .limits import alpha_classify, omega_decomposition, orbit_unions
 
 # each configuration flag: (default, least value, help); below its least
 # value the pair search or the tower searches nothing and would still
@@ -156,13 +156,13 @@ def _omega_dict(omega) -> dict:
             {
                 "level": part.level,
                 "periodic": part.periodic,
-                "exact": part.exact,
+                "exact": part.periodic,
                 "points": part.points,
             }
             for part in omega.parts
         ],
         "attractor": omega.attractor.components,
-        "flags": list(omega.flags),
+        "flags": [part.periodic for part in omega.parts],
     }
 
 
@@ -338,18 +338,12 @@ def cmd_classify(args: argparse.Namespace, config: dict) -> int:
         status = STATUS_FOR_EXIT[code]
         print(json.dumps({"status": status, "violations": list(validation.violations)}))
         return code
-    unions = orbit_unions(m, tower)
-    klass = alpha_classify(m, tower, x, unions)
-    # class E_i: first union missed is i, so x lies in union i - 1 (the
-    # domain for i = 1); class I: x lies in the deepest union; so x is
-    # always inside the outer union and a witness component exists
-    outer = outer_union(m, unions, klass.index or len(unions) + 1)
-    witness = outer.component_containing(x)
+    klass = alpha_classify(m, tower, x, orbit_unions(m, tower))
     result = {
         "status": STATUS_FOR_EXIT[code],
         "x": format_scalar(x),
         "class": klass.label(),
-        "witness_component": [format_scalar(end) for end in witness],
+        "witness_component": [format_scalar(end) for end in klass.witness],
         "config": config,
     }
     print(json.dumps(result))

@@ -41,20 +41,17 @@ DEFAULT_APPROX_DEPTH = 4
 DEFAULT_MEMBERSHIP_CAP = 1_000
 
 
-class AlphaKind(enum.Enum):
-    PROPER_LIMIT_SET = "proper"
-    FULL_INTERVAL = "full"
-
-
 @dataclass(frozen=True)
 class AlphaClass:
-    kind: AlphaKind
-    index: Optional[int] = None  # level i >= 1 for proper sets
+    """A point's class, ``E_index`` or the full interval for ``index``
+    ``None``, and ``witness``, the component of the last orbit union that
+    holds the point (the domain ``(a, b)`` for ``E_1``)."""
+
+    index: Optional[int]
+    witness: tuple
 
     def label(self) -> str:
-        if self.kind is AlphaKind.FULL_INTERVAL:
-            return "I"
-        return f"E_{self.index}"
+        return "I" if self.index is None else f"E_{self.index}"
 
 
 def orbit_unions(m: LorenzMap, tower: Tower) -> list:
@@ -103,17 +100,6 @@ def orbit_unions(m: LorenzMap, tower: Tower) -> list:
     return unions
 
 
-def outer_union(m: LorenzMap, unions: list, i: int) -> IntervalUnion:
-    """The orbit union level ``i`` sits in: that of level ``i - 1``.
-
-    Level 1 sits in the whole domain; ``i = len(unions) + 1`` gives the
-    deepest union, which is the attractor.
-    """
-    if i >= 2:
-        return unions[i - 2]
-    return IntervalUnion.from_pairs([(m.a, m.b)])
-
-
 def alpha_classify(m: LorenzMap, tower: Tower, x: Scalar, unions: list) -> AlphaClass:
     """Backward-limit class of a point: some level's ``E_i`` or the full interval.
 
@@ -123,13 +109,18 @@ def alpha_classify(m: LorenzMap, tower: Tower, x: Scalar, unions: list) -> Alpha
     side of it) classifies as full interval, since it lies in every
     level interval.  A point outside ``[a, b]`` raises ``InvalidInput``.
     ``unions`` is ``orbit_unions(m, tower)``, which callers compute once.
+    The walk down the unions keeps the component that held the point
+    last, which the class returns as its witness.
     """
     if not (m.a <= x <= m.b):
         raise InvalidInput("point outside the domain")
+    witness = (m.a, m.b)
     for i, union in enumerate(unions, start=1):
-        if not union.contains(x):
-            return AlphaClass(AlphaKind.PROPER_LIMIT_SET, i)
-    return AlphaClass(AlphaKind.FULL_INTERVAL)
+        component = union.component_containing(x)
+        if component is None:
+            return AlphaClass(i, witness)
+        witness = component
+    return AlphaClass(None, witness)
 
 
 def _level_orbit(m: LorenzMap, level: TowerLevel) -> list:
@@ -165,10 +156,8 @@ def _level_orbit(m: LorenzMap, level: TowerLevel) -> list:
     return sorted(values, key=order_key)
 
 
-def alpha_limit_approx(
-    m: LorenzMap, tower: Tower, i: int, depth: int
-) -> tuple:
-    """Finite inner approximation of the level-``i`` repelling set.
+def alpha_limit_approx(m: LorenzMap, level: TowerLevel, depth: int) -> tuple:
+    """Finite inner approximation of the level's repelling set ``E_i``.
 
     Starts from the forward orbit of the level's repelling point ``e-``
     (in base coordinates) and adds preimages up to ``depth``, keeping
@@ -185,9 +174,6 @@ def alpha_limit_approx(
     point stays off its interior, which holds ``J_i``, and at those
     returns level ``i``'s own windows keep it off ``J_i``.
     """
-    if not (1 <= i <= len(tower.levels)):
-        raise ValueError("level index outside the tower")
-    level = tower.levels[i - 1]
     gap_lo, gap_hi = level.interval
     points = set(_level_orbit(m, level))
     frontier = set(points)
@@ -250,19 +236,18 @@ def membership_E(
 
 @dataclass(frozen=True)
 class OmegaPart:
-    """One nonwandering piece: a finite orbit, or a Cantor set approximation."""
+    """One nonwandering piece: an exact periodic orbit, or a depth-bounded
+    approximation of a Cantor set."""
 
     level: int
     periodic: bool
     points: tuple
-    exact: bool  # False for Cantor parts (depth-bounded approximation)
 
 
 @dataclass(frozen=True)
 class OmegaDecomposition:
     parts: tuple
     attractor: IntervalUnion
-    flags: tuple  # per-level periodicity
 
 
 def omega_decomposition(m: LorenzMap, tower: Tower, unions: list) -> OmegaDecomposition:
@@ -271,20 +256,19 @@ def omega_decomposition(m: LorenzMap, tower: Tower, unions: list) -> OmegaDecomp
     The level-``i`` piece is the full forward orbit of the previous
     level's minimal orbit; for a periodic level that is exactly the
     forward orbit of the level's repelling point.  Cantor levels get a
-    flag and a depth-bounded point approximation.  The attractor is the
-    whole domain for an empty tower, otherwise the deepest orbit union.
-    ``unions`` is ``orbit_unions(m, tower)``.
+    depth-bounded point approximation, kept inside the union the level
+    sits in.  The attractor is the whole domain for an empty tower,
+    otherwise the deepest orbit union.  ``unions`` is
+    ``orbit_unions(m, tower)``.
     """
     parts = []
-    for level in tower.levels:
+    outer = IntervalUnion(((m.a, m.b),))
+    for level, union in zip(tower.levels, unions, strict=True):
         if level.step.periodic:
             points = tuple(_level_orbit(m, level))
-            parts.append(OmegaPart(level.index, True, points, True))
         else:
-            approx = alpha_limit_approx(m, tower, level.index, DEFAULT_APPROX_DEPTH)
-            outer = outer_union(m, unions, level.index)
+            approx = alpha_limit_approx(m, level, DEFAULT_APPROX_DEPTH)
             points = tuple(x for x in approx if outer.contains(x))
-            parts.append(OmegaPart(level.index, False, points, False))
-    attractor = outer_union(m, unions, len(tower.levels) + 1)
-    flags = tuple(level.step.periodic for level in tower.levels)
-    return OmegaDecomposition(tuple(parts), attractor, flags)
+        parts.append(OmegaPart(level.index, level.step.periodic, points))
+        outer = union
+    return OmegaDecomposition(tuple(parts), outer)

@@ -227,7 +227,7 @@ def test_criterion_11_complement_identity(sample_maps):
             continue
         gap_lo, gap_hi = tower.levels[0].interval
         holes = preimage_open_intervals(m, gap_lo, gap_hi, 6)
-        points = alpha_limit_approx(m, tower, 1, 6)
+        points = alpha_limit_approx(m, tower.levels[0], 6)
         assert points
         for x in points:
             assert all(not lo < x < hi for lo, hi in holes)

@@ -933,6 +933,24 @@ def test_readme_exit_status_table_is_the_cli_table():
     assert table == cli.STATUS_FOR_EXIT
 
 
+def test_readme_quick_start_runs_and_gives_its_commented_values():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    start = text.index("```python\n", text.index("## Library quick start")) + len("```python\n")
+    block = text[start:text.index("```", start)]
+    names = {}
+    exec(block, names)
+    assert lorenzmap.validate_map(names["m"]).valid
+    assert names["per"].kappa == 2 and names["per"].backward_chain == (F(1, 2),)
+    assert names["orbit"].points == (F(3, 11), F(8, 11))
+    (level,) = names["tower"].levels
+    inner = level.step.inner_map
+    assert level.step.periodic and inner.left.slopes == inner.right.slopes == (F(36, 25),)
+    attractor = [(F(0), F(3, 25)), (F(2, 5), F(3, 5)), (F(22, 25), F(1))]
+    assert names["omega"].attractor.pairs() == attractor
+    assert (names["klass"].label(), names["klass"].witness) == ("E_1", (F(0), F(1)))
+
+
 def test_only_main_and_sweep_rows_turn_an_error_into_a_status():
     # every other handler of the package raises again, so an error that
     # main does not map ends in a traceback

@@ -9,6 +9,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,29 @@ def test_golden_output(case, monkeypatch):
         expected = handle.read()
     assert code == case["exit"]
     assert buffer.getvalue() == expected
+
+
+# one case of each exit status, classify among them, run as a process: the
+# exit code comes from the module's ``sys.exit(main())``
+PROCESS_CASES = (
+    "analyze_symmetric_6_5",
+    "classify_custom_periodic_cantor",
+    "analyze_invalid_slope",
+    "analyze_beta_hit_cap",
+)
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_golden_output_of_the_program_run_as_a_process(name):
+    (case,) = [case for case in CASES if case["name"] == name]
+    run = subprocess.run(
+        [sys.executable, "-m", "lorenzmap.cli", *case["argv"]],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+    )
+    assert run.returncode == case["exit"], run.stderr
+    assert run.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 # stdout of ``analyze --family symmetric --a 198/197``: a 7-level tower, far

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorenzmap.maps import (
     BranchLabel,
@@ -18,6 +19,7 @@ from lorenzmap.maps import (
 )
 from lorenzmap.orbits import critical_pair
 from lorenzmap.periods import minimal_period, minimal_periodic_orbit
+from lorenzmap.cli import _omega_dict
 from lorenzmap.renorm import (
     RenormStep,
     Tower,
@@ -27,7 +29,6 @@ from lorenzmap.renorm import (
 )
 from lorenzmap.limits import (
     _level_orbit,
-    AlphaKind,
     Membership,
     alpha_classify,
     alpha_limit_approx,
@@ -76,7 +77,7 @@ def test_alpha_classify_examples():
     assert alpha_classify(m, tower, F(9, 20), unions).label() == "I"
     assert alpha_classify(m, tower, F(23, 25), unions).label() == "I"
     # c, read as c- or as c+, lies in every level interval
-    assert alpha_classify(m, tower, m.c, unions).kind is AlphaKind.FULL_INTERVAL
+    assert alpha_classify(m, tower, m.c, unions).index is None
 
 
 def test_alpha_classify_prime_map_is_all_full():
@@ -86,7 +87,7 @@ def test_alpha_classify_prime_map_is_all_full():
     rng = random.Random(31)
     for _ in range(10):
         x = F(rng.randint(0, 10**6), 10**6)
-        assert alpha_classify(m, tower, x, unions).kind is AlphaKind.FULL_INTERVAL
+        assert alpha_classify(m, tower, x, unions).index is None
 
 
 def _tower_and_unions(m) -> tuple:
@@ -178,7 +179,7 @@ def test_alpha_classify_partitions_by_orbit_unions():
     for _ in range(200):
         x = F(rng.randint(0, 10**6), 10**6)
         klass = alpha_classify(m, tower, x, unions)
-        if klass.kind is AlphaKind.FULL_INTERVAL:
+        if klass.index is None:
             assert all(u.contains(x) for u in unions)
         else:
             i = klass.index
@@ -186,17 +187,48 @@ def test_alpha_classify_partitions_by_orbit_unions():
             assert all(unions[j].contains(x) for j in range(i - 1))
 
 
+def _witness_by_lookup(m, unions, klass, x):
+    """The witness looked up after the class is known: in the domain for
+    ``E_1``, in level ``i - 1``'s union for ``E_i`` and in the deepest
+    union (the domain on a prime map) for the full interval."""
+    i = len(unions) + 1 if klass.index is None else klass.index
+    if i == 1:
+        return (m.a, m.b)
+    return unions[i - 2].component_containing(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_piece_maps(near_unit=True), st.integers(0, 2**32))
+@example(parse_map_text((GOLDEN_MAPS / "custom_periodic_cantor.map").read_text()), 0)
+@example(symmetric_map(F(11, 10)), 1)
+def test_alpha_witness_is_the_component_the_union_walk_ends_in(m, seed):
+    tower = renorm_tower(m, level_cap=4, bound=24)
+    unions = orbit_unions(m, tower)
+    # seeded points, plus c and every union end, where the bisection of a
+    # union's components turns
+    rng = random.Random(seed)
+    width = m.b - m.a
+    points = [m.a + width * F(rng.randint(0, 10**6), 10**6) for _ in range(30)]
+    points += [m.a, m.c, m.b]
+    points += [end for union in unions for pair in union.components for end in pair]
+    for x in points:
+        klass = alpha_classify(m, tower, x, unions)
+        lo, hi = klass.witness
+        assert lo <= x <= hi
+        assert klass.witness == _witness_by_lookup(m, unions, klass, x)
+
+
 def test_alpha_limit_approx_periodic_level_is_stable():
     m = symmetric_map(F(6, 5))
     tower = renorm_tower(m)
-    assert alpha_limit_approx(m, tower, 1, 0) == (F(3, 11), F(8, 11))
-    assert alpha_limit_approx(m, tower, 1, 5) == (F(3, 11), F(8, 11))
+    assert alpha_limit_approx(m, tower.levels[0], 0) == (F(3, 11), F(8, 11))
+    assert alpha_limit_approx(m, tower.levels[0], 5) == (F(3, 11), F(8, 11))
 
 
 def test_alpha_limit_approx_level_two_grows():
     m = symmetric_map(F(11, 10))
     tower = renorm_tower(m)
-    approx = alpha_limit_approx(m, tower, 2, 2)
+    approx = alpha_limit_approx(m, tower.levels[1], 2)
     assert set(OMEGA2_11_10) < set(approx)
     gap_lo, gap_hi = tower.levels[1].interval
     assert all(not gap_lo < x < gap_hi for x in approx)
@@ -218,10 +250,11 @@ def test_omega_decomposition_slope_6_5():
     omega = omega_decomposition(m, *_tower_and_unions(m))
     assert len(omega.parts) == 1
     part = omega.parts[0]
-    assert part.periodic and part.exact
+    assert part.periodic
     assert part.points == (F(3, 11), F(8, 11))
     assert omega.attractor.pairs() == ATTRACTOR_6_5
-    assert omega.flags == (True,)
+    report = _omega_dict(omega)
+    assert report["parts"][0]["exact"] is True and report["flags"] == [True]
 
 
 def test_omega_decomposition_prime_map():
@@ -373,9 +406,9 @@ def test_omega_cantor_part_reports_approximation():
     fake_tower = Tower(tower.levels[:2], tower.terminal, 64, 16)
     fake = omega_decomposition(m, fake_tower, orbit_unions(m, fake_tower))
     part = fake.parts[1]
-    assert not part.periodic and not part.exact
+    assert not part.periodic and _omega_dict(fake)["parts"][1]["exact"] is False
     assert set(OMEGA2_11_10) <= set(part.points)
-    assert omega.parts[1].exact  # the real level stays exact
+    assert _omega_dict(omega)["parts"][1]["exact"] is True  # the real level stays exact
 
 
 def test_preimage_intervals_avoid_repelling_points():
@@ -383,7 +416,7 @@ def test_preimage_intervals_avoid_repelling_points():
     tower = renorm_tower(m)
     gap_lo, gap_hi = tower.levels[0].interval
     holes = preimage_open_intervals(m, gap_lo, gap_hi, 6)
-    points = alpha_limit_approx(m, tower, 1, 6)
+    points = alpha_limit_approx(m, tower.levels[0], 6)
     for x in points:
         assert all(not lo < x < hi for lo, hi in holes)
 
@@ -418,8 +451,6 @@ def test_level_index_outside_the_tower_is_refused():
     tower = renorm_tower(m)
     for i in (0, len(tower.levels) + 1):
         with pytest.raises(ValueError, match="level index outside the tower"):
-            alpha_limit_approx(m, tower, i, 1)
-        with pytest.raises(ValueError, match="level index outside the tower"):
             membership_E(m, tower, i, F(1, 4))
 
 
@@ -434,7 +465,7 @@ def test_alpha_limit_approx_skips_c_when_a_critical_value_is_kept():
     step = level.step
     assert (step.ell, step.r, step.periodic) == (2, 2, True)
     assert step.e_plus == step.v == evaluate(m, m.b)
-    points = alpha_limit_approx(m, tower, 1, 2)
+    points = alpha_limit_approx(m, level, 2)
     assert m.b in points and m.c not in points
     gap_lo, gap_hi = level.interval
     assert all(not gap_lo < x < gap_hi for x in points)
@@ -500,5 +531,5 @@ def test_alpha_limit_approx_on_real_cantor_levels_is_ascending():
         m = parse_map_text((GOLDEN_MAPS / name).read_text())
         tower = renorm_tower(m)
         for level in tower.levels:
-            points = alpha_limit_approx(m, tower, level.index, 3)
+            points = alpha_limit_approx(m, level, 3)
             assert list(points) == sorted(set(points)) and len(points) >= 2

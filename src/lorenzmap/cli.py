@@ -95,7 +95,7 @@ def build_map(args: argparse.Namespace) -> tuple:
     if args.map_file:
         _refuse_unread_flags(args, (), "--map-file")
         try:
-            with open(args.map_file, "r", encoding="utf-8") as handle:
+            with open(args.map_file, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as err:  # unreadable, or not UTF-8
             raise InvalidInput(str(err)) from None
@@ -173,14 +173,18 @@ def analyze_map(m: LorenzMap, config: dict) -> tuple:
     a summary row and the status of every command.  An invalid map has
     no period and no tower (exit 2); the exit code is 4 when a minimal
     period is undetermined at its cap, the map's at ``hit_cap`` or an
-    inner map's, which ends the tower.
+    inner map's, which ends the tower, and when the tower ends at
+    ``level_cap``, below which a deeper level was not searched.
     """
     validation = validate_map(m)
     if not validation.valid:
         return validation, None, None, EXIT_INVALID_MAP
     period = minimal_period(m, config["hit_cap"])
     tower = renorm_tower(m, config["level_cap"], config["l_max"], period)
-    capped = period.undetermined or tower.terminal is TowerTerminal.PERIOD_CAP_REACHED
+    capped = period.undetermined or tower.terminal in (
+        TowerTerminal.PERIOD_CAP_REACHED,
+        TowerTerminal.LEVEL_CAP_REACHED,
+    )
     return validation, period, tower, EXIT_CAP if capped else EXIT_OK
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -108,14 +108,6 @@ class BranchFn:
     def affine(cls, lo: Scalar, hi: Scalar, slope: Scalar, intercept: Scalar):
         return cls((lo, hi), (slope,), (intercept,))
 
-    @property
-    def lo(self) -> Scalar:
-        return self.breakpoints[0]
-
-    @property
-    def hi(self) -> Scalar:
-        return self.breakpoints[-1]
-
     def value(self, x: Scalar) -> Scalar:
         """The branch at ``x`` on its closed domain: :meth:`step` on ``x``'s pair."""
         if x < self.breakpoints[0]:
@@ -175,10 +167,8 @@ class LorenzMap:
     c: Scalar
     left: BranchFn
     right: BranchFn
-
-    def __post_init__(self):
-        # the map's critical-orbit pair, filled by orbits.critical_pair
-        object.__setattr__(self, "_critical", None)
+    # the map's critical-orbit pair, filled by orbits.critical_pair
+    _critical: object = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ def validate_map(m: LorenzMap) -> ValidationReport:
         ("left", m.left, m.a, m.c),
         ("right", m.right, m.c, m.b),
     ):
-        if br.lo != lo or br.hi != hi:
+        if br.breakpoints[0] != lo or br.breakpoints[-1] != hi:
             bad.append(f"{name} branch domain does not tile its side of the domain")
             structural = True
             continue
@@ -525,14 +515,20 @@ FAMILIES = {
 
 # --- plain-text map descriptions --------------------------------------------
 
+# the branches of a map and the parts of a branch, in field order: a
+# custom map file has a ``<side>_<part>`` line for each, and the echo a
+# ``<side>`` entry of ``<part>`` lists
+SIDES = ("left", "right")
+PARTS = tuple(part.name for part in fields(BranchFn))
+
 
 def parse_map_text(text: str) -> LorenzMap:
     """Build a map from a key-value description.
 
     Keys: ``family`` (symmetric | beta | custom); for symmetric and
     beta, the parameters :data:`FAMILIES` names; for custom: ``domain``
-    (two endpoints), ``c``, and per-branch ``<side>_breakpoints``,
-    ``<side>_slopes``, ``<side>_intercepts`` lists.  Keys are read in
+    (two endpoints), ``c``, and a ``<side>_<part>`` list for each of the
+    :data:`SIDES` and :data:`PARTS`, read in that order.  Keys are read in
     lower case.  Scalars are ``p/q`` or decimal strings, read as exact
     rationals; a missing key, a malformed value (``p/0`` included) or a
     ``domain`` without two values raises ``InvalidInput``, and so does a
@@ -574,19 +570,9 @@ def parse_map_text(text: str) -> LorenzMap:
         domain = scalar_list("domain")
         if len(domain) != 2:
             raise InvalidInput(f"'domain' needs two values, got {len(domain)}")
-        lo, hi = domain
         c = scalar("c")
-        left = BranchFn(
-            scalar_list("left_breakpoints"),
-            scalar_list("left_slopes"),
-            scalar_list("left_intercepts"),
-        )
-        right = BranchFn(
-            scalar_list("right_breakpoints"),
-            scalar_list("right_slopes"),
-            scalar_list("right_intercepts"),
-        )
-        m = LorenzMap(lo, hi, c, left, right)
+        branches = (BranchFn(*(scalar_list(f"{side}_{part}") for part in PARTS)) for side in SIDES)
+        m = LorenzMap(*domain, c, *branches)
     else:
         raise InvalidInput(f"unknown family {family!r}")
     unread = sorted(entries.keys() - read)
@@ -596,18 +582,10 @@ def parse_map_text(text: str) -> LorenzMap:
 
 
 def describe_map(m: LorenzMap) -> dict:
-    """JSON-ready echo of the map data (scalars as ``p/q`` strings)."""
-
-    def branch(br: BranchFn) -> dict:
-        return {
-            "breakpoints": [format_scalar(x) for x in br.breakpoints],
-            "slopes": [format_scalar(x) for x in br.slopes],
-            "intercepts": [format_scalar(x) for x in br.intercepts],
-        }
-
-    return {
-        "domain": [format_scalar(m.a), format_scalar(m.b)],
-        "c": format_scalar(m.c),
-        "left": branch(m.left),
-        "right": branch(m.right),
-    }
+    """JSON-ready echo of the map data (scalars as ``p/q`` strings): a
+    custom map file's values, in the order :func:`parse_map_text` reads them."""
+    echo = {"domain": [format_scalar(m.a), format_scalar(m.b)], "c": format_scalar(m.c)}
+    for side in SIDES:
+        branch = getattr(m, side)
+        echo[side] = {part: list(map(format_scalar, getattr(branch, part))) for part in PARTS}
+    return echo

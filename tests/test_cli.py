@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 import lorenzmap
 from lorenzmap import cli
 from lorenzmap.cli import build_parser, main
-from lorenzmap.maps import FAMILIES, beta_transformation, parse_map_text, symmetric_map
+from lorenzmap.maps import (
+    FAMILIES,
+    beta_transformation,
+    describe_map,
+    parse_map_text,
+    symmetric_map,
+)
 from lorenzmap.numerics import InvalidInput, format_scalar, parse_scalar
 
 from conftest import (
@@ -1197,6 +1203,50 @@ def test_flags_and_map_file_build_the_same_family_map(family):
         with pytest.raises(cli.InvalidInput) as refused:
             cli.build_map(build_parser().parse_args(argv))
         assert str(refused.value) == f"--family {family} needs {needs}"
+
+
+def _echo_as_map_text(echo: dict) -> str:
+    """The ``family = custom`` map file of a map echo, with ``<side>_<part>`` keys."""
+    lines = ["family = custom", f"domain = {' '.join(echo['domain'])}", f"c = {echo['c']}"]
+    for side in ("left", "right"):
+        lines += [f"{side}_{part} = {' '.join(values)}" for part, values in echo[side].items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_map_echo_reads_back_as_the_map():
+    # every golden map file that builds a map, and each family from its flags
+    argvs = [["--map-file", str(path)] for path in sorted(GOLDEN_MAPS.glob("*.map"))]
+    for family, (_make, names) in FAMILIES.items():
+        pairs = zip(names, _FAMILY_VALUES[family])
+        argvs.append(["--family", family, *_family_flags(pairs)])
+    refused = []
+    for argv in argvs:
+        try:
+            m, echo = cli.build_map(build_parser().parse_args(["analyze", *argv]))
+        except InvalidInput:
+            refused.append(Path(argv[1]).name)
+            continue
+        assert parse_map_text(_echo_as_map_text(echo)) == m
+    assert refused == ["misspelt_key.map", "repeated_key.map"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_piece_maps())
+def test_the_map_echo_of_a_piece_map_reads_back_as_the_map(m):
+    assert parse_map_text(_echo_as_map_text(describe_map(m))) == m
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_a_map_file_with_a_byte_order_mark_reads_as_one_without(capsys, tmp_path, command):
+    plain = GOLDEN_MAPS / "custom16.map"
+    marked = tmp_path / "marked.map"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    extra = ["--x", "2/7"] if command == "classify" else []
+    outs = [run_cli(capsys, command, "--map-file", str(path), *extra) for path in (plain, marked)]
+    (code, out), (marked_code, marked_out) = outs
+    assert code == marked_code == 0
+    # the reports differ only in the echoed path
+    assert marked_out.replace(json.dumps(str(marked)), json.dumps(str(plain))) == out
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

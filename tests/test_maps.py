@@ -35,6 +35,7 @@ from lorenzmap.periods import _fixed_point
 from lorenzmap.renorm import renorm_tower
 
 from conftest import (
+    GOLDEN_MAPS,
     cylinder_pieces,
     evaluate_walk,
     fraction_pieces,
@@ -388,7 +389,7 @@ def test_rescale_matches_the_fraction_reference_on_seeded_towers(sample_maps):
 
 def _branch_points(branch):
     """Breakpoints (internal ones and both ends) or points of the domain."""
-    lo, hi = branch.lo, branch.hi
+    lo, hi = branch.breakpoints[0], branch.breakpoints[-1]
     inside = st.integers(1, 2**128).flatmap(
         lambda q: st.integers(0, q).map(lambda k: lo + (hi - lo) * F(k, q))
     )
@@ -469,10 +470,10 @@ def _assert_sides_and_domain_errors(m, eps):
     with pytest.raises(ValueError):
         evaluate(m, m.c)
     for branch in (m.left, m.right):
-        x = branch.lo - eps
+        x = branch.breakpoints[0] - eps
         with pytest.raises(ValueError, match=f"^{format_scalar(x)} below branch domain$"):
             branch.value(x)
-        x = branch.hi + eps
+        x = branch.breakpoints[-1] + eps
         with pytest.raises(ValueError, match=f"^{format_scalar(x)} above branch domain$"):
             branch.value(x)
     for x in (m.a - eps, m.b + eps):
@@ -560,6 +561,28 @@ def test_parse_map_text_families(tmp_path):
     assert same_map(parse_map_text(text), symmetric_map(F(3, 2)))
     with pytest.raises(ValueError):
         parse_map_text("family = nosuch\n")
+
+
+# the data keys of a custom map file, in the order they are read
+CUSTOM_DATA_KEYS = (
+    "domain",
+    "c",
+    *(f"{side}_{part}" for side in ("left", "right")
+      for part in ("breakpoints", "slopes", "intercepts")),
+)
+
+
+@pytest.mark.parametrize("index", range(len(CUSTOM_DATA_KEYS)))
+def test_a_custom_map_file_names_the_first_data_key_it_lacks(index):
+    # the key alone is missing, then it and every key read after it
+    lines = (GOLDEN_MAPS / "custom16.map").read_text().splitlines()
+    key = CUSTOM_DATA_KEYS[index]
+    for dropped in ({key}, set(CUSTOM_DATA_KEYS[index:])):
+        kept = [line for line in lines if line.split("=")[0].strip() not in dropped]
+        assert len(kept) == len(lines) - len(dropped)
+        with pytest.raises(InvalidInput) as refused:
+            parse_map_text("\n".join(kept))
+        assert str(refused.value) == f"map file has no {key!r} line"
 
 
 def test_certified_parameters_cannot_be_validated():

@@ -111,6 +111,13 @@ CASES = [
     ("sweep_beta_json",
      ["sweep", "--family", "beta", "--alpha", "3/4", "--start", "11/10", "--end",
       "13/10", "--step", "1/10", "--format", "json"]),
+    # towers ended by the level cap, one level short of the full tower and
+    # at the first level
+    _analyze_family("analyze_symmetric_21_20_level_cap", "--family", "symmetric", "--a",
+                    "21/20", "--level-cap", "2"),
+    ("classify_symmetric_21_20_level_cap",
+     ["classify", "--family", "symmetric", "--a", "21/20", "--x", "3/1000",
+      "--level-cap", "1"]),
 ]
 
 

@@ -7,8 +7,9 @@ configuration reproduce reports byte for byte.  The sections of an
 :func:`write_json` formats each of them once, as it streams the report
 to stdout with the bytes of ``json.dumps(report, indent=2)``, so the
 report is never held as one string.  Exit codes: 0 success,
-2 invalid map or input, 4 cap exceeded (:data:`STATUS_FOR_EXIT`).  A
-failed validation or a period cap is a result, whose report carries
+2 invalid map or input, 4 cap exceeded (:data:`STATUS_FOR_EXIT`): a
+minimal period undetermined at its cap, or a tower ended at the level
+cap.  A failed validation or a cap is a result, whose report carries
 the ``status``; :func:`main` turns the refused input of every command
 (:class:`~lorenzmap.numerics.InvalidInput`) into exit 2, in one place,
 and any other exception is a traceback.  ``precision_bits`` is only
@@ -91,7 +92,8 @@ def _refuse_unread_flags(args: argparse.Namespace, read: tuple, reader: str) -> 
 
 
 def build_map(args: argparse.Namespace) -> tuple:
-    """Construct the map from flags or a map file; returns (map, echo)."""
+    """Construct the map from flags or a UTF-8 map file, whose byte-order
+    mark, if any, is skipped; returns (map, echo)."""
     if args.map_file:
         _refuse_unread_flags(args, (), "--map-file")
         try:
@@ -173,18 +175,16 @@ def analyze_map(m: LorenzMap, config: dict) -> tuple:
     a summary row and the status of every command.  An invalid map has
     no period and no tower (exit 2); the exit code is 4 when a minimal
     period is undetermined at its cap, the map's at ``hit_cap`` or an
-    inner map's, which ends the tower, and when the tower ends at
-    ``level_cap``, below which a deeper level was not searched.
+    inner map's, which ends the tower, or when the tower ends at
+    ``level_cap`` levels, past which no level was searched.
     """
     validation = validate_map(m)
     if not validation.valid:
         return validation, None, None, EXIT_INVALID_MAP
     period = minimal_period(m, config["hit_cap"])
     tower = renorm_tower(m, config["level_cap"], config["l_max"], period)
-    capped = period.undetermined or tower.terminal in (
-        TowerTerminal.PERIOD_CAP_REACHED,
-        TowerTerminal.LEVEL_CAP_REACHED,
-    )
+    cap_ends = (TowerTerminal.PERIOD_CAP_REACHED, TowerTerminal.LEVEL_CAP_REACHED)
+    capped = period.undetermined or tower.terminal in cap_ends
     return validation, period, tower, EXIT_CAP if capped else EXIT_OK
 
 

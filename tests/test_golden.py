@@ -35,13 +35,16 @@ def test_golden_output(case, monkeypatch):
     assert buffer.getvalue() == expected
 
 
-# one case of each exit status, classify among them, run as a process: the
-# exit code comes from the module's ``sys.exit(main())``
+# one case of each exit status, both caps among them, classify and a CSV
+# sweep, run as a process: the exit code comes from the module's
+# ``sys.exit(main())``
 PROCESS_CASES = (
     "analyze_symmetric_6_5",
     "classify_custom_periodic_cantor",
     "analyze_invalid_slope",
     "analyze_beta_hit_cap",
+    "analyze_symmetric_21_20_level_cap",
+    "sweep_symmetric",
 )
 
 

@@ -571,7 +571,7 @@ def parse_map_text(text: str) -> LorenzMap:
         if len(domain) != 2:
             raise InvalidInput(f"'domain' needs two values, got {len(domain)}")
         c = scalar("c")
-        branches = (BranchFn(*(scalar_list(f"{side}_{part}") for part in PARTS)) for side in SIDES)
+        branches = [BranchFn(*[scalar_list(f"{side}_{part}") for part in PARTS]) for side in SIDES]
         m = LorenzMap(*domain, c, *branches)
     else:
         raise InvalidInput(f"unknown family {family!r}")

@@ -12,8 +12,9 @@ minimal period undetermined at its cap, or a tower ended at the level
 cap.  A failed validation or a cap is a result, whose report carries
 the ``status``; :func:`main` turns the refused input of every command
 (:class:`~lorenzmap.numerics.InvalidInput`) into exit 2, in one place,
-and any other exception is a traceback.  ``precision_bits`` is only
-echoed in the configuration: every scalar is exact.
+and any other exception is a traceback.  Each argv is parsed once, by
+the sub-parser of its command (:func:`parse_argv`).  ``precision_bits``
+is only echoed in the configuration: every scalar is exact.
 """
 
 from __future__ import annotations
@@ -422,10 +423,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+def build_parsers() -> tuple:
+    """``(parser, commands)``: the command-line parser and the sub-parser
+    of each command, by name, built once per process.
 
-    Parsing leaves it unchanged, and it names no command function:
+    Parsing leaves them unchanged, and they name no command function:
     :func:`main` looks the ``cmd_*`` function up when it is called.
     """
     parser = argparse.ArgumentParser(
@@ -454,10 +456,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    return parser
+    return parser, {"analyze": p_analyze, "classify": p_classify, "sweep": p_sweep}
+
+
+def parse_argv(argv) -> argparse.Namespace:
+    """The namespace of ``argv`` (``sys.argv[1:]`` for ``None``), parsed once.
+
+    The program's parser hands every token after the command's name to
+    that command's sub-parser and refuses what the sub-parser leaves
+    over.  So an argv whose first token names a command is parsed by
+    that sub-parser alone, into a namespace that already holds the
+    command, and leftover tokens get the program parser's own
+    ``unrecognized arguments`` error: the namespace, the help and every
+    error are those of the two-level parse.  An argv that names no
+    command (empty, ``-h`` first, an unknown command) goes through the
+    program's parser.
+    """
+    parser, commands = build_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv`` (see :func:`parse_argv`) and return its
+    exit code; a refused input prints its ``status`` and error as JSON."""
     # deep towers carry integers of more than the default 4,300 digits,
     # and every scalar is printed exactly (the limit exists from 3.11 on);
     # the caller's limit is restored on the way out
@@ -466,7 +494,7 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(argv)
         config = resolve_config(args)
         command = {"analyze": cmd_analyze, "classify": cmd_classify, "sweep": cmd_sweep}
         return command[args.command](args, config)

@@ -20,12 +20,13 @@ of :mod:`~lorenzmap.periods` and the repelling fixed points ``e±`` of
 word of ``c-`` or ``c+``.
 
 Every scalar is an exact :class:`fractions.Fraction` and every order
-decision is exact, but neither the evaluation nor the composition runs
-on ``Fraction`` arithmetic.  Every exact point evaluation is one integer
-step on a reduced pair (:meth:`BranchFn.step`): :meth:`BranchFn.value`,
-:func:`evaluate` and :func:`word_orbit`.  Every iterate on an interval
-is composed from integer affine maps ``(A·x + B)/E`` on reduced end
-pairs (:func:`word_pieces`), and :func:`rescale_to_unit` and the
+decision is exact, but neither the validation (:func:`validate_map`),
+the evaluation nor the composition runs on ``Fraction`` arithmetic.
+Every exact point evaluation is one integer step on a reduced pair
+(:meth:`BranchFn.step`): :func:`validate_map`'s limits at ``c`` and
+``f(a)``, ``f(b)``, :func:`evaluate` and :func:`word_orbit`.  Every
+iterate on an interval is composed from integer affine maps
+``(A·x + B)/E`` on reduced end pairs (:func:`word_pieces`), and :func:`rescale_to_unit` and the
 fixed-point solve of :mod:`~lorenzmap.periods` turn only the values
 they return into ``Fraction`` values.  Every exact orbit the
 analysis walks (the critical orbits of :mod:`~lorenzmap.orbits`, the
@@ -108,14 +109,6 @@ class BranchFn:
     def affine(cls, lo: Scalar, hi: Scalar, slope: Scalar, intercept: Scalar):
         return cls((lo, hi), (slope,), (intercept,))
 
-    def value(self, x: Scalar) -> Scalar:
-        """The branch at ``x`` on its closed domain: :meth:`step` on ``x``'s pair."""
-        if x < self.breakpoints[0]:
-            raise ValueError(f"{format_scalar(x)} below branch domain")
-        if x > self.breakpoints[-1]:
-            raise ValueError(f"{format_scalar(x)} above branch domain")
-        return reduced_fraction(*self.step(x.numerator, x.denominator))
-
     def step(self, n: int, d: int) -> tuple:
         """The branch at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
 
@@ -130,7 +123,7 @@ class BranchFn:
         The piece is picked by cross-multiplying against the internal
         breakpoints, the left one at a breakpoint (adjacent pieces agree
         there); past the domain ends the end pieces continue, so callers
-        check the domain, as :meth:`value` does.
+        check the domain.
         """
         cuts, pieces = self.integer_pieces
         i = 0
@@ -146,7 +139,7 @@ class BranchFn:
         return n // g, d // g
 
     def solve(self, y: Scalar) -> Optional[Scalar]:
-        """The unique ``x`` in the closed domain with ``value(x) == y``, if any."""
+        """The unique ``x`` in the closed domain that the branch maps to ``y``, if any."""
         for i, (s, t) in enumerate(zip(self.slopes, self.intercepts)):
             x = (y - t) / s
             if self.breakpoints[i] <= x <= self.breakpoints[i + 1]:
@@ -188,66 +181,63 @@ def validate_map(m: LorenzMap) -> ValidationReport:
     that does not tile its side, breakpoints that do not increase
     strictly, a slope at or below 0) skips the checks of the limits at
     ``c`` and of ``f(a)``, ``f(b)``.
+
+    Every check is decided on integer pairs: a scalar is the reduced
+    pair ``(n, d)`` of its ``Fraction``, so two scalars are equal when
+    their pairs are and ordered by cross-multiplying.  Piece ``i`` of
+    :attr:`BranchFn.integer_pieces` has slope ``A/E``, so it increases
+    when ``A > 0`` and expands when ``A > E``, and at a breakpoint
+    ``n/d`` it and piece ``i + 1`` agree when ``(A·n + B·d)·E'`` equals
+    ``(A'·n + B'·d)·E`` (both values have the factor ``1/d`` and
+    ``E, E', d > 0``).  The limits at ``c`` and ``f(a)``, ``f(b)`` are
+    one :meth:`BranchFn.step` each, on a domain that the structural
+    checks have confirmed.
     """
     bad: list[str] = []
+    a, b, c = ((x.numerator, x.denominator) for x in (m.a, m.b, m.c))
 
-    if not (m.a < m.c < m.b):
+    if not (a[0] * c[1] < c[0] * a[1] and c[0] * b[1] < b[0] * c[1]):
         bad.append("domain order violated: need a < c < b")
         return ValidationReport(tuple(bad))
 
     structural = False
-    for name, br, lo, hi in (
-        ("left", m.left, m.a, m.c),
-        ("right", m.right, m.c, m.b),
-    ):
-        if br.breakpoints[0] != lo or br.breakpoints[-1] != hi:
+    for name, br, lo, hi in (("left", m.left, a, c), ("right", m.right, c, b)):
+        bps = [(x.numerator, x.denominator) for x in br.breakpoints]
+        if bps[0] != lo or bps[-1] != hi:
             bad.append(f"{name} branch domain does not tile its side of the domain")
             structural = True
             continue
-        bps = br.breakpoints
-        monotone_domain = all(bps[i] < bps[i + 1] for i in range(len(bps) - 1))
-        if not monotone_domain:
+        if any(n0 * d1 >= n1 * d0 for (n0, d0), (n1, d1) in zip(bps, bps[1:])):
             bad.append(f"{name} branch breakpoints are not strictly increasing")
             structural = True
             continue
-        for i, s in enumerate(br.slopes):
-            if s <= ZERO:
+        cuts, pieces = br.integer_pieces
+        for i, (A, _B, E, _EA) in enumerate(pieces):
+            if A <= 0:
                 bad.append(f"{name} branch piece {i} is not strictly increasing")
                 structural = True
-            elif s <= ONE:
+            elif A <= E:
                 bad.append(
                     f"expanding violated: {name} branch piece {i} has slope "
-                    f"{format_scalar(s)} <= 1"
+                    f"{format_scalar(br.slopes[i])} <= 1"
                 )
-        for i in range(len(br.slopes) - 1):
-            x = bps[i + 1]
-            lhs = br.slopes[i] * x + br.intercepts[i]
-            rhs = br.slopes[i + 1] * x + br.intercepts[i + 1]
-            if lhs != rhs:
-                bad.append(f"{name} branch discontinuous at breakpoint {format_scalar(x)}")
+        for (n, d), (A, B, E, _EA), (A1, B1, E1, _EA1) in zip(cuts, pieces, pieces[1:]):
+            if (A * n + B * d) * E1 != (A1 * n + B1 * d) * E:
+                bad.append(f"{name} branch discontinuous at breakpoint {n}/{d}")
 
     if structural:
         return ValidationReport(tuple(bad))
 
-    left_limit = m.left.value(m.c)
-    if left_limit != m.b:
-        bad.append(
-            f"left limit at c is {format_scalar(left_limit)}, expected b = "
-            f"{format_scalar(m.b)}"
-        )
-    right_limit = m.right.value(m.c)
-    if right_limit != m.a:
-        bad.append(
-            f"right limit at c is {format_scalar(right_limit)}, expected a = "
-            f"{format_scalar(m.a)}"
-        )
+    n, d = m.left.step(*c)
+    if (n, d) != b:
+        bad.append(f"left limit at c is {n}/{d}, expected b = {format_scalar(m.b)}")
+    n, d = m.right.step(*c)
+    if (n, d) != a:
+        bad.append(f"right limit at c is {n}/{d}, expected a = {format_scalar(m.a)}")
 
-    fa = m.left.value(m.a)
-    if not (m.a <= fa <= m.b):
-        bad.append(f"f(a) = {format_scalar(fa)} escapes the domain")
-    fb = m.right.value(m.b)
-    if not (m.a <= fb <= m.b):
-        bad.append(f"f(b) = {format_scalar(fb)} escapes the domain")
+    for label, (n, d) in (("f(a)", m.left.step(*a)), ("f(b)", m.right.step(*b))):
+        if not (a[0] * d <= n * a[1] and n * b[1] <= b[0] * d):
+            bad.append(f"{label} = {n}/{d} escapes the domain")
 
     return ValidationReport(tuple(bad))
 

@@ -14,10 +14,14 @@ stay reduced): a pair ``(n, d)`` with
 ``gcd(n, d) == 1`` and ``d > 0`` is the scalar ``n/d`` in lowest terms,
 so it stands for exactly one ``Fraction``, and :func:`reduced_fraction`
 turns it into that ``Fraction`` without normalising it again.
+:func:`parse_scalar` reads a plain ``p/q`` token the same way: two
+``int`` reads and one gcd give the reduced pair, and ``Fraction`` reads
+every other token.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -36,18 +40,31 @@ class InvalidInput(ValueError):
 MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\Z")
 _DIGIT_RUN = re.compile(r"\d+")
+# a plain token: ASCII digits, a leading minus at most, one slash at most
+_PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or a decimal string into an exact rational.
 
-    A run of more than :data:`MAX_DIGITS` digits (underscores between
-    digits do not end a run) and a decimal exponent of absolute value
-    above it are refused before ``Fraction`` reads the token.  The
-    refusal gives the token's length, not the token.  Every refusal is
-    an :class:`InvalidInput`.
+    A plain token, ``[-]digits[/digits]`` in ASCII of at most
+    :data:`MAX_DIGITS` characters with a non-zero denominator, is read
+    with ``int`` and one gcd, which give the numerator and denominator
+    that ``Fraction`` would: ``Fraction`` reads the same digits with
+    ``int`` and divides the pair by its gcd.  Every other token is read
+    by ``Fraction``.  A run of more than :data:`MAX_DIGITS` digits
+    (underscores between digits do not end a run) and a decimal exponent
+    of absolute value above it are refused before ``Fraction`` reads the
+    token.  The refusal gives the token's length, not the token.  Every
+    refusal is an :class:`InvalidInput`.
     """
     token = text.strip()
+    if len(token) <= MAX_DIGITS and _PLAIN.fullmatch(token):
+        n, _slash, d = token.partition("/")
+        n, d = int(n), int(d or 1)
+        if d:
+            g = math.gcd(n, d)
+            return reduced_fraction(n // g, d // g)
     if len(token) > MAX_DIGITS and max(
         map(len, _DIGIT_RUN.findall(token.replace("_", ""))), default=0
     ) > MAX_DIGITS:

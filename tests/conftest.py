@@ -10,7 +10,8 @@ enumerates every cylinder of ``f^n`` on an interval.
 arithmetic, the reference of the library's integer composition.  Expected values
 frozen in the tests were computed with these.  ``reference_value``
 evaluates a branch in ``Fraction`` arithmetic, the oracle of the
-library's integer step.  ``piece_map`` builds
+library's integer step, and ``reference_validate_map`` checks a map
+with it, the reference of the integer ``validate_map``.  ``piece_map`` builds
 random valid maps, and ``multi_piece_maps`` draws them for
 ``hypothesis`` properties; ``pinned_piece_maps`` draws them with fixed
 points, for ``fixed_points`` and its per-piece oracle
@@ -35,7 +36,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from lorenzmap.cli import build_map, build_parser
+from lorenzmap.cli import build_map, parse_argv
 from lorenzmap.maps import (
     BranchFn,
     BranchLabel,
@@ -46,6 +47,7 @@ from lorenzmap.maps import (
     symmetric_map,
     validate_map,
 )
+from lorenzmap.numerics import format_scalar
 from lorenzmap.renorm import (
     DEFAULT_PAIR_BOUND,
     Trichotomy,
@@ -144,6 +146,62 @@ def reference_value(branch, x):
         if x <= hi:
             return s * x + t
     raise ValueError("point above the branch domain")
+
+
+def reference_validate_map(m):
+    """The violations of ``m`` that :func:`lorenzmap.maps.validate_map`
+    reports, found in ``Fraction`` arithmetic: its straight-line
+    reference, with each branch evaluated by :func:`reference_value`."""
+    bad = []
+    if not (m.a < m.c < m.b):
+        return ("domain order violated: need a < c < b",)
+    structural = False
+    for name, br, lo, hi in (("left", m.left, m.a, m.c), ("right", m.right, m.c, m.b)):
+        bps = br.breakpoints
+        if bps[0] != lo or bps[-1] != hi:
+            bad.append(f"{name} branch domain does not tile its side of the domain")
+            structural = True
+            continue
+        if not all(bps[i] < bps[i + 1] for i in range(len(bps) - 1)):
+            bad.append(f"{name} branch breakpoints are not strictly increasing")
+            structural = True
+            continue
+        for i, s in enumerate(br.slopes):
+            if s <= 0:
+                bad.append(f"{name} branch piece {i} is not strictly increasing")
+                structural = True
+            elif s <= 1:
+                bad.append(
+                    f"expanding violated: {name} branch piece {i} has slope "
+                    f"{format_scalar(s)} <= 1"
+                )
+        for i in range(len(br.slopes) - 1):
+            x = bps[i + 1]
+            lhs = br.slopes[i] * x + br.intercepts[i]
+            rhs = br.slopes[i + 1] * x + br.intercepts[i + 1]
+            if lhs != rhs:
+                bad.append(f"{name} branch discontinuous at breakpoint {format_scalar(x)}")
+    if structural:
+        return tuple(bad)
+    left_limit = reference_value(m.left, m.c)
+    if left_limit != m.b:
+        bad.append(
+            f"left limit at c is {format_scalar(left_limit)}, expected b = "
+            f"{format_scalar(m.b)}"
+        )
+    right_limit = reference_value(m.right, m.c)
+    if right_limit != m.a:
+        bad.append(
+            f"right limit at c is {format_scalar(right_limit)}, expected a = "
+            f"{format_scalar(m.a)}"
+        )
+    fa = reference_value(m.left, m.a)
+    if not (m.a <= fa <= m.b):
+        bad.append(f"f(a) = {format_scalar(fa)} escapes the domain")
+    fb = reference_value(m.right, m.b)
+    if not (m.a <= fb <= m.b):
+        bad.append(f"f(b) = {format_scalar(fb)} escapes the domain")
+    return tuple(bad)
 
 
 def table_eval(table, x):
@@ -378,7 +436,7 @@ def golden_case_maps() -> list:
     maps = []
     for case in cases:
         if case["argv"][0] in ("analyze", "classify") and case["exit"] == 0:
-            args = build_parser().parse_args(case["argv"])
+            args = parse_argv(case["argv"])
             if args.map_file:
                 args.map_file = str(GOLDEN.parent.parent / args.map_file)
             maps.append(build_map(args)[0])

@@ -3,7 +3,6 @@ import contextlib
 import csv
 import gc
 import importlib
-import inspect
 import io
 import json
 import pkgutil
@@ -21,13 +20,14 @@ from hypothesis import strategies as st
 
 import lorenzmap
 from lorenzmap import cli
-from lorenzmap.cli import build_parser, main
+from lorenzmap.cli import build_parsers, main, parse_argv
 from lorenzmap.maps import (
     FAMILIES,
     beta_transformation,
     describe_map,
     parse_map_text,
     symmetric_map,
+    validate_map,
 )
 from lorenzmap.numerics import InvalidInput, format_scalar, parse_scalar
 
@@ -38,6 +38,7 @@ from conftest import (
     moved_to_minus_3_5,
     multi_piece_maps,
     piece_map,
+    reference_validate_map,
     same_map,
 )
 
@@ -921,7 +922,14 @@ def test_every_mapped_exception_is_raised_or_is_the_input_boundary():
     # an unreadable map file too; a plain ValueError, which the analysis
     # raises too, and an OSError, such as a closed stdout, are not
     # caught, so they end in a traceback
-    tree = ast.parse(inspect.getsource(cli.main))
+    # read from cli.py with ast, not inspect.getsource, whose line cache
+    # goes stale when the file changes under a running process
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    (tree,) = (
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
     handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
     assert [ast.unparse(handler.type) for handler in handlers] == ["InvalidInput"]
     assert "InvalidInput" in _raised_names()
@@ -1145,10 +1153,11 @@ usage: lorenzmap sweep [-h] --family {symmetric,beta} [--alpha ALPHA] --start
 
 
 def _command_parsers() -> dict:
-    (commands,) = (
-        action for action in build_parser()._actions if action.choices is not None
-    )
-    return commands.choices
+    parser, commands = build_parsers()
+    (action,) = (action for action in parser._actions if action.choices is not None)
+    # main parses with the very sub-parsers the program's parser dispatches to
+    assert action.choices == commands
+    return commands
 
 
 @pytest.mark.parametrize("command", sorted(_ACTIONS))
@@ -1187,7 +1196,7 @@ def test_flags_and_map_file_build_the_same_family_map(family):
     pairs = list(zip(names, values))
     for order in (1, -1):  # flags and lines in table order, then reversed
         argv = ["analyze", "--family", family, *_family_flags(pairs[::order])]
-        m, echo = cli.build_map(build_parser().parse_args(argv))
+        m, echo = cli.build_map(parse_argv(argv))
         lines = [f"{name} = {value}" for name, value in pairs[::order]]
         assert same_map(m, parse_map_text("\n".join([f"family = {family}", *lines])))
         # the echo: the family, its parameters in table order, then the map
@@ -1201,7 +1210,7 @@ def test_flags_and_map_file_build_the_same_family_map(family):
         kept = pairs[:dropped] + pairs[dropped + 1:]
         argv = ["analyze", "--family", family, *_family_flags(kept)]
         with pytest.raises(cli.InvalidInput) as refused:
-            cli.build_map(build_parser().parse_args(argv))
+            cli.build_map(parse_argv(argv))
         assert str(refused.value) == f"--family {family} needs {needs}"
 
 
@@ -1222,7 +1231,7 @@ def test_the_map_echo_reads_back_as_the_map():
     refused = []
     for argv in argvs:
         try:
-            m, echo = cli.build_map(build_parser().parse_args(["analyze", *argv]))
+            m, echo = cli.build_map(parse_argv(["analyze", *argv]))
         except InvalidInput:
             refused.append(Path(argv[1]).name)
             continue
@@ -1302,20 +1311,20 @@ def test_resolve_config_refuses_a_value_below_its_least(key):
     flag = "--" + key.replace("_", "-")
     map_flags = ["analyze", "--family", "symmetric", "--a", "6/5"]
     if key not in _LEAST:  # precision_bits is only echoed: any value goes
-        args = build_parser().parse_args([*map_flags, flag, "-5"])
+        args = parse_argv([*map_flags, flag, "-5"])
         assert cli.resolve_config(args)[key] == -5
         return
     least, message = _LEAST[key]
-    args = build_parser().parse_args([*map_flags, flag, str(least)])
+    args = parse_argv([*map_flags, flag, str(least)])
     assert cli.resolve_config(args) == {**DEFAULT_CONFIG, key: least}
-    args = build_parser().parse_args([*map_flags, flag, str(least - 1)])
+    args = parse_argv([*map_flags, flag, str(least - 1)])
     with pytest.raises(cli.InvalidInput) as refused:
         cli.resolve_config(args)
     assert str(refused.value) == message
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):
-    assert build_parser() is build_parser()
+    assert build_parsers() is build_parsers()
     map_flags = ["analyze", "--family", "symmetric", "--a", "3/2"]
     code, out = run_cli(capsys, *map_flags, "--l-max", "8")
     assert code == 0 and json.loads(out)["config"]["l_max"] == 8
@@ -1325,6 +1334,115 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and out.splitlines()[0] == ",".join(cli.SWEEP_COLUMNS)
     code, out = run_cli(capsys, *map_flags)
     assert code == 0 and json.loads(out)["tower"]["bound"] == 64
+
+
+# the tokens of the differential test of the argv path: every command's
+# flags, abbreviations of them (ambiguous ones among them), the help
+# flags, values that look like flags or are not numbers, and "--"
+_ARGV_FLAGS = (
+    "--family", "--a", "--beta", "--alpha", "--map-file", "--l-max", "--level-cap",
+    "--hit-cap", "--precision-bits", "--format", "--x", "--start", "--end", "--step",
+)
+_ARGV_ABBREVIATIONS = (
+    "--l-m", "--lev", "--hit", "--prec", "--fo", "--fam", "--map", "--st", "--sta",
+    "--e", "--h", "--he", "--b", "--al", "--f",
+)
+_ARGV_VALUES = (
+    "", "-1", "-4/5", "--a", "abc", "6/5", "3", "symmetric", "beta", "csv", "json",
+    "--", "-", "x",
+)
+_ARGV_BASES = (
+    ["analyze", "--family", "symmetric", "--a", "6/5"],
+    ["analyze", "--map-file", "m.map", "--format", "csv"],
+    ["classify", "--family", "beta", "--beta", "6/5", "--alpha", "1/10", "--x", "1/4"],
+    ["sweep", "--family", "symmetric", "--start", "1", "--end", "2", "--step", "1/2"],
+    ["sweep", "--family", "beta", "--alpha", "3/4", "--start", "11/10", "--end", "2",
+     "--step", "1/10", "--format", "json"],
+)
+
+_argv_token = st.one_of(
+    st.sampled_from(_ARGV_FLAGS + _ARGV_ABBREVIATIONS + ("-h", "--help") + _ARGV_VALUES),
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(_ARGV_FLAGS + _ARGV_ABBREVIATIONS),
+        st.sampled_from(_ARGV_VALUES),
+    ),
+)
+
+
+# flags that each base reads, with values it takes, in the forms a
+# command line may give them: repeated, abbreviated and with "="
+_ARGV_SETTINGS = (
+    ["--l-max", "8"], ["--l-m", "-1"], ["--level-cap=3"], ["--hit", "0"],
+    ["--precision-bits", "-4"], ["--prec=12"], ["--h=5"],
+)
+
+
+@st.composite
+def _argvs(draw) -> list:
+    """An argv: a valid one of each command with settings put in between
+    its flags and tokens put in anywhere, or a command, an unknown command
+    or no command before free tokens."""
+    if draw(st.booleans()):
+        argv = list(draw(st.sampled_from(_ARGV_BASES)))
+        for setting in draw(st.lists(st.sampled_from(_ARGV_SETTINGS), max_size=3)):
+            at = 1 + 2 * draw(st.integers(0, (len(argv) - 1) // 2))
+            argv[at:at] = setting
+        for token in draw(st.lists(_argv_token, max_size=2)):
+            argv.insert(draw(st.integers(1, len(argv))), token)
+        return argv
+    head = draw(st.sampled_from(["analyze", "classify", "sweep", "analyse", "", None]))
+    tokens = draw(st.lists(_argv_token, max_size=8))
+    return tokens if head is None else [head, *tokens]
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """``vars()`` of the namespace, or the ``SystemExit`` code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("parsed", vars(parse(list(argv))))
+        except SystemExit as stop:
+            result = ("exit", stop.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_command_parse_is_the_program_parse(argv):
+    # parse_argv skips the program's parser for an argv that names a
+    # command; it must give the namespace, or the exit, help text and
+    # error, of the program's parser on every argv
+    parser, _commands = build_parsers()
+    expected = _parse_outcome(parser.parse_args, argv)
+    assert _parse_outcome(parse_argv, argv) == expected
+
+
+def test_the_command_parse_examples():
+    parser, _commands = build_parsers()
+    argvs = [
+        [],
+        ["-h"],
+        ["analyse"],
+        ["analyze", "--help"],
+        ["sweep", "--family", "beta", "-h", "--start", "1"],
+        ["analyze", "--family", "symmetric", "--a=-4/5", "--l-m", "8", "extra"],
+        ["analyze", "--family", "symmetric", "--a", "1", "--", "--a", "2"],
+        ["classify", "--family", "symmetric", "--a", "6/5", "--st", "1", "--x", "1"],
+        ["sweep", "--family", "symmetric", "--start", "1", "--end", "2", "--step", "1",
+         "--x", "1"],
+        ["analyze", "--a", "1", "--a", "2", "--family", "symmetric", "--family", "beta"],
+    ]
+    outcomes = [_parse_outcome(parse_argv, argv) for argv in argvs]
+    assert outcomes == [_parse_outcome(parser.parse_args, argv) for argv in argvs]
+    # each kind of outcome is among them: a namespace, help, a refusal
+    assert {result[0] for result, _out, _err in outcomes} == {"parsed", "exit"}
+    leftover = outcomes[5]
+    assert leftover[0] == ("exit", 2)
+    assert leftover[2].endswith("lorenzmap: error: unrecognized arguments: extra\n")
+    assert outcomes[3][0] == ("exit", 0) and outcomes[3][1].startswith(
+        "usage: lorenzmap analyze"
+    )
 
 
 def test_command_is_looked_up_when_main_runs(capsys, monkeypatch):
@@ -1556,3 +1674,22 @@ def test_mutated_map_texts_exit_with_the_planted_fault(
         if command == "analyze":
             report = report["validation"]
         assert any(expected in v for v in report["violations"]), report
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(multi_piece_maps(), st.booleans(), st.data())
+def test_planted_faults_validate_as_the_fraction_reference(m, moved, data):
+    # each planted violation of the test above, read back from its map
+    # text, gives the violations of the Fraction checks, in their order
+    m = moved_to_minus_3_5(m) if moved else m
+    for mutation in MAP_TEXT_MUTATIONS:
+        fields = _map_fields(m)
+        kind, _expected = _mutate(fields, mutation, data)
+        try:
+            mutant = parse_map_text(_map_text(fields))
+        except InvalidInput:
+            assert kind == "error", mutation
+            continue
+        violations = validate_map(mutant).violations
+        assert kind == "violation" and violations, mutation
+        assert violations == reference_validate_map(mutant), mutation

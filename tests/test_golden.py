@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from lorenzmap.cli import main
+from lorenzmap.cli import build_parsers, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -33,6 +33,28 @@ def test_golden_output(case, monkeypatch):
         expected = handle.read()
     assert code == case["exit"]
     assert buffer.getvalue() == expected
+
+
+def test_golden_commands_are_parsed_by_their_own_sub_parser(monkeypatch):
+    # main parses an argv that names a command with that command's
+    # sub-parser alone; were the program's parser to parse one again, the
+    # two-level parse would be back, and this test would fail
+    parser, _commands = build_parsers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program's parser parsed an argv that names a command")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    monkeypatch.chdir(ROOT)
+    commands = {case["argv"][0] for case in CASES}
+    assert commands == {"analyze", "classify", "sweep"}
+    for case in CASES:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(list(case["argv"]))
+        expected = (GOLDEN / f"{case['name']}.out").read_bytes().decode("utf-8")
+        assert (code, buffer.getvalue()) == (case["exit"], expected), case["name"]
 
 
 # one case of each exit status, both caps among them, classify and a CSV

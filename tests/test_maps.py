@@ -44,9 +44,11 @@ from conftest import (
     moved_to_minus_3_5,
     multi_piece_maps,
     piece_map,
+    pinned_piece_maps,
     raw_eval,
     reference_fixed_point,
     reference_rescale,
+    reference_validate_map,
     reference_value,
     reference_word_pieces,
     same_map,
@@ -81,6 +83,50 @@ def test_validate_reports_broken_boundary():
     m = LorenzMap(F(0), F(1), F(1, 2), left, right)
     report = validate_map(m)
     assert any("left limit" in v for v in report.violations)
+
+
+@st.composite
+def _faulty_maps(draw):
+    """A :func:`pinned_piece_maps` draw, whose ends may be fixed, with up
+    to four of its scalars replaced: by a small fraction, by another of
+    its scalars or by a near copy of itself, so every check of
+    ``validate_map`` can fail, or hold with equality."""
+    m = draw(pinned_piece_maps())
+    groups = [[m.a, m.b, m.c]]
+    for branch in (m.left, m.right):
+        groups += [list(branch.breakpoints), list(branch.slopes), list(branch.intercepts)]
+    values = [x for group in groups for x in group]
+    for _ in range(draw(st.integers(0, 4))):
+        group = draw(st.sampled_from(groups))
+        i = draw(st.integers(0, len(group) - 1))
+        near = group[i] + F(draw(st.integers(-2, 2)), draw(st.sampled_from([7, 1000])))
+        small = F(draw(st.integers(-3, 6)), draw(st.integers(1, 4)))
+        group[i] = draw(st.sampled_from([near, small, draw(st.sampled_from(values))]))
+    (a, b, c), rest = groups[0], groups[1:]
+    left, right = BranchFn(*map(tuple, rest[:3])), BranchFn(*map(tuple, rest[3:]))
+    return LorenzMap(a, b, c, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(pinned_piece_maps(), _faulty_maps()))
+def test_validate_map_is_the_fraction_reference(m):
+    # the integer checks give the violations of the Fraction checks, in
+    # their order, on valid maps and on maps with every kind of fault
+    assert validate_map(m).violations == reference_validate_map(m)
+
+
+def test_validate_map_is_the_fraction_reference_on_golden_maps():
+    checked = faulty = 0
+    for path in sorted(GOLDEN_MAPS.glob("*.map")):
+        try:
+            m = parse_map_text(path.read_text(encoding="utf-8"))
+        except InvalidInput:
+            continue
+        violations = validate_map(m).violations
+        assert violations == reference_validate_map(m), path.name
+        checked += 1
+        faulty += bool(violations)
+    assert (checked, faulty) == (10, 2)
 
 
 def test_eval_examples():
@@ -397,13 +443,12 @@ def _branch_points(branch):
 
 
 def _assert_exact_evaluations(m, branch, x):
-    """``step``, ``value`` and sided ``evaluate`` at ``x`` give the reference value."""
+    """``step`` and sided ``evaluate`` at ``x`` give the reference value."""
     expected = reference_value(branch, x)
     n, d = branch.step(x.numerator, x.denominator)
     assert d > 0 and math.gcd(n, d) == 1
     # an unreduced pair would make this Fraction unequal to the value
     assert reduced_fraction(n, d) == expected
-    assert branch.value(x) == expected
     label = BranchLabel.LEFT if branch is m.left else BranchLabel.RIGHT
     assert word_orbit(m, (label,), x)[1] == expected
     if x != m.c:
@@ -420,7 +465,6 @@ def _assert_left_piece_at_breakpoints(branch):
     )
     for x in branch.breakpoints:
         expected = reference_value(jumped, x)
-        assert jumped.value(x) == expected
         assert reduced_fraction(*jumped.step(x.numerator, x.denominator)) == expected
 
 
@@ -469,13 +513,6 @@ def _assert_sides_and_domain_errors(m, eps):
     assert plus[1] == m.a == reference_value(m.right, m.c)
     with pytest.raises(ValueError):
         evaluate(m, m.c)
-    for branch in (m.left, m.right):
-        x = branch.breakpoints[0] - eps
-        with pytest.raises(ValueError, match=f"^{format_scalar(x)} below branch domain$"):
-            branch.value(x)
-        x = branch.breakpoints[-1] + eps
-        with pytest.raises(ValueError, match=f"^{format_scalar(x)} above branch domain$"):
-            branch.value(x)
     for x in (m.a - eps, m.b + eps):
         with pytest.raises(ValueError, match=f"^{format_scalar(x)} outside the domain$"):
             evaluate(m, x)

@@ -1,11 +1,15 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzmap.interval_dynamics import IntervalUnion
 from lorenzmap.maps import parse_map_text
 from lorenzmap.numerics import (
+    MAX_DIGITS,
     InvalidInput,
     format_interval,
     format_scalar,
@@ -107,3 +111,89 @@ def test_malformed_input_is_refused_with_the_reader_s_own_message():
     with pytest.raises(InvalidInput, match=r"^zero denominator in '1/0'$"):
         parse_scalar("1/0")
     assert format_interval(F(0), F(2, 5)) == "[0/1, 2/5]"
+
+
+def _fraction_path(text: str) -> F:
+    """``parse_scalar`` as it read every token, with ``Fraction``: the
+    run and exponent guards, then ``Fraction(token)``."""
+    token = text.strip()
+    runs = re.findall(r"\d+", token.replace("_", ""))
+    if len(token) > MAX_DIGITS and max(map(len, runs), default=0) > MAX_DIGITS:
+        raise InvalidInput(
+            f"a scalar of {len(token)} characters has a run of more than "
+            f"{MAX_DIGITS} digits"
+        )
+    exponent = re.search(r"[eE][-+]?([\d_]+)\Z", token)
+    if exponent and int(exponent.group(1).replace("_", "") or 0) > MAX_DIGITS:
+        raise InvalidInput(f"decimal exponent out of range in {token!r}")
+    try:
+        return F(token)
+    except ZeroDivisionError:
+        raise InvalidInput(f"zero denominator in {token!r}") from None
+    except ValueError as err:
+        raise InvalidInput(str(err)) from None
+
+
+def _scalar_outcome(parse, text: str) -> tuple:
+    """The type, numerator and denominator read, or the refusal's message."""
+    try:
+        x = parse(text)
+    except InvalidInput as err:
+        return "refused", str(err)
+    return type(x), x.numerator, x.denominator
+
+
+def _digits(count: int, first: str = "7") -> str:
+    return (first + "1234567890" * (count // 10 + 1))[:count]
+
+
+# every character a scalar token is made of, and some it is not: ASCII,
+# Arabic-Indic and fullwidth digits, signs, "/", ".", exponents, "_" and
+# ASCII and Unicode spaces
+_SCALAR_CHARACTERS = list("0123456789-+/._eE x") + ["٦", "٥", "０", "７", "\t", "\u00a0"]
+_scalar_tokens = st.one_of(
+    st.text(st.sampled_from(_SCALAR_CHARACTERS), max_size=10),
+    # plain tokens with leading zeros and zero denominators
+    st.builds(
+        "{}{}{}/{}{}".format,
+        st.sampled_from(["", "-", "+", " "]),
+        st.sampled_from(["", "0", "00"]),
+        st.integers(0, 10**6),
+        st.sampled_from(["", "0", "00"]),
+        st.integers(0, 10**6),
+    ),
+    # at and around MAX_DIGITS characters, with and without a sign or a
+    # denominator
+    st.builds(
+        lambda sign, count, slash, last: sign + _digits(count)[: count - slash] + (
+            "/" + _digits(slash - 1, "3") if slash else ""
+        ) + last,
+        st.sampled_from(["", "-"]),
+        st.integers(MAX_DIGITS - 3, MAX_DIGITS + 3),
+        st.sampled_from([0, 2, MAX_DIGITS // 2]),
+        st.sampled_from(["", "0", "٥", " ", ".5", "e1"]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scalar_tokens)
+def test_parse_scalar_is_the_fraction_path(text):
+    # plain tokens are read with int and one gcd; the value, its type
+    # and its lowest terms, or the refusal, are the same as Fraction's
+    assert _scalar_outcome(parse_scalar, text) == _scalar_outcome(_fraction_path, text)
+
+
+def test_parse_scalar_examples_on_both_paths():
+    texts = [
+        "0", "-0", "-0/7", "007/010", " -4/6 ", "1/0", "-0/00", "+3/4", "3 / 4", "1_0/3",
+        "٦/٥", "１/2", "1.5", "2e3", "-", "/", "1/", "/2", "--1",
+        "7" * MAX_DIGITS, "-" + "7" * (MAX_DIGITS - 1), "7" * (MAX_DIGITS + 1),
+        "-" + "7" * MAX_DIGITS, "7" * (MAX_DIGITS // 2) + "/" + "3" * (MAX_DIGITS // 2),
+    ]
+    outcomes = [_scalar_outcome(parse_scalar, text) for text in texts]
+    assert outcomes == [_scalar_outcome(_fraction_path, text) for text in texts]
+    assert outcomes[:5] == [(F, 0, 1), (F, 0, 1), (F, 0, 1), (F, 7, 10), (F, -2, 3)]
+    assert outcomes[5] == ("refused", "zero denominator in '1/0'")
+    # a plain token is reduced, and is the Fraction of the same value
+    assert parse_scalar("-4/6") == F(-2, 3) and hash(parse_scalar("-4/6")) == hash(F(-2, 3))

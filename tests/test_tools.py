@@ -1,11 +1,14 @@
-"""Unit tests of ``tools/ab_perfbench.py``'s summary row, on synthetic
-numbers, and a smoke test of ``tools/src_lines.py``.
+"""Unit tests of ``tools/ab_perfbench.py``'s summary rows and its read
+of a run's output, on synthetic numbers, and a smoke test of
+``tools/src_lines.py``.
 
 No perfbench run is made: :func:`summary` is fed parent and change
-values chosen so that each verdict sits on one side of its edge.
+values chosen so that each verdict sits on one side of its edge, and
+:func:`read_run` a stdout of the shape ``perfbench/run.py`` prints.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -107,6 +110,38 @@ def test_bound_where_lower_is_better():
     assert _cells(LOWER, [100], [125.1])["bound"] == "OUTSIDE 25%"
     assert _cells(LOWER, [100], [1])["bound"] == "inside 25%"
     assert _cells({**LOWER, "bound": 0.1}, [20], [22.5])["bound"] == "OUTSIDE 10%"
+
+
+def _run_stdout(samples: int, rss: float, correct: bool = True) -> str:
+    """A perfbench stdout: the detail line, then the result line."""
+    detail = {"workload": "sweep", "env": {"seed": 4}, "detail": {
+        "samples": samples, "blocks": 3, "unscaled": {"items_per_s": 1.0},
+    }}
+    metrics = {
+        "items_per_s": {"value": 4000.5, "unit": "1/s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }
+    result = {"correct": correct, "attempted": samples, "failed": 0, "metrics": metrics}
+    return json.dumps(detail) + "\n" + json.dumps(result) + "\n"
+
+
+def test_read_run_takes_the_samples_from_the_line_before_the_result():
+    run = ab_perfbench.read_run(_run_stdout(112_992, 32.49))
+    assert run == {
+        "correct": True,
+        "metrics": {"items_per_s": 4000.5, "peak_rss_mb": 32.49},
+        "samples": 112_992,
+    }
+    assert ab_perfbench.read_run(_run_stdout(7, 1.0, correct=False))["correct"] is False
+
+
+def test_samples_row_gives_the_medians_and_the_shift_without_a_verdict():
+    row = ab_perfbench.samples_row([19_184, 20_000, 21_000], [23_000, 24_000, 25_000])
+    name, parent, change, delta, won, bound, claim = row[2:-2].split(" | ")
+    assert (name, parent, change, delta) == (
+        "samples", "20000 [19592, 20500]", "24000", "+20.0 %"
+    )
+    assert (won, bound, claim) == ("-", "-", "-")
 
 
 def test_src_lines_parts_sum_to_each_module():

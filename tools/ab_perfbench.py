@@ -14,9 +14,11 @@ change's median, the change in percent, the pairs the change won,
 whether the change's median is inside the metric's bound, and whether
 a claimed gain on the metric would hold: the change wins at least 9 of
 every 10 pairs (a tie counts for neither side), and its median is
-better than the parent's by more than the parent's ``q3 - q1``.  Then
-one line per pair gives each side's ``correct`` flag and metrics.  It
-exits 1 when any run reads ``correct: false``.
+better than the parent's by more than the parent's ``q3 - q1``.  A last
+row gives the latency samples each run kept (``detail.samples``):
+``peak_rss_mb`` grows with them, so a memory shift is read against
+them.  Then one line per pair gives each side's ``correct`` flag,
+samples and metrics.  It exits 1 when any run reads ``correct: false``.
 
     python tools/ab_perfbench.py --parent ../parent --workload sweep \\
         --pairs 10 --seconds 20 --seed-base 4000
@@ -38,8 +40,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def read_run(stdout: str) -> dict:
+    """``correct``, the metric values and the timed samples of one run's stdout.
+
+    The last line is the result; the line before it holds the run's
+    ``detail``, whose ``samples`` counts the latencies the harness kept.
+    """
+    *_, detail_line, result_line = stdout.strip().splitlines()
+    result = json.loads(result_line)
+    return {
+        "correct": result["correct"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "samples": json.loads(detail_line)["detail"]["samples"],
+    }
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in ``checkout``."""
+    """:func:`read_run` of one perfbench run in ``checkout``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -50,11 +67,7 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"error: perfbench in {checkout} exited {done.returncode}:\n"
                          f"{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {
-        "correct": result["correct"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+    return read_run(done.stdout)
 
 
 def quartiles(values: list) -> tuple:
@@ -83,6 +96,18 @@ def summary(metric: dict, parent: list, change: list) -> str:
         f"| {delta:+.1f} % | {wins}/{len(parent)} "
         f"| {'inside' if inside else 'OUTSIDE'} {metric['bound']:.0%} "
         f"| {'holds' if claim else 'fails'} |"
+    )
+
+
+def samples_row(parent: list, change: list) -> str:
+    """The table row of the samples kept per run: no bound and no claim,
+    since ``peak_rss_mb`` grows with them whatever the code."""
+    q1, p_median, q3 = quartiles(parent)
+    c_median = statistics.median(change)
+    delta = (c_median - p_median) / p_median * 100 if p_median else 0.0
+    return (
+        f"| samples | {p_median:.6g} [{q1:.6g}, {q3:.6g}] | {c_median:.6g} "
+        f"| {delta:+.1f} % | - | - | - |"
     )
 
 
@@ -122,13 +147,15 @@ def main(argv=None) -> int:
         values = {side: [run["metrics"][metric["name"]] for run in runs[side]]
                   for side in sides}
         print(summary(metric, values["parent"], values["change"]))
+    print(samples_row(*([run["samples"] for run in runs[side]] for side in sides)))
     names = [metric["name"] for metric in end_to_end]
-    print("per pair, parent/change: correct " + " ".join(names))
+    print("per pair, parent/change: correct samples " + " ".join(names))
     for i, (p, c) in enumerate(zip(runs["parent"], runs["change"])):
         cells = " ".join(
             f"{p['metrics'][n]:.4g}/{c['metrics'][n]:.4g}" for n in names
         )
-        print(f"seed {args.seed_base + i}: {p['correct']}/{c['correct']} {cells}")
+        print(f"seed {args.seed_base + i}: {p['correct']}/{c['correct']} "
+              f"{p['samples']}/{c['samples']} {cells}")
     if not all(run["correct"] for side in sides for run in runs[side]):
         print("error: a run read correct: false", file=sys.stderr)
         return 1

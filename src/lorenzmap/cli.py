@@ -456,7 +456,7 @@ def build_parsers() -> tuple:
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    return parser, {"analyze": p_analyze, "classify": p_classify, "sweep": p_sweep}
+    return parser, sub.choices
 
 
 def parse_argv(argv) -> argparse.Namespace:

@@ -23,10 +23,11 @@ Every scalar is an exact :class:`fractions.Fraction` and every order
 decision is exact, but neither the validation (:func:`validate_map`),
 the evaluation nor the composition runs on ``Fraction`` arithmetic.
 Every exact point evaluation is one integer step on a reduced pair
-(:meth:`BranchFn.step`): :func:`validate_map`'s limits at ``c`` and
-``f(a)``, ``f(b)``, :func:`evaluate` and :func:`word_orbit`.  Every
-iterate on an interval is composed from integer affine maps
-``(A·x + B)/E`` on reduced end pairs (:func:`word_pieces`), and :func:`rescale_to_unit` and the
+(:meth:`BranchFn.step`): :meth:`BranchFn.value`, :func:`validate_map`'s
+limits at ``c`` and ``f(a)``, ``f(b)``, :func:`evaluate` and
+:func:`word_orbit`.  Every iterate on an interval is composed from
+integer affine maps ``(A·x + B)/E`` on reduced end pairs
+(:func:`word_pieces`), and :func:`rescale_to_unit` and the
 fixed-point solve of :mod:`~lorenzmap.periods` turn only the values
 they return into ``Fraction`` values.  Every exact orbit the
 analysis walks (the critical orbits of :mod:`~lorenzmap.orbits`, the
@@ -109,6 +110,14 @@ class BranchFn:
     def affine(cls, lo: Scalar, hi: Scalar, slope: Scalar, intercept: Scalar):
         return cls((lo, hi), (slope,), (intercept,))
 
+    def value(self, x: Scalar) -> Scalar:
+        """The branch at ``x`` on its closed domain: :meth:`step` on ``x``'s pair."""
+        if x < self.breakpoints[0]:
+            raise ValueError(f"{format_scalar(x)} below branch domain")
+        if x > self.breakpoints[-1]:
+            raise ValueError(f"{format_scalar(x)} above branch domain")
+        return reduced_fraction(*self.step(x.numerator, x.denominator))
+
     def step(self, n: int, d: int) -> tuple:
         """The branch at ``n/d`` as a reduced pair, for ``gcd(n, d) == 1``, ``d > 0``.
 
@@ -123,7 +132,7 @@ class BranchFn:
         The piece is picked by cross-multiplying against the internal
         breakpoints, the left one at a breakpoint (adjacent pieces agree
         there); past the domain ends the end pieces continue, so callers
-        check the domain.
+        check the domain, as :meth:`value` does.
         """
         cuts, pieces = self.integer_pieces
         i = 0
@@ -139,7 +148,7 @@ class BranchFn:
         return n // g, d // g
 
     def solve(self, y: Scalar) -> Optional[Scalar]:
-        """The unique ``x`` in the closed domain that the branch maps to ``y``, if any."""
+        """The unique ``x`` in the closed domain with ``value(x) == y``, if any."""
         for i, (s, t) in enumerate(zip(self.slopes, self.intercepts)):
             x = (y - t) / s
             if self.breakpoints[i] <= x <= self.breakpoints[i + 1]:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from lorenzmap.interval_dynamics import IntervalUnion
 from lorenzmap.maps import LorenzMap
-from lorenzmap.numerics import Scalar, format_interval, format_scalar, reduced_fraction
+from lorenzmap.numerics import Scalar, format_interval, format_scalar
 from lorenzmap.renorm import Tower
 
 DEFAULT_HIT_CAP = 10_000
@@ -32,14 +32,6 @@ DEFAULT_COVER_CAP = 1_000
 
 class CapExceeded(Exception):
     """A checker's iteration cap was hit before the sought event occurred."""
-
-
-def branch_value(branch, x: Scalar) -> Scalar:
-    """``branch`` at ``x`` of its closed domain, by its integer step; at
-    the end next to ``c`` this is the one-sided limit."""
-    if not branch.breakpoints[0] <= x <= branch.breakpoints[-1]:
-        raise ValueError(f"{format_scalar(x)} outside the branch domain")
-    return reduced_fraction(*branch.step(x.numerator, x.denominator))
 
 
 def union(first: IntervalUnion, second: IntervalUnion) -> IntervalUnion:
@@ -73,10 +65,10 @@ def closed_image_pairs(m: LorenzMap, lo: Scalar, hi: Scalar) -> list:
     """
     c = m.c
     if lo < c < hi:
-        return [(branch_value(m.left, lo), m.b), (m.a, branch_value(m.right, hi))]
+        return [(m.left.value(lo), m.b), (m.a, m.right.value(hi))]
     if hi <= c:
-        return [(branch_value(m.left, lo), branch_value(m.left, hi))]
-    return [(branch_value(m.right, lo), branch_value(m.right, hi))]
+        return [(m.left.value(lo), m.left.value(hi))]
+    return [(m.right.value(lo), m.right.value(hi))]
 
 
 def interval_orbit(m: LorenzMap, J: tuple, return_times) -> IntervalUnion:
@@ -147,8 +139,8 @@ def hitting_index(
         else:
             branch = m.right
         branches.append(branch)
-        lo = branch_value(branch, lo)
-        hi = branch_value(branch, hi)
+        lo = branch.value(lo)
+        hi = branch.value(hi)
         if lo < c < hi:
             z = c
             for branch in reversed(branches):

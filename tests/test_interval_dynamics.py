@@ -11,7 +11,6 @@ from lorenzmap.interval_dynamics import IntervalUnion
 from conftest import evaluate_orbit, raw_cover_steps, sym_params
 from paper_checks import (
     CapExceeded,
-    branch_value,
     covers,
     hitting_index,
     image_union,
@@ -97,7 +96,7 @@ def test_hitting_index_decrements_under_image():
             continue
         # one branch image (U avoids c because n >= 1)
         branch = m.left if hi <= m.c else m.right
-        V = (branch_value(branch, lo), branch_value(branch, hi))
+        V = (branch.value(lo), branch.value(hi))
         assert hitting_index(m, V).n == n - 1
         checked += 1
 

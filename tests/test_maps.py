@@ -443,12 +443,13 @@ def _branch_points(branch):
 
 
 def _assert_exact_evaluations(m, branch, x):
-    """``step`` and sided ``evaluate`` at ``x`` give the reference value."""
+    """``step``, ``value`` and sided ``evaluate`` at ``x`` give the reference value."""
     expected = reference_value(branch, x)
     n, d = branch.step(x.numerator, x.denominator)
     assert d > 0 and math.gcd(n, d) == 1
     # an unreduced pair would make this Fraction unequal to the value
     assert reduced_fraction(n, d) == expected
+    assert branch.value(x) == expected
     label = BranchLabel.LEFT if branch is m.left else BranchLabel.RIGHT
     assert word_orbit(m, (label,), x)[1] == expected
     if x != m.c:
@@ -465,6 +466,7 @@ def _assert_left_piece_at_breakpoints(branch):
     )
     for x in branch.breakpoints:
         expected = reference_value(jumped, x)
+        assert jumped.value(x) == expected
         assert reduced_fraction(*jumped.step(x.numerator, x.denominator)) == expected
 
 
@@ -513,6 +515,13 @@ def _assert_sides_and_domain_errors(m, eps):
     assert plus[1] == m.a == reference_value(m.right, m.c)
     with pytest.raises(ValueError):
         evaluate(m, m.c)
+    for branch in (m.left, m.right):
+        x = branch.breakpoints[0] - eps
+        with pytest.raises(ValueError, match=f"^{format_scalar(x)} below branch domain$"):
+            branch.value(x)
+        x = branch.breakpoints[-1] + eps
+        with pytest.raises(ValueError, match=f"^{format_scalar(x)} above branch domain$"):
+            branch.value(x)
     for x in (m.a - eps, m.b + eps):
         with pytest.raises(ValueError, match=f"^{format_scalar(x)} outside the domain$"):
             evaluate(m, x)

@@ -12,7 +12,6 @@ from lorenzmap.maps import (
     BranchLabel,
     LorenzMap,
     beta_transformation,
-    evaluate,
     parse_map_text,
     symmetric_map,
     validate_map,
@@ -439,7 +438,7 @@ def test_orbit_landing_on_c_is_decided_exactly():
     # f(0) = alpha = c, so the c+ orbit is c, 0, c, 0, ...: its enclosure
     # meets c at every even step and the exact value picks the branch
     m = beta_transformation(F(3, 2), F(2, 5))
-    assert m.c == evaluate(m, m.a)
+    assert m.c == m.left.value(m.a)
     minus, plus = critical_orbit_values(m, 8)
     assert plus.word == (BranchLabel.RIGHT, BranchLabel.LEFT) * 4
     assert plus.bounds[:8:2] == [enclose(m.c, plus.precision)] * 4
